@@ -11,9 +11,6 @@ from .laurent import (
     RATFUNC,
     RatFunc,
     divide_by_q_minus_1,
-    evaluate_at_one,
-    lp_arith,
-    rf_arith,
     rf_regular_at_one,
 )
 from .freealg import (
@@ -23,11 +20,8 @@ from .freealg import (
     GenSym,
     NCElement,
     NonTerminating,
-    RewriteRule,
     confluence_check,
     graded_component_basis,
-    nc_multiply,
-    normal_form,
 )
 from .qmatrix import (
     BadIndexLists,
@@ -35,7 +29,6 @@ from .qmatrix import (
     MatrixAlgebra,
     OrderMismatch,
     TensorElement,
-    make_matrix_algebra,
 )
 from .qsl import (
     BorelAlgebra,
@@ -60,7 +53,6 @@ from .classical import (
     build_h,
     build_h_prime,
     reference_cobracket,
-    ue_normal_form,
 )
 from .intform import (
     IntContext,
@@ -88,13 +80,9 @@ from .uq import (
     braid_T,
     collapse_at_one,
     convex_order,
-    make_uq,
     q_bracket,
     root_vector_iterated,
     root_vector_lusztig,
-    theta_map,
-    triangular_nf,
-    mu_P,
     uq_coproduct,
 )
 

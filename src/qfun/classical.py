@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lincomb import LinComb, accumulate, add_outer, format_terms
+
 
 class JacobiFailure(Exception):
     pass
@@ -61,7 +63,6 @@ class LieStructure:
         # values are {index: Fraction}
         self.brackets = brackets
         self._check_jacobi()
-        self._nf_cache = {}
 
     def bracket(self, a, b):
         """[x_a, x_b] as {index: Fraction} for any index pair."""
@@ -78,26 +79,22 @@ class LieStructure:
                 for c in range(b):
                     acc = {}
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        inner = self.bracket(y, z)
-                        for k, v in inner.items():
-                            outer = self.bracket(x, k)
-                            for k2, v2 in outer.items():
-                                s = acc.get(k2, Fraction(0)) + v * v2
-                                if s:
-                                    acc[k2] = s
-                                else:
-                                    acc.pop(k2, None)
+                        for k, v in self.bracket(y, z).items():
+                            accumulate(acc, ((k2, v * v2) for k2, v2 in self.bracket(x, k).items()))
                     if acc:
                         raise JacobiFailure(
                             f"Jacobi fails on ({self.basis[a]}, {self.basis[b]}, "
                             f"{self.basis[c]})"
                         )
 
+    def word_str(self, word):
+        return " ".join(str(self.basis[i]) for i in word) if word else "1"
+
     # -- U(h) straightening ---------------------------------------------------
 
     def ue_normal_form(self, terms):
         """PBW normal form of {word: Fraction} with words = index tuples."""
-        out = {}
+        normal = []
         stack = list(terms.items())
         while stack:
             w, c = stack.pop()
@@ -111,12 +108,8 @@ class LieStructure:
                         stack.append((pre + (k,) + suf, c * v))
                     break
             else:
-                s = out.get(w, Fraction(0)) + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return out
+                normal.append((w, c))
+        return accumulate({}, normal)
 
     def adjoint_matrix(self, idx):
         """ad(x_idx) as a dense matrix of Fractions (column-action)."""
@@ -127,15 +120,21 @@ class LieStructure:
         return m
 
 
-class PBWElement:
+class PBWElement(LinComb):
     """Element of the enveloping algebra in PBW normal form."""
 
-    __slots__ = ("lie", "terms")
+    __slots__ = ("lie",)
 
     def __init__(self, lie, terms=None, reduce=True):
         self.lie = lie
         terms = terms or {}
         self.terms = lie.ue_normal_form(terms) if reduce else terms
+
+    def _same(self, terms):
+        return PBWElement(self.lie, terms, reduce=False)
+
+    def _coerce(self, c):
+        return Fraction(c)
 
     @staticmethod
     def zero(lie):
@@ -149,71 +148,20 @@ class PBWElement:
     def gen(lie, sym):
         return PBWElement(lie, {(lie.index[sym],): Fraction(1)}, reduce=False)
 
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w, Fraction(0)) + c
-            if s:
-                t[w] = s
-            else:
-                t.pop(w, None)
-        return PBWElement(self.lie, t, reduce=False)
-
-    def __neg__(self):
-        return PBWElement(
-            self.lie, {w: -c for w, c in self.terms.items()}, reduce=False
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return PBWElement.zero(self.lie)
-        return PBWElement(
-            self.lie, {w: v * c for w, v in self.terms.items()}, reduce=False
-        )
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
+            accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in other.terms.items()))
         return PBWElement(self.lie, out)
 
-    __rmul__ = scale
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({(): Fraction(other)} if other else {})
-        if not isinstance(other, PBWElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __rmul__ = LinComb.scale
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            mono = " ".join(str(self.lie.basis[i]) for i in w) if w else "1"
-            if c == 1 and w:
-                parts.append(mono)
-            elif c == -1 and w:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c} {mono}" if w else str(c))
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_terms(
+            self.terms, lambda w: (len(w), w), self.lie.word_str, coeff=str, style="signed"
+        )
 
     __repr__ = __str__
 
@@ -336,7 +284,6 @@ def build_h(n, central=False):
     lie.dim = len(basis)
     lie.brackets = brackets
     lie._check_jacobi()
-    lie._nf_cache = {}
     return lie
 
 
@@ -348,14 +295,23 @@ def build_h_prime(n):
 # -- reference cobracket -------------------------------------------------------------
 
 
-class ClassicalTensor:
+class ClassicalTensor(LinComb):
     """Sum of pairs of PBW monomial words with Fraction coefficients."""
 
-    __slots__ = ("lie", "terms")
+    __slots__ = ("lie",)
 
     def __init__(self, lie, terms=None):
         self.lie = lie
         self.terms = terms or {}
+
+    def _same(self, terms):
+        return ClassicalTensor(self.lie, terms)
+
+    def _coerce(self, c):
+        return Fraction(c)
+
+    def _unit_key(self):
+        return None
 
     @staticmethod
     def zero(lie):
@@ -363,54 +319,15 @@ class ClassicalTensor:
 
     def add_pair(self, x, y, coeff=Fraction(1)):
         """self + coeff * (x tensor y) for PBWElements x, y."""
-        t = dict(self.terms)
-        for w1, c1 in x.terms.items():
-            for w2, c2 in y.terms.items():
-                key = (w1, w2)
-                s = t.get(key, Fraction(0)) + coeff * c1 * c2
-                if s:
-                    t[key] = s
-                else:
-                    t.pop(key, None)
-        return ClassicalTensor(self.lie, t)
+        return self._same(add_outer(dict(self.terms), x.terms, y.terms, coeff))
 
     def add_wedge(self, x, y, coeff=Fraction(1)):
-        return self.add_pair(x, y, coeff).add_pair(y, x, -coeff)
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k, Fraction(0)) + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return ClassicalTensor(self.lie, t)
-
-    def __neg__(self):
-        return ClassicalTensor(self.lie, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return ClassicalTensor(
-            self.lie, {k: v * c for k, v in self.terms.items() if v * c}
-        )
+        return self._same(_add_wedge(dict(self.terms), x, y, coeff))
 
     def swap(self):
         return ClassicalTensor(
             self.lie, {(b, a): c for (a, b), c in self.terms.items()}
         )
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassicalTensor):
-            return NotImplemented
-        return self.terms == other.terms
 
     def act(self, sym):
         """Adjoint action of a basis symbol on the tensor square."""
@@ -425,26 +342,26 @@ class ClassicalTensor:
                     for k, v in lie.bracket(idx, w[t]).items():
                         nw = w[:t] + (k,) + w[t + 1 :]
                         red = lie.ue_normal_form({nw: c * v})
-                        for rw, rc in red.items():
-                            key = (rw, w2) if side == 0 else (w1, rw)
-                            s = out.get(key, Fraction(0)) + rc
-                            if s:
-                                out[key] = s
-                            else:
-                                out.pop(key, None)
+                        accumulate(
+                            out,
+                            (((rw, w2) if side == 0 else (w1, rw), rc) for rw, rc in red.items()),
+                        )
         return ClassicalTensor(lie, out)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (w1, w2), c in sorted(self.terms.items()):
-            m1 = " ".join(str(self.lie.basis[i]) for i in w1) if w1 else "1"
-            m2 = " ".join(str(self.lie.basis[i]) for i in w2) if w2 else "1"
-            parts.append(f"{c} {m1} (x) {m2}")
-        return " + ".join(parts)
+        word_str = self.lie.word_str
+        return format_terms(
+            self.terms, None, lambda k: f"{word_str(k[0])} (x) {word_str(k[1])}",
+            coeff=str, style="full",
+        )
 
     __repr__ = __str__
+
+
+def _add_wedge(dst, x, y, coeff):
+    """dst += coeff * (x ^ y) = coeff * (x (x) y - y (x) x), in place."""
+    add_outer(dst, x.terms, y.terms, coeff)
+    return add_outer(dst, y.terms, x.terms, -coeff)
 
 
 def reference_cobracket(lie, sym, n):
@@ -463,8 +380,11 @@ def reference_cobracket(lie, sym, n):
     defining recursions e_{i,j} = -[e_{i,j-1}, e_{j-1,j}] and
     f_{j,i} = [f_{j-1,i}, f_{j,j-1}].
     """
-    t = ClassicalTensor.zero(lie)
-    gen = lambda s: PBWElement.gen(lie, s)
+    t = {}
+
+    def wedge(x, y, coeff=Fraction(1)):
+        _add_wedge(t, PBWElement.gen(lie, x), PBWElement.gen(lie, y), coeff)
+
     fam, idx = sym.family, sym.indices
     if fam == "e" and idx[1] > idx[0] + 1:
         i, j = idx
@@ -483,37 +403,37 @@ def reference_cobracket(lie, sym, n):
         i = idx[1] if idx[0] == idx[1] + 1 else None
         if i is None:
             raise ValueError("reference cobracket is defined on simple generators")
-        t = t.add_wedge(gen(h_sym(i)), gen(f_sym(i + 1, i)))
+        wedge(h_sym(i), f_sym(i + 1, i))
         for j in range(1, i):
-            t = t.add_wedge(gen(f_sym(i + 1, j)), gen(e_sym(j, i)), Fraction(2))
+            wedge(f_sym(i + 1, j), e_sym(j, i), Fraction(2))
         for j in range(i + 2, n + 2):
-            t = t.add_wedge(gen(e_sym(i + 1, j)), gen(f_sym(j, i)), Fraction(2))
-        return t
+            wedge(e_sym(i + 1, j), f_sym(j, i), Fraction(2))
+        return ClassicalTensor(lie, t)
     if fam == "e":
         i = idx[0] if idx[1] == idx[0] + 1 else None
         if i is None:
             raise ValueError("reference cobracket is defined on simple generators")
-        t = t.add_wedge(gen(e_sym(i, i + 1)), gen(h_sym(i)))
+        wedge(e_sym(i, i + 1), h_sym(i))
         for j in range(1, i):
-            t = t.add_wedge(gen(e_sym(j, i + 1)), gen(f_sym(i, j)), Fraction(2))
+            wedge(e_sym(j, i + 1), f_sym(i, j), Fraction(2))
         for j in range(i + 2, n + 2):
-            t = t.add_wedge(gen(f_sym(j, i + 1)), gen(e_sym(i, j)), Fraction(2))
-        return t
+            wedge(f_sym(j, i + 1), e_sym(i, j), Fraction(2))
+        return ClassicalTensor(lie, t)
     if fam == "h":
         (i,) = idx
         for j in range(1, i):
-            t = t.add_wedge(gen(f_sym(i, j)), gen(e_sym(j, i)), Fraction(4))
+            wedge(f_sym(i, j), e_sym(j, i), Fraction(4))
         for j in range(i + 1, n + 2):
-            t = t.add_wedge(gen(e_sym(i, j)), gen(f_sym(j, i)), Fraction(4))
+            wedge(e_sym(i, j), f_sym(j, i), Fraction(4))
         for j in range(1, i + 1):
-            t = t.add_wedge(gen(f_sym(i + 1, j)), gen(e_sym(j, i + 1)), Fraction(-4))
+            wedge(f_sym(i + 1, j), e_sym(j, i + 1), Fraction(-4))
         for j in range(i + 2, n + 2):
-            t = t.add_wedge(gen(e_sym(i + 1, j)), gen(f_sym(j, i + 1)), Fraction(-4))
-        return t
+            wedge(e_sym(i + 1, j), f_sym(j, i + 1), Fraction(-4))
+        return ClassicalTensor(lie, t)
     if fam == "c":
         for k in range(1, n + 1):
-            t = t.add_wedge(gen(f_sym(n + 1, k)), gen(e_sym(k, n + 1)), Fraction(4))
-        return t
+            wedge(f_sym(n + 1, k), e_sym(k, n + 1), Fraction(4))
+        return ClassicalTensor(lie, t)
     raise ValueError(f"no reference cobracket for {sym}")
 
 
@@ -537,8 +457,3 @@ def simple_generators(lie, n):
         out.append(C_SYM)
     out += [e_sym(i, i + 1) for i in range(1, n + 1)]
     return out
-
-
-def ue_normal_form(lie, terms):
-    """PBW normal form of {index-word: Fraction} terms as a PBWElement."""
-    return PBWElement(lie, dict(terms))

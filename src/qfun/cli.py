@@ -229,11 +229,7 @@ class Context:
 
             self.alg = MatrixAlgebra(n, order=order or "lex", domain=RATFUNC)
         elif algebra == "SL":
-            self.ictx = IntContext(n, gl=False)
-            if sl_strategy == "antidiag73":
-                self.ictx.alg = SLAlgebra(n, strategy="antidiag73")
-                self.ictx.spec = self.ictx.alg.spec
-                self.ictx._lift_cache = {}
+            self.ictx = IntContext(n, gl=False, strategy=sl_strategy)
             self.alg = self.ictx.alg
         elif algebra == "GL":
             self.ictx = IntContext(n, gl=True)

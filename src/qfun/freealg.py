@@ -12,8 +12,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import factorial
 
 from .laurent import LAURENT, RATFUNC, LaurentPoly, RatFunc
+from .lincomb import LinComb, accumulate, format_terms
 
 
 class AlgebraMismatch(Exception):
@@ -48,12 +50,6 @@ class GenSym:
 
     def __str__(self):
         return f"{self.family}[{','.join(str(i) for i in self.indices)}]"
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: tuple  # descending pair of alphabet positions
-    rhs: tuple  # tuple of (coeff, word) pairs
 
 
 class PostReducer:
@@ -163,15 +159,8 @@ class AlgebraSpec:
         """Full normal form of a {word: coeff} dict, post-reducers included."""
         out = {}
         for w, c in terms.items():
-            if not c:
-                continue
-            for nw, nc in self.normal_form_word(w).items():
-                s = out.get(nw)
-                s = nc * c if s is None else s + nc * c
-                if s:
-                    out[nw] = s
-                else:
-                    out.pop(nw, None)
+            if c:
+                accumulate(out, self.normal_form_word(w).items(), c)
         if self.post_reducers:
             out = self._apply_post_reducers(out)
         return out
@@ -194,25 +183,14 @@ class AlgebraSpec:
                 bound = red.measure(self, target)
                 expanded = {}
                 for rw, rc in repl.items():
-                    for nw, nc in self.normal_form_word(rw).items():
-                        s = expanded.get(nw, None)
-                        s = rc * nc if s is None else s + rc * nc
-                        if s:
-                            expanded[nw] = s
-                        else:
-                            expanded.pop(nw, None)
-                for nw, nc in expanded.items():
+                    accumulate(expanded, self.normal_form_word(rw).items(), rc)
+                for nw in expanded:
                     if red.measure(self, nw) >= bound:
                         raise NonTerminating(
                             f"{red.name}: measure did not decrease on "
                             f"{self.word_str(nw)}"
                         )
-                    s = terms.get(nw)
-                    s = nc * c if s is None else s + nc * c
-                    if s:
-                        terms[nw] = s
-                    else:
-                        terms.pop(nw, None)
+                accumulate(terms, expanded.items(), c)
         return terms
 
     # -- display -----------------------------------------------------------
@@ -222,17 +200,14 @@ class AlgebraSpec:
             return "1"
         return " ".join(str(self.alphabet[i]) for i in word)
 
-    def word_of_gens(self, gens):
-        return tuple(self.index[g] for g in gens)
-
     def __repr__(self):
         return f"AlgebraSpec({self.name!r}, {len(self.alphabet)} gens)"
 
 
-class NCElement:
+class NCElement(LinComb):
     """Finite coefficient-weighted sum of words in an AlgebraSpec."""
 
-    __slots__ = ("spec", "terms")
+    __slots__ = ("spec",)
 
     def __init__(self, spec, terms=None, reduce=True):
         self.spec = spec
@@ -241,6 +216,18 @@ class NCElement:
         if reduce:
             terms = spec.reduce_terms(terms)
         self.terms = terms
+
+    def _same(self, terms):
+        return NCElement(self.spec, terms, reduce=False)
+
+    def _coerce(self, c):
+        return self.spec.domain.coerce(c)
+
+    def _check(self, other):
+        if self.spec is not other.spec:
+            raise AlgebraMismatch(
+                f"{self.spec.name!r} vs {other.spec.name!r}"
+            )
 
     # -- constructors ------------------------------------------------------
 
@@ -262,77 +249,12 @@ class NCElement:
     def from_word(spec, word, coeff=1):
         return NCElement(spec, {tuple(word): spec.domain.coerce(coeff)})
 
-    # -- structure -----------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.terms == {(): self.spec.domain.coerce(other)}
-        if not isinstance(other, NCElement):
-            return NotImplemented
-        if self.spec is not other.spec:
-            raise AlgebraMismatch("comparing elements of different algebras")
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def _check(self, other):
-        if self.spec is not other.spec:
-            raise AlgebraMismatch(
-                f"{self.spec.name!r} vs {other.spec.name!r}"
-            )
-
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = NCElement(
-                self.spec, {(): self.spec.domain.coerce(other)}, reduce=False
-            )
-        self._check(other)
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w)
-            s = c if s is None else s + c
-            if s:
-                t[w] = s
-            else:
-                t.pop(w, None)
-        return NCElement(self.spec, t, reduce=False)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NCElement(
-            self.spec, {w: -c for w, c in self.terms.items()}, reduce=False
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = NCElement(
-                self.spec, {(): self.spec.domain.coerce(other)}, reduce=False
-            )
-        self._check(other)
-        return self + (-other)
+    __radd__ = LinComb.__add__
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def scale(self, coeff):
-        coeff = self.spec.domain.coerce(coeff)
-        if not coeff:
-            return NCElement.zero(self.spec)
-        return NCElement(
-            self.spec, {w: c * coeff for w, c in self.terms.items()}, reduce=False
-        )
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly, RatFunc)):
@@ -340,15 +262,7 @@ class NCElement:
         self._check(other)
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in other.terms.items()))
         return NCElement(self.spec, out)
 
     def __rmul__(self, other):
@@ -379,25 +293,9 @@ class NCElement:
         return NCElement(self.spec, t, reduce=False)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            cs = str(c)
-            needs_parens = ("+" in cs[1:]) or ("-" in cs[1:]) or ("/" in cs)
-            if needs_parens:
-                cs = f"({cs})"
-            ws = self.spec.word_str(w)
-            if ws == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(ws)
-            elif cs == "-1":
-                parts.append(f"-{ws}")
-            else:
-                parts.append(f"{cs} {ws}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_terms(
+            self.terms, lambda w: (len(w), w), self.spec.word_str, style="signed"
+        )
 
     def __repr__(self):
         return f"<NCElement {self}>"
@@ -416,15 +314,6 @@ class NCElement:
                 for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
             ],
         }
-
-
-def nc_multiply(a, b):
-    return a * b
-
-
-def normal_form(a):
-    """Re-reduce an element (idempotent by construction)."""
-    return NCElement(a.spec, dict(a.terms))
 
 
 # -- confluence ---------------------------------------------------------------
@@ -452,22 +341,10 @@ def confluence_check(spec, max_triples=None):
             break
         left = {}
         for rc, rw in lhs_hi:
-            for nw, nc in spec.normal_form_word(rw + (c,)).items():
-                s = left.get(nw, None)
-                s = rc * nc if s is None else s + rc * nc
-                if s:
-                    left[nw] = s
-                else:
-                    left.pop(nw, None)
+            accumulate(left, spec.normal_form_word(rw + (c,)).items(), rc)
         right = {}
         for rc, rw in lhs_lo:
-            for nw, nc in spec.normal_form_word((a,) + rw).items():
-                s = right.get(nw, None)
-                s = rc * nc if s is None else s + rc * nc
-                if s:
-                    right[nw] = s
-                else:
-                    right.pop(nw, None)
+            accumulate(right, spec.normal_form_word((a,) + rw).items(), rc)
         if left != right:
             failures.append(
                 {
@@ -498,13 +375,14 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
     k(q), and returns (all_words, basis_words, proj) where proj maps every
     word to its expansion {basis_word: coeff} modulo the ideal.
     """
+    # the multinomial count of the words, checked before enumerating them
+    count = factorial(sum(multidegree))
+    for m in multidegree:
+        count //= factorial(m)
+    if count > cap:
+        raise DimensionOverflow(f"graded component has {count} words (cap {cap})")
     words = words_of_multidegree(n_letters, multidegree)
-    if len(words) > cap:
-        raise DimensionOverflow(
-            f"graded component has {len(words)} words (cap {cap})"
-        )
     word_ix = {w: i for i, w in enumerate(words)}
-    total = sum(multidegree)
 
     rows = []
     for rel in relations:
@@ -517,21 +395,11 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
         rem = [m - r for m, r in zip(multidegree, rel_deg)]
         if any(x < 0 for x in rem):
             continue
-        rel_total = sum(rel_deg)
         for left_deg in _split_multidegrees(rem):
             for u in words_of_multidegree(n_letters, left_deg):
                 right = [r - l for r, l in zip(rem, left_deg)]
                 for v in words_of_multidegree(n_letters, right):
-                    row = {}
-                    for rw, rc in rel.items():
-                        w = u + rw + v
-                        i = word_ix[w]
-                        s = row.get(i, None)
-                        s = rc if s is None else s + rc
-                        if s:
-                            row[i] = s
-                        else:
-                            row.pop(i, None)
+                    row = accumulate({}, ((word_ix[u + rw + v], rc) for rw, rc in rel.items()))
                     if row:
                         rows.append(row)
 

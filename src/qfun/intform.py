@@ -40,6 +40,7 @@ from .laurent import (
     RatFunc,
     neg_q_power,
 )
+from .lincomb import LinComb, accumulate, add_outer, apply_word_map, format_terms
 from .qmatrix import MatrixAlgebra, TensorElement
 from .qsl import SLAlgebra
 
@@ -78,10 +79,17 @@ def chigen(i):
     return IntFormGen("chi", (i,))
 
 
-class IntExpr:
-    """Formal Z[q,q^-1]-combination of words in integer-form generators."""
+class IntExpr(LinComb):
+    """Formal Z[q,q^-1]-combination of words in integer-form generators.
 
-    __slots__ = ("terms",)
+    Equality and hashing are by identity: two expressions are compared by
+    lifting them into an IntContext.
+    """
+
+    __slots__ = ()
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -90,6 +98,14 @@ class IntExpr:
                 c = RATFUNC.coerce(c)
                 if c:
                     self.terms[tuple(w)] = c
+
+    def _same(self, terms):
+        out = IntExpr()
+        out.terms = terms
+        return out
+
+    def _coerce(self, c):
+        return RATFUNC.coerce(c)
 
     @staticmethod
     def zero():
@@ -107,72 +123,32 @@ class IntExpr:
     def word(gens, coeff=1):
         return IntExpr({tuple(gens): coeff})
 
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w)
-            s = c if s is None else s + c
-            if s:
-                t[w] = s
-            else:
-                t.pop(w, None)
-        out = IntExpr()
-        out.terms = t
-        return out
-
-    def __neg__(self):
-        out = IntExpr()
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w)
-                add = c1 * c2
-                s = add if s is None else s + add
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        e = IntExpr()
-        e.terms = out
-        return e
-
-    def scale(self, coeff):
-        coeff = RATFUNC.coerce(coeff)
-        out = IntExpr()
-        if coeff:
-            out.terms = {w: c * coeff for w, c in self.terms.items()}
-        return out
+            accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in other.terms.items()))
+        return self._same(out)
 
     def all_coeffs_laurent(self):
         return all(c.is_laurent() for c in self.terms.values())
 
     def divide_coeffs_q_minus_1(self, power=1):
-        out = IntExpr()
         t = {}
         for w, c in self.terms.items():
             lp = c.to_laurent()
             for _ in range(power):
                 lp = lp.divide_q_minus_1()
             t[w] = RatFunc.from_laurent(lp)
-        out.terms = t
-        return out
+        return self._same(t)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), str(kv[0]))):
-            ws = " ".join(str(g) for g in w) if w else "1"
-            parts.append(f"({c}) {ws}")
-        return " + ".join(parts)
+        return format_terms(
+            self.terms,
+            lambda w: (len(w), str(w)),
+            lambda w: " ".join(str(g) for g in w) if w else "1",
+            coeff=lambda c: f"({c})",
+            style="full",
+        )
 
     __repr__ = __str__
 
@@ -180,18 +156,18 @@ class IntExpr:
 class IntContext:
     """Ambient algebra for one of the integer forms.
 
-    gl=False: the SL algebra with the diagonal canonical-form strategy.
+    gl=False: the SL algebra with the given canonical-form strategy.
     gl=True: the plain quantum matrix algebra (no determinant relation),
     the ambient algebra of the GL-localized forms.
     """
 
-    def __init__(self, n, gl=False):
+    def __init__(self, n, gl=False, strategy="diagonal74"):
         self.n = n
         self.gl = gl
         if gl:
             self.alg = MatrixAlgebra(n, order="triangular", domain=RATFUNC)
         else:
-            self.alg = SLAlgebra(n, strategy="diagonal74", domain=RATFUNC)
+            self.alg = SLAlgebra(n, strategy=strategy, domain=RATFUNC)
         self.spec = self.alg.spec
         self._lift_cache = {}
         self._lie = None
@@ -227,21 +203,15 @@ class IntContext:
         return el
 
     def lift(self, expr):
-        out = NCElement.zero(self.spec)
-        for w, c in expr.terms.items():
-            acc = NCElement.one(self.spec)
-            for g in w:
-                acc = acc * self.lift_gen(g)
-            out = out + acc.scale(c)
-        return out
+        return apply_word_map(expr.terms, self.lift_gen, NCElement.one(self.spec))
 
     def lift_tensor(self, texpr):
-        out = TensorElement.zero(self.alg, self.alg)
+        out = {}
         for (wl, wr), c in texpr.terms.items():
             l = self.lift(IntExpr({wl: 1}))
             r = self.lift(IntExpr({wr: 1}))
-            out = out.add_product(l, r, c)
-        return out
+            add_outer(out, l.terms, r.terms, c)
+        return TensorElement(self.alg, self.alg, out, reduce=False)
 
     def coproduct(self, el):
         return self.alg.coproduct(el)
@@ -264,10 +234,14 @@ class IntContext:
         return self._lie
 
 
-class TensorIntExpr:
-    """Formal combination of pairs of generator words."""
+class TensorIntExpr(LinComb):
+    """Formal combination of pairs of generator words; compared, like
+    IntExpr, by identity."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -277,15 +251,20 @@ class TensorIntExpr:
                 if c:
                     self.terms[(tuple(k[0]), tuple(k[1]))] = c
 
+    def _same(self, terms):
+        out = TensorIntExpr()
+        out.terms = terms
+        return out
+
+    def _coerce(self, c):
+        return RATFUNC.coerce(c)
+
+    def _unit_key(self):
+        return None
+
     def add(self, wl, wr, coeff):
-        key = (tuple(wl), tuple(wr))
-        c = RATFUNC.coerce(coeff)
-        s = self.terms.get(key)
-        s = c if s is None else s + c
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
+        """Add coeff * (wl tensor wr) in place; returns self."""
+        accumulate(self.terms, [((tuple(wl), tuple(wr)), RATFUNC.coerce(coeff))])
         return self
 
     def all_coeffs_laurent(self):
@@ -341,18 +320,18 @@ def specialize_gen(g, lie, n, gl=False, _mu=None):
 def specialize_phi(expr, lie, n, gl=False):
     """q=1 image of a formal integer-form expression in the PBW engine."""
     mu = toral_images(lie, n, gl)
-    out = PBWElement.zero(lie)
+    values = {}
     for w, c in expr.terms.items():
         v = c.regular_at_one()
         if not isinstance(v, Fraction):
             raise OutOfForm(f"coefficient {c} has a pole at q=1")
-        if not v:
-            continue
-        acc = PBWElement.one(lie)
-        for g in w:
-            acc = acc * specialize_gen(g, lie, n, gl, _mu=mu)
-        out = out + acc.scale(v)
-    return out
+        if v:
+            values[w] = v
+    return apply_word_map(
+        values,
+        lambda g: specialize_gen(g, lie, n, gl, _mu=mu),
+        PBWElement.one(lie),
+    )
 
 
 # -- lattice expansion --------------------------------------------------------------
@@ -388,18 +367,12 @@ def expand_lattice_word(ctx, word, scaling="r"):
         d = len(lower) + len(upper)
         if d:
             base = RF_QMQI ** d
-    out = {}
+    leaves = []
     stack = [(0, [], base)]
     while stack:
         pos, kexps, coeff = stack.pop()
         if pos == n + 1:
-            key = (tuple(lower), tuple(kexps), tuple(upper))
-            s = out.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            leaves.append(((tuple(lower), tuple(kexps), tuple(upper)), coeff))
             continue
         N = diag[pos]
         for K in range(N + 1):
@@ -407,20 +380,13 @@ def expand_lattice_word(ctx, word, scaling="r"):
             if K:
                 c = c * (RF_QM1 ** K)
             stack.append((pos + 1, kexps + [K], c))
-    return out
+    return accumulate({}, leaves)
 
 
 def expand_lattice(ctx, el, scaling="r"):
     out = {}
     for w, c in el.terms.items():
-        for key, lc in expand_lattice_word(ctx, w, scaling).items():
-            s = out.get(key)
-            add = c * lc
-            s = add if s is None else s + add
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+        accumulate(out, expand_lattice_word(ctx, w, scaling).items(), c)
     return out
 
 
@@ -491,21 +457,13 @@ def poisson_cobracket(ctx, expr):
     mu = toral_images(lie, ctx.n, ctx.gl)
     coords = {}
     for (wl, wr), c in d.terms.items():
-        lexp = expand_lattice_word(ctx, wl, scaling="r")
-        rexp = expand_lattice_word(ctx, wr, scaling="r")
-        for kl, cl in lexp.items():
-            for kr, cr in rexp.items():
-                coeff = c * cl * cr
-                if not coeff:
-                    continue
-                key = (kl, kr)
-                s = coords.get(key)
-                s = coeff if s is None else s + coeff
-                if s:
-                    coords[key] = s
-                else:
-                    coords.pop(key, None)
-    out = ClassicalTensor.zero(lie)
+        add_outer(
+            coords,
+            expand_lattice_word(ctx, wl, scaling="r"),
+            expand_lattice_word(ctx, wr, scaling="r"),
+            c,
+        )
+    out = {}
     for (kl, kr), coeff in coords.items():
         if not coeff.is_laurent():
             raise NotDivisible(coeff)
@@ -515,8 +473,8 @@ def poisson_cobracket(ctx, expr):
             continue
         pl = specialize_lattice_mono(kl, lie, ctx.n, ctx.gl, mu)
         pr = specialize_lattice_mono(kr, lie, ctx.n, ctx.gl, mu)
-        out = out.add_pair(pl, pr, v)
-    return out
+        add_outer(out, pl.terms, pr.terms, v)
+    return ClassicalTensor(lie, out)
 
 
 # -- relation and Hopf catalogs -------------------------------------------------------

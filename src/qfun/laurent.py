@@ -586,36 +586,8 @@ LAURENT = Domain("laurent", LP_ZERO, LP_ONE)
 RATFUNC = Domain("ratfunc", RF_ZERO, RF_ONE)
 
 
-def lp_arith(a, b, op):
-    """add/sub/mul on LaurentPoly by name (exact, canonical result)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def rf_arith(a, b, op):
-    """add/sub/mul/div on RatFunc by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def divide_by_q_minus_1(a):
     return a.divide_q_minus_1()
-
-
-def evaluate_at_one(a):
-    return a.evaluate_at_one()
 
 
 def rf_regular_at_one(a):

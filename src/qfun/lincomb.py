@@ -1,0 +1,157 @@
+"""Sparse linear combinations: the one owner of {key: coeff} arithmetic.
+
+Every element type in qfun (words in a free algebra, word pairs in a tensor
+square, triangular U_q terms, PBW words, formal integer-form expressions)
+stores a dict from keys to nonzero coefficients.  The rules for that dict
+live here: zero coefficients are never stored, and a public operation never
+mutates its operands, because elements sit in caches and are shared.
+"""
+
+from __future__ import annotations
+
+
+def accumulate(dst, items, coeff=None):
+    """dst[key] += c for each (key, c) in items, in place, each c first
+    multiplied by coeff when one is given; zero sums are dropped."""
+    get = dst.get
+    for key, c in items:
+        if coeff is not None:
+            c = c * coeff
+        s = get(key)
+        s = c if s is None else s + c
+        if s:
+            dst[key] = s
+        else:
+            dst.pop(key, None)
+    return dst
+
+
+def add_outer(dst, a, b, coeff):
+    """dst += coeff * (a tensor b) over pair keys, in place; a, b are term dicts."""
+    for ka, ca in a.items():
+        accumulate(dst, (((ka, kb), cb) for kb, cb in b.items()), coeff * ca)
+    return dst
+
+
+def apply_word_map(terms, image, one, reverse=False):
+    """sum_w c_w image(w_1) ... image(w_k) over a {word: c_w} dict.
+
+    image maps a letter to an element; one is the unit of the target, which
+    starts every product.  reverse=True multiplies the letters right to left,
+    as an anti-homomorphism does.
+    """
+    out = {}
+    for w, c in terms.items():
+        acc = one
+        for letter in reversed(w) if reverse else w:
+            acc = acc * image(letter)
+        accumulate(out, acc.terms.items(), c)
+    return one._same(out)
+
+
+def coeff_text(c):
+    """A coefficient as printed before a monomial: in parentheses when it is
+    a sum or a fraction."""
+    s = str(c)
+    if ("+" in s[1:]) or ("-" in s[1:]) or ("/" in s):
+        return f"({s})"
+    return s
+
+
+def format_terms(terms, order, mono, coeff=coeff_text, style="compact"):
+    """Text of a term dict, one term per key in sorted(key=order) order.
+
+    style "compact" drops a coefficient printed "1"; "signed" also prints a
+    constant term as its bare coefficient, writes "-1 m" as "-m" and
+    "+ -" as "- "; "full" always prints the coefficient.
+    """
+    if not terms:
+        return "0"
+    parts = []
+    signed = style == "signed"
+    for k in sorted(terms, key=order):
+        cs, ms = coeff(terms[k]), mono(k)
+        if signed and ms == "1":
+            parts.append(cs)
+        elif style != "full" and cs == "1":
+            parts.append(ms)
+        elif signed and cs == "-1":
+            parts.append(f"-{ms}")
+        else:
+            parts.append(f"{cs} {ms}")
+    text = " + ".join(parts)
+    return text.replace("+ -", "- ") if signed else text
+
+
+class LinComb:
+    """Base of the element types: a context plus `terms`, a {key: coeff}
+    dict without zero coefficients.
+
+    Subclasses provide `_same(terms)`, which wraps an already reduced term
+    dict in a new element of the same context, and may override
+    `_coerce` (scalars into the coefficient ring), `_check` (refuse an
+    operand from another context) and `_unit_key` (the key of 1, or None
+    when integers do not embed, as in tensor squares).
+    """
+
+    __slots__ = ("terms",)
+
+    def _same(self, terms):
+        raise NotImplementedError
+
+    def _coerce(self, c):
+        return c
+
+    def _check(self, other):
+        pass
+
+    def _unit_key(self):
+        return ()
+
+    def _operand(self, other):
+        if isinstance(other, int) and self._unit_key() is not None:
+            c = self._coerce(other)
+            return self._same({self._unit_key(): c} if c else {})
+        self._check(other)
+        return other
+
+    # -- structure -------------------------------------------------------------
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            key = self._unit_key()
+            if key is None:
+                return NotImplemented
+            c = self._coerce(other)
+            return self.terms == ({key: c} if c else {})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return self._same(accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._same({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._operand(other))
+
+    def scale(self, coeff):
+        coeff = self._coerce(coeff)
+        if not coeff:
+            return self._same({})
+        return self._same({k: c * coeff for k, c in self.terms.items()})

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 
 from .freealg import AlgebraSpec, GenSym, NCElement
+from .lincomb import LinComb, accumulate, add_outer, format_terms
 from .laurent import (
     LAURENT,
     LaurentPoly,
@@ -173,6 +174,7 @@ class MatrixAlgebra:
         (defaulting to self) and are fully reduced there."""
         left = left or self
         right = right or self
+        lpos, rpos = left.spec.index, right.spec.index
         out = {}
         for w, c in a.terms.items():
             pieces = [((), ())]
@@ -183,16 +185,11 @@ class MatrixAlgebra:
                     for k in range(1, self.n + 2):
                         nxt.append((wl + ((i, k),), wr + ((k, j),)))
                 pieces = nxt
-            for wl, wr in pieces:
-                lw = tuple(left.spec.index[x_gen(*ij)] for ij in wl)
-                rw = tuple(right.spec.index[x_gen(*ij)] for ij in wr)
-                key = (lw, rw)
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            keys = (
+                (tuple(lpos[x_gen(*ij)] for ij in wl), tuple(rpos[x_gen(*ij)] for ij in wr))
+                for wl, wr in pieces
+            )
+            accumulate(out, ((key, c) for key in keys))
         return TensorElement(left, right, out)
 
     def counit(self, a):
@@ -287,10 +284,19 @@ class MatrixAlgebra:
         return words
 
 
-class TensorElement:
+def _word_normal_form(spec):
+    """The full normal form of one word as {word: coeff}: the memoized
+    quadratic normal form itself unless post-reducers act on top of it."""
+    if not spec.post_reducers:
+        return spec.normal_form_word
+    one = spec.domain.one
+    return lambda w: spec.reduce_terms({w: one})
+
+
+class TensorElement(LinComb):
     """Coefficient-weighted sum of word pairs over two algebra contexts."""
 
-    __slots__ = ("left", "right", "terms")
+    __slots__ = ("left", "right")
 
     def __init__(self, left, right, terms=None, reduce=True):
         self.left = left
@@ -300,23 +306,22 @@ class TensorElement:
         self.terms = terms or {}
 
     def _reduce(self, terms):
+        lnf = _word_normal_form(self.left.spec)
+        rnf = _word_normal_form(self.right.spec)
         out = {}
         for (wl, wr), c in terms.items():
-            if not c:
-                continue
-            lred = self.left.spec.reduce_terms({wl: self.left.spec.domain.one})
-            rred = self.right.spec.reduce_terms({wr: self.right.spec.domain.one})
-            for lw, lc in lred.items():
-                for rw, rc in rred.items():
-                    key = (lw, rw)
-                    add = c * lc * rc
-                    s = out.get(key)
-                    s = add if s is None else s + add
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+            if c:
+                add_outer(out, lnf(wl), rnf(wr), c)
         return out
+
+    def _same(self, terms):
+        return TensorElement(self.left, self.right, terms, reduce=False)
+
+    def _coerce(self, c):
+        return self.left.spec.domain.coerce(c)
+
+    def _unit_key(self):
+        return None
 
     @staticmethod
     def zero(left, right):
@@ -324,60 +329,16 @@ class TensorElement:
 
     def add_product(self, a, b, coeff):
         """self + coeff * (a tensor b); a, b already reduced elements."""
-        t = dict(self.terms)
-        for wl, cl in a.terms.items():
-            for wr, cr in b.terms.items():
-                key = (wl, wr)
-                add = coeff * cl * cr
-                s = t.get(key)
-                s = add if s is None else s + add
-                if s:
-                    t[key] = s
-                else:
-                    t.pop(key, None)
-        return TensorElement(self.left, self.right, t, reduce=False)
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return TensorElement(self.left, self.right, t, reduce=False)
-
-    def __neg__(self):
-        return TensorElement(
-            self.left, self.right, {k: -c for k, c in self.terms.items()}, reduce=False
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        coeff = self.left.spec.domain.coerce(coeff)
-        return TensorElement(
-            self.left,
-            self.right,
-            {k: c * coeff for k, c in self.terms.items() if c * coeff},
-            reduce=False,
-        )
+        return self._same(add_outer(dict(self.terms), a.terms, b.terms, coeff))
 
     def __mul__(self, other):
         """Componentwise product (a ox b)(c ox d) = ac ox bd."""
         out = {}
         for (al, ar), ca in self.terms.items():
-            for (bl, br), cb in other.terms.items():
-                key = (al + bl, ar + br)
-                add = ca * cb
-                s = out.get(key)
-                s = add if s is None else s + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            accumulate(
+                out,
+                (((al + bl, ar + br), ca * cb) for (bl, br), cb in other.terms.items()),
+            )
         return TensorElement(self.left, self.right, out)
 
     def swap(self):
@@ -388,37 +349,12 @@ class TensorElement:
             reduce=False,
         )
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (wl, wr), c in sorted(
-            self.terms.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0])
-        ):
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or ("/" in cs):
-                cs = f"({cs})"
-            body = f"{self.left.spec.word_str(wl)} (x) {self.right.spec.word_str(wr)}"
-            parts.append(body if cs == "1" else f"{cs} {body}")
-        return " + ".join(parts)
+        return format_terms(
+            self.terms,
+            lambda k: (len(k[0]) + len(k[1]), k),
+            lambda k: f"{self.left.spec.word_str(k[0])} (x) {self.right.spec.word_str(k[1])}",
+        )
 
     def __repr__(self):
         return f"<TensorElement {self}>"
-
-    def map_factors(self, fl, fr, combine):
-        """Apply per-factor word maps and combine(coeff, imgl, imgr)."""
-        for (wl, wr), c in self.terms.items():
-            combine(c, fl(wl), fr(wr))
-
-
-
-def make_matrix_algebra(n, order="lex", domain=LAURENT):
-    return MatrixAlgebra(n, order=order, domain=domain)

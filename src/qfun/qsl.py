@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement, permutations
 
 from .freealg import GenSym, NCElement, PostReducer
 from .laurent import RATFUNC, neg_q_power
+from .lincomb import accumulate, apply_word_map
 from .qmatrix import (
     MatrixAlgebra,
     TensorElement,
@@ -198,19 +199,16 @@ class SLAlgebra:
 
     def antipode(self, a, sign=None):
         """Algebra anti-map extended from the minor formula on generators."""
-        out = NCElement.zero(self.spec)
         images = {}
-        for w, c in a.terms.items():
-            acc = NCElement.one(self.spec)
-            for p in reversed(w):
-                ij = self.cell_of(p)
-                img = images.get(ij)
-                if img is None:
-                    img = self._antipode_gen(*ij, sign=sign)
-                    images[ij] = img
-                acc = acc * img
-            out = out + acc.scale(c)
-        return out
+
+        def image(p):
+            ij = self.cell_of(p)
+            img = images.get(ij)
+            if img is None:
+                img = images[ij] = self._antipode_gen(*ij, sign=sign)
+            return img
+
+        return apply_word_map(a.terms, image, NCElement.one(self.spec), reverse=True)
 
     # -- canonical monomials ----------------------------------------------------
 
@@ -309,12 +307,7 @@ def sl_reduce(alg, a, rng=None):
         w = sites[rng.randrange(len(sites))]
         c = raw.pop(w)
         for rw, rc in red.reduce_word(spec, w).items():
-            for nw, nc in spec.normal_form_word(rw).items():
-                s = raw.get(nw, spec.domain.zero) + rc * nc * c
-                if s:
-                    raw[nw] = s
-                else:
-                    raw.pop(nw, None)
+            accumulate(raw, spec.normal_form_word(rw).items(), rc * c)
     return NCElement(spec, raw, reduce=False)
 
 
@@ -505,13 +498,9 @@ def borel_antipode(borel, a, sign=None):
         images[(i, j)] = img
         return img
 
-    out = NCElement.zero(borel.spec)
-    for w, c in a.terms.items():
-        acc = NCElement.one(borel.spec)
-        for p in reversed(w):
-            acc = acc * gen_image(*borel.cell_of(p))
-        out = out + acc.scale(c)
-    return out
+    return apply_word_map(
+        a.terms, lambda p: gen_image(*borel.cell_of(p)), NCElement.one(borel.spec), reverse=True
+    )
 
 
 # -- GL: localization at det_q ------------------------------------------------------

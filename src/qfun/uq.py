@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import graded_component_basis
+from .freealg import NCElement, graded_component_basis
 from .laurent import (
     LaurentPoly,
     RATFUNC,
@@ -20,6 +20,7 @@ from .laurent import (
     RF_Q_MINUS_QINV,
     RatFunc,
 )
+from .lincomb import LinComb, accumulate, add_outer, apply_word_map, format_terms
 from .qsl import BorelAlgebra, borel_quotient
 
 
@@ -158,43 +159,35 @@ class UqAlgebra:
         prefix = eword[:-1]
         b = fword[0]
         rest = fword[1:]
-        out = {}
 
-        def accumulate(terms, coeff):
-            for t, c in terms.items():
-                s = out.get(t)
-                add = c * coeff
-                s = add if s is None else s + add
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
-
-        # E_a F_b = F_b E_a + delta_ab (K_a - K_a^{-1})/(q - q^{-1})
-        # prefix * F_b * E_a * rest
-        for t1, c1 in self._cross(prefix, (b,)).items():
-            f1, g1, e1 = t1
-            for t2, c2 in self._cross(e1 + (a,), rest).items():
-                f2, g2, e2 = t2
-                # move g1 right past f2
-                s = sum(g1[j] - g1[j - 1] for j in f2)
-                g = tuple(x + y for x, y in zip(g1, g2))
-                accumulate({(f1 + f2, g, e2): qpow(s)}, c1 * c2)
-        if a == b:
-            for sign, pw in ((1, 1), (-1, -1)):
-                gk = [0] * (self.n + 1)
-                gk[a - 1] = pw
-                gk[a] = -pw
-                # prefix * K_a^{pw} * rest: commute the toral factor out to
-                # the left of the prefix, then right past the F-part of the
-                # straightened prefix*rest
-                s_e = sum(gk[j] - gk[j - 1] for j in prefix)
-                coeff = RF_Q_MINUS_QINV.inverse() * sign * qpow(s_e)
-                for t2, c2 in self._cross(prefix, rest).items():
+        def terms():
+            # E_a F_b = F_b E_a + delta_ab (K_a - K_a^{-1})/(q - q^{-1})
+            # prefix * F_b * E_a * rest
+            for t1, c1 in self._cross(prefix, (b,)).items():
+                f1, g1, e1 = t1
+                for t2, c2 in self._cross(e1 + (a,), rest).items():
                     f2, g2, e2 = t2
-                    s = sum(gk[j] - gk[j - 1] for j in f2)
-                    g = tuple(x + y for x, y in zip(gk, g2))
-                    accumulate({(f2, g, e2): qpow(s) * coeff}, c2)
+                    # move g1 right past f2
+                    s = sum(g1[j] - g1[j - 1] for j in f2)
+                    g = tuple(x + y for x, y in zip(g1, g2))
+                    yield (f1 + f2, g, e2), qpow(s) * (c1 * c2)
+            if a == b:
+                for sign, pw in ((1, 1), (-1, -1)):
+                    gk = [0] * (self.n + 1)
+                    gk[a - 1] = pw
+                    gk[a] = -pw
+                    # prefix * K_a^{pw} * rest: commute the toral factor out to
+                    # the left of the prefix, then right past the F-part of the
+                    # straightened prefix*rest
+                    s_e = sum(gk[j] - gk[j - 1] for j in prefix)
+                    coeff = RF_Q_MINUS_QINV.inverse() * sign * qpow(s_e)
+                    for t2, c2 in self._cross(prefix, rest).items():
+                        f2, g2, e2 = t2
+                        s = sum(gk[j] - gk[j - 1] for j in f2)
+                        g = tuple(x + y for x, y in zip(gk, g2))
+                        yield (f2, g, e2), qpow(s) * coeff * c2
+
+        out = accumulate({}, terms())
         self._cross_cache[key] = out
         return out
 
@@ -202,22 +195,16 @@ class UqAlgebra:
         """Product of two triangular terms as a raw term dict."""
         f1, g1, e1 = t1
         f2, g2, e2 = t2
-        out = {}
-        for tc, cc in self._cross(e1, f2).items():
-            fm, gm, em = tc
-            # assemble F1 G^{g1} (Fm G^{gm} Em) G^{g2} E2
-            s1 = sum(g1[j] - g1[j - 1] for j in fm)
-            s2 = sum(g2[j] - g2[j - 1] for j in em)
-            g = tuple(a + b + c for a, b, c in zip(g1, gm, g2))
-            key = (f1 + fm, g, em + e2)
-            coeff = c1 * c2 * cc * qpow(s1 + s2)
-            s = out.get(key)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return out
+
+        def terms():
+            for (fm, gm, em), cc in self._cross(e1, f2).items():
+                # assemble F1 G^{g1} (Fm G^{gm} Em) G^{g2} E2
+                s1 = sum(g1[j] - g1[j - 1] for j in fm)
+                s2 = sum(g2[j] - g2[j - 1] for j in em)
+                g = tuple(a + b + c for a, b, c in zip(g1, gm, g2))
+                yield (f1 + fm, g, em + e2), cc * qpow(s1 + s2)
+
+        return accumulate({}, terms(), c1 * c2)
 
     def normalize(self, raw):
         """Serre-normalize blocks and reduce G-exponents; returns term dict."""
@@ -229,47 +216,25 @@ class UqAlgebra:
             fexp = self._serre_nf_word("F", fw)
             eexp = self._serre_nf_word("E", ew)
             for fb, fc in fexp.items():
-                for eb, ec in eexp.items():
-                    key = (fb, g, eb)
-                    add = c * fc * ec * unit
-                    s = out.get(key)
-                    s = add if s is None else s + add
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                accumulate(out, (((fb, g, eb), ec) for eb, ec in eexp.items()), c * fc * unit)
         return out
 
 
-class UqElement:
-    __slots__ = ("alg", "terms")
+class UqElement(LinComb):
+    __slots__ = ("alg",)
 
     def __init__(self, alg, terms, normalized=True):
         self.alg = alg
         self.terms = terms if normalized else alg.normalize(terms)
 
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return UqElement(self.alg, t)
+    def _same(self, terms):
+        return UqElement(self.alg, terms)
 
-    def __neg__(self):
-        return UqElement(self.alg, {k: -c for k, c in self.terms.items()})
+    def _coerce(self, c):
+        return RATFUNC.coerce(c)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        coeff = RATFUNC.coerce(coeff)
-        if not coeff:
-            return self.alg.zero()
-        return UqElement(self.alg, {k: c * coeff for k, c in self.terms.items()})
+    def _unit_key(self):
+        return ((), (0,) * (self.alg.n + 1), ())
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly, RatFunc)):
@@ -277,13 +242,7 @@ class UqElement:
         raw = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
-                for k, c in self.alg.mul_terms(t1, c1, t2, c2).items():
-                    s = raw.get(k)
-                    s = c if s is None else s + c
-                    if s:
-                        raw[k] = s
-                    else:
-                        raw.pop(k, None)
+                accumulate(raw, self.alg.mul_terms(t1, c1, t2, c2).items())
         return UqElement(self.alg, self.alg.normalize(raw))
 
     __rmul__ = __mul__
@@ -293,21 +252,6 @@ class UqElement:
         for _ in range(k):
             out = out * self
         return out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.terms == {((), (0,) * (self.alg.n + 1), ()): RATFUNC.coerce(other)}
-        if not isinstance(other, UqElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def in_sl_form(self):
         """G exponents lie in the root lattice (sum zero; mod n+1 in the
@@ -322,31 +266,19 @@ class UqElement:
         return True
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (fw, g, ew), c in sorted(
-            self.terms.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][2]), kv[0])
-        ):
-            bits = [f"F[{j}]" for j in fw]
-            bits += [
-                f"G[{i+1}]" if e == 1 else f"G[{i+1}]^{e}"
-                for i, e in enumerate(g)
-                if e
-            ]
-            bits += [f"E[{j}]" for j in ew]
-            mono = " ".join(bits) if bits else "1"
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]) or ("/" in cs):
-                cs = f"({cs})"
-            parts.append(mono if cs == "1" else f"{cs} {mono}")
-        return " + ".join(parts)
+        return format_terms(
+            self.terms, lambda k: (len(k[0]) + len(k[2]), k), _triangular_mono
+        )
 
     __repr__ = __str__
 
 
-def make_uq(n, sl_quotient=False):
-    return UqAlgebra(n, sl_quotient=sl_quotient)
+def _triangular_mono(term):
+    fw, g, ew = term
+    bits = [f"F[{j}]" for j in fw]
+    bits += [f"G[{i+1}]" if e == 1 else f"G[{i+1}]^{e}" for i, e in enumerate(g) if e]
+    bits += [f"E[{j}]" for j in ew]
+    return " ".join(bits) if bits else "1"
 
 
 def q_bracket(x, y, p):
@@ -509,7 +441,7 @@ def braid_T(alg, i, el):
                 new[j - 1] += v
         return new
 
-    out = alg.zero()
+    out = {}
     for (fw, g, ew), c in el.terms.items():
         tot = sum(g)
         if alg.sl_quotient and tot % (n + 1):
@@ -530,8 +462,8 @@ def braid_T(alg, i, el):
         piece = piece * acc
         for j in ew:
             piece = piece * e_image(j)
-        out = out + piece
-    return out
+        accumulate(out, piece.terms.items())
+    return UqElement(alg, out)
 
 
 def root_vector_lusztig(alg, co, k, side):
@@ -613,14 +545,7 @@ class ThetaMap:
         return img
 
     def apply(self, el):
-        out = self.uq.zero()
-        for w, c in el.terms.items():
-            acc = self.uq.one()
-            for p in w:
-                i, j = self.borel.cell_of(p)
-                acc = acc * self.image(i, j)
-            out = out + acc.scale(c)
-        return out
+        return apply_word_map(el.terms, lambda p: self.image(*self.borel.cell_of(p)), self.uq.one())
 
     def verify_relations(self):
         failures = []
@@ -634,16 +559,12 @@ class ThetaMap:
         failures = []
         for (i, j) in sorted(self.borel.cells):
             lhs = uq_coproduct(self.image(i, j)).swap()
-            rhs = UqTensor(self.uq)
+            rhs = {}
             for (wl, wr), c in self.borel.coproduct(self.borel.gen(i, j)).terms.items():
-                ell = self.apply(
-                    type(self.borel.gen(i, j))(self.borel.spec, {wl: RF_ONE}, reduce=False)
-                )
-                elr = self.apply(
-                    type(self.borel.gen(i, j))(self.borel.spec, {wr: RF_ONE}, reduce=False)
-                )
-                rhs = rhs.add_product(ell, elr, c)
-            if not (lhs - rhs).is_zero():
+                ell = self.apply(NCElement(self.borel.spec, {wl: RF_ONE}, reduce=False))
+                elr = self.apply(NCElement(self.borel.spec, {wr: RF_ONE}, reduce=False))
+                add_outer(rhs, ell.terms, elr.terms, c)
+            if not (lhs - UqTensor(self.uq, rhs)).is_zero():
                 failures.append(f"x[{i},{j}]")
         return {"ok": not failures, "failures": failures}
 
@@ -655,81 +576,47 @@ def _gvec(n, entries):
     return tuple(g)
 
 
-class UqTensor:
+class UqTensor(LinComb):
     """Sum of pairs of triangular terms over one UqAlgebra."""
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg",)
 
     def __init__(self, alg, terms=None):
         self.alg = alg
         self.terms = terms or {}
 
+    def _same(self, terms):
+        return UqTensor(self.alg, terms)
+
+    def _coerce(self, c):
+        return RATFUNC.coerce(c)
+
+    def _unit_key(self):
+        return None
+
     def add_product(self, a, b, coeff=RF_ONE):
-        t = dict(self.terms)
-        for t1, c1 in a.terms.items():
-            for t2, c2 in b.terms.items():
-                key = (t1, t2)
-                add = c1 * c2 * coeff
-                s = t.get(key)
-                s = add if s is None else s + add
-                if s:
-                    t[key] = s
-                else:
-                    t.pop(key, None)
-        return UqTensor(self.alg, t)
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return UqTensor(self.alg, t)
-
-    def __neg__(self):
-        return UqTensor(self.alg, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        coeff = RATFUNC.coerce(coeff)
-        return UqTensor(
-            self.alg, {k: c * coeff for k, c in self.terms.items() if c * coeff}
-        )
+        return self._same(add_outer(dict(self.terms), a.terms, b.terms, coeff))
 
     def __mul__(self, other):
-        out = UqTensor(self.alg)
+        alg = self.alg
+        out = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                left = UqElement(self.alg, self.alg.normalize(self.alg.mul_terms(a1, RF_ONE, a2, RF_ONE)))
-                right = UqElement(self.alg, self.alg.normalize(self.alg.mul_terms(b1, RF_ONE, b2, RF_ONE)))
-                out = out.add_product(left, right, c1 * c2)
-        return out
+                left = alg.normalize(alg.mul_terms(a1, RF_ONE, a2, RF_ONE))
+                right = alg.normalize(alg.mul_terms(b1, RF_ONE, b2, RF_ONE))
+                add_outer(out, left, right, c1 * c2)
+        return UqTensor(alg, out)
 
     def swap(self):
         return UqTensor(self.alg, {(b, a): c for (a, b), c in self.terms.items()})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-
-        def tstr(t):
-            return str(UqElement(self.alg, {t: RF_ONE}))
-
-        return " + ".join(
-            f"({c}) {tstr(a)} (x) {tstr(b)}" for (a, b), c in sorted(
-                self.terms.items(), key=lambda kv: str(kv[0])
-            )
+        return format_terms(
+            self.terms,
+            str,
+            lambda k: f"{_triangular_mono(k[0])} (x) {_triangular_mono(k[1])}",
+            coeff=lambda c: f"({c})",
+            style="full",
         )
 
     __repr__ = __str__
@@ -744,23 +631,28 @@ def uq_coproduct(el):
     """
     alg = el.alg
     n = alg.n
-    out = UqTensor(alg)
+
+    def delta(*pairs):
+        out = {}
+        for a, b in pairs:
+            add_outer(out, a.terms, b.terms, RF_ONE)
+        return UqTensor(alg, out)
+
+    out = {}
     for (fw, g, ew), c in el.terms.items():
         pieces = UqTensor(alg, {(((), (0,) * (n + 1), ()), ((), (0,) * (n + 1), ())): RF_ONE})
         for j in fw:
-            dj = UqTensor(alg)
-            dj = dj.add_product(alg.F(j), alg.toral(_gvec(n, {j: -1, j + 1: 1})), RF_ONE)
-            dj = dj.add_product(alg.one(), alg.F(j), RF_ONE)
-            pieces = pieces * dj
+            pieces = pieces * delta(
+                (alg.F(j), alg.toral(_gvec(n, {j: -1, j + 1: 1}))), (alg.one(), alg.F(j))
+            )
         gg = alg.toral(g)
-        pieces = pieces * UqTensor(alg).add_product(gg, gg, RF_ONE)
+        pieces = pieces * delta((gg, gg))
         for j in ew:
-            dj = UqTensor(alg)
-            dj = dj.add_product(alg.E(j), alg.one(), RF_ONE)
-            dj = dj.add_product(alg.toral(_gvec(n, {j: 1, j + 1: -1})), alg.E(j), RF_ONE)
-            pieces = pieces * dj
-        out = out + pieces.scale(c)
-    return out
+            pieces = pieces * delta(
+                (alg.E(j), alg.one()), (alg.toral(_gvec(n, {j: 1, j + 1: -1})), alg.E(j))
+            )
+        accumulate(out, pieces.terms.items(), c)
+    return UqTensor(alg, out)
 
 
 class MuMap:
@@ -777,9 +669,7 @@ class MuMap:
 
     def apply(self, el):
         delta = self.sl.coproduct(el)
-        out = UqTensor(self.uq)
-        from .freealg import NCElement
-
+        out = {}
         for (wl, wr), c in delta.terms.items():
             left = borel_quotient(
                 self.sl, self.bplus, NCElement(self.sl.spec, {wl: RF_ONE}, reduce=False)
@@ -791,10 +681,10 @@ class MuMap:
             )
             if right.is_zero():
                 continue
-            out = out.add_product(
-                self.theta_plus.apply(left), self.theta_minus.apply(right), c
+            add_outer(
+                out, self.theta_plus.apply(left).terms, self.theta_minus.apply(right).terms, c
             )
-        return out
+        return UqTensor(self.uq, out)
 
 
 class PoleAtOneError(Exception):
@@ -842,18 +732,3 @@ def collapse_element_at_one(el):
         if v:
             out[key] = v
     return out
-
-
-def triangular_nf(el):
-    """Re-normalize an element (idempotent: terms are already triangular)."""
-    return UqElement(el.alg, el.alg.normalize(dict(el.terms)))
-
-
-def theta_map(sign, borel, uq, verify=True):
-    return ThetaMap(sign, borel, uq, verify=verify)
-
-
-def mu_P(sl, el, mu=None):
-    """The composite embedding applied to an SL element."""
-    mu = mu or MuMap(sl)
-    return mu.apply(el)

@@ -12,6 +12,7 @@ tighter than juxtaposition; products are read left to right.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .intform import (
 )
 from .laurent import LaurentPoly, NotDivisible, RatFunc
 from .qmatrix import MatrixAlgebra
-from .qsl import BorelAlgebra, GLElement, SLAlgebra, borel_antipode, gl_antipode
+from .qsl import BorelAlgebra, GLElement, NotInBorel, SLAlgebra, borel_antipode, gl_antipode
 from .uq import MuMap, UqAlgebra, collapse_at_one, convex_order, root_vector_iterated, root_vector_lusztig, uq_coproduct
 from . import suites
 
@@ -245,12 +246,20 @@ class Context:
         else:
             raise ValueError(f"unknown algebra {algebra!r}")
 
+    @functools.cached_property
+    def lattice(self):
+        """The integer-form context whose canonical (diagonal74) lattice basis
+        delta(...) expands over; built on first use."""
+        if self.name == "SL" and self.sl_strategy != "diagonal74":
+            return IntContext(self.n, gl=False)
+        return self.ictx
+
     # -- generator resolution ------------------------------------------------
 
     def _check_range(self, fam, idx):
         top = self.n + 1
         ok = all(1 <= t <= top for t in idx)
-        if fam in ("phi", "h") and idx and idx[0] > self.n:
+        if fam in ("phi", "h", "E", "F") and idx and idx[0] > self.n:
             ok = False
         if not ok:
             raise ExprIndexError(f"{fam}{list(idx)} out of range for n={self.n}")
@@ -401,11 +410,7 @@ class Context:
     def _call(self, name, argnode):
         if name == "delta":
             if self.name in ("SL", "GL"):
-                expr = self._as_intexpr(argnode)
-                ictx = self.ictx
-                if self.name == "SL" and self.sl_strategy != "diagonal74":
-                    ictx = IntContext(self.n, gl=False)  # canonical lattice basis
-                return poisson_cobracket(ictx, expr)
+                return poisson_cobracket(self.lattice, self._as_intexpr(argnode))
             if self.name == "Uh":
                 if argnode[0] != "gen":
                     raise ExprIndexError("delta takes a single generator here")
@@ -422,6 +427,8 @@ class Context:
                 return uq_coproduct(arg)
             raise ExprIndexError("Delta not available here")
         if name == "eps":
+            if self.name not in ("M", "SL", "GL", "B+", "B-"):
+                raise ExprIndexError("eps not available here")
             return self.alg.counit(arg)
         if name == "S":
             if self.name == "SL":
@@ -614,13 +621,15 @@ def run_command(argv):
     if args.command is None:
         ap.print_usage()
         return 2, ""
+    if args.n < 1:
+        return 2, "error: --n must be >= 1"
     try:
         return _dispatch(args)
     except (ExprSyntaxError, ExprIndexError) as exc:
         return 2, f"error: {exc}"
     except TermBudgetExceeded as exc:
         return 2, f"error: {exc} (raise QFUN_MAX_TERMS to allow more)"
-    except NotDivisible as exc:
+    except (NotDivisible, NotInBorel) as exc:
         return 2, f"error: {exc}"
 
 
@@ -684,6 +693,8 @@ def _dispatch(args):
             return 0, format_value(ctx.alg.detq(), fmt)
         return 0, format_value(ctx.eval(("detq",)), fmt)
     if args.command == "basis":
+        if args.max_degree < 0:
+            return 2, "error: --max-degree must be >= 0"
         if args.algebra == "M":
             words = ctx.alg.pbw_basis(args.max_degree)
             spec = ctx.alg.spec

@@ -17,6 +17,7 @@ extension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -41,7 +42,7 @@ from .laurent import (
     neg_q_power,
 )
 from .lincomb import LinComb, accumulate, add_outer, apply_word_map, format_terms
-from .qmatrix import MatrixAlgebra, TensorElement
+from .qmatrix import MatrixAlgebra, TensorElement, perm_inversions
 from .qsl import SLAlgebra
 
 
@@ -337,13 +338,6 @@ def specialize_phi(expr, lie, n, gl=False):
 # -- lattice expansion --------------------------------------------------------------
 
 
-def _binom(a, b):
-    out = 1
-    for t in range(b):
-        out = out * (a - t) // (t + 1)
-    return out
-
-
 def expand_lattice_word(ctx, word, scaling="r"):
     """Expand an (already canonical) word over the lattice monomials.
 
@@ -376,7 +370,7 @@ def expand_lattice_word(ctx, word, scaling="r"):
             continue
         N = diag[pos]
         for K in range(N + 1):
-            c = coeff * _binom(N, K)
+            c = coeff * math.comb(N, K)
             if K:
                 c = c * (RF_QM1 ** K)
             stack.append((pos + 1, kexps + [K], c))
@@ -497,12 +491,6 @@ class RelationRecord:
         return out
 
 
-def _perm_inversions_seq(seq):
-    return sum(
-        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
-    )
-
-
 def _dettilde_expr(index_rows, index_cols, drop_identity=False, coeff_shift=0):
     """d~et-style expansion over bijections rows -> cols, with entrywise
     off-diagonal count e and coefficient (-q)^l (q - q^-1)^(e + coeff_shift)."""
@@ -513,7 +501,7 @@ def _dettilde_expr(index_rows, index_cols, drop_identity=False, coeff_shift=0):
         e = sum(1 for u, v in zip(rows, perm) if u != v)
         if drop_identity and e == 0:
             continue
-        l = _perm_inversions_seq(perm)
+        l = perm_inversions(perm)
         word = tuple(rgen(u, v) for u, v in zip(rows, perm))
         power = e + coeff_shift
         coeff = RatFunc.from_laurent(neg_q_power(l))
@@ -532,7 +520,7 @@ def _dettilde_positional(index_rows, index_cols, coeff_shift=0):
     cols = list(index_cols)
     for perm_ix in permutations(range(len(cols))):
         e = sum(1 for t, p in enumerate(perm_ix) if t != p)
-        l = _perm_inversions_seq(perm_ix)
+        l = perm_inversions(perm_ix)
         word = tuple(rgen(rows[t], cols[p]) for t, p in enumerate(perm_ix))
         power = e + coeff_shift
         coeff = RatFunc.from_laurent(neg_q_power(l))

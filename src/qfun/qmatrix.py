@@ -1,15 +1,16 @@
 """The quantum matrix bialgebra on (n+1) x (n+1) generators.
 
-Relations, generator orders, comultiplication/counit, quantum minors and
-the quantum determinant, triangular decomposition, and ordered-monomial
-(PBW) enumeration.
+Relations, generator orders, comultiplication/counit, quantum minors, the
+minor formula of the antipode and the quantum determinant, triangular
+decomposition, and ordered-monomial (PBW) enumeration.  MatrixAlgebra is
+defined over a cell set, so the SL and Borel contexts of qsl.py subclass it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .freealg import AlgebraSpec, GenSym, NCElement
+from .freealg import AlgebraSpec, GenSym, NCElement, confluence_check
 from .lincomb import LinComb, accumulate, add_outer, format_terms
 from .laurent import (
     LAURENT,
@@ -35,6 +36,13 @@ class OrderMismatch(Exception):
 
 def x_gen(i, j):
     return GenSym("x", (i, j))
+
+
+def perm_inversions(perm):
+    """The number of inversions (the length) of a sequence."""
+    return sum(
+        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
+    )
 
 
 def _order_key(name, n):
@@ -127,24 +135,41 @@ def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None):
 
 
 class MatrixAlgebra:
-    """Context object for the quantum matrix bialgebra."""
+    """Context object for a quantum matrix bialgebra over a cell set.
 
-    def __init__(self, n, order="lex", domain=LAURENT, check_confluence=True):
+    With the full square of cells this is M_q(n+1).  A subset of the cells
+    gives the quotient that kills the missing generators (the Borels), and
+    subclasses add post-reducers on top (SL's det_q = 1).  In every case
+    Delta(x_ij) = sum_k x_ik (x) x_kj and the quantum minors sum over the
+    cells that are present.
+    """
+
+    def __init__(self, n, order="lex", domain=LAURENT, check_confluence=True,
+                 cells=None, name=None):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
         self.order_name = order if isinstance(order, str) else "custom"
-        self.spec = build_matrix_spec(n, order=order, domain=domain)
+        self.spec = build_matrix_spec(n, order=order, domain=domain, cells=cells, name=name)
         self.domain = domain
+        self.cells = frozenset(g.indices for g in self.spec.alphabet)
         self._detq = None
         if check_confluence:
-            from .freealg import confluence_check
-
             report = confluence_check(self.spec)
             if not report["ok"]:
                 raise InadmissibleOrder(
                     f"rule table not confluent: {report['failures'][:3]}"
                 )
+        # letter -> the (x_ik, x_kj) letter pairs of its coproduct
+        index = self.spec.index
+        self._splits = [
+            tuple(
+                (index[x_gen(i, k)], index[x_gen(k, j)])
+                for k in range(1, n + 2)
+                if (i, k) in self.cells and (k, j) in self.cells
+            )
+            for i, j in (g.indices for g in self.spec.alphabet)
+        ]
 
     # -- element constructors ----------------------------------------------
 
@@ -169,28 +194,16 @@ class MatrixAlgebra:
 
     # -- coalgebra ------------------------------------------------------------
 
-    def coproduct(self, a, left=None, right=None):
-        """Delta as an algebra map; factors land in `left`/`right` contexts
-        (defaulting to self) and are fully reduced there."""
-        left = left or self
-        right = right or self
-        lpos, rpos = left.spec.index, right.spec.index
+    def coproduct(self, a):
+        """Delta as an algebra map; both factors are fully reduced here."""
+        splits = self._splits
         out = {}
         for w, c in a.terms.items():
             pieces = [((), ())]
             for p in w:
-                i, j = self.cell_of(p)
-                nxt = []
-                for wl, wr in pieces:
-                    for k in range(1, self.n + 2):
-                        nxt.append((wl + ((i, k),), wr + ((k, j),)))
-                pieces = nxt
-            keys = (
-                (tuple(lpos[x_gen(*ij)] for ij in wl), tuple(rpos[x_gen(*ij)] for ij in wr))
-                for wl, wr in pieces
-            )
-            accumulate(out, ((key, c) for key in keys))
-        return TensorElement(left, right, out)
+                pieces = [(wl + (l,), wr + (r,)) for wl, wr in pieces for l, r in splits[p]]
+            accumulate(out, ((key, c) for key in pieces))
+        return TensorElement(self, self, out)
 
     def counit(self, a):
         tot = self.spec.domain.zero
@@ -202,6 +215,8 @@ class MatrixAlgebra:
     # -- quantum minors -------------------------------------------------------
 
     def quantum_minor(self, rows, cols):
+        """sum_s (-q)^l(s) x_{r1,c_s1} ... x_{rk,c_sk} over the permutations s
+        whose cells are all present."""
         rows = list(rows)
         cols = list(cols)
         if len(rows) != len(cols):
@@ -212,19 +227,19 @@ class MatrixAlgebra:
             raise BadIndexLists("index lists must be strictly increasing")
         terms = {}
         for perm in permutations(range(len(cols))):
-            inv = sum(
-                1
-                for a in range(len(perm))
-                for b in range(a + 1, len(perm))
-                if perm[a] > perm[b]
-            )
-            word = tuple(
-                self.spec.index[x_gen(rows[t], cols[perm[t]])]
-                for t in range(len(rows))
-            )
-            coeff = self.spec.domain.coerce(neg_q_power(inv))
-            terms[word] = terms.get(word, self.spec.domain.zero) + coeff
+            cells = [(rows[t], cols[perm[t]]) for t in range(len(rows))]
+            if all(ij in self.cells for ij in cells):
+                word = tuple(self.spec.index[x_gen(*ij)] for ij in cells)
+                terms[word] = self.spec.domain.coerce(neg_q_power(perm_inversions(perm)))
         return NCElement(self.spec, terms)
+
+    def antipode_image(self, i, j, sign):
+        """(-q)^{sign (j-i)} times the minor without row j and column i: the
+        antipode of x_ij, up to the factor det_q^{-1} that SL and the Borels
+        set to 1."""
+        idx = range(1, self.n + 2)
+        minor = self.quantum_minor([h for h in idx if h != j], [k for k in idx if k != i])
+        return minor.scale(neg_q_power(sign * (j - i)))
 
     def detq(self):
         if self._detq is None:

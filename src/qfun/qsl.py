@@ -4,32 +4,24 @@ The SL algebra is the quantum matrix algebra with the quantum-determinant
 relation installed as a canonical-form reduction: every monomial is rewritten
 until the minimal diagonal exponent (strategy "diagonal74") or the minimal
 antidiagonal exponent (strategy "antidiag73") is zero.  Antipode, Borel
-quotients, and the determinant-localized GL algebra live here too.
+quotients, and the determinant-localized GL algebra live here too.  SLAlgebra
+and BorelAlgebra are MatrixAlgebra subclasses: they inherit Delta, epsilon,
+the quantum minors and the antipode's generator images, and add reducers.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations_with_replacement, permutations
 
-from .freealg import GenSym, NCElement, PostReducer
-from .laurent import RATFUNC, neg_q_power
+from .freealg import NCElement, PostReducer
+from .laurent import Q_MINUS_QINV, RATFUNC, neg_q_power
 from .lincomb import accumulate, apply_word_map
-from .qmatrix import (
-    MatrixAlgebra,
-    TensorElement,
-    build_matrix_spec,
-    x_gen,
-)
+from .qmatrix import MatrixAlgebra, pair_relation, perm_inversions, x_gen
 
 
 class NotInBorel(Exception):
     pass
-
-
-def _perm_inversions(perm):
-    return sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-    )
 
 
 def _det_substitution(n, strategy):
@@ -46,7 +38,7 @@ def _det_substitution(n, strategy):
         for perm in permutations(range(1, n + 2)):
             if all(perm[t] == t + 1 for t in range(n + 1)):
                 continue
-            inv = _perm_inversions(perm)
+            inv = perm_inversions(perm)
             cells = tuple((t + 1, perm[t]) for t in range(n + 1))
             terms.append((-1 * neg_q_power(inv), cells))
     else:
@@ -55,7 +47,7 @@ def _det_substitution(n, strategy):
         for perm in permutations(range(1, n + 2)):
             if all(perm[t] == n + 1 - t for t in range(n + 1)):
                 continue
-            inv = _perm_inversions(perm)
+            inv = perm_inversions(perm)
             cells = tuple((t + 1, perm[t]) for t in range(n + 1))
             terms.append((-1 * neg_q_power(inv) * scale, cells))
     return terms
@@ -127,88 +119,24 @@ class DetReducer(PostReducer):
         return {w: c for w, c in out.items() if c}
 
 
-class SLAlgebra:
+class SLAlgebra(MatrixAlgebra):
     """Quantum SL(n+1) function algebra with a canonical-form strategy."""
 
     def __init__(self, n, strategy="diagonal74", domain=RATFUNC, check_confluence=True):
-        self.n = n
-        self.strategy = strategy
         order = "triangular" if strategy == "diagonal74" else "antidiag"
-        self.order_name = order
-        self.spec = build_matrix_spec(
-            n, order=order, domain=domain, name=f"SL({n + 1})/{strategy}"
-        )
-        self.domain = domain
-        if check_confluence:
-            from .freealg import confluence_check
-
-            rep = confluence_check(self.spec)
-            if not rep["ok"]:
-                raise RuntimeError(f"SL spec not confluent: {rep['failures'][:3]}")
+        super().__init__(n, order=order, domain=domain, check_confluence=check_confluence,
+                         name=f"SL({n + 1})/{strategy}")
+        self.strategy = strategy
         self.reducer = DetReducer(n, strategy, self.spec)
         self.spec.post_reducers.append(self.reducer)
-        # matrix context sharing the same spec for coproduct/minor machinery
-        self._mat = MatrixAlgebra.__new__(MatrixAlgebra)
-        self._mat.n = n
-        self._mat.order_name = order
-        self._mat.spec = self.spec
-        self._mat.domain = domain
-        self._mat._detq = None
-        self._antipode_sign = None
-
-    # -- generic context API -----------------------------------------------
-
-    def gen(self, i, j):
-        return NCElement.gen(self.spec, x_gen(i, j))
-
-    def one(self):
-        return NCElement.one(self.spec)
-
-    def zero(self):
-        return NCElement.zero(self.spec)
-
-    def element(self, terms):
-        return NCElement(self.spec, terms)
-
-    def cell_of(self, position):
-        return self.spec.alphabet[position].indices
-
-    def coproduct(self, a):
-        return self._mat.coproduct(a, left=self, right=self)
-
-    def counit(self, a):
-        return self._mat.counit(a)
-
-    def quantum_minor(self, rows, cols):
-        return self._mat.quantum_minor(rows, cols)
-
-    # -- antipode ------------------------------------------------------------
 
     def antipode_sign(self):
         """+1 for exponent (j - i), -1 for (i - j); fixed by the axiom oracle."""
-        if self._antipode_sign is None:
-            self._antipode_sign = _select_antipode_sign()
-        return self._antipode_sign
-
-    def _antipode_gen(self, i, j, sign=None):
-        sign = self.antipode_sign() if sign is None else sign
-        rows = [h for h in range(1, self.n + 2) if h != j]
-        cols = [k for k in range(1, self.n + 2) if k != i]
-        minor = self.quantum_minor(rows, cols)
-        return minor.scale(neg_q_power(sign * (j - i)))
+        return _select_antipode_sign()
 
     def antipode(self, a, sign=None):
         """Algebra anti-map extended from the minor formula on generators."""
-        images = {}
-
-        def image(p):
-            ij = self.cell_of(p)
-            img = images.get(ij)
-            if img is None:
-                img = images[ij] = self._antipode_gen(*ij, sign=sign)
-            return img
-
-        return apply_word_map(a.terms, image, NCElement.one(self.spec), reverse=True)
+        return _minor_antipode(self, a, sign)
 
     # -- canonical monomials ----------------------------------------------------
 
@@ -229,41 +157,39 @@ class SLAlgebra:
         return words
 
 
-_ANTIPODE_CACHE = {}
+def _minor_antipode(alg, a, sign):
+    """The anti-map x_ij -> alg.antipode_image(i, j, sign) applied to a."""
+    sign = _select_antipode_sign() if sign is None else sign
+    images = {}
+
+    def image(p):
+        img = images.get(p)
+        if img is None:
+            img = images[p] = alg.antipode_image(*alg.cell_of(p), sign)
+        return img
+
+    return apply_word_map(a.terms, image, alg.one(), reverse=True)
 
 
+@functools.cache
 def _select_antipode_sign():
-    """Try both exponent conventions on SL(2); keep the one satisfying the
-    two-sided antipode axiom on every generator."""
-    if "sign" in _ANTIPODE_CACHE:
-        return _ANTIPODE_CACHE["sign"]
+    """Try both exponent conventions on SL(2); keep the first one satisfying
+    the two-sided antipode axiom on every generator."""
     alg = SLAlgebra(1, strategy="diagonal74", check_confluence=False)
-    chosen = None
-    results = {}
     for sign in (1, -1):
-        ok = True
-        for i in range(1, 3):
-            for j in range(1, 3):
-                g = alg.gen(i, j)
-                if not _antipode_axiom_holds(alg, g, sign):
-                    ok = False
-        results[sign] = ok
-        if ok and chosen is None:
-            chosen = sign
-    if chosen is None:
-        raise RuntimeError("no antipode exponent convention satisfies the axiom")
-    _ANTIPODE_CACHE["sign"] = chosen
-    _ANTIPODE_CACHE["results"] = results
-    return chosen
+        if all(_antipode_axiom_holds(alg, alg.gen(i, j), sign)
+               for i in (1, 2) for j in (1, 2)):
+            return sign
+    raise RuntimeError("no antipode exponent convention satisfies the axiom")
 
 
 def antipode_convention_report():
-    _select_antipode_sign()
-    sign = _ANTIPODE_CACHE["sign"]
+    sign = _select_antipode_sign()
     return {
         "selected_exponent": "(j-i)" if sign == 1 else "(i-j)",
         "printed_exponent": "(j-i)",
-        "printed_verifies": _ANTIPODE_CACHE["results"][1],
+        # (j-i) is tried first, so it verifies exactly when it is selected
+        "printed_verifies": sign == 1,
     }
 
 
@@ -312,15 +238,25 @@ def sl_reduce(alg, a, rng=None):
 
 
 def pi_project(source, target, a):
-    """x_ij -> rho_ij followed by the SL canonical reduction."""
+    """Relabel each word of a by its cells into target's letters and reduce
+    there; words with a cell that target lacks are dropped.
+
+    As pi: M -> SL this is x_ij -> rho_ij followed by the SL canonical
+    reduction; as SL -> B+- it kills the complementary triangle and reduces
+    in the Borel (borel_quotient is the same map).
+    """
     if isinstance(a, GLElement):
-        return pi_project(source, target, a.body)
+        a = a.body
+    index = target.spec.index
     terms = {}
     for w, c in a.terms.items():
-        cells = tuple(source.cell_of(p) for p in w)
-        tw = tuple(target.spec.index[x_gen(*ij)] for ij in cells)
-        terms[tw] = terms.get(tw, target.spec.domain.zero) + c
+        cells = [source.cell_of(p) for p in w]
+        if all(ij in target.cells for ij in cells):
+            terms[tuple(index[x_gen(*ij)] for ij in cells)] = c
     return NCElement(target.spec, terms)
+
+
+borel_quotient = pi_project
 
 
 # -- Borel quotients -------------------------------------------------------------
@@ -355,74 +291,28 @@ class DiagProductReducer(PostReducer):
         return {tuple(out): spec.domain.one}
 
 
-class BorelAlgebra:
+class BorelAlgebra(MatrixAlgebra):
     """Quantum Borel: the upper (+) or lower (-) triangular quotient."""
 
     def __init__(self, n, sign, domain=RATFUNC):
-        self.n = n
-        self.sign = sign
         if sign == "+":
             cells = [(i, j) for i in range(1, n + 2) for j in range(i, n + 2)]
-            offdiag = sorted(ij for ij in cells if ij[0] != ij[1])
         elif sign == "-":
             cells = [(i, j) for i in range(1, n + 2) for j in range(1, i + 1)]
-            offdiag = sorted(ij for ij in cells if ij[0] != ij[1])
         else:
             raise ValueError("sign must be '+' or '-'")
+        offdiag = sorted(ij for ij in cells if ij[0] != ij[1])
         diag = [(i, i) for i in range(1, n + 2)]
-        order = offdiag + diag  # diagonal letters last: exact det reduction
-        self.spec = build_matrix_spec(
-            n, order=order, cells=cells, domain=domain, name=f"B{sign}({n + 1})"
-        )
-        self.domain = domain
-        from .freealg import confluence_check
-
-        rep = confluence_check(self.spec)
-        if not rep["ok"]:
-            raise RuntimeError(f"Borel spec not confluent: {rep['failures'][:3]}")
+        # diagonal letters last: exact det reduction
+        super().__init__(n, order=offdiag + diag, domain=domain, cells=cells,
+                         name=f"B{sign}({n + 1})")
+        self.sign = sign
         self.spec.post_reducers.append(DiagProductReducer(n, self.spec))
-        self.cells = set(cells)
 
     def gen(self, i, j):
         if (i, j) not in self.cells:
             raise NotInBorel(f"x[{i},{j}] is not a generator of B{self.sign}")
-        return NCElement.gen(self.spec, x_gen(i, j))
-
-    def one(self):
-        return NCElement.one(self.spec)
-
-    def zero(self):
-        return NCElement.zero(self.spec)
-
-    def cell_of(self, position):
-        return self.spec.alphabet[position].indices
-
-    def coproduct(self, a):
-        """Truncated comultiplication: the image of the SL one."""
-        out = {}
-        for w, c in a.terms.items():
-            pieces = [((), ())]
-            for p in w:
-                i, j = self.cell_of(p)
-                nxt = []
-                for wl, wr in pieces:
-                    for k in range(1, self.n + 2):
-                        if (i, k) in self.cells and (k, j) in self.cells:
-                            nxt.append((wl + ((i, k),), wr + ((k, j),)))
-                pieces = nxt
-            for wl, wr in pieces:
-                lw = tuple(self.spec.index[x_gen(*ij)] for ij in wl)
-                rw = tuple(self.spec.index[x_gen(*ij)] for ij in wr)
-                key = (lw, rw)
-                out[key] = out.get(key, self.spec.domain.zero) + c
-        return TensorElement(self, self, out)
-
-    def counit(self, a):
-        tot = self.spec.domain.zero
-        for w, c in a.terms.items():
-            if all(self.cell_of(p)[0] == self.cell_of(p)[1] for p in w):
-                tot = tot + c
-        return tot
+        return super().gen(i, j)
 
     def defining_relation_pairs(self):
         """All (lhs, rhs) pairs of the presentation, for map checks."""
@@ -432,16 +322,12 @@ class BorelAlgebra:
             for v in cells:
                 if u >= v:
                     continue
-                from .qmatrix import pair_relation
-
                 swap, corr = pair_relation(v, u)  # straighten x_v x_u
                 lhs = self.gen(*v) * self.gen(*u)
                 rhs = (self.gen(*u) * self.gen(*v)).scale(swap)
                 if corr is not None:
                     (a, b), s = corr
                     if a in self.cells and b in self.cells:
-                        from .laurent import Q_MINUS_QINV
-
                         rhs = rhs + (self.gen(*a) * self.gen(*b)).scale(
                             Q_MINUS_QINV * s
                         )
@@ -459,48 +345,10 @@ class BorelAlgebra:
         return pairs
 
 
-def borel_quotient(sl, borel, a):
-    """Kill the complementary triangle and reduce in the Borel."""
-    out = {}
-    for w, c in a.terms.items():
-        cells = [sl.cell_of(p) for p in w]
-        if any(ij not in borel.cells for ij in cells):
-            continue
-        tw = tuple(borel.spec.index[x_gen(*ij)] for ij in cells)
-        out[tw] = out.get(tw, borel.spec.domain.zero) + c
-    return NCElement(borel.spec, out)
-
-
 def borel_antipode(borel, a, sign=None):
     """Antipode on the Borel: the minor formula with the complementary
     triangle set to zero."""
-    n = borel.n
-    if sign is None:
-        sign = _select_antipode_sign()
-    images = {}
-
-    def gen_image(i, j):
-        img = images.get((i, j))
-        if img is not None:
-            return img
-        rows = [h for h in range(1, n + 2) if h != j]
-        cols = [k for k in range(1, n + 2) if k != i]
-        terms = {}
-        for perm in permutations(range(n)):
-            cells = [(rows[t], cols[perm[t]]) for t in range(n)]
-            if any(c not in borel.cells for c in cells):
-                continue
-            inv = _perm_inversions(perm)
-            word = tuple(borel.spec.index[x_gen(*c)] for c in cells)
-            coeff = borel.spec.domain.coerce(neg_q_power(inv + sign * (j - i)))
-            terms[word] = terms.get(word, borel.spec.domain.zero) + coeff
-        img = NCElement(borel.spec, terms)
-        images[(i, j)] = img
-        return img
-
-    return apply_word_map(
-        a.terms, lambda p: gen_image(*borel.cell_of(p)), NCElement.one(borel.spec), reverse=True
-    )
+    return _minor_antipode(borel, a, sign)
 
 
 # -- GL: localization at det_q ------------------------------------------------------
@@ -673,13 +521,9 @@ def gl_antipode(alg, a, sign=None):
     """Antipode on GL: S(x_ij) = (-q)^{sign (j-i)} minor * det^{-1}."""
     if sign is None:
         sign = _select_antipode_sign()
-    n = alg.n
 
     def gen_image(i, j):
-        rows = [h for h in range(1, n + 2) if h != j]
-        cols = [k for k in range(1, n + 2) if k != i]
-        minor = alg.quantum_minor(rows, cols).scale(neg_q_power(sign * (j - i)))
-        return GLElement(alg, minor, -1)
+        return GLElement(alg, alg.antipode_image(i, j, sign), -1)
 
     out = GLElement(alg, alg.zero(), 0)
     for w, c in a.body.terms.items():

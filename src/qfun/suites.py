@@ -8,9 +8,10 @@ declared variant, with the variant that verified.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 from .classical import (
     C_SYM,
@@ -36,7 +37,7 @@ from .intform import (
     verify_relation_catalog,
 )
 from .laurent import RF_ONE, RF_Q_MINUS_QINV, RATFUNC
-from .qmatrix import MatrixAlgebra
+from .qmatrix import MatrixAlgebra, perm_inversions
 from .qsl import (
     SLAlgebra,
     antipode_convention_report,
@@ -169,20 +170,7 @@ def detq_suite(ns=(1, 2, 3)):
 
 
 def _comm_monomial_count(nvars, degree):
-    total = 0
-    num = 1
-    for d in range(degree + 1):
-        total += _binom(nvars + d - 1, d)
-    return total
-
-
-def _binom(a, b):
-    if b < 0 or a < 0 or b > a:
-        return 0
-    out = 1
-    for t in range(b):
-        out = out * (a - t) // (t + 1)
-    return out
+    return sum(math.comb(nvars + d - 1, d) for d in range(degree + 1))
 
 
 def pbw_matrix_suite():
@@ -241,14 +229,8 @@ def _commutative_hilbert(n, dmax):
 
     # det - 1 as {exponent vector: coeff}
     det = {}
-    from itertools import permutations as _perms
-
-    for perm in _perms(range(1, n + 2)):
-        sign = 1
-        for a in range(len(perm)):
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    sign = -sign
+    for perm in permutations(range(1, n + 2)):
+        sign = (-1) ** perm_inversions(perm)
         m = [0] * nvars
         for t in range(n + 1):
             m[cell_ix[(t + 1, perm[t])]] += 1
@@ -686,10 +668,7 @@ def graded_dimension_suite():
                     d[t] += 1
                 degs.append(tuple(d))
         for d in sorted(set(degs)):
-            rels0 = []
-            for rel in alg._serre_rels:
-                rels0.append({tuple(l - 1 for l in w): c for w, c in rel.items()})
-            words, basis, proj = graded_component_basis(n, rels0, d)
+            words, basis, proj = graded_component_basis(n, alg.serre_relations, d)
             expect = kostant_count(n, d)
             _result(
                 results,

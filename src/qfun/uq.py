@@ -11,6 +11,7 @@ the composite embedding all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .freealg import NCElement, graded_component_basis
 from .laurent import (
@@ -21,6 +22,7 @@ from .laurent import (
     RatFunc,
 )
 from .lincomb import LinComb, accumulate, add_outer, apply_word_map, format_terms
+from .qmatrix import perm_inversions
 from .qsl import BorelAlgebra, borel_quotient
 
 
@@ -37,69 +39,55 @@ def qpow(k):
     return RatFunc.from_laurent(LaurentPoly({k: 1}))
 
 
+def _serre_relations(n):
+    """The quantum Serre relations of sl(n+1) as {word: coeff} dicts, on the
+    0-based letters that graded_component_basis takes."""
+    rels = []
+    for i in range(n):
+        for j in range(n):
+            if abs(i - j) > 1:
+                if i < j:
+                    rels.append({(i, j): RF_ONE, (j, i): -RF_ONE})
+            elif abs(i - j) == 1:
+                rels.append({(i, i, j): RF_ONE, (i, j, i): -RF_Q_PLUS_QINV, (j, i, i): RF_ONE})
+    return rels
+
+
 class UqAlgebra:
     """U_q(gl(n+1)); with sl_quotient=True the central G_1...G_{n+1} is 1."""
 
     def __init__(self, n, sl_quotient=False, serre_cap=20000):
+        if n < 1:
+            raise ValueError("n must be >= 1")
         self.n = n
         self.sl_quotient = sl_quotient
         self.serre_cap = serre_cap
-        self._serre_cache = {"E": {}, "F": {}}
-        self._serre_components = {"E": {}, "F": {}}
+        self.serre_relations = _serre_relations(n)
+        # F- or E-word -> its normal form; E and F satisfy the same relations
+        self._serre_nf = {(): {(): RF_ONE}}
         self._cross_cache = {}
-        self._serre_rels = self._build_serre_relations()
-
-    def _build_serre_relations(self):
-        rels = []
-        one = RF_ONE
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if abs(i - j) > 1:
-                    if i < j:
-                        rels.append({(i, j): one, (j, i): -one})
-                elif abs(i - j) == 1:
-                    rels.append(
-                        {
-                            (i, i, j): one,
-                            (i, j, i): -RF_Q_PLUS_QINV,
-                            (j, i, i): one,
-                        }
-                    )
-        return rels
 
     # -- block normalization -------------------------------------------------
 
-    def _serre_nf_word(self, side, word):
-        """Expansion of an F/E word in the graded Serre-complement basis."""
-        if not word:
-            return {(): RF_ONE}
-        cache = self._serre_cache[side]
-        hit = cache.get(word)
+    def _serre_nf_word(self, word):
+        """Expansion of an F/E word in the graded Serre-complement basis; a
+        miss row-reduces the word's whole multidegree component and caches
+        every word of it."""
+        hit = self._serre_nf.get(word)
         if hit is not None:
             return hit
         deg = [0] * self.n
         for letter in word:
             deg[letter - 1] += 1
-        key = tuple(deg)
-        comp = self._serre_components[side].get(key)
-        if comp is None:
-            # letters are 0-based inside graded_component_basis
-            rels0 = []
-            for rel in self._serre_rels:
-                rels0.append({tuple(l - 1 for l in w): c for w, c in rel.items()})
-            words, basis, proj = graded_component_basis(
-                self.n, rels0, key, cap=self.serre_cap
-            )
-            comp = {
-                tuple(l + 1 for l in w): {
-                    tuple(l + 1 for l in bw): c for bw, c in expansion.items()
-                }
-                for w, expansion in proj.items()
+        # letters are 0-based inside graded_component_basis
+        _, _, proj = graded_component_basis(
+            self.n, self.serre_relations, tuple(deg), cap=self.serre_cap
+        )
+        for w, expansion in proj.items():
+            self._serre_nf[tuple(l + 1 for l in w)] = {
+                tuple(l + 1 for l in bw): c for bw, c in expansion.items()
             }
-            self._serre_components[side][key] = comp
-        out = comp[word]
-        cache[word] = out
-        return out
+        return self._serre_nf[word]
 
     def _norm_g(self, g):
         if not self.sl_quotient:
@@ -191,8 +179,9 @@ class UqAlgebra:
         self._cross_cache[key] = out
         return out
 
-    def mul_terms(self, t1, c1, t2, c2):
-        """Product of two triangular terms as a raw term dict."""
+    def mul_terms(self, t1, c1, t2, c2, out=None):
+        """Product of two triangular terms, added into the raw term dict out
+        (a new one when out is None), which is returned."""
         f1, g1, e1 = t1
         f2, g2, e2 = t2
 
@@ -204,20 +193,24 @@ class UqAlgebra:
                 g = tuple(a + b + c for a, b, c in zip(g1, gm, g2))
                 yield (f1 + fm, g, em + e2), cc * qpow(s1 + s2)
 
-        return accumulate({}, terms(), c1 * c2)
+        return accumulate({} if out is None else out, terms(), c1 * c2)
 
     def normalize(self, raw):
         """Serre-normalize blocks and reduce G-exponents; returns term dict."""
-        out = {}
-        for (fw, g, ew), c in raw.items():
-            if not c:
-                continue
-            g, unit = self._norm_g(g)
-            fexp = self._serre_nf_word("F", fw)
-            eexp = self._serre_nf_word("E", ew)
-            for fb, fc in fexp.items():
-                accumulate(out, (((fb, g, eb), ec) for eb, ec in eexp.items()), c * fc * unit)
-        return out
+
+        def terms():
+            for (fw, g, ew), c in raw.items():
+                if not c:
+                    continue
+                g, unit = self._norm_g(g)
+                fexp = self._serre_nf_word(fw)
+                eexp = self._serre_nf_word(ew)
+                for fb, fc in fexp.items():
+                    k = c * fc * unit
+                    for eb, ec in eexp.items():
+                        yield (fb, g, eb), ec * k
+
+        return accumulate({}, terms())
 
 
 class UqElement(LinComb):
@@ -242,7 +235,7 @@ class UqElement(LinComb):
         raw = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
-                accumulate(raw, self.alg.mul_terms(t1, c1, t2, c2).items())
+                self.alg.mul_terms(t1, c1, t2, c2, raw)
         return UqElement(self.alg, self.alg.normalize(raw))
 
     __rmul__ = __mul__
@@ -366,10 +359,7 @@ def convex_order(n):
     word = tuple(word)
     N = n * (n + 1) // 2
     perm = _perm_of_word(word, n)
-    inv = sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-    )
-    if len(word) != N or inv != N:
+    if len(word) != N or perm_inversions(perm) != N:
         raise RuntimeError("constructed word is not reduced of maximal length")
     if perm != list(range(n + 1, 0, -1)):
         raise RuntimeError("constructed word does not represent w0")
@@ -693,17 +683,13 @@ class PoleAtOneError(Exception):
         super().__init__(f"pole at q=1 on skeleton {skeleton}")
 
 
-def collapse_at_one(t):
-    """Sum coefficients over the toral parts of both factors and evaluate at
-    q=1; keyed by the ((F-word, E-word), (F-word, E-word)) skeletons."""
-    from fractions import Fraction
-
+def _collapse(terms, skeleton):
+    """Sum coefficients over the keys with one skeleton and evaluate at q=1."""
     sums = {}
-    for ((f1, g1, e1), (f2, g2, e2)), c in t.terms.items():
-        key = ((f1, e1), (f2, e2))
-        s = sums.get(key)
-        s = c if s is None else s + c
-        sums[key] = s
+    for key, c in terms.items():
+        k = skeleton(key)
+        s = sums.get(k)
+        sums[k] = c if s is None else s + c
     out = {}
     for key, c in sums.items():
         v = c.regular_at_one()
@@ -712,23 +698,14 @@ def collapse_at_one(t):
         if v:
             out[key] = v
     return out
+
+
+def collapse_at_one(t):
+    """Sum coefficients over the toral parts of both factors and evaluate at
+    q=1; keyed by the ((F-word, E-word), (F-word, E-word)) skeletons."""
+    return _collapse(t.terms, lambda k: ((k[0][0], k[0][2]), (k[1][0], k[1][2])))
 
 
 def collapse_element_at_one(el):
     """The same toral-collapse on a single factor: {(F-word, E-word): value}."""
-    from fractions import Fraction
-
-    sums = {}
-    for (fw, g, ew), c in el.terms.items():
-        key = (fw, ew)
-        s = sums.get(key)
-        s = c if s is None else s + c
-        sums[key] = s
-    out = {}
-    for key, c in sums.items():
-        v = c.regular_at_one()
-        if not isinstance(v, Fraction):
-            raise PoleAtOneError(key)
-        if v:
-            out[key] = v
-    return out
+    return _collapse(el.terms, lambda k: (k[0], k[2]))

@@ -117,3 +117,54 @@ def test_uq_context():
     el = ctx.eval(parse("G[1] E[1]"))
     expect = ctx.eval(parse("q E[1] G[1]"))
     assert el == expect
+
+
+# generators in and out of range, of every family, for the robustness sweep
+SWEEP_EXPRS = ["x[1,2]", "x[2,1] x[1,1]", "x[3,3]", "x[0,1]", "E[1]", "F[2]", "h[1]",
+               "e[1,3]", "phi[1]"]
+
+
+@pytest.mark.parametrize("command", ["nf", "antipode", "coproduct", "counit"])
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+@pytest.mark.parametrize("algebra", ["M", "SL", "GL", "B+", "B-", "Uq", "Uh"])
+def test_generator_sweep_exits_cleanly(algebra, n, command):
+    for expr in SWEEP_EXPRS:
+        argv = [command, "--n", str(n), "--algebra", algebra, expr]
+        code, out = run_command(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out.startswith("error:"), (argv, out)
+
+
+def test_cli_refusals():
+    # a generator outside the Borel triangle
+    for algebra, gen in (("B-", "x[1,2]"), ("B+", "x[2,1]")):
+        code, out = run_command(["--algebra", algebra, "nf", gen])
+        assert code == 2 and "not a generator" in out
+    # n < 1 for every algebra (SL n=0 used to print x[1,1] for x[1,1] = 1)
+    for algebra in ("M", "SL", "GL", "B+", "B-", "Uq"):
+        code, out = run_command(["--n", "0", "--algebra", algebra, "nf", "1"])
+        assert (code, out) == (2, "error: --n must be >= 1"), algebra
+    code, out = run_command(["--n", "1", "--algebra", "M", "basis", "--max-degree", "-3"])
+    assert code == 2 and out.startswith("error:")
+    # E_{n+1} and eps outside the matrix algebras
+    assert run_command(["--n", "2", "--algebra", "Uq", "coproduct", "E[3]"])[0] == 2
+    assert run_command(["--n", "1", "--algebra", "Uq", "counit", "E[1]"])[0] == 2
+
+
+def test_delta_builds_one_lattice_context(monkeypatch):
+    import qfun.cli as cli
+
+    built = []
+    real = cli.IntContext
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "IntContext", counting)
+    ctx = Context("SL", 1, sl_strategy="antidiag73")
+    a = ctx.eval(parse("delta(r[1,2]) + delta(phi[1])"))
+    b = ctx.eval(parse("delta(phi[1]) + delta(r[1,2])"))
+    assert a == b
+    assert len(built) == 2  # the antidiag73 ambient context and one lattice context

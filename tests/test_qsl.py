@@ -133,6 +133,36 @@ def test_borel_quotient_is_algebra_map_on_relations():
                 assert borel_quotient(sl, b, lhs_el) == borel_quotient(sl, b, rhs_el)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_borel_coproduct_is_quotient_of_sl_coproduct(n, sign):
+    """Delta_B(x_ij) equals Delta_SL(x_ij) with the quotient on both factors."""
+    from qfun.lincomb import add_outer
+    from qfun.qmatrix import TensorElement
+
+    sl = SLAlgebra(n, strategy="diagonal74", check_confluence=False)
+    b = BorelAlgebra(n, sign)
+    for (i, j) in sorted(b.cells):
+        expect = {}
+        for (wl, wr), c in sl.coproduct(sl.gen(i, j)).terms.items():
+            left = borel_quotient(sl, b, NCElement(sl.spec, {wl: RF_ONE}, reduce=False))
+            right = borel_quotient(sl, b, NCElement(sl.spec, {wr: RF_ONE}, reduce=False))
+            add_outer(expect, left.terms, right.terms, c)
+        got = b.coproduct(b.gen(i, j))
+        assert got == TensorElement(b, b, expect)
+        # k runs between i and j inside the triangle
+        assert len(got.terms) == abs(i - j) + 1
+
+
+def test_matrix_contexts_refuse_n_below_one():
+    from qfun.uq import UqAlgebra
+
+    for make in (lambda: MatrixAlgebra(0), lambda: SLAlgebra(0), lambda: BorelAlgebra(0, "+"),
+                 lambda: BorelAlgebra(-1, "-"), lambda: UqAlgebra(0)):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_borel_antipode_axiom():
     bp = BorelAlgebra(1, "+")
     for (i, j) in sorted(bp.cells):

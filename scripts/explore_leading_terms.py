@@ -9,7 +9,7 @@ import argparse
 
 from qfun.laurent import RF_Q_MINUS_QINV
 from qfun.qsl import SLAlgebra
-from qfun.uq import MuMap, UqAlgebra, collapse_at_one, root_vector_iterated
+from qfun.uq import MuMap, collapse_at_one, root_vector_iterated
 
 
 def skel(fw, ew):
@@ -25,7 +25,6 @@ def main():
 
     sl = SLAlgebra(n, strategy="diagonal74", check_confluence=(n <= 2))
     mu = MuMap(sl)
-    quq = UqAlgebra(n, sl_quotient=True)
 
     for i in range(1, n + 2):
         for j in range(1, n + 2):
@@ -38,10 +37,10 @@ def main():
             )
             print(f"collapse(mu(r[{i},{j}])) = {parts}")
             if i < j:
-                rv = root_vector_iterated(quq, i, j, "F")
+                rv = root_vector_iterated(mu.uq, i, j, "F")
                 print(f"    F[{j},{i}] = {rv}")
             elif i > j:
-                rv = root_vector_iterated(quq, j, i, "E")
+                rv = root_vector_iterated(mu.uq, j, i, "E")
                 print(f"    E[{j},{i}] = {rv}")
 
 

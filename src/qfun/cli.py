@@ -218,6 +218,14 @@ def parse(src):
     return Parser(src).parse()
 
 
+def _check_range(fam, idx, n):
+    ok = all(1 <= t <= n + 1 for t in idx)
+    if fam in ("phi", "h", "E", "F") and idx and idx[0] > n:
+        ok = False
+    if not ok:
+        raise ExprIndexError(f"{fam}{list(idx)} out of range for n={n}")
+
+
 class Context:
     """Evaluation context: one algebra, fixed n."""
 
@@ -256,16 +264,8 @@ class Context:
 
     # -- generator resolution ------------------------------------------------
 
-    def _check_range(self, fam, idx):
-        top = self.n + 1
-        ok = all(1 <= t <= top for t in idx)
-        if fam in ("phi", "h", "E", "F") and idx and idx[0] > self.n:
-            ok = False
-        if not ok:
-            raise ExprIndexError(f"{fam}{list(idx)} out of range for n={self.n}")
-
     def gen(self, fam, idx):
-        self._check_range(fam, idx)
+        _check_range(fam, idx, self.n)
         name = self.name
         if name in ("M", "SL", "GL", "B+", "B-"):
             if fam == "x":
@@ -448,7 +448,7 @@ class Context:
             g = {"r": rgen, "phi": phigen, "psi": psigen, "chi": chigen}.get(fam)
             if g is None:
                 raise ExprIndexError("delta expects integer-form generators")
-            self._check_range(fam, idx)
+            _check_range(fam, idx, self.n)
             return IntExpr.gen(g(*idx))
         if kind == "add":
             return self._as_intexpr(node[1]) + self._as_intexpr(node[2])
@@ -603,9 +603,23 @@ def build_argparser():
     return ap
 
 
-def _parse_gen_flag(flag):
+def _parse_indices(flag, text):
+    try:
+        return tuple(int(t) for t in text.split(",") if t)
+    except ValueError:
+        raise ExprIndexError(f"{flag} takes integer indices, not {text!r}") from None
+
+
+def _parse_gen_flag(flag, families, n):
+    """fam:i[,j] from --gen, checked against the families the command takes
+    and against the index range for n."""
     fam, _, idx = flag.partition(":")
-    indices = tuple(int(t) for t in idx.split(",") if t)
+    if fam not in families:
+        raise ExprIndexError(f"--gen takes one of {', '.join(families)}, not {fam!r}")
+    indices = _parse_indices("--gen", idx)
+    if len(indices) != GEN_FAMILIES[fam]:
+        raise ExprIndexError(f"--gen {fam} takes {GEN_FAMILIES[fam]} indices")
+    _check_range(fam, indices, n)
     return fam, indices
 
 
@@ -713,7 +727,10 @@ def _dispatch(args):
             return 0, json.dumps({"schema": "qfun/1", "basis": lines}, indent=2)
         return 0, "\n".join(lines)
     if args.command == "rootvec":
-        i, j = (int(t) for t in args.root.split(","))
+        root = _parse_indices("--root", args.root)
+        if len(root) != 2 or not 1 <= root[0] < root[1] <= args.n + 1:
+            raise ExprIndexError(f"--root takes i,j with 1 <= i < j <= {args.n + 1}")
+        i, j = root
         alg = UqAlgebra(args.n)
         if args.method == "iterated":
             ev = root_vector_iterated(alg, i, j, "E")
@@ -725,7 +742,7 @@ def _dispatch(args):
             fv = root_vector_lusztig(alg, co, k, "F")
         return 0, f"E[{i},{j}] = {ev}\nF[{j},{i}] = {fv}"
     if args.command == "mu":
-        fam, idx = _parse_gen_flag(args.gen)
+        fam, idx = _parse_gen_flag(args.gen, ("r", "x"), args.n)
         sl = SLAlgebra(args.n, strategy="diagonal74")
         mu = MuMap(sl)
         el = sl.gen(*idx)
@@ -745,7 +762,7 @@ def _dispatch(args):
             return 0, "\n".join(lines) if lines else "0"
         return 0, format_value(t, fmt)
     if args.command == "cobracket":
-        fam, idx = _parse_gen_flag(args.gen)
+        fam, idx = _parse_gen_flag(args.gen, ("r", "phi", "psi", "chi"), args.n)
         g = {"r": rgen, "phi": phigen, "psi": psigen, "chi": chigen}[fam](*idx)
         ictx = IntContext(args.n, gl=(args.algebra == "GL"))
         return 0, format_value(poisson_cobracket(ictx, IntExpr.gen(g)), fmt)

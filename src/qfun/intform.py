@@ -18,7 +18,7 @@ extension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
@@ -481,6 +481,7 @@ class RelationRecord:
     status: str  # "verified" | "corrected" | "failed"
     variant: str | None = None
     residual: str | None = None
+    difference: IntExpr | None = field(default=None, compare=False, repr=False)
 
     def to_json(self):
         out = {"id": self.id, "instance": self.instance, "status": self.status}
@@ -889,22 +890,36 @@ def relation_catalog(form, n, gl=False):
     return entries
 
 
+def _check_variants(rid, inst, variants, residual_of):
+    """The printed-then-variants check of one catalog entry: the first of the
+    (name, payload) variants whose residual_of(payload) is None verifies.
+    Returns the record and that payload; a failed record keeps the first
+    residual."""
+    first_residual = None
+    for vname, payload in variants:
+        residual = residual_of(payload)
+        if residual is None:
+            status = "verified" if vname in ("printed", "witness") else "corrected"
+            return RelationRecord(rid, inst, status, variant=vname), payload
+        if first_residual is None:
+            first_residual = residual
+    return RelationRecord(rid, inst, "failed", residual=first_residual), None
+
+
 def verify_relation_catalog(form, n, gl=False, ctx=None):
+    """One record per relation_catalog entry; a record that verifies keeps
+    the formal difference lhs - rhs of its variant in `difference`."""
     ctx = ctx or IntContext(n, gl=gl)
+
+    def residual(diff):
+        el = ctx.lift(diff)
+        return None if el.is_zero() else str(el)
+
     records = []
     for rid, inst, variants in relation_catalog(form, n, gl=gl):
-        rec = None
-        first_residual = None
-        for vname, lhs, rhs in variants:
-            diff = ctx.lift(lhs) - ctx.lift(rhs)
-            if diff.is_zero():
-                status = "verified" if vname == "printed" else "corrected"
-                rec = RelationRecord(rid, inst, status, variant=vname)
-                break
-            if first_residual is None:
-                first_residual = str(diff)
-        if rec is None:
-            rec = RelationRecord(rid, inst, "failed", residual=first_residual)
+        diffs = ((vname, lhs - rhs) for vname, lhs, rhs in variants)
+        rec, difference = _check_variants(rid, inst, diffs, residual)
+        rec.difference = difference
         records.append(rec)
     return records
 
@@ -1126,45 +1141,31 @@ def hopf_catalog(form, n):
     raise ValueError(f"unknown form {form!r}")
 
 
+def _hopf_residual(ctx, mode, gen, payload):
+    """None when one Hopf catalog variant holds for the lifted generator,
+    else a text residual."""
+    lifted = ctx.lift_gen(gen)
+    if mode == "delta":
+        diff = ctx.coproduct(lifted) - ctx.lift_tensor(payload)
+    elif mode == "counit":
+        val = ctx.counit(lifted)
+        return None if val == RATFUNC.coerce(payload) else str(val)
+    elif mode == "antipode":
+        diff = ctx.antipode(lifted) - ctx.lift(payload)
+        if diff.is_zero() and not payload.all_coeffs_laurent():
+            return "non-Laurent re-expansion"
+    elif mode == "antipode-psi":
+        return _s_psi_residual(ctx, gen.indices[0])
+    else:
+        raise ValueError(mode)
+    return None if diff.is_zero() else str(diff)
+
+
 def verify_hopf_catalog(form, n, ctx=None):
     ctx = ctx or IntContext(n, gl=False)
     records = []
     for rid, inst, mode, gen, variants in hopf_catalog(form, n):
-        rec = None
-        first_residual = None
-        lifted = ctx.lift_gen(gen)
-        for vname, payload in variants:
-            if mode == "delta":
-                lhs = ctx.coproduct(lifted)
-                rhs = ctx.lift_tensor(payload)
-                ok = (lhs - rhs).is_zero()
-                residual = None if ok else str(lhs - rhs)
-            elif mode == "counit":
-                val = ctx.counit(lifted)
-                ok = val == RATFUNC.coerce(payload)
-                residual = None if ok else str(val)
-            elif mode == "antipode":
-                lhs = ctx.antipode(lifted)
-                rhs = ctx.lift(payload)
-                diff = lhs - rhs
-                ok = diff.is_zero()
-                if ok and not payload.all_coeffs_laurent():
-                    ok = False
-                    residual = "non-Laurent re-expansion"
-                else:
-                    residual = None if ok else str(diff)
-            elif mode == "antipode-psi":
-                ok, residual = _verify_s_psi(ctx, gen.indices[0])
-            else:
-                raise ValueError(mode)
-            if ok:
-                status = "verified" if vname in ("printed", "witness") else "corrected"
-                rec = RelationRecord(rid, inst, status, variant=vname)
-                break
-            if first_residual is None:
-                first_residual = residual
-        if rec is None:
-            rec = RelationRecord(rid, inst, "failed", residual=first_residual)
+        rec, _ = _check_variants(rid, inst, variants, lambda p: _hopf_residual(ctx, mode, gen, p))
         records.append(rec)
     return records
 
@@ -1252,17 +1253,15 @@ def s_psi_witness(n, i):
     return w
 
 
-def _verify_s_psi(ctx, i):
-    """S(psi_i) = -psi_i + (q-1) W with W an explicit lattice combination."""
+def _s_psi_residual(ctx, i):
+    """S(psi_i) = -psi_i + (q-1) W with W an explicit lattice combination;
+    None when it holds, else a text residual."""
     w = s_psi_witness(ctx.n, i)
     if not w.all_coeffs_laurent():
-        return False, "witness has non-Laurent coefficients"
+        return "witness has non-Laurent coefficients"
     lhs = ctx.antipode(ctx.lift_gen(psigen(i))) + ctx.lift_gen(psigen(i))
-    rhs = ctx.lift(w).scale(RF_QM1)
-    diff = lhs - rhs
-    if diff.is_zero():
-        return True, None
-    return False, str(diff)
+    diff = lhs - ctx.lift(w).scale(RF_QM1)
+    return None if diff.is_zero() else str(diff)
 
 
 def check_span_identities(n, ctx=None):

@@ -519,18 +519,15 @@ def _divide_by_detq(alg, body):
 
 def gl_antipode(alg, a, sign=None):
     """Antipode on GL: S(x_ij) = (-q)^{sign (j-i)} minor * det^{-1}."""
-    if sign is None:
-        sign = _select_antipode_sign()
-
-    def gen_image(i, j):
-        return GLElement(alg, alg.antipode_image(i, j, sign), -1)
-
-    out = GLElement(alg, alg.zero(), 0)
+    # det_q is central, so a word of length k maps to its minor anti-image
+    # times det^{-k}: one anti-map call per word length
+    by_length = {}
     for w, c in a.body.terms.items():
-        acc = GLElement(alg, alg.one(), 0)
-        for p in reversed(w):
-            acc = acc * gen_image(*alg.cell_of(p))
-        out = out + acc.scale(c)
+        by_length.setdefault(len(w), {})[w] = c
+    out = GLElement(alg, alg.zero(), 0)
+    for k, terms in by_length.items():
+        body = _minor_antipode(alg, NCElement(alg.spec, terms, reduce=False), sign)
+        out = out + GLElement(alg, body, -k)
     # S(det^k) = det^{-k}, det_q being group-like and central
     return out.shift_det(-a.detpow)
 

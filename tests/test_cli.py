@@ -152,6 +152,23 @@ def test_cli_refusals():
     assert run_command(["--n", "1", "--algebra", "Uq", "counit", "E[1]"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mu", "--gen", "r:1"],
+        ["mu", "--gen", "r:3,3", "--n", "1"],
+        ["mu", "--gen", "r:a,b"],
+        ["cobracket", "--gen", "x:1,2"],
+        ["cobracket", "--gen", "phi:5"],
+        ["rootvec", "--root", "2,1"],
+        ["rootvec", "--root", "1"],
+    ],
+)
+def test_index_flag_refusals(argv):
+    code, out = run_command(argv)
+    assert code == 2 and out.startswith("error:"), (argv, out)
+
+
 def test_delta_builds_one_lattice_context(monkeypatch):
     import qfun.cli as cli
 

@@ -185,3 +185,38 @@ def test_gl_catalogs(ctx1):
     # no det-derived entries in the GL catalogs
     ids = {rid for rid, _, _ in relation_catalog("plain", 1, gl=True)}
     assert "X.sum" not in ids and "det.tilde" not in ids
+
+
+def test_catalog_suites_check_each_entry_once(monkeypatch):
+    """intform_suite lifts nothing beyond what the catalog verification and
+    the span identities lift, and hopf_closure_suite verifies each Hopf
+    catalog once per form."""
+    from qfun import suites
+
+    lifts = []
+    real_lift = IntContext.lift
+
+    def counting_lift(self, expr):
+        lifts.append(expr)
+        return real_lift(self, expr)
+
+    monkeypatch.setattr(IntContext, "lift", counting_lift)
+    ctx = IntContext(1)
+    for form in ("Q", "P", "plain"):
+        verify_relation_catalog(form, 1, ctx=ctx)
+    check_span_identities(1, ctx=ctx)
+    direct = len(lifts)
+    lifts.clear()
+    assert suites.intform_suite(ns=(1,))["ok"]
+    assert len(lifts) == direct
+
+    calls = []
+    real_verify = suites.verify_hopf_catalog
+
+    def counting_verify(form, n, ctx=None):
+        calls.append((form, n))
+        return real_verify(form, n, ctx=ctx)
+
+    monkeypatch.setattr(suites, "verify_hopf_catalog", counting_verify)
+    assert suites.hopf_closure_suite(ns=(1,))["ok"]
+    assert sorted(calls) == [("P", 1), ("Q", 1), ("plain", 1)]

@@ -186,14 +186,13 @@ class PBWElement(LinComb):
 
 def _matrix_unit_bracket(ab, cd):
     """[M_ab, M_cd] in matrix units as {unit: coeff}."""
-    out = {}
-    a, b = ab
-    c, d = cd
+    (a, b), (c, d) = ab, cd
+    items = []
     if b == c:
-        out[(a, d)] = out.get((a, d), 0) + 1
+        items.append(((a, d), 1))
     if d == a:
-        out[(c, b)] = out.get((c, b), 0) - 1
-    return {k: v for k, v in out.items() if v}
+        items.append(((c, b), -1))
+    return accumulate({}, items)
 
 
 def _root_of_cell(i, j):
@@ -265,8 +264,8 @@ def build_h(n, central=False):
                         raise JacobiFailure("unexpected diagonal in one copy")
                     tgt = BasisSym(fam, (a, b))
                     val = Fraction(coeff * sign_of(s1) * sign_of(s2), sign_of(tgt))
-                    out[index[tgt]] = out.get(index[tgt], Fraction(0)) + val
-                put(s1, s2, {k: v for k, v in out.items() if v})
+                    accumulate(out, [(index[tgt], val)])
+                put(s1, s2, out)
 
     # h action: [h_k, x_gamma] = gamma(h_k) x_gamma on both copies
     for k in range(1, n + 1):
@@ -316,10 +315,6 @@ class ClassicalTensor(LinComb):
     @staticmethod
     def zero(lie):
         return ClassicalTensor(lie, {})
-
-    def add_pair(self, x, y, coeff=Fraction(1)):
-        """self + coeff * (x tensor y) for PBWElements x, y."""
-        return self._same(add_outer(dict(self.terms), x.terms, y.terms, coeff))
 
     def add_wedge(self, x, y, coeff=Fraction(1)):
         return self._same(_add_wedge(dict(self.terms), x, y, coeff))

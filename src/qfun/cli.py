@@ -17,7 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .classical import C_SYM, PBWElement, e_sym, f_sym, h_sym, reference_cobracket
+from .classical import C_SYM, ClassicalTensor, PBWElement, e_sym, f_sym, h_sym, reference_cobracket
 from .freealg import NCElement, TermBudgetExceeded
 from .intform import (
     IntContext,
@@ -29,10 +29,10 @@ from .intform import (
     rgen,
     specialize_phi,
 )
-from .laurent import LaurentPoly, NotDivisible, RatFunc
-from .qmatrix import MatrixAlgebra
+from .laurent import POLE_AT_ONE, DivisionByZero, LaurentPoly, NotDivisible, RatFunc
+from .qmatrix import MatrixAlgebra, TensorElement
 from .qsl import BorelAlgebra, GLElement, NotInBorel, SLAlgebra, borel_antipode, gl_antipode
-from .uq import MuMap, UqAlgebra, collapse_at_one, convex_order, root_vector_iterated, root_vector_lusztig, uq_coproduct
+from .uq import MuMap, UqAlgebra, UqElement, UqTensor, collapse_at_one, convex_order, root_vector_iterated, root_vector_lusztig, uq_coproduct
 from . import suites
 
 
@@ -63,6 +63,8 @@ GEN_FAMILIES = {
 }
 
 CALLS = {"S", "Delta", "eps", "delta"}
+
+TENSORS = (TensorElement, UqTensor, ClassicalTensor)
 
 
 def tokenize(src):
@@ -304,8 +306,6 @@ class Context:
     def one(self):
         if self.name == "Uh":
             return PBWElement.one(self.lie)
-        if self.name == "Uq":
-            return self.alg.one()
         return self.alg.one()
 
     # -- evaluation --------------------------------------------------------------
@@ -325,13 +325,13 @@ class Context:
                 if self.name == "SL":
                     return self.alg.one()
                 raise ExprIndexError("detq not available here")
-            return self.alg.detq() if self.name == "M" else self.ictx.alg.detq()
+            return self.alg.detq()
         if kind == "detqt":
             if self.name != "SL":
                 raise ExprIndexError("detqt is an SL-form expression")
             return self.alg.one()
         if kind == "neg":
-            return self._neg(self.eval(node[1]))
+            return -self.eval(node[1])
         if kind in ("add", "sub"):
             a = self.eval(node[1])
             b = self.eval(node[2])
@@ -353,20 +353,13 @@ class Context:
             if isinstance(base, RatFunc):
                 return base ** k
             if k < 0:
-                from .uq import UqElement
-
-                if isinstance(base, UqElement) and len(base.terms) == 1:
-                    (fw, g, ew), c = next(iter(base.terms.items()))
-                    if not fw and not ew:
-                        inv = UqElement(
-                            base.alg,
-                            {((), tuple(-x for x in g), ()): c.inverse()},
-                        )
-                        base, k = inv, -k
-                    else:
-                        raise ExprIndexError("negative powers only on scalars and toral monomials")
-                else:
+                # a U_q term key is (F-word, toral exponents, E-word)
+                if not (isinstance(base, UqElement) and len(base.terms) == 1
+                        and not any(next(iter(base.terms))[::2])):
                     raise ExprIndexError("negative powers only on scalars and toral monomials")
+                (_, g, _), c = next(iter(base.terms.items()))
+                base = UqElement(base.alg, {((), tuple(-x for x in g), ()): c.inverse()})
+                k = -k
             out = self.one()
             for _ in range(k):
                 out = self._mul(out, base)
@@ -375,36 +368,54 @@ class Context:
             return self._call(node[1], node[2])
         raise ValueError(f"bad node {node!r}")
 
-    def _neg(self, v):
-        return -v if not isinstance(v, RatFunc) else v * RatFunc.from_laurent(
-            LaurentPoly.from_int(-1)
-        )
+    def _as_gl(self, v):
+        """A GL value as a GLElement: scalars and bodies carry det_q^0."""
+        if isinstance(v, GLElement):
+            return v
+        if isinstance(v, RatFunc):
+            v = self.one().scale(v)
+        return GLElement(self.alg, v, 0)
+
+    @staticmethod
+    def _refuse_mixed(a, b, scalars_mix):
+        """A tensor combines only with tensors, and with scalars when
+        scalars_mix."""
+        kinds = [isinstance(v, TENSORS) for v in (a, b)
+                 if not (scalars_mix and isinstance(v, RatFunc))]
+        if any(kinds) and not all(kinds):
+            raise ExprIndexError("a tensor and an element do not combine here")
 
     def _align(self, a, b):
+        self._refuse_mixed(a, b, scalars_mix=False)
+        if isinstance(a, GLElement) or isinstance(b, GLElement):
+            return self._as_gl(a), self._as_gl(b)
         if isinstance(a, RatFunc) and not isinstance(b, RatFunc):
-            a = self._scalar_to_element(a, like=b)
+            a = self.one().scale(self._scalar_for(a, b))
         elif isinstance(b, RatFunc) and not isinstance(a, RatFunc):
-            b = self._scalar_to_element(b, like=a)
+            b = self.one().scale(self._scalar_for(b, a))
         return a, b
 
-    def _scalar_to_element(self, s, like):
-        one = self.one()
-        if isinstance(like, PBWElement):
-            v = s.regular_at_one()
-            return one.scale(v)
-        return one.scale(s)
+    @staticmethod
+    def _scalar_for(s, v):
+        """The scalar s as a coefficient of v: its value at q = 1 when v is a
+        classical (Uh or cobracket) value."""
+        if not isinstance(v, (PBWElement, ClassicalTensor)):
+            return s
+        at_one = s.regular_at_one()
+        if at_one is POLE_AT_ONE:
+            raise ExprIndexError(f"{s} has a pole at q = 1")
+        return at_one
 
     def _mul(self, a, b):
+        self._refuse_mixed(a, b, scalars_mix=True)
+        if isinstance(a, GLElement) or isinstance(b, GLElement):
+            return self._as_gl(a) * self._as_gl(b)
         if isinstance(a, RatFunc) and isinstance(b, RatFunc):
             return a * b
         if isinstance(a, RatFunc):
-            if isinstance(b, PBWElement):
-                return b.scale(a.regular_at_one())
-            return b.scale(a)
+            a, b = b, a  # scalars are central
         if isinstance(b, RatFunc):
-            if isinstance(a, PBWElement):
-                return a.scale(b.regular_at_one())
-            return a.scale(b)
+            return a.scale(self._scalar_for(b, a))
         return a * b
 
     def _call(self, name, argnode):
@@ -420,8 +431,18 @@ class Context:
                 return reference_cobracket(self.lie, sym, self.n)
             raise ExprIndexError("delta not available here")
         arg = self.eval(argnode)
+        if isinstance(arg, TENSORS):
+            raise ExprIndexError(f"{name} takes an element, not a tensor")
+        if isinstance(arg, RatFunc) and self.name != "Uh":
+            arg = self.one().scale(arg)  # a scalar c stands for c 1
+        if self.name == "GL":
+            arg = self._as_gl(arg).canonical()
         if name == "Delta":
-            if self.name in ("M", "SL", "GL", "B+", "B-"):
+            if self.name == "GL":
+                if arg.detpow:
+                    raise ExprIndexError("Delta of a det_q power is not available in GL")
+                return self.alg.coproduct(arg.body)
+            if self.name in ("M", "SL", "B+", "B-"):
                 return self.alg.coproduct(arg)
             if self.name == "Uq":
                 return uq_coproduct(arg)
@@ -429,14 +450,15 @@ class Context:
         if name == "eps":
             if self.name not in ("M", "SL", "GL", "B+", "B-"):
                 raise ExprIndexError("eps not available here")
-            return self.alg.counit(arg)
+            # eps(det_q) = 1, so in GL eps reads the body
+            return self.alg.counit(arg.body if self.name == "GL" else arg)
         if name == "S":
             if self.name == "SL":
                 return self.alg.antipode(arg)
             if self.name in ("B+", "B-"):
                 return borel_antipode(self.alg, arg)
             if self.name == "GL":
-                return gl_antipode(self.alg, GLElement(self.alg, arg, 0)).canonical()
+                return gl_antipode(self.alg, arg).canonical()
             raise ExprIndexError("S not available here")
         raise ExprIndexError(f"unknown call {name}")
 
@@ -482,17 +504,11 @@ class Context:
 
 def format_value(v, fmt="text"):
     if fmt == "text":
-        if isinstance(v, Fraction):
-            return str(v)
         return str(v)
     return json.dumps(value_to_json(v), indent=2, sort_keys=True)
 
 
 def value_to_json(v):
-    from .qmatrix import TensorElement
-    from .uq import UqElement, UqTensor
-    from .classical import ClassicalTensor
-
     if isinstance(v, NCElement):
         out = v.to_json()
         out["schema"] = "qfun/1"
@@ -517,8 +533,6 @@ def value_to_json(v):
         out = v.to_json()
         out["schema"] = "qfun/1"
         return out
-    if isinstance(v, (UqElement, UqTensor, ClassicalTensor, GLElement)):
-        return {"schema": "qfun/1", "value": str(v)}
     return {"schema": "qfun/1", "value": str(v)}
 
 
@@ -643,7 +657,7 @@ def run_command(argv):
         return 2, f"error: {exc}"
     except TermBudgetExceeded as exc:
         return 2, f"error: {exc} (raise QFUN_MAX_TERMS to allow more)"
-    except (NotDivisible, NotInBorel) as exc:
+    except (DivisionByZero, NotDivisible, NotInBorel) as exc:
         return 2, f"error: {exc}"
 
 
@@ -703,26 +717,16 @@ def _dispatch(args):
     if args.command == "counit":
         return 0, format_value(ctx._call("eps", parse(args.expr)), fmt)
     if args.command == "detq":
-        if args.algebra == "M":
-            return 0, format_value(ctx.alg.detq(), fmt)
         return 0, format_value(ctx.eval(("detq",)), fmt)
     if args.command == "basis":
         if args.max_degree < 0:
             return 2, "error: --max-degree must be >= 0"
-        if args.algebra == "M":
-            words = ctx.alg.pbw_basis(args.max_degree)
-            spec = ctx.alg.spec
-        elif args.algebra in ("SL", "GL"):
-            alg = ctx.ictx.alg
-            words = (
-                alg.pbw_basis_sl(args.max_degree)
-                if hasattr(alg, "pbw_basis_sl")
-                else alg.pbw_basis(args.max_degree)
-            )
-            spec = alg.spec
-        else:
+        if args.algebra not in ("M", "SL", "GL"):
             return 2, "error: basis needs a matrix-type algebra"
-        lines = [spec.word_str(w) for w in words]
+        # SL lists its canonical monomials, M and GL (the plain matrix
+        # algebra) their PBW words
+        basis = ctx.alg.pbw_basis_sl if args.algebra == "SL" else ctx.alg.pbw_basis
+        lines = [ctx.alg.spec.word_str(w) for w in basis(args.max_degree)]
         if fmt == "json":
             return 0, json.dumps({"schema": "qfun/1", "basis": lines}, indent=2)
         return 0, "\n".join(lines)

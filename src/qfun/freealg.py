@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 from .laurent import LAURENT, RATFUNC, LaurentPoly, RatFunc
-from .lincomb import LinComb, accumulate, format_terms
+from .lincomb import LinComb, accumulate, echelon, format_terms, reduce_row
 
 
 class AlgebraMismatch(Exception):
@@ -245,10 +245,6 @@ class NCElement(LinComb):
             g = spec.index[g]
         return NCElement(spec, {(g,): spec.domain.one}, reduce=False)
 
-    @staticmethod
-    def from_word(spec, word, coeff=1):
-        return NCElement(spec, {tuple(word): spec.domain.coerce(coeff)})
-
     # -- arithmetic ----------------------------------------------------------
 
     __radd__ = LinComb.__add__
@@ -280,17 +276,6 @@ class NCElement(LinComb):
 
     def degree(self):
         return max((len(w) for w in self.terms), default=0)
-
-    def coeff_of_word(self, word):
-        return self.terms.get(tuple(word), self.spec.domain.zero)
-
-    def map_coeffs(self, fn):
-        t = {}
-        for w, c in self.terms.items():
-            v = fn(c)
-            if v:
-                t[w] = v
-        return NCElement(self.spec, t, reduce=False)
 
     def __str__(self):
         return format_terms(
@@ -360,11 +345,24 @@ def confluence_check(spec, max_triples=None):
 
 
 def words_of_multidegree(n_letters, multidegree):
-    """All words over letters 0..n_letters-1 with the given letter counts."""
-    letters = []
-    for i, m in enumerate(multidegree):
-        letters.extend([i] * m)
-    return sorted(set(permutations(letters)))
+    """All words over letters 0..n_letters-1 with the given letter counts,
+    in lex order: the distinct permutations of the letter multiset, each
+    made from the last by the next-permutation step (Knuth, TAOCP 7.2.1.2,
+    Algorithm L)."""
+    w = [i for i, m in enumerate(multidegree) for _ in range(m)]
+    words = [tuple(w)]
+    while True:
+        j = len(w) - 2
+        while j >= 0 and w[j] >= w[j + 1]:
+            j -= 1
+        if j < 0:
+            return words
+        k = len(w) - 1
+        while w[k] <= w[j]:
+            k -= 1
+        w[j], w[k] = w[k], w[j]
+        w[j + 1 :] = reversed(w[j + 1 :])
+        words.append(tuple(w))
 
 
 def graded_component_basis(n_letters, relations, multidegree, cap=20000):
@@ -403,55 +401,14 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
                     if row:
                         rows.append(row)
 
-    # row reduce over k(q); pivots on the lex-largest available column
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            j = min(row)  # lex-first word becomes the leading term
-            if j in pivots:
-                piv = pivots[j]
-                factor = row[j]
-                for pj, pc in piv.items():
-                    s = row.get(pj, None)
-                    d = factor * pc
-                    s = -d if s is None else s - d
-                    if s:
-                        row[pj] = s
-                    else:
-                        row.pop(pj, None)
-            else:
-                inv = row[j].inverse()
-                pivots[j] = {k: c * inv for k, c in row.items()}
-                break
-
+    # the lex-first word of each row leads; proj[w] is w modulo the ideal,
+    # written in the words that lead no pivot row
+    pivots = echelon(rows)
     basis = [w for i, w in enumerate(words) if i not in pivots]
-    basis_set = set(basis)
-
-    proj = {}
-    for i, w in enumerate(words):
-        if w in basis_set:
-            proj[w] = {w: RATFUNC.one}
-        else:
-            piv = pivots[i]
-            # w = pivot row => w - sum(tail) in ideal; reduce tail recursively
-            expansion = {}
-            stack = [(j, -c) for j, c in piv.items() if j != i]
-            while stack:
-                j, c = stack.pop()
-                wj = words[j]
-                if wj in basis_set:
-                    s = expansion.get(wj, None)
-                    s = c if s is None else s + c
-                    if s:
-                        expansion[wj] = s
-                    else:
-                        expansion.pop(wj, None)
-                else:
-                    for jj, cc in pivots[j].items():
-                        if jj != j:
-                            stack.append((jj, -c * cc))
-            proj[w] = expansion
+    proj = {
+        w: {words[j]: c for j, c in reduce_row({i: RATFUNC.one}, pivots).items()}
+        for i, w in enumerate(words)
+    }
     return words, basis, proj
 
 

@@ -1193,15 +1193,13 @@ def _sort_diag_expr(expr):
                 k = g1.indices[0]
                 h = g2.indices[0]
                 pre, suf = w[:t], w[t + 2 :]
-                w1 = pre + (g2, g1) + suf
-                terms[w1] = terms.get(w1, RATFUNC.zero) + c
-                w2 = pre + (rgen(h, k), rgen(k, h)) + suf
-                terms[w2] = terms.get(w2, RATFUNC.zero) - c * corr_coeff
+                accumulate(terms, [(pre + (g2, g1) + suf, c),
+                                   (pre + (rgen(h, k), rgen(k, h)) + suf, -c * corr_coeff)])
                 break
         else:
-            out[w] = out.get(w, RATFUNC.zero) + c
+            accumulate(out, [(w, c)])
     e = IntExpr()
-    e.terms = {w: c for w, c in out.items() if c}
+    e.terms = out
     return e
 
 

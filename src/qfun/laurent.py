@@ -174,10 +174,6 @@ class LaurentPoly:
     def evaluate_at_one(self):
         return sum(self.terms.values())
 
-    def evaluate(self, value):
-        """Evaluate at a nonzero Fraction."""
-        return sum(Fraction(c) * Fraction(value) ** e for e, c in self.terms.items())
-
     def divide_q_minus_1(self):
         """Exact quotient by (q-1); raises NotDivisible with the remainder."""
         if not self.terms:

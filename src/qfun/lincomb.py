@@ -4,7 +4,8 @@ Every element type in qfun (words in a free algebra, word pairs in a tensor
 square, triangular U_q terms, PBW words, formal integer-form expressions)
 stores a dict from keys to nonzero coefficients.  The rules for that dict
 live here: zero coefficients are never stored, and a public operation never
-mutates its operands, because elements sit in caches and are shared.
+mutates its operands, because elements sit in caches and are shared.  The
+sparse row reduction over a field (echelon, reduce_row) lives here too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,49 @@ def accumulate(dst, items, coeff=None):
         else:
             dst.pop(key, None)
     return dst
+
+
+def echelon(rows):
+    """Row echelon form of sparse rows over a field, as pivots
+    {leading key: row scaled to leading coefficient 1}.
+
+    The leading key of a row is its smallest key.  Each row is reduced at
+    its leading key until that key is not yet a pivot; a row that vanishes
+    adds nothing, so len(pivots) is the rank.
+    """
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = 1 / row[lead]
+                pivots[lead] = {k: c * inv for k, c in row.items()}
+                break
+            c = row.pop(lead)
+            accumulate(row, ((k, v) for k, v in piv.items() if k != lead), -c)
+    return pivots
+
+
+def reduce_row(row, pivots):
+    """The remainder of a row modulo the span of echelon pivots: the unique
+    row with no pivot key that differs from row by a combination of pivots.
+
+    Pops the smallest key and subtracts its pivot row; a pivot row holds only
+    keys larger than its own, so the loop ends.
+    """
+    row = dict(row)
+    out = {}
+    while row:
+        key = min(row)
+        c = row.pop(key)
+        piv = pivots.get(key)
+        if piv is None:
+            out[key] = c
+        else:
+            accumulate(row, ((k, v) for k, v in piv.items() if k != key), -c)
+    return out
 
 
 def add_outer(dst, a, b, coeff):

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, permutations
 
 from .freealg import NCElement, PostReducer
 from .laurent import Q_MINUS_QINV, RATFUNC, neg_q_power
-from .lincomb import accumulate, apply_word_map
+from .lincomb import accumulate, apply_word_map, echelon, reduce_row
 from .qmatrix import MatrixAlgebra, pair_relation, perm_inversions, x_gen
 
 
@@ -129,10 +129,6 @@ class SLAlgebra(MatrixAlgebra):
         self.strategy = strategy
         self.reducer = DetReducer(n, strategy, self.spec)
         self.spec.post_reducers.append(self.reducer)
-
-    def antipode_sign(self):
-        """+1 for exponent (j - i), -1 for (i - j); fixed by the axiom oracle."""
-        return _select_antipode_sign()
 
     def antipode(self, a, sign=None):
         """Algebra anti-map extended from the minor formula on generators."""
@@ -365,20 +361,16 @@ class GLElement:
         self.body = body
         self.detpow = detpow
 
-    @staticmethod
-    def of(alg, body, detpow=0):
-        return GLElement(alg, body, detpow)
-
     def _aligned(self, other):
         k = min(self.detpow, other.detpow)
-        d = self.alg.detq()
-        a = self.body
-        for _ in range(self.detpow - k):
-            a = a * d
-        b = other.body
-        for _ in range(other.detpow - k):
-            b = b * d
-        return a, b, k
+        return self._times_det(self.detpow - k), other._times_det(other.detpow - k), k
+
+    def _times_det(self, m):
+        """The body times det_q^m, m >= 0."""
+        body = self.body
+        for _ in range(m):
+            body = body * self.alg.detq()
+        return body
 
     def __eq__(self, other):
         if not isinstance(other, GLElement):
@@ -407,14 +399,10 @@ class GLElement:
         return GLElement(self.alg, self.body.scale(coeff), self.detpow)
 
     def shift_det(self, k):
-        """Multiply by det_q^k (k of either sign)."""
-        if k >= 0:
-            d = self.alg.detq()
-            body = self.body
-            for _ in range(k):
-                body = body * d
-            return GLElement(self.alg, body, self.detpow)
-        return GLElement(self.alg, self.body, self.detpow + k)
+        """Multiply by det_q^k (k of either sign); the body takes on only the
+        positive part of the resulting power."""
+        detpow = self.detpow + k
+        return GLElement(self.alg, self._times_det(max(detpow, 0)), min(detpow, 0))
 
     def canonical(self):
         """Extract det_q factors out of the body where possible."""
@@ -438,83 +426,48 @@ class GLElement:
 
 
 def _divide_by_detq(alg, body):
-    """Solve body = det_q * c by linear algebra on each graded piece."""
-    d = alg.detq()
-    zero = alg.spec.domain.zero
-    # candidate words: for each word of body, all subwords obtained by
-    # removing one full row-set {1..n+1}? Simpler: solve on the span of
-    # pbw words of matching degree via row reduction.
-    degs = {len(w) for w in body.terms}
-    if len(degs) != 1:
-        # handle each homogeneous component separately
-        comps = {}
-        for w, c in body.terms.items():
-            comps.setdefault(len(w), {})[w] = c
-        parts = []
-        for deg, terms in comps.items():
-            part = _divide_by_detq(alg, NCElement(alg.spec, terms, reduce=False))
-            if part is None:
-                return None
-            parts.append(part)
-        out = NCElement.zero(alg.spec)
-        for p in parts:
-            out = out + p
-        return out
-    (deg,) = degs
-    if deg < alg.n + 1:
-        return None
-    k = len(alg.spec.alphabet)
-    cands = list(combinations_with_replacement(range(k), deg - (alg.n + 1)))
-    cols = []
-    for w in cands:
-        el = d * NCElement(alg.spec, {w: alg.spec.domain.one}, reduce=False)
-        cols.append(el.terms)
-    # gaussian solve: express body in the span of cols
-    target = dict(body.terms)
-    pivots = {}
-    colmap = []
-    for w, col in zip(cands, cols):
-        col = dict(col)
-        combo = {w: alg.spec.domain.one}
-        for pw, (pcol, pcombo) in list(pivots.items()):
-            c = col.get(pw)
-            if c:
-                for kk, vv in pcol.items():
-                    s = col.get(kk, zero) - c * vv
-                    if s:
-                        col[kk] = s
-                    else:
-                        col.pop(kk, None)
-                for kk, vv in pcombo.items():
-                    s = combo.get(kk, zero) - c * vv
-                    if s:
-                        combo[kk] = s
-                    else:
-                        combo.pop(kk, None)
-        if col:
-            lead = min(col)
-            inv = col[lead].inverse() if hasattr(col[lead], "inverse") else None
-            if inv is None:
-                return None
-            col = {kk: vv * inv for kk, vv in col.items()}
-            combo = {kk: vv * inv for kk, vv in combo.items()}
-            pivots[lead] = (col, combo)
-        colmap.append(w)
-    sol = {}
-    for pw, (pcol, pcombo) in sorted(pivots.items()):
-        c = target.get(pw)
-        if c:
-            for kk, vv in pcol.items():
-                s = target.get(kk, zero) - c * vv
-                if s:
-                    target[kk] = s
-                else:
-                    target.pop(kk, None)
-            for kk, vv in pcombo.items():
-                sol[kk] = sol.get(kk, zero) + c * vv
-    if target:
-        return None
-    return NCElement(alg.spec, sol)
+    """The c with body = det_q * c, or None when det_q does not divide body.
+
+    The relations keep row and column degrees, and det_q has degree one in
+    each row and column, so each bihomogeneous part is divided on its own,
+    smallest first.  One row per candidate word w of c: d*w under (0, -word)
+    keys plus a (1, w) tag.  The part reduces to tags only exactly when it
+    is d times a combination of candidates, and the tags then hold minus
+    that combination.  Under negated letters each row leads with its
+    lex-largest word, which differs from row to row, so echelon has no
+    fill-in.
+    """
+    d, one, m = alg.detq(), alg.spec.domain.one, alg.n + 1
+
+    def degrees(word, shift=0):
+        """(row degrees, column degrees) of a word, each entry plus shift."""
+        rows, cols = [shift] * m, [shift] * m
+        for p in word:
+            i, j = alg.cell_of(p)
+            rows[i - 1] += 1
+            cols[j - 1] += 1
+        return tuple(rows), tuple(cols)
+
+    def key(word):
+        return (0, tuple(-p for p in word))
+
+    parts = {}
+    for w, c in body.terms.items():
+        parts.setdefault(degrees(w, shift=-1), {})[key(w)] = c
+    quotient = {}
+    for deg in sorted(parts, key=lambda deg: sum(deg[0])):
+        if min(deg[0] + deg[1]) < 0:
+            return None
+        rows = []
+        for w in combinations_with_replacement(range(len(alg.spec.alphabet)), sum(deg[0])):
+            if degrees(w) == deg:
+                dw = d * NCElement(alg.spec, {w: one}, reduce=False)
+                rows.append({**{key(v): c for v, c in dw.terms.items()}, (1, w): one})
+        rest = reduce_row(parts[deg], echelon(rows))
+        if any(tag == 0 for tag, _ in rest):
+            return None
+        quotient.update((w, -c) for (_, w), c in rest.items())
+    return NCElement(alg.spec, quotient)
 
 
 def gl_antipode(alg, a, sign=None):

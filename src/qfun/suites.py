@@ -36,7 +36,7 @@ from .intform import (
     verify_relation_catalog,
 )
 from .laurent import RF_ONE, RF_Q_MINUS_QINV, RATFUNC
-from .lincomb import accumulate
+from .lincomb import accumulate, echelon
 from .qmatrix import MatrixAlgebra, perm_inversions
 from .qsl import (
     SLAlgebra,
@@ -216,15 +216,18 @@ def _commutative_hilbert(n, dmax):
                 m[t] += 1
             yield tuple(m)
 
-    # det - 1 as {exponent vector: coeff}
-    det = {}
-    for perm in permutations(range(1, n + 2)):
-        sign = (-1) ** perm_inversions(perm)
+    def perm_monomial(perm):
         m = [0] * nvars
         for t in range(n + 1):
             m[cell_ix[(t + 1, perm[t])]] += 1
-        det[tuple(m)] = det.get(tuple(m), Fraction(0)) + sign
-    det[tuple([0] * nvars)] = det.get(tuple([0] * nvars), Fraction(0)) - 1
+        return tuple(m)
+
+    # det - 1 as {exponent vector: coeff}
+    det = accumulate(
+        {(0,) * nvars: Fraction(-1)},
+        ((perm_monomial(p), Fraction((-1) ** perm_inversions(p)))
+         for p in permutations(range(1, n + 2))),
+    )
 
     out = []
     for d in range(dmax + 1):
@@ -232,35 +235,13 @@ def _commutative_hilbert(n, dmax):
         for deg in range(d + 1):
             all_monos.extend(monomials(deg))
         ix = {m: t for t, m in enumerate(all_monos)}
-        rows = []
-        for deg in range(max(0, d - n)):
-            for m in monomials(deg):
-                row = {}
-                for dm, c in det.items():
-                    key = tuple(a + b for a, b in zip(m, dm))
-                    row[ix[key]] = row.get(ix[key], Fraction(0)) + c
-                rows.append({k: v for k, v in row.items() if v})
-        # row reduce over Q
-        pivots = {}
-        rank = 0
-        for row in rows:
-            row = dict(row)
-            while row:
-                j = min(row)
-                if j in pivots:
-                    piv = pivots[j]
-                    c = row[j]
-                    for k, v in piv.items():
-                        s = row.get(k, Fraction(0)) - c * v
-                        if s:
-                            row[k] = s
-                        else:
-                            row.pop(k, None)
-                else:
-                    inv = 1 / row[j]
-                    pivots[j] = {k: v * inv for k, v in row.items()}
-                    rank += 1
-                    break
+        rows = [
+            accumulate({}, ((ix[tuple(a + b for a, b in zip(m, dm))], c) for dm, c in det.items()))
+            for deg in range(max(0, d - n))
+            for m in monomials(deg)
+        ]
+        # rank over Q
+        rank = len(echelon(rows))
         out.append(len(all_monos) - rank)
     return out
 

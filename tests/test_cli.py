@@ -121,7 +121,10 @@ def test_uq_context():
 
 # generators in and out of range, of every family, for the robustness sweep
 SWEEP_EXPRS = ["x[1,2]", "x[2,1] x[1,1]", "x[3,3]", "x[0,1]", "E[1]", "F[2]", "h[1]",
-               "e[1,3]", "phi[1]"]
+               "e[1,3]", "phi[1]",
+               # scalars and nested calls
+               "1", "q - 1", "S(x[1,2]) x[2,1]", "S(x[1,2]) + x[1,1]", "S(S(x[1,2]))",
+               "eps(S(x[1,2]))", "Delta(S(x[1,2]))", "S(1)", "Delta(1)", "eps(q)"]
 
 
 @pytest.mark.parametrize("command", ["nf", "antipode", "coproduct", "counit"])
@@ -150,6 +153,44 @@ def test_cli_refusals():
     # E_{n+1} and eps outside the matrix algebras
     assert run_command(["--n", "2", "--algebra", "Uq", "coproduct", "E[3]"])[0] == 2
     assert run_command(["--n", "1", "--algebra", "Uq", "counit", "E[1]"])[0] == 2
+
+
+def test_gl_scalars_and_nested_calls():
+    def gl(command, expr):
+        return run_command(["--n", "1", "--algebra", "GL", command, expr])
+
+    assert gl("antipode", "q - 1") == (0, "(q - 1)")
+    assert gl("coproduct", "1") == (0, "1 (x) 1")
+    assert gl("counit", "eps(q)") == (0, "q")
+    # eps(det_q) = 1, so eps(S(x11)) = eps(x22 det_q^-1) = 1
+    assert gl("counit", "S(x[1,1])") == (0, "1")
+    assert gl("counit", "S(x[1,2]) + x[1,1]") == (0, "1")
+    # S(S(x12)) has no det_q^-1 left, as in SL
+    sl = run_command(["--n", "1", "--algebra", "SL", "nf", "S(S(x[1,2]))"])
+    assert gl("nf", "S(S(x[1,2]))") == sl == (0, "(q^-2) x[1,2]")
+    assert gl("nf", "x[2,1] S(x[1,2])") == (0, "((-q^-1) x[2,1] x[1,2]) * detq^-1")
+    code, out = gl("coproduct", "S(x[1,2])")
+    assert code == 2 and out.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "algebra, expr",
+    [
+        ("M", "Delta(x[1,2]) + x[1,1]"),
+        ("SL", "Delta(x[1,2]) x[1,1]"),
+        ("GL", "Delta(x[1,2]) + 1"),
+        ("B+", "Delta(x[1,2])^2"),
+        ("Uq", "Delta(E[1]) E[1]"),
+        ("SL", "delta(r[1,2]) + r[1,1]"),
+        ("SL", "S(delta(r[1,2]))"),
+        ("Uh", "h[1] / (q - 1)"),
+        ("M", "x[1,1] / 0"),
+        ("SL", "1/0"),
+    ],
+)
+def test_mixed_and_singular_values_refused(algebra, expr):
+    code, out = run_command(["--n", "1", "--algebra", algebra, "nf", expr])
+    assert code == 2 and out.startswith("error:"), out
 
 
 @pytest.mark.parametrize(

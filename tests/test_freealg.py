@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -126,6 +127,18 @@ def test_graded_component_projection_consistency():
 def test_words_of_multidegree():
     assert words_of_multidegree(2, (1, 1)) == [(0, 1), (1, 0)]
     assert len(words_of_multidegree(2, (2, 1))) == 3
+
+
+@pytest.mark.parametrize("degree", [(), (0,), (3,), (2, 2), (1, 0, 2), (2, 1, 2), (1, 1, 1, 1)])
+def test_words_of_multidegree_are_the_sorted_distinct_permutations(degree):
+    letters = [i for i, m in enumerate(degree) for _ in range(m)]
+    assert words_of_multidegree(len(degree), degree) == sorted(set(permutations(letters)))
+
+
+def test_words_of_multidegree_walks_only_distinct_words():
+    # the 16! letter permutations of (8, 8) hold 12 870 distinct words
+    words = words_of_multidegree(2, (8, 8))
+    assert len(words) == 12870 and words == sorted(set(words))
 
 
 def test_dimension_overflow():

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfun.laurent import LaurentPoly, RatFunc
-from qfun.lincomb import LinComb, accumulate, add_outer
+from qfun.lincomb import LinComb, accumulate, add_outer, echelon, reduce_row
 
 
 class Vec(LinComb):
@@ -68,3 +69,24 @@ def test_accumulate_drops_cancelled_terms_and_add_outer_pairs_keys():
     t = add_outer({}, {"x": 2, "y": 1}, {"z": 3}, 5)
     assert t == {("x", "z"): 30, ("y", "z"): 15}
     assert add_outer(t, {"x": 1}, {"z": -6}, 5) == {("y", "z"): 15}
+
+
+sparse_rows = st.dictionaries(st.integers(min_value=0, max_value=5), fractions.filter(bool), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(sparse_rows, max_size=6), sparse_rows)
+def test_row_reduction_against_sympy_rank(rows, v):
+    sympy = pytest.importorskip("sympy")
+
+    def rank(rs):
+        return sympy.Matrix(len(rs), 6, [r.get(k, 0) for r in rs for k in range(6)]).rank()
+
+    pivots = echelon(rows)
+    assert len(pivots) == rank(rows)
+    assert all(min(p) == k and p[k] == 1 for k, p in pivots.items())
+    rest = reduce_row(v, pivots)
+    assert not set(rest) & set(pivots)
+    # v - rest lies in the row space; rest vanishes exactly when v adds no rank
+    assert rank(rows + [accumulate(dict(v), rest.items(), -1)]) == rank(rows)
+    assert (not rest) == (rank(rows + [v]) == rank(rows))

@@ -198,6 +198,18 @@ def test_gl_element_arithmetic():
     assert gl_inverse_det(GLElement(alg, alg.one(), 0), 1).detpow == -1
 
 
+def test_gl_canonical_divides_out_detq():
+    alg = MatrixAlgebra(2, order="triangular", domain=RATFUNC, check_confluence=False)
+    x = alg.gen
+    # terms of degree 0 to 3; det_q * c has degrees 3 to 6
+    c = alg.one().scale(2) + x(1, 2).scale(Q) + x(2, 1) * x(1, 1) - x(3, 3) * x(1, 3) * x(2, 2)
+    got = GLElement(alg, alg.detq() * c, -1).canonical()
+    assert got.detpow == 0 and got.body == c
+    # det_q does not divide the degree-1 part, so nothing is extracted
+    got = GLElement(alg, x(1, 2) + alg.detq(), -1).canonical()
+    assert got.detpow == -1 and got.body == x(1, 2) + alg.detq()
+
+
 def test_gl_antipode():
     alg = MatrixAlgebra(1, order="triangular", domain=RATFUNC, check_confluence=False)
     s = gl_antipode(alg, GLElement(alg, alg.gen(1, 1), 0)).canonical()

@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .classical import C_SYM, ClassicalTensor, PBWElement, e_sym, f_sym, h_sym, reference_cobracket
-from .freealg import NCElement, TermBudgetExceeded
+from .freealg import NCElement, TermBudgetExceeded, _term_budget
 from .intform import (
     IntContext,
     IntExpr,
@@ -228,6 +229,17 @@ def _check_range(fam, idx, n):
         raise ExprIndexError(f"{fam}{list(idx)} out of range for n={n}")
 
 
+def _refuse_huge_power(k, scalar):
+    """Refuse a power whose exponent exceeds the term budget before the
+    first multiplication.  Only a scalar +-q^e is exempt: it stays one term
+    with coefficient +-1 under every power."""
+    budget = _term_budget()
+    unit = (scalar is not None and scalar.is_laurent()
+            and list(scalar.num.terms.values()) in ([1], [-1]))
+    if abs(k) > budget and not unit:
+        raise TermBudgetExceeded(f"exponent {k} exceeds the term budget {budget}")
+
+
 class Context:
     """Evaluation context: one algebra, fixed n."""
 
@@ -350,6 +362,7 @@ class Context:
         if kind == "pow":
             base = self.eval(node[1])
             k = node[2]
+            _refuse_huge_power(k, base if isinstance(base, RatFunc) else None)
             if isinstance(base, RatFunc):
                 return base ** k
             if k < 0:
@@ -495,8 +508,15 @@ class Context:
             return IntExpr.one().scale(RatFunc.from_laurent(LaurentPoly({1: 1})))
         if kind == "pow":
             base = self._as_intexpr(node[1])
+            k = node[2]
+            scalar = base.terms[()] if list(base.terms) == [()] else None
+            _refuse_huge_power(k, scalar)
+            if scalar is not None:
+                return IntExpr.one().scale(scalar ** k)
+            if k < 0:
+                raise ExprIndexError("negative powers only on scalars here")
             out = IntExpr.one()
-            for _ in range(node[2]):
+            for _ in range(k):
                 out = out * base
             return out
         raise ExprIndexError("unsupported expression under delta(...)")
@@ -587,9 +607,37 @@ def _global_flags_parent():
     return parent
 
 
+class ArgvError(Exception):
+    """An argparse refusal, raised where argparse would print usage and exit."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # add_subparsers makes the subcommand parsers of this class too
+    def error(self, message):
+        raise ArgvError(message)
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _argv_refusal(message, argv):
+    """The error: text of an argparse refusal.  argparse reads a token that
+    starts with '-' as an option, so point at '--' when it refused one, or
+    when it took an expression for an option (qfun's only single-dash option
+    is -h; a negative number or a token with a space stays positional)."""
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    unknown = message.partition("unrecognized arguments: ")[2].split()
+    misread = [t for t in head if len(t) > 1 and t[0] == "-" and t[1] != "-"
+               and t != "-h" and " " not in t and not _NEGATIVE_NUMBER.match(t)]
+    if misread or any(t.startswith("-") for t in unknown):
+        return (f"error: {message} (an argument that starts with '-' is read as an "
+                f"option; put '--' before an expression such as -x[1,1])")
+    return f"error: {message}"
+
+
 def build_argparser():
     parent = _global_flags_parent()
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qfun",
         parents=[parent],
         description="exact computations in quantum matrix/SL/GL function "
@@ -641,14 +689,15 @@ def run_command(argv):
     ap = build_argparser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
+    except ArgvError as exc:
+        return 2, _argv_refusal(str(exc), argv)
+    except SystemExit as exc:  # --help
         return (0 if exc.code in (0, None) else 2), ""
     for key, value in GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
     if args.command is None:
-        ap.print_usage()
-        return 2, ""
+        return 2, "error: the following arguments are required: command"
     if args.n < 1:
         return 2, "error: --n must be >= 1"
     try:

@@ -3,6 +3,11 @@
 LaurentPoly is a sparse integer Laurent polynomial in one variable q;
 RatFunc is a reduced fraction of two LaurentPolys.  Both are immutable,
 hashable, and safe to share between threads.
+
+All of it runs over Python ints.  A fraction is reduced by a primitive
+pseudo-remainder gcd in Z[q] (laurent_gcd) and exact synthetic division;
+the only rational number built here is the value at q = 1
+(RatFunc.regular_at_one).
 """
 
 from __future__ import annotations
@@ -193,11 +198,18 @@ class LaurentPoly:
         return LaurentPoly({m + i: c for i, c in enumerate(out) if c})
 
     def divide_exact(self, other):
-        """Exact division by another LaurentPoly (raises if not exact)."""
-        q, r = _divmod_laurent(self, other)
-        if r:
-            raise NotDivisible(r)
-        return q
+        """Exact quotient by another LaurentPoly.
+
+        Raises NotDivisible carrying the LaurentPoly self - quotient*other
+        at the point where the integer division stopped (never zero)."""
+        if not other.terms:
+            raise DivisionByZero("polynomial division by zero")
+        a, ma = _to_dense(self)
+        b, mb = _to_dense(other)
+        quo, rem = _divmod_dense(a, b)
+        if rem:
+            raise NotDivisible(LaurentPoly({ma + i: c for i, c in enumerate(rem) if c}))
+        return LaurentPoly({ma - mb + i: c for i, c in enumerate(quo) if c})
 
     # -- display -----------------------------------------------------------
 
@@ -243,14 +255,15 @@ def neg_q_power(k):
     return LaurentPoly.monomial(-1 if k % 2 else 1, k)
 
 
-# -- polynomial gcd helpers (integer coefficients, exponents >= 0) ----------
+# -- integer polynomial helpers (dense coefficient lists, exponents >= 0) ----
+#
+# Everything below stays in Z[q]: reducing a RatFunc builds no rational
+# coefficient.
 
 
-def _content(coeffs):
-    g = 0
-    for c in coeffs:
-        g = _int_gcd(g, abs(c))
-    return g or 1
+def _primitive(coeffs):
+    g = _int_gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
 
 
 def _to_dense(p):
@@ -269,74 +282,78 @@ def _strip(coeffs):
 
 
 def _divmod_dense(num, den):
-    """Fraction-exact division of dense rational coefficient lists."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    _strip(den)
-    if not den:
-        raise DivisionByZero("polynomial division by zero")
-    quo = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    """Synthetic division in Z[q]: (quo, rem) with num = quo*den + rem.
+
+    It stops at the first leading coefficient of the running remainder that
+    den's leading coefficient does not divide, so rem is empty exactly when
+    den divides num in Z[q]."""
     rem = list(num)
-    _strip(rem)
-    dlead = den[-1]
-    while len(rem) >= len(den):
-        shift = len(rem) - len(den)
-        factor = rem[-1] / dlead
-        quo[shift] = factor
-        for i, dc in enumerate(den):
-            rem[shift + i] -= factor * dc
-        _strip(rem)
-        if not rem:
+    nd = len(den)
+    lead = den[-1]
+    quo = [0] * max(0, len(rem) - nd + 1)
+    while len(rem) >= nd:
+        f, r = divmod(rem[-1], lead)
+        if r:
             break
+        shift = len(rem) - nd
+        quo[shift] = f
+        for i in range(nd - 1):
+            rem[shift + i] -= f * den[i]
+        rem.pop()
+        _strip(rem)
     return quo, rem
 
 
-def _divmod_laurent(a, b):
-    """a = q*b + r with r the dense remainder; exponent shifts handled."""
-    da, ma = _to_dense(a)
-    db, mb = _to_dense(b)
-    quo, rem = _divmod_dense(da, db)
-    qden = 1
-    for c in quo + rem:
-        qden = qden * c.denominator // _int_gcd(qden, c.denominator)
-    if qden != 1:
-        # not exact over Z; report via rational remainder marker
-        return None, rem or [Fraction(1)]
-    qpoly = LaurentPoly({ma - mb + i: int(c) for i, c in enumerate(quo) if c})
-    rpoly = LaurentPoly({ma + i: int(c) for i, c in enumerate(rem) if c})
-    return qpoly, rpoly
+def _pseudo_rem(a, b):
+    """The remainder of a by b over Q, times a nonzero integer.
+
+    Each step scales the running remainder only by what the leading
+    coefficient of b does not already divide, so a monic b costs no scaling."""
+    r = list(a)
+    nb = len(b)
+    lead = b[-1]
+    while len(r) >= nb:
+        f, rest = divmod(r[-1], lead)
+        if rest:
+            g = _int_gcd(r[-1], lead)
+            s = lead // g
+            f = r[-1] // g
+            r = [s * c for c in r]
+        shift = len(r) - nb
+        for i in range(nb - 1):
+            r[shift + i] -= f * b[i]
+        r.pop()
+        _strip(r)
+    return r
 
 
 def _poly_gcd_dense(a, b):
-    """gcd of two integer coefficient lists, primitive, positive leading."""
-    a = [Fraction(c) for c in _strip(list(a))]
-    b = [Fraction(c) for c in _strip(list(b))]
+    """gcd of two nonzero dense coefficient lists (no trailing zeros),
+    primitive, with positive leading coefficient.
+
+    Primitive pseudo-remainder sequence: every remainder is divided by its
+    content, so coefficients stay as small as the gcd allows."""
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _divmod_dense(a, b)
-        a, b = b, r
-    if not a:
-        return [1]
-    # clear denominators, make primitive with positive leading coefficient
-    den = 1
-    for c in a:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    g = _content(ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+        a, b = b, _pseudo_rem(a, b)
+        if b:
+            b = _primitive(b)
+    a = _primitive(a)
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 def laurent_gcd(a, b):
-    """gcd in Z[q,q^-1], normalized to min exponent 0, positive leading."""
+    """gcd in Z[q,q^-1] up to integer content: primitive, min exponent 0,
+    positive leading coefficient."""
     if a.is_zero():
         return _normalize_poly_part(b)
     if b.is_zero():
         return _normalize_poly_part(a)
-    da, _ = _to_dense(a)
-    db, _ = _to_dense(b)
-    g = _poly_gcd_dense(da, db)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # a monomial is a unit times an integer
+        return LP_ONE
+    g = _poly_gcd_dense(_to_dense(a)[0], _to_dense(b)[0])
     return LaurentPoly({i: c for i, c in enumerate(g) if c})
 
 
@@ -357,6 +374,13 @@ class RatFunc:
     Canonical form: den has min exponent 0, positive leading coefficient,
     gcd(num, den) = 1 up to units, and the integer contents of num and den
     are coprime.  Equality is structural and agrees with cross-multiplication.
+
+    Reduction stays in Z[q]: the q-power of den moves to num, laurent_gcd
+    (a primitive pseudo-remainder sequence) finds the common factor, and
+    exact synthetic division removes it; then the common integer content
+    goes.  The gcd is skipped when den is a constant, and laurent_gcd
+    answers 1 at once when either side is a monomial.  Sums and products
+    of two Laurent polynomials (den 1) are not reduced at all.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -518,21 +542,20 @@ def _reduce_fraction(num, den):
     if mden:
         den = LaurentPoly({e - mden: c for e, c in den.terms.items()})
         num = LaurentPoly({e - mden: c for e, c in num.terms.items()})
-    g = laurent_gcd(num, den)
-    if not g.is_one():
-        num = num.divide_exact(g)
-        den = den.divide_exact(g)
-        mden = den.min_exp()
-        if mden:
-            den = LaurentPoly({e - mden: c for e, c in den.terms.items()})
-            num = LaurentPoly({e - mden: c for e, c in num.terms.items()})
+    # a constant den shares no factor of positive degree with num
+    if len(den.terms) > 1:
+        g = laurent_gcd(num, den)
+        if not g.is_one():
+            # g has a nonzero constant term, so den/g keeps min exponent 0
+            num = num.divide_exact(g)
+            den = den.divide_exact(g)
     # coprime integer contents, positive leading coefficient of den
-    cn = _content(list(num.terms.values()))
-    cd = _content(list(den.terms.values()))
-    g = _int_gcd(cn, cd)
+    g = _int_gcd(*den.terms.values())
     if g > 1:
-        num = LaurentPoly({e: c // g for e, c in num.terms.items()})
-        den = LaurentPoly({e: c // g for e, c in den.terms.items()})
+        g = _int_gcd(g, *num.terms.values())
+        if g > 1:
+            num = LaurentPoly({e: c // g for e, c in num.terms.items()})
+            den = LaurentPoly({e: c // g for e, c in den.terms.items()})
     if den.terms[den.max_exp()] < 0:
         num = -num
         den = -den

@@ -226,3 +226,45 @@ def test_delta_builds_one_lattice_context(monkeypatch):
     b = ctx.eval(parse("delta(phi[1]) + delta(r[1,2])"))
     assert a == b
     assert len(built) == 2  # the antidiag73 ambient context and one lattice context
+
+
+def test_huge_powers_refused_before_any_work():
+    import time
+
+    budget_text = "(raise QFUN_MAX_TERMS to allow more)"
+    for argv in (["nf", "--algebra", "M", "x[1,2]^99999999999"],
+                 ["nf", "--algebra", "Uq", "G[1]^-99999999999"],
+                 ["nf", "--algebra", "M", "2^99999999999"],
+                 ["specialize", "r[1,2]^99999999999"]):
+        start = time.perf_counter()
+        code, out = run_command(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out.startswith("error:") and out.endswith(budget_text), (argv, out)
+    # +-q^e stays one term with coefficient +-1 under any power
+    assert run_command(["nf", "--algebra", "M", "(-q)^-99999999999"]) == (0, "-q^-99999999999")
+
+
+def test_negative_powers_under_delta_and_specialize():
+    # r[1,2]^-1 used to read as r[1,2]^0 = 1, and a scalar's inverse power as 1
+    code, out = run_command(["specialize", "r[1,2]^-1"])
+    assert code == 2 and out.startswith("error:")
+    assert run_command(["specialize", "(q+1)^-2 r[1,2]"]) == run_command(
+        ["specialize", "1/4 r[1,2]"])
+
+
+@pytest.mark.parametrize(
+    "argv, hint",
+    [
+        (["nf", "--algebra", "M", "-x[1,1]"], True),
+        (["nf", "--algebra", "M", "--bogus", "x[1,1]"], True),
+        (["nf", "--algebra", "M", "--n", "two", "x[1,1]"], False),
+        (["frobnicate"], False),
+        ([], False),
+    ],
+)
+def test_argparse_refusals_have_error_text(argv, hint):
+    code, out = run_command(argv)
+    assert code == 2 and out.startswith("error: "), (argv, out)
+    assert ("'--'" in out) == hint, out
+    if hint:
+        assert run_command(["nf", "--algebra", "M", "--", "-x[1,1]"]) == (0, "-x[1,1]")

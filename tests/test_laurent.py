@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfun.laurent import (
@@ -16,6 +17,7 @@ from qfun.laurent import (
     DivisionByZero,
     RatFunc,
     divide_by_q_minus_1,
+    laurent_gcd,
     rf_regular_at_one,
 )
 
@@ -127,3 +129,108 @@ def test_serialization_roundtrip():
     assert LaurentPoly.from_json(p.to_json()) == p
     r = RatFunc(Q - 1, Q + 1)
     assert r.to_json() == {"num": (Q - 1).to_json(), "den": (Q + 1).to_json()}
+
+
+def test_divide_exact_raises_with_a_laurent_remainder():
+    # quotient integral, remainder nonzero: q^2 + 1 = (q + 1)(q - 1) + 2
+    with pytest.raises(NotDivisible) as exc:
+        (Q * Q + 1).divide_exact(Q_MINUS_1)
+    assert exc.value.remainder == LaurentPoly({0: 2})
+    # quotient not integral: q by 2q + 1 stops at once, and 2q^2 + 2q + 1 by
+    # 2q + 1 after the step q, leaving q + 1 (its leading 1 is not a multiple of 2)
+    two_q_plus_1 = LaurentPoly({1: 2, 0: 1})
+    for a, rem in ((Q, Q), (LaurentPoly({2: 2, 1: 2, 0: 1}), Q + 1)):
+        with pytest.raises(NotDivisible) as exc:
+            a.divide_exact(two_q_plus_1)
+        assert isinstance(exc.value.remainder, LaurentPoly)
+        assert exc.value.remainder == rem
+        (a - rem).divide_exact(two_q_plus_1)
+    # q-power shifts: q^-3 (q^2 - 1) = q^-2 (q + 1) * q^-1 (q - 1)
+    a = LaurentPoly({-1: 1, -3: -1})
+    assert a.divide_exact(LaurentPoly({0: 1, -1: -1})) == LaurentPoly({-1: 1, -2: 1})
+
+
+# q - 1, q + 1, q^2 + 1, q^2 + q + 1 and 2q - 3, planted as common factors
+PLANTED = [LaurentPoly(t) for t in ({1: 1, 0: -1}, {1: 1, 0: 1}, {2: 1, 0: 1},
+                                     {2: 1, 1: 1, 0: 1}, {1: 2, 0: -3})]
+small_polys = st.dictionaries(st.integers(-3, 4), st.integers(-9, 9), max_size=4).map(LaurentPoly)
+factor_lists = st.lists(st.sampled_from(PLANTED), max_size=3)
+contents = st.sampled_from([1, -1, 2, 3, 6, -4])
+
+
+def _times(p, factors, c):
+    for f in factors:
+        p = p * f
+    return p * c
+
+
+def _planted_pair(t):
+    """num and den sharing the planted common factors, each with its own
+    cofactor, extra factors and integer content."""
+    pn, pd, common, extra_n, extra_d, cn, cd = t
+    return _times(pn, common + extra_n, cn), _times(pd or LP_ONE, common + extra_d, cd)
+
+
+planted_pairs = st.tuples(small_polys, small_polys, factor_lists, factor_lists, factor_lists,
+                          contents, contents).map(_planted_pair)
+# den = 2(q - 1) divides num = 3(q - 1)(q + 1): the gcd is den made primitive
+DEN_DIVIDES_NUM = (LaurentPoly({2: 3, 0: -3}), LaurentPoly({1: 2, 0: -2}))
+
+
+def _expr(q, p, shift=0):
+    return sum(c * q ** (e + shift) for e, c in p.terms.items())
+
+
+def _sympy_poly(sympy, q, p):
+    """p times the power of q that clears its negative exponents."""
+    return sympy.Poly(_expr(q, p, -min(p.min_exp(), 0)), q)
+
+
+def _normalized(poly):
+    """Primitive part with the powers of q divided out and a positive
+    leading coefficient, as a LaurentPoly."""
+    _, prim = poly.primitive()
+    coeffs = {e: int(c) for (e,), c in prim.terms()}
+    m = min(coeffs)
+    sign = 1 if coeffs[max(coeffs)] > 0 else -1
+    return LaurentPoly({e - m: sign * c for e, c in coeffs.items()})
+
+
+def _content(p):
+    return gcd(*p.terms.values())
+
+
+@given(planted_pairs)
+@example(DEN_DIVIDES_NUM)
+@settings(max_examples=150, deadline=None)
+def test_reduction_against_sympy_cancel(pair):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    num, den = pair
+    r = RatFunc(num, den)
+    if num.is_zero():
+        assert r.num.is_zero() and r.den.is_one()
+        return
+    n_s, d_s = sympy.fraction(sympy.cancel(_expr(q, num) / _expr(q, den)))
+    # the same value, with den the reduced sympy denominator up to content and units
+    assert sympy.expand(_expr(q, r.num) * d_s - n_s * _expr(q, r.den)) == 0
+    assert r.den.min_exp() == 0 and r.den.terms[r.den.max_exp()] > 0
+    primitive_den = _normalized(sympy.Poly(d_s, q))
+    assert r.den == primitive_den * _content(r.den)
+    assert gcd(_content(r.num), _content(r.den)) == 1
+
+
+@given(planted_pairs)
+@example(DEN_DIVIDES_NUM)
+@settings(max_examples=150, deadline=None)
+def test_gcd_against_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    a, b = pair
+    if a.is_zero():
+        return
+    g = laurent_gcd(a, b)
+    expected = sympy.gcd(_sympy_poly(sympy, q, a), _sympy_poly(sympy, q, b))
+    assert g == _normalized(expected)
+    ca, cb = a.divide_exact(g), b.divide_exact(g)
+    assert laurent_gcd(ca, cb).is_one()

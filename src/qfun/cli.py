@@ -18,7 +18,17 @@ import re
 import sys
 from fractions import Fraction
 
-from .classical import C_SYM, ClassicalTensor, PBWElement, e_sym, f_sym, h_sym, reference_cobracket
+from .classical import (
+    C_SYM,
+    ClassicalTensor,
+    PBWElement,
+    build_h,
+    build_h_prime,
+    e_sym,
+    f_sym,
+    h_sym,
+    reference_cobracket,
+)
 from .freealg import NCElement, TermBudgetExceeded, _term_budget
 from .intform import (
     IntContext,
@@ -262,8 +272,6 @@ class Context:
         elif algebra == "Uq":
             self.alg = UqAlgebra(n, sl_quotient=False)
         elif algebra == "Uh":
-            from .classical import build_h_prime
-
             self.lie = build_h_prime(n)
         else:
             raise ValueError(f"unknown algebra {algebra!r}")
@@ -434,7 +442,7 @@ class Context:
     def _call(self, name, argnode):
         if name == "delta":
             if self.name in ("SL", "GL"):
-                return poisson_cobracket(self.lattice, self._as_intexpr(argnode))
+                return poisson_cobracket(self.lattice, _as_intexpr(argnode, self.n))
             if self.name == "Uh":
                 if argnode[0] != "gen":
                     raise ExprIndexError("delta takes a single generator here")
@@ -475,51 +483,53 @@ class Context:
             raise ExprIndexError("S not available here")
         raise ExprIndexError(f"unknown call {name}")
 
-    def _as_intexpr(self, node):
-        """Build a formal integer-form expression from a parse tree."""
-        kind = node[0]
-        if kind == "gen":
-            fam, idx = node[1], node[2]
-            g = {"r": rgen, "phi": phigen, "psi": psigen, "chi": chigen}.get(fam)
-            if g is None:
-                raise ExprIndexError("delta expects integer-form generators")
-            _check_range(fam, idx, self.n)
-            return IntExpr.gen(g(*idx))
-        if kind == "add":
-            return self._as_intexpr(node[1]) + self._as_intexpr(node[2])
-        if kind == "sub":
-            return self._as_intexpr(node[1]) - self._as_intexpr(node[2])
-        if kind == "neg":
-            return -self._as_intexpr(node[1])
-        if kind == "mul":
-            return self._as_intexpr(node[1]) * self._as_intexpr(node[2])
-        if kind == "div":
-            den = self._as_intexpr(node[2])
-            if list(den.terms) != [()]:
-                raise ExprIndexError("division only by scalars")
-            return self._as_intexpr(node[1]).scale(den.terms[()].inverse())
-        if kind == "num":
-            return IntExpr.one().scale(node[1])
-        if kind == "rat":
-            return IntExpr.one().scale(
-                RatFunc(LaurentPoly.from_int(node[1]), LaurentPoly.from_int(node[2]))
-            )
-        if kind == "q":
-            return IntExpr.one().scale(RatFunc.from_laurent(LaurentPoly({1: 1})))
-        if kind == "pow":
-            base = self._as_intexpr(node[1])
-            k = node[2]
-            scalar = base.terms[()] if list(base.terms) == [()] else None
-            _refuse_huge_power(k, scalar)
-            if scalar is not None:
-                return IntExpr.one().scale(scalar ** k)
-            if k < 0:
-                raise ExprIndexError("negative powers only on scalars here")
-            out = IntExpr.one()
-            for _ in range(k):
-                out = out * base
-            return out
-        raise ExprIndexError("unsupported expression under delta(...)")
+
+def _as_intexpr(node, n):
+    """Build a formal integer-form expression from a parse tree; it needs
+    no algebra, only n for the index range."""
+    kind = node[0]
+    if kind == "gen":
+        fam, idx = node[1], node[2]
+        g = {"r": rgen, "phi": phigen, "psi": psigen, "chi": chigen}.get(fam)
+        if g is None:
+            raise ExprIndexError("delta expects integer-form generators")
+        _check_range(fam, idx, n)
+        return IntExpr.gen(g(*idx))
+    if kind == "add":
+        return _as_intexpr(node[1], n) + _as_intexpr(node[2], n)
+    if kind == "sub":
+        return _as_intexpr(node[1], n) - _as_intexpr(node[2], n)
+    if kind == "neg":
+        return -_as_intexpr(node[1], n)
+    if kind == "mul":
+        return _as_intexpr(node[1], n) * _as_intexpr(node[2], n)
+    if kind == "div":
+        den = _as_intexpr(node[2], n)
+        if list(den.terms) != [()]:
+            raise ExprIndexError("division only by scalars")
+        return _as_intexpr(node[1], n).scale(den.terms[()].inverse())
+    if kind == "num":
+        return IntExpr.one().scale(node[1])
+    if kind == "rat":
+        return IntExpr.one().scale(
+            RatFunc(LaurentPoly.from_int(node[1]), LaurentPoly.from_int(node[2]))
+        )
+    if kind == "q":
+        return IntExpr.one().scale(RatFunc.from_laurent(LaurentPoly({1: 1})))
+    if kind == "pow":
+        base = _as_intexpr(node[1], n)
+        k = node[2]
+        scalar = base.terms[()] if list(base.terms) == [()] else None
+        _refuse_huge_power(k, scalar)
+        if scalar is not None:
+            return IntExpr.one().scale(scalar ** k)
+        if k < 0:
+            raise ExprIndexError("negative powers only on scalars here")
+        out = IntExpr.one()
+        for _ in range(k):
+            out = out * base
+        return out
+    raise ExprIndexError("unsupported expression under delta(...)")
 
 
 def format_value(v, fmt="text"):
@@ -752,33 +762,6 @@ def _dispatch(args):
             out = "\n".join(lines)
         return (0 if ok else 1), out
 
-    ctx = Context(args.algebra, args.n, order=args.order, sl_strategy=args.sl_strategy)
-    if args.command == "nf":
-        return 0, format_value(ctx.eval(parse(args.expr)), fmt)
-    if args.command == "mul":
-        a = ctx.eval(parse(args.expr[0]))
-        b = ctx.eval(parse(args.expr[1]))
-        return 0, format_value(ctx._mul(a, b), fmt)
-    if args.command == "coproduct":
-        return 0, format_value(ctx._call("Delta", parse(args.expr)), fmt)
-    if args.command == "antipode":
-        return 0, format_value(ctx._call("S", parse(args.expr)), fmt)
-    if args.command == "counit":
-        return 0, format_value(ctx._call("eps", parse(args.expr)), fmt)
-    if args.command == "detq":
-        return 0, format_value(ctx.eval(("detq",)), fmt)
-    if args.command == "basis":
-        if args.max_degree < 0:
-            return 2, "error: --max-degree must be >= 0"
-        if args.algebra not in ("M", "SL", "GL"):
-            return 2, "error: basis needs a matrix-type algebra"
-        # SL lists its canonical monomials, M and GL (the plain matrix
-        # algebra) their PBW words
-        basis = ctx.alg.pbw_basis_sl if args.algebra == "SL" else ctx.alg.pbw_basis
-        lines = [ctx.alg.spec.word_str(w) for w in basis(args.max_degree)]
-        if fmt == "json":
-            return 0, json.dumps({"schema": "qfun/1", "basis": lines}, indent=2)
-        return 0, "\n".join(lines)
     if args.command == "rootvec":
         root = _parse_indices("--root", args.root)
         if len(root) != 2 or not 1 <= root[0] < root[1] <= args.n + 1:
@@ -820,11 +803,38 @@ def _dispatch(args):
         ictx = IntContext(args.n, gl=(args.algebra == "GL"))
         return 0, format_value(poisson_cobracket(ictx, IntExpr.gen(g)), fmt)
     if args.command == "specialize":
-        ictx = IntContext(args.n, gl=(args.algebra == "GL"))
-        ctx2 = Context("SL" if args.algebra != "GL" else "GL", args.n)
-        expr = ctx2._as_intexpr(parse(args.expr))
-        lie = ictx.lie()
-        return 0, format_value(specialize_phi(expr, lie, args.n, gl=ictx.gl), fmt)
+        gl = args.algebra == "GL"
+        expr = _as_intexpr(parse(args.expr), args.n)
+        lie = build_h_prime(args.n) if gl else build_h(args.n)
+        return 0, format_value(specialize_phi(expr, lie, args.n, gl=gl), fmt)
+    # the other commands evaluate in the one algebra of --algebra
+    ctx = Context(args.algebra, args.n, order=args.order, sl_strategy=args.sl_strategy)
+    if args.command == "nf":
+        return 0, format_value(ctx.eval(parse(args.expr)), fmt)
+    if args.command == "mul":
+        a = ctx.eval(parse(args.expr[0]))
+        b = ctx.eval(parse(args.expr[1]))
+        return 0, format_value(ctx._mul(a, b), fmt)
+    if args.command == "coproduct":
+        return 0, format_value(ctx._call("Delta", parse(args.expr)), fmt)
+    if args.command == "antipode":
+        return 0, format_value(ctx._call("S", parse(args.expr)), fmt)
+    if args.command == "counit":
+        return 0, format_value(ctx._call("eps", parse(args.expr)), fmt)
+    if args.command == "detq":
+        return 0, format_value(ctx.eval(("detq",)), fmt)
+    if args.command == "basis":
+        if args.max_degree < 0:
+            return 2, "error: --max-degree must be >= 0"
+        if args.algebra not in ("M", "SL", "GL"):
+            return 2, "error: basis needs a matrix-type algebra"
+        # SL lists its canonical monomials, M and GL (the plain matrix
+        # algebra) their PBW words
+        basis = ctx.alg.pbw_basis_sl if args.algebra == "SL" else ctx.alg.pbw_basis
+        lines = [ctx.alg.spec.word_str(w) for w in basis(args.max_degree)]
+        if fmt == "json":
+            return 0, json.dumps({"schema": "qfun/1", "basis": lines}, indent=2)
+        return 0, "\n".join(lines)
     return 2, f"error: unknown command {args.command}"
 
 

@@ -134,6 +134,8 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LP_ZERO
+            if other == 1:
+                return self
             out = LaurentPoly.__new__(LaurentPoly)
             out.terms = {e: c * other for e, c in self.terms.items()}
             out._hash = None
@@ -143,17 +145,27 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return LP_ZERO
+        one = LP_ONE.terms
+        if a == one:
+            return other
+        if b == one:
+            return self
         if len(a) > len(b):
             a, b = b, a
-        t = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]
+        if len(a) == 1:
+            # a monomial c1 q^e1 shifts and scales: no two terms collide
+            ((e1, c1),) = a.items()
+            t = {e1 + e: c1 * c for e, c in b.items()}
+        else:
+            t = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    s = t.get(e, 0) + c1 * c2
+                    if s:
+                        t[e] = s
+                    else:
+                        del t[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = t
         out._hash = None
@@ -470,7 +482,12 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_laurent(self.num * other.num)
+            num = self.num * other.num
+            if num is other.num:
+                return other
+            if num is self.num:
+                return self
+            return RatFunc.from_laurent(num)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

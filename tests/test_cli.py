@@ -268,3 +268,42 @@ def test_argparse_refusals_have_error_text(argv, hint):
     assert ("'--'" in out) == hint, out
     if hint:
         assert run_command(["nf", "--algebra", "M", "--", "-x[1,1]"]) == (0, "-x[1,1]")
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["nf", "x[1,2] x[2,1]"], 1),
+        (["antipode", "x[1,2]"], 1),
+        (["coproduct", "x[1,2]"], 1),
+        (["counit", "x[1,2]"], 1),
+        (["detq", "--algebra", "M"], 1),
+        (["rootvec", "--root", "1,3"], 0),
+        (["specialize", "r[1,2] phi[1]"], 0),
+        (["cobracket", "--gen", "r:1,2"], 1),
+        (["mu", "--gen", "r:1,3", "--collapse"], 3),  # SL, B+ and B-
+    ],
+)
+def test_each_command_builds_only_its_algebra(monkeypatch, argv, builds):
+    import qfun.qmatrix as qmatrix
+
+    checked = []
+    real = qmatrix.confluence_check
+
+    def counting(spec, *args, **kwargs):
+        checked.append(spec.name)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(qmatrix, "confluence_check", counting)
+    code, out = run_command([*argv, "--n", "2"])
+    assert code == 0 and out
+    assert len(checked) == builds, checked
+
+
+def test_term_budget_is_read_when_the_algebra_is_built(monkeypatch):
+    word = "x[3,3] x[3,2] x[3,1] x[2,3] x[2,2] x[2,1] x[1,3] x[1,2] x[1,1]"
+    assert run_command(["nf", "--n", "2", "--algebra", "M", word])[0] == 0
+    monkeypatch.setenv("QFUN_MAX_TERMS", "5")
+    assert run_command(["nf", "--n", "2", "--algebra", "M", "x[1,1]"]) == (0, "x[1,1]")
+    code, out = run_command(["nf", "--n", "2", "--algebra", "M", word])
+    assert code == 2 and "term budget 5 exceeded" in out

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -146,3 +146,127 @@ def test_dimension_overflow():
 
     with pytest.raises(DimensionOverflow):
         graded_component_basis(2, _serre_relations(2), (6, 6), cap=10)
+
+
+def test_term_budget_read_once_per_spec(monkeypatch):
+    from qfun.freealg import TermBudgetExceeded
+
+    monkeypatch.setenv("QFUN_MAX_TERMS", "5")
+    alg = MatrixAlgebra(2, order="lex")
+    assert alg.spec.term_budget == 5
+    # a later change of the variable leaves the built algebra alone
+    monkeypatch.setenv("QFUN_MAX_TERMS", "1000000")
+    word = tuple(reversed(range(9)))
+    with pytest.raises(TermBudgetExceeded):
+        alg.spec.normal_form_word(word)
+    assert MatrixAlgebra(2, order="lex").spec.normal_form_word(word)
+
+
+# -- the commuting-swap overlaps confluence_check does not rewrite -------------------
+
+
+def _algebra_specs():
+    from qfun.qsl import BorelAlgebra, SLAlgebra
+
+    for n in (1, 2, 3):
+        for order in ("lex", "antidiag", "triangular"):
+            yield MatrixAlgebra(n, order=order, check_confluence=False).spec
+        for strategy in ("diagonal74", "antidiag73"):
+            yield SLAlgebra(n, strategy=strategy, check_confluence=False).spec
+        for sign in "+-":
+            yield BorelAlgebra(n, sign).spec
+
+
+def _is_swap(spec, a, b):
+    rhs = spec.rules.get((a, b))
+    return rhs is not None and len(rhs) == 1 and rhs[0][1] == (b, a)
+
+
+def _overlaps(spec):
+    """(a, b, c, skipped) for every a > b > c with rules on (a, b) and (b, c)."""
+    k = len(spec.alphabet)
+    for a in range(k):
+        for b in range(a):
+            for c in range(b):
+                if (a, b) in spec.rules and (b, c) in spec.rules:
+                    yield a, b, c, all(_is_swap(spec, x, y) for x, y in ((a, b), (b, c), (a, c)))
+
+
+def _both_ways(spec, a, b, c):
+    left, right = {}, {}
+    for rc, rw in spec.rules[(a, b)]:
+        for w, v in spec.normal_form_word(rw + (c,)).items():
+            left[w] = left.get(w, 0) + rc * v
+    for rc, rw in spec.rules[(b, c)]:
+        for w, v in spec.normal_form_word((a,) + rw).items():
+            right[w] = right.get(w, 0) + rc * v
+    return left, right
+
+
+def _confluence_by_rewriting(spec):
+    """confluence_check's report with every overlap rewritten both ways."""
+    failures = []
+    checked = 0
+    for c, b, a in combinations(range(len(spec.alphabet)), 3):
+        if (a, b) not in spec.rules or (b, c) not in spec.rules:
+            continue
+        checked += 1
+        left, right = ({w: v for w, v in t.items() if v} for t in _both_ways(spec, a, b, c))
+        if left != right:
+            failures.append({"word": spec.word_str((a, b, c)),
+                             "left": str(NCElement(spec, left, reduce=False)),
+                             "right": str(NCElement(spec, right, reduce=False))})
+    return {"checked": checked, "failures": failures, "ok": not failures}
+
+
+def test_skipped_overlaps_agree_when_rewritten():
+    skipped_total = 0
+    for spec in _algebra_specs():
+        overlaps = list(_overlaps(spec))
+        for a, b, c, skipped in overlaps:
+            if skipped:
+                left, right = _both_ways(spec, a, b, c)
+                assert len(left) == 1 and left == right, spec.word_str((a, b, c))
+                assert next(iter(left)) == (c, b, a)
+                skipped_total += 1
+        report = confluence_check(spec)
+        assert report["checked"] == len(overlaps)
+        assert report == _confluence_by_rewriting(spec), spec.name
+    assert skipped_total > 0
+
+
+def test_sl4_skips_216_of_560_overlaps():
+    from qfun.qsl import SLAlgebra
+
+    spec = SLAlgebra(3, check_confluence=False).spec
+    overlaps = list(_overlaps(spec))
+    assert len(overlaps) == 560
+    assert sum(skipped for *_, skipped in overlaps) == 216
+
+
+@pytest.mark.parametrize("which", ["ab", "bc", "ac"])
+def test_swap_with_an_added_correction_is_rewritten(which):
+    spec = build_matrix_spec(1, order="lex")
+    a, b, c = next((a, b, c) for a, b, c, skipped in _overlaps(spec) if skipped)
+    asked = []
+    real = spec.normal_form_word
+
+    def spy(word):
+        asked.append(word)
+        return real(word)
+
+    spec.normal_form_word = spy
+    assert confluence_check(spec)["ok"]
+    assert (b, a, c) not in asked
+    # xy -> s yx + cc: the correction is smaller in deglex, and it does not
+    # reach the normal form with the same coefficient both ways
+    pos = {"a": a, "b": b, "c": c}
+    lhs = (pos[which[0]], pos[which[1]])
+    spec.rules[lhs] = spec.rules[lhs] + ((spec.domain.one, (c, c)),)
+    spec._nf_cache.clear()
+    asked.clear()
+    report = confluence_check(spec)
+    assert (b, a, c) in asked and (a, c, b) in asked
+    assert not report["ok"]
+    assert spec.word_str((a, b, c)) in [f["word"] for f in report["failures"]]
+    assert report == _confluence_by_rewriting(spec)

@@ -234,3 +234,62 @@ def test_gcd_against_sympy(pair):
     assert g == _normalized(expected)
     ca, cb = a.divide_exact(g), b.divide_exact(g)
     assert laurent_gcd(ca, cb).is_one()
+
+
+# -- the multiply fast paths (a side equal to 1, a monomial side) against sympy ------
+
+signed_monomials = st.tuples(st.sampled_from([1, -1]), exps).map(
+    lambda t: LaurentPoly({t[1]: t[0]}))
+lp_operands = st.one_of(st.just(LP_ONE), st.just(-LP_ONE), signed_monomials,
+                        st.tuples(coeffs, exps).map(lambda t: LaurentPoly({t[1]: t[0]})), polys)
+rf_operands = st.one_of(
+    st.just(RatFunc(1)), st.just(RatFunc(-1)),
+    signed_monomials.map(RatFunc.from_laurent), polys.map(RatFunc.from_laurent),
+    st.tuples(small_polys, small_polys.filter(bool)).map(lambda t: RatFunc(*t)),
+)
+
+
+def _from_sympy(sympy, q, expr, shift=40):
+    """A Laurent polynomial expression of sympy (exponents above -shift) as a
+    LaurentPoly, built without LaurentPoly arithmetic."""
+    poly = sympy.Poly(sympy.expand(expr * q ** shift), q)
+    return LaurentPoly({e - shift: int(c) for (e,), c in poly.terms()})
+
+
+def _snapshot(*ps):
+    return [dict(p.terms) for p in ps]
+
+
+@given(lp_operands, st.one_of(lp_operands, st.sampled_from([0, 1, -1, 3])))
+@settings(max_examples=300, deadline=None)
+def test_lp_mul_fast_paths_against_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    operands = [p for p in (a, b) if isinstance(p, LaurentPoly)]
+    before = _snapshot(*operands)
+    b_expr = b if isinstance(b, int) else _expr(q, b)
+    expected = _from_sympy(sympy, q, _expr(q, a) * b_expr)
+    for prod in (a * b, b * a):
+        assert isinstance(prod, LaurentPoly) and prod == expected
+        assert all(prod.terms.values())
+    assert _snapshot(*operands) == before
+
+
+@given(rf_operands, rf_operands)
+@settings(max_examples=300, deadline=None)
+def test_rf_mul_fast_paths_against_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    before = _snapshot(a.num, a.den, b.num, b.den)
+    # the canonical form of the product, reduced from numerator and
+    # denominator products that sympy multiplied
+    num = _from_sympy(sympy, q, _expr(q, a.num) * _expr(q, b.num))
+    den = _from_sympy(sympy, q, _expr(q, a.den) * _expr(q, b.den))
+    expected = RatFunc(num, den)
+    for prod in (a * b, b * a):
+        assert (prod.num, prod.den) == (expected.num, expected.den)
+        value = sympy.cancel(_expr(q, prod.num) / _expr(q, prod.den)
+                             - _expr(q, a.num) * _expr(q, b.num)
+                             / (_expr(q, a.den) * _expr(q, b.den)))
+        assert value == 0
+    assert _snapshot(a.num, a.den, b.num, b.den) == before

@@ -291,6 +291,11 @@ def build_h_prime(n):
     return build_h(n, central=True)
 
 
+def lie_algebra(n, gl=False):
+    """The classical target of the integer form: h for SL, h' for GL."""
+    return build_h_prime(n) if gl else build_h(n)
+
+
 # -- reference cobracket -------------------------------------------------------------
 
 

@@ -22,11 +22,11 @@ from .classical import (
     C_SYM,
     ClassicalTensor,
     PBWElement,
-    build_h,
     build_h_prime,
     e_sym,
     f_sym,
     h_sym,
+    lie_algebra,
     reference_cobracket,
 )
 from .freealg import NCElement, TermBudgetExceeded, _term_budget
@@ -239,11 +239,10 @@ def _check_range(fam, idx, n):
         raise ExprIndexError(f"{fam}{list(idx)} out of range for n={n}")
 
 
-def _refuse_huge_power(k, scalar):
+def _refuse_huge_power(k, scalar, budget):
     """Refuse a power whose exponent exceeds the term budget before the
     first multiplication.  Only a scalar +-q^e is exempt: it stays one term
     with coefficient +-1 under every power."""
-    budget = _term_budget()
     unit = (scalar is not None and scalar.is_laurent()
             and list(scalar.num.terms.values()) in ([1], [-1]))
     if abs(k) > budget and not unit:
@@ -275,6 +274,10 @@ class Context:
             self.lie = build_h_prime(n)
         else:
             raise ValueError(f"unknown algebra {algebra!r}")
+        # eval refuses a power by the budget the algebra's normalization
+        # read when it was built; U_q and U_h normalize without one
+        self.term_budget = (self.alg.spec.term_budget
+                            if algebra in ("M", "SL", "GL", "B+", "B-") else _term_budget())
 
     @functools.cached_property
     def lattice(self):
@@ -370,7 +373,8 @@ class Context:
         if kind == "pow":
             base = self.eval(node[1])
             k = node[2]
-            _refuse_huge_power(k, base if isinstance(base, RatFunc) else None)
+            _refuse_huge_power(k, base if isinstance(base, RatFunc) else None,
+                               self.term_budget)
             if isinstance(base, RatFunc):
                 return base ** k
             if k < 0:
@@ -442,7 +446,8 @@ class Context:
     def _call(self, name, argnode):
         if name == "delta":
             if self.name in ("SL", "GL"):
-                return poisson_cobracket(self.lattice, _as_intexpr(argnode, self.n))
+                expr = _as_intexpr(argnode, self.n, self.term_budget)
+                return poisson_cobracket(self.lattice, expr)
             if self.name == "Uh":
                 if argnode[0] != "gen":
                     raise ExprIndexError("delta takes a single generator here")
@@ -484,9 +489,10 @@ class Context:
         raise ExprIndexError(f"unknown call {name}")
 
 
-def _as_intexpr(node, n):
+def _as_intexpr(node, n, budget):
     """Build a formal integer-form expression from a parse tree; it needs
-    no algebra, only n for the index range."""
+    no algebra, only n for the index range and the term budget that bounds
+    a power."""
     kind = node[0]
     if kind == "gen":
         fam, idx = node[1], node[2]
@@ -496,18 +502,18 @@ def _as_intexpr(node, n):
         _check_range(fam, idx, n)
         return IntExpr.gen(g(*idx))
     if kind == "add":
-        return _as_intexpr(node[1], n) + _as_intexpr(node[2], n)
+        return _as_intexpr(node[1], n, budget) + _as_intexpr(node[2], n, budget)
     if kind == "sub":
-        return _as_intexpr(node[1], n) - _as_intexpr(node[2], n)
+        return _as_intexpr(node[1], n, budget) - _as_intexpr(node[2], n, budget)
     if kind == "neg":
-        return -_as_intexpr(node[1], n)
+        return -_as_intexpr(node[1], n, budget)
     if kind == "mul":
-        return _as_intexpr(node[1], n) * _as_intexpr(node[2], n)
+        return _as_intexpr(node[1], n, budget) * _as_intexpr(node[2], n, budget)
     if kind == "div":
-        den = _as_intexpr(node[2], n)
+        den = _as_intexpr(node[2], n, budget)
         if list(den.terms) != [()]:
             raise ExprIndexError("division only by scalars")
-        return _as_intexpr(node[1], n).scale(den.terms[()].inverse())
+        return _as_intexpr(node[1], n, budget).scale(den.terms[()].inverse())
     if kind == "num":
         return IntExpr.one().scale(node[1])
     if kind == "rat":
@@ -517,10 +523,10 @@ def _as_intexpr(node, n):
     if kind == "q":
         return IntExpr.one().scale(RatFunc.from_laurent(LaurentPoly({1: 1})))
     if kind == "pow":
-        base = _as_intexpr(node[1], n)
+        base = _as_intexpr(node[1], n, budget)
         k = node[2]
         scalar = base.terms[()] if list(base.terms) == [()] else None
-        _refuse_huge_power(k, scalar)
+        _refuse_huge_power(k, scalar, budget)
         if scalar is not None:
             return IntExpr.one().scale(scalar ** k)
         if k < 0:
@@ -804,9 +810,22 @@ def _dispatch(args):
         return 0, format_value(poisson_cobracket(ictx, IntExpr.gen(g)), fmt)
     if args.command == "specialize":
         gl = args.algebra == "GL"
-        expr = _as_intexpr(parse(args.expr), args.n)
-        lie = build_h_prime(args.n) if gl else build_h(args.n)
-        return 0, format_value(specialize_phi(expr, lie, args.n, gl=gl), fmt)
+        # no algebra is built, so the budget is read once here
+        expr = _as_intexpr(parse(args.expr), args.n, _term_budget())
+        return 0, format_value(specialize_phi(expr, lie_algebra(args.n, gl), args.n, gl=gl), fmt)
+    if args.command == "basis":
+        if args.max_degree < 0:
+            return 2, "error: --max-degree must be >= 0"
+        if args.algebra not in ("M", "SL", "GL"):
+            return 2, "error: basis needs a matrix-type algebra"
+        alg = Context(args.algebra, args.n, order=args.order, sl_strategy=args.sl_strategy).alg
+        # SL lists its canonical monomials, M and GL (the plain matrix
+        # algebra) their PBW words
+        basis = alg.pbw_basis_sl if args.algebra == "SL" else alg.pbw_basis
+        lines = [alg.spec.word_str(w) for w in basis(args.max_degree)]
+        if fmt == "json":
+            return 0, json.dumps({"schema": "qfun/1", "basis": lines}, indent=2)
+        return 0, "\n".join(lines)
     # the other commands evaluate in the one algebra of --algebra
     ctx = Context(args.algebra, args.n, order=args.order, sl_strategy=args.sl_strategy)
     if args.command == "nf":
@@ -823,18 +842,6 @@ def _dispatch(args):
         return 0, format_value(ctx._call("eps", parse(args.expr)), fmt)
     if args.command == "detq":
         return 0, format_value(ctx.eval(("detq",)), fmt)
-    if args.command == "basis":
-        if args.max_degree < 0:
-            return 2, "error: --max-degree must be >= 0"
-        if args.algebra not in ("M", "SL", "GL"):
-            return 2, "error: basis needs a matrix-type algebra"
-        # SL lists its canonical monomials, M and GL (the plain matrix
-        # algebra) their PBW words
-        basis = ctx.alg.pbw_basis_sl if args.algebra == "SL" else ctx.alg.pbw_basis
-        lines = [ctx.alg.spec.word_str(w) for w in basis(args.max_degree)]
-        if fmt == "json":
-            return 0, json.dumps({"schema": "qfun/1", "basis": lines}, indent=2)
-        return 0, "\n".join(lines)
     return 2, f"error: unknown command {args.command}"
 
 

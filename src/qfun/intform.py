@@ -229,9 +229,9 @@ class IntContext:
 
     def lie(self):
         if self._lie is None:
-            from .classical import build_h, build_h_prime
+            from .classical import lie_algebra
 
-            self._lie = build_h_prime(self.n) if self.gl else build_h(self.n)
+            self._lie = lie_algebra(self.n, self.gl)
         return self._lie
 
 

@@ -152,20 +152,15 @@ class LaurentPoly:
             return self
         if len(a) > len(b):
             a, b = b, a
-        if len(a) == 1:
-            # a monomial c1 q^e1 shifts and scales: no two terms collide
-            ((e1, c1),) = a.items()
-            t = {e1 + e: c1 * c for e, c in b.items()}
-        else:
-            t = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    s = t.get(e, 0) + c1 * c2
-                    if s:
-                        t[e] = s
-                    else:
-                        del t[e]
+        t = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                s = t.get(e, 0) + c1 * c2
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = t
         out._hash = None

@@ -300,6 +300,38 @@ def test_each_command_builds_only_its_algebra(monkeypatch, argv, builds):
     assert len(checked) == builds, checked
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "--algebra", "Uq"],
+        ["basis", "--algebra", "B+"],
+        ["basis", "--max-degree", "-1"],
+    ],
+)
+def test_refused_basis_builds_no_algebra(monkeypatch, argv):
+    import qfun.cli as cli
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("basis built a Context before refusing")
+
+    monkeypatch.setattr(cli, "Context", no_context)
+    code, out = run_command([*argv, "--n", "2"])
+    assert code == 2 and out.startswith("error: "), out
+
+
+def test_power_refusal_uses_the_budget_of_the_algebra(monkeypatch):
+    from qfun.freealg import TermBudgetExceeded
+
+    monkeypatch.setenv("QFUN_MAX_TERMS", "5")
+    ctx = Context("M", 1)
+    monkeypatch.delenv("QFUN_MAX_TERMS")
+    # x[1,2]^6 is one word, so only the exponent check can refuse it
+    with pytest.raises(TermBudgetExceeded, match="exponent 6 exceeds the term budget 5"):
+        ctx.eval(parse("x[1,2]^6"))
+    fresh = Context("M", 1)
+    assert fresh.eval(parse("x[1,2]^6")) == fresh.eval(parse("x[1,2]^5 x[1,2]"))
+
+
 def test_term_budget_is_read_when_the_algebra_is_built(monkeypatch):
     word = "x[3,3] x[3,2] x[3,1] x[2,3] x[2,2] x[2,1] x[1,3] x[1,2] x[1,1]"
     assert run_command(["nf", "--n", "2", "--algebra", "M", word])[0] == 0

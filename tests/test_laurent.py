@@ -236,7 +236,7 @@ def test_gcd_against_sympy(pair):
     assert laurent_gcd(ca, cb).is_one()
 
 
-# -- the multiply fast paths (a side equal to 1, a monomial side) against sympy ------
+# -- the multiply fast paths (a side equal to 1) against sympy -------------------
 
 signed_monomials = st.tuples(st.sampled_from([1, -1]), exps).map(
     lambda t: LaurentPoly({t[1]: t[0]}))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lincomb import LinComb, accumulate, add_outer, format_terms
+from .lincomb import LinComb, accumulate, add_outer, concat_product, format_terms
 
 
 class JacobiFailure(Exception):
@@ -151,10 +151,7 @@ class PBWElement(LinComb):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in other.terms.items()))
-        return PBWElement(self.lie, out)
+        return PBWElement(self.lie, concat_product(self.terms, other.terms))
 
     __rmul__ = LinComb.scale
 

@@ -531,10 +531,7 @@ def _as_intexpr(node, n, budget):
             return IntExpr.one().scale(scalar ** k)
         if k < 0:
             raise ExprIndexError("negative powers only on scalars here")
-        out = IntExpr.one()
-        for _ in range(k):
-            out = out * base
-        return out
+        return base ** k
     raise ExprIndexError("unsupported expression under delta(...)")
 
 
@@ -651,7 +648,10 @@ def _argv_refusal(message, argv):
     return f"error: {message}"
 
 
+@functools.cache
 def build_argparser():
+    """The qfun parser, built on first use and shared by every command: it
+    keeps no state between parses, since _Parser.error raises."""
     parent = _global_flags_parent()
     ap = _Parser(
         prog="qfun",

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import factorial
 
 from .laurent import LAURENT, RATFUNC, LaurentPoly, RatFunc
-from .lincomb import LinComb, accumulate, echelon, format_terms, reduce_row
+from .lincomb import LinComb, accumulate, concat_product, echelon, format_terms, reduce_row
 
 
 class AlgebraMismatch(Exception):
@@ -262,21 +262,12 @@ class NCElement(LinComb):
         if isinstance(other, (int, LaurentPoly, RatFunc)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in other.terms.items()))
-        return NCElement(self.spec, out)
+        return NCElement(self.spec, concat_product(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly, RatFunc)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, k):
-        out = NCElement.one(self.spec)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- inspection ------------------------------------------------------------
 
@@ -310,7 +301,7 @@ class NCElement(LinComb):
 # -- confluence ---------------------------------------------------------------
 
 
-def confluence_check(spec, max_triples=None):
+def confluence_check(spec):
     """Check local confluence on all strictly descending length-3 words.
 
     Both reduction strategies (left pair first / right pair first) must give
@@ -336,8 +327,6 @@ def confluence_check(spec, max_triples=None):
         if lhs_hi is None or lhs_lo is None:
             continue
         checked += 1
-        if max_triples is not None and checked > max_triples:
-            break
         if (a, b) in swaps and (b, c) in swaps and (a, c) in swaps:
             continue
         left = {}

@@ -29,30 +29,29 @@ from .classical import (
     e_sym,
     f_sym,
     h_sym,
+    lie_algebra,
 )
 from .freealg import NCElement
 from .laurent import (
     LaurentPoly,
     NotDivisible,
+    ONE_PLUS_QINV,
     Q_MINUS_1,
-    Q_MINUS_QINV,
     RATFUNC,
     RF_ONE,
+    RF_Q_MINUS_1,
+    RF_Q_MINUS_QINV,
     RatFunc,
     neg_q_power,
 )
-from .lincomb import LinComb, accumulate, add_outer, apply_word_map, format_terms
+from .lincomb import (LinComb, accumulate, apply_pair_map, apply_word_map, concat_product,
+                      format_terms)
 from .qmatrix import MatrixAlgebra, TensorElement, perm_inversions
 from .qsl import SLAlgebra
 
 
 class OutOfForm(Exception):
     pass
-
-
-RF_QM1 = RatFunc.from_laurent(Q_MINUS_1)
-RF_QMQI = RatFunc.from_laurent(Q_MINUS_QINV)
-ONE_PLUS_QINV = LaurentPoly({0: 1, -1: 1})
 
 
 @dataclass(frozen=True, order=True)
@@ -125,10 +124,7 @@ class IntExpr(LinComb):
         return IntExpr({tuple(gens): coeff})
 
     def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in other.terms.items()))
-        return self._same(out)
+        return self._same(concat_product(self.terms, other.terms))
 
     def all_coeffs_laurent(self):
         return all(c.is_laurent() for c in self.terms.values())
@@ -185,19 +181,19 @@ class IntContext:
             i, j = g.indices
             el = alg.gen(i, j)
             if i != j:
-                el = el.scale(RF_QMQI.inverse())
+                el = el.scale(RF_Q_MINUS_QINV.inverse())
         elif g.kind == "phi":
             (i,) = g.indices
-            el = (alg.gen(i, i) - alg.gen(i + 1, i + 1)).scale(RF_QM1.inverse())
+            el = (alg.gen(i, i) - alg.gen(i + 1, i + 1)).scale(RF_Q_MINUS_1.inverse())
         elif g.kind == "psi":
             (i,) = g.indices
             prod = alg.one()
             for s in range(1, i + 1):
                 prod = prod * alg.gen(s, s)
-            el = (prod - alg.one()).scale(RF_QM1.inverse())
+            el = (prod - alg.one()).scale(RF_Q_MINUS_1.inverse())
         elif g.kind == "chi":
             (i,) = g.indices
-            el = (alg.gen(i, i) - alg.one()).scale(RF_QM1.inverse())
+            el = (alg.gen(i, i) - alg.one()).scale(RF_Q_MINUS_1.inverse())
         else:
             raise OutOfForm(f"unknown generator kind {g.kind!r}")
         self._lift_cache[g] = el
@@ -207,11 +203,10 @@ class IntContext:
         return apply_word_map(expr.terms, self.lift_gen, NCElement.one(self.spec))
 
     def lift_tensor(self, texpr):
-        out = {}
-        for (wl, wr), c in texpr.terms.items():
-            l = self.lift(IntExpr({wl: 1}))
-            r = self.lift(IntExpr({wr: 1}))
-            add_outer(out, l.terms, r.terms, c)
+        def word_lift(w):
+            return self.lift(IntExpr({w: 1})).terms
+
+        out = apply_pair_map(texpr.terms, word_lift, word_lift)
         return TensorElement(self.alg, self.alg, out, reduce=False)
 
     def coproduct(self, el):
@@ -229,8 +224,6 @@ class IntContext:
 
     def lie(self):
         if self._lie is None:
-            from .classical import lie_algebra
-
             self._lie = lie_algebra(self.n, self.gl)
         return self._lie
 
@@ -275,25 +268,20 @@ class TensorIntExpr(LinComb):
 # -- the toral specialization dictionary -------------------------------------------
 
 
-def toral_images(lie, n, gl):
+def toral_image(lie, n, gl, i):
     """mu_i: the q=1 image of chi_i inside the classical Cartan span."""
-    out = {}
-    for i in range(1, n + 2):
-        terms = {}
-        for j in range(1, n + 1):
-            c = Fraction(1 if j >= i else 0) - Fraction(j, n + 1)
-            if c:
-                terms[(lie.index[h_sym(j)],)] = c
-        if gl:
-            terms[(lie.index[C_SYM],)] = Fraction(1, n + 1)
-        out[i] = PBWElement(lie, terms, reduce=False)
-    return out
+    terms = {}
+    for j in range(1, n + 1):
+        c = Fraction(1 if j >= i else 0) - Fraction(j, n + 1)
+        if c:
+            terms[(lie.index[h_sym(j)],)] = c
+    if gl:
+        terms[(lie.index[C_SYM],)] = Fraction(1, n + 1)
+    return PBWElement(lie, terms, reduce=False)
 
 
-def specialize_gen(g, lie, n, gl=False, _mu=None):
+def specialize_gen(g, lie, n, gl=False):
     """Classical image of one generator under the q=1 dictionary."""
-    if _mu is None:
-        _mu = toral_images(lie, n, gl)
     if g.kind == "r":
         i, j = g.indices
         if i == j:
@@ -308,19 +296,18 @@ def specialize_gen(g, lie, n, gl=False, _mu=None):
         return PBWElement.gen(lie, h_sym(i))
     if g.kind == "chi":
         (i,) = g.indices
-        return _mu[i]
+        return toral_image(lie, n, gl, i)
     if g.kind == "psi":
         (i,) = g.indices
         out = PBWElement.zero(lie)
         for s in range(1, i + 1):
-            out = out + _mu[s]
+            out = out + toral_image(lie, n, gl, s)
         return out
     raise OutOfForm(f"cannot specialize {g}")
 
 
 def specialize_phi(expr, lie, n, gl=False):
     """q=1 image of a formal integer-form expression in the PBW engine."""
-    mu = toral_images(lie, n, gl)
     values = {}
     for w, c in expr.terms.items():
         v = c.regular_at_one()
@@ -328,11 +315,7 @@ def specialize_phi(expr, lie, n, gl=False):
             raise OutOfForm(f"coefficient {c} has a pole at q=1")
         if v:
             values[w] = v
-    return apply_word_map(
-        values,
-        lambda g: specialize_gen(g, lie, n, gl, _mu=mu),
-        PBWElement.one(lie),
-    )
+    return apply_word_map(values, lambda g: specialize_gen(g, lie, n, gl), PBWElement.one(lie))
 
 
 # -- lattice expansion --------------------------------------------------------------
@@ -349,7 +332,7 @@ def expand_lattice_word(ctx, word, scaling="r"):
     n = ctx.n
     lower, diag, upper = [], [0] * (n + 1), []
     for p in word:
-        i, j = ctx.alg.cell_of(p) if hasattr(ctx, "alg") else ctx.cell_of(p)
+        i, j = ctx.alg.cell_of(p)
         if i > j:
             lower.append((i, j))
         elif i < j:
@@ -360,7 +343,7 @@ def expand_lattice_word(ctx, word, scaling="r"):
     if scaling == "r":
         d = len(lower) + len(upper)
         if d:
-            base = RF_QMQI ** d
+            base = RF_Q_MINUS_QINV ** d
     leaves = []
     stack = [(0, [], base)]
     while stack:
@@ -372,7 +355,7 @@ def expand_lattice_word(ctx, word, scaling="r"):
         for K in range(N + 1):
             c = coeff * math.comb(N, K)
             if K:
-                c = c * (RF_QM1 ** K)
+                c = c * (RF_Q_MINUS_1 ** K)
             stack.append((pos + 1, kexps + [K], c))
     return accumulate({}, leaves)
 
@@ -384,18 +367,24 @@ def expand_lattice(ctx, el, scaling="r"):
     return out
 
 
-def lattice_mono_element(ctx, key):
-    """Rebuild the ambient element of a lattice monomial."""
+def _lattice_word(key):
+    """The generator word r_lower chi^K r_upper of a lattice monomial."""
     lower, kexps, upper = key
-    el = NCElement.one(ctx.spec)
-    for ij in lower:
-        el = el * ctx.alg.gen(*ij)
-    for i, K in enumerate(kexps, start=1):
-        for _ in range(K):
-            el = el * ctx.lift_gen(chigen(i))
-    for ij in upper:
-        el = el * ctx.alg.gen(*ij)
-    return el
+    return (
+        tuple(rgen(i, j) for i, j in lower)
+        + tuple(chigen(i) for i, K in enumerate(kexps, start=1) for _ in range(K))
+        + tuple(rgen(i, j) for i, j in upper)
+    )
+
+
+def lattice_mono_element(ctx, key):
+    """Rebuild the ambient element of a lattice monomial, its off-diagonal
+    letters unscaled matrix entries."""
+
+    def image(g):
+        return ctx.alg.gen(*g.indices) if g.kind == "r" else ctx.lift_gen(g)
+
+    return apply_word_map({_lattice_word(key): RF_ONE}, image, NCElement.one(ctx.spec))
 
 
 class DivisibilityResult:
@@ -428,19 +417,6 @@ def q_minus_1_divisibility(ctx, el):
     return DivisibilityResult(True, quotient=quot)
 
 
-def specialize_lattice_mono(key, lie, n, gl, mu):
-    lower, kexps, upper = key
-    acc = PBWElement.one(lie)
-    for (i, j) in lower:
-        acc = acc * specialize_gen(rgen(i, j), lie, n, gl)
-    for i, K in enumerate(kexps, start=1):
-        for _ in range(K):
-            acc = acc * mu[i]
-    for (i, j) in upper:
-        acc = acc * specialize_gen(rgen(i, j), lie, n, gl)
-    return acc
-
-
 def poisson_cobracket(ctx, expr):
     """((Delta - Delta^op)(x) / (q-1)) at q=1, mapped into the classical
     tensor square through the specialization dictionary."""
@@ -448,27 +424,26 @@ def poisson_cobracket(ctx, expr):
     t = ctx.coproduct(el)
     d = t - t.swap()
     lie = ctx.lie()
-    mu = toral_images(lie, ctx.n, ctx.gl)
-    coords = {}
-    for (wl, wr), c in d.terms.items():
-        add_outer(
-            coords,
-            expand_lattice_word(ctx, wl, scaling="r"),
-            expand_lattice_word(ctx, wr, scaling="r"),
-            c,
-        )
-    out = {}
-    for (kl, kr), coeff in coords.items():
+
+    def lattice(w):
+        return expand_lattice_word(ctx, w, scaling="r")
+
+    values = {}
+    for key, coeff in apply_pair_map(d.terms, lattice, lattice).items():
         if not coeff.is_laurent():
             raise NotDivisible(coeff)
-        lp = coeff.to_laurent().divide_q_minus_1()
-        v = Fraction(lp.evaluate_at_one())
-        if not v:
-            continue
-        pl = specialize_lattice_mono(kl, lie, ctx.n, ctx.gl, mu)
-        pr = specialize_lattice_mono(kr, lie, ctx.n, ctx.gl, mu)
-        add_outer(out, pl.terms, pr.terms, v)
-    return ClassicalTensor(lie, out)
+        v = Fraction(coeff.to_laurent().divide_q_minus_1().evaluate_at_one())
+        if v:
+            values[key] = v
+
+    def specialize_letter(g):
+        return specialize_gen(g, lie, ctx.n, ctx.gl)
+
+    def specialize(key):
+        word = {_lattice_word(key): 1}
+        return apply_word_map(word, specialize_letter, PBWElement.one(lie)).terms
+
+    return ClassicalTensor(lie, apply_pair_map(values, specialize, specialize))
 
 
 # -- relation and Hopf catalogs -------------------------------------------------------
@@ -507,9 +482,9 @@ def _dettilde_expr(index_rows, index_cols, drop_identity=False, coeff_shift=0):
         power = e + coeff_shift
         coeff = RatFunc.from_laurent(neg_q_power(l))
         if power >= 0:
-            coeff = coeff * (RF_QMQI ** power)
+            coeff = coeff * (RF_Q_MINUS_QINV ** power)
         else:
-            coeff = coeff * (RF_QMQI.inverse() ** (-power))
+            coeff = coeff * (RF_Q_MINUS_QINV.inverse() ** (-power))
         expr = expr + IntExpr.word(word, coeff)
     return expr
 
@@ -525,7 +500,9 @@ def _dettilde_positional(index_rows, index_cols, coeff_shift=0):
         word = tuple(rgen(rows[t], cols[p]) for t, p in enumerate(perm_ix))
         power = e + coeff_shift
         coeff = RatFunc.from_laurent(neg_q_power(l))
-        coeff = coeff * (RF_QMQI ** power if power >= 0 else RF_QMQI.inverse() ** (-power))
+        coeff = coeff * (
+            RF_Q_MINUS_QINV ** power if power >= 0 else RF_Q_MINUS_QINV.inverse() ** (-power)
+        )
         expr = expr + IntExpr.word(word, coeff)
     return expr
 
@@ -577,7 +554,7 @@ def _r_relation_entries(n):
                         lhs2 = IntExpr.word((rgen(i, k), rgen(j, l))) - IntExpr.word(
                             (rgen(j, l), rgen(i, k))
                         )
-                        rhs2 = IntExpr.word((rgen(i, l), rgen(j, k)), RF_QMQI ** m)
+                        rhs2 = IntExpr.word((rgen(i, l), rgen(j, k)), RF_Q_MINUS_QINV ** m)
                         out.append(
                             ("r.cross", f"i={i},j={j},k={k},l={l}", [("printed", lhs2, rhs2)])
                         )
@@ -588,7 +565,7 @@ def _phi_catalog_entries(n):
     out = []
     rng = range(1, n + 2)
     for i in range(1, n + 1):
-        lhs = IntExpr.gen(phigen(i)).scale(RF_QM1)
+        lhs = IntExpr.gen(phigen(i)).scale(RF_Q_MINUS_1)
         rhs = IntExpr.gen(rgen(i, i)) - IntExpr.gen(rgen(i + 1, i + 1))
         out.append(("Q.phi-def", f"i={i}", [("printed", lhs, rhs)]))
         P = IntExpr.gen(phigen(i))
@@ -707,7 +684,7 @@ def _psi_catalog_entries(n, gl=False):
     out = []
     rng = range(1, n + 2)
     for i in rng:
-        lhs = IntExpr.gen(psigen(i)).scale(RF_QM1)
+        lhs = IntExpr.gen(psigen(i)).scale(RF_Q_MINUS_1)
         rhs = IntExpr.word(tuple(rgen(s, s) for s in range(1, i + 1))) - IntExpr.one()
         out.append(("P.psi-def", f"i={i}", [("printed", lhs, rhs)]))
     for i in rng:
@@ -779,7 +756,7 @@ def _chi_catalog_entries(n, gl=False):
     out = []
     rng = range(1, n + 2)
     for i in rng:
-        lhs = IntExpr.gen(chigen(i)).scale(RF_QM1)
+        lhs = IntExpr.gen(chigen(i)).scale(RF_Q_MINUS_1)
         rhs = IntExpr.gen(rgen(i, i)) - IntExpr.one()
         out.append(("X.chi-def", f"i={i}", [("printed", lhs, rhs)]))
         X = IntExpr.gen(chigen(i))
@@ -939,7 +916,7 @@ def _delta_r_entries(n):
             t.add((rgen(i, j),), (rgen(j, j),), 1)
             for k in rng:
                 if k != i and k != j:
-                    t.add((rgen(i, k),), (rgen(k, j),), RF_QMQI)
+                    t.add((rgen(i, k),), (rgen(k, j),), RF_Q_MINUS_QINV)
             out.append(("hopf.delta-r-offdiag", f"i={i},j={j}", "delta", rgen(i, j), [("printed", t)]))
     for i in rng:
         printed = TensorIntExpr()
@@ -1065,7 +1042,8 @@ def _hopf_catalog_P(n):
             if Ns == 0:
                 continue
             coeff = RatFunc.from_laurent(ONE_PLUS_QINV) * (
-                RF_QMQI ** (2 * Ns - 1) if 2 * Ns - 1 >= 0 else RF_QMQI.inverse()
+                RF_Q_MINUS_QINV ** (2 * Ns - 1) if 2 * Ns - 1 >= 0
+                else RF_Q_MINUS_QINV.inverse()
             )
             wl = tuple(rgen(k, s[k - 1]) for k in range(1, i + 1))
             wr = tuple(rgen(s[k - 1], k) for k in range(1, i + 1))
@@ -1207,7 +1185,7 @@ def s_psi_witness(n, i):
     """Build W with S(psi_i) + psi_i = (q-1) W, W an explicit Laurent
     combination of generator words, following the antipode derivation."""
     rng = list(range(1, n + 2))
-    qm1_inv2 = RF_QM1.inverse() ** 2
+    qm1_inv2 = RF_Q_MINUS_1.inverse() ** 2
     # E': G = 1 - (q-1)^2 E' from the full d~et relation
     eprime = _dettilde_expr(rng, rng, drop_identity=True, coeff_shift=0)
     eprime = IntExpr({w: c * qm1_inv2 for w, c in eprime.terms.items()})
@@ -1236,10 +1214,7 @@ def s_psi_witness(n, i):
     y = s_main - s_t  # Mword = Tword + y, all coefficients (q-1)^3-divisible
     # T = G^{i-1} H_i with G = 1 - (q-1)^2 E'
     gexpr = IntExpr.one() - eprime.scale(_qm1_pow(2, 0))
-    texpr = IntExpr.one()
-    for _ in range(i - 1):
-        texpr = texpr * gexpr
-    texpr = texpr * IntExpr.word(h_word)
+    texpr = gexpr ** (i - 1) * IntExpr.word(h_word)
     x3 = (texpr - IntExpr.word(h_word)).divide_coeffs_q_minus_1(2)
     x = x1 + x3 + y.divide_coeffs_q_minus_1(2)
     # psi-bar_i: (H_i - 1)/(q-1) as an explicit chi-expression
@@ -1258,7 +1233,7 @@ def _s_psi_residual(ctx, i):
     if not w.all_coeffs_laurent():
         return "witness has non-Laurent coefficients"
     lhs = ctx.antipode(ctx.lift_gen(psigen(i))) + ctx.lift_gen(psigen(i))
-    diff = lhs - ctx.lift(w).scale(RF_QM1)
+    diff = lhs - ctx.lift(w).scale(RF_Q_MINUS_1)
     return None if diff.is_zero() else str(diff)
 
 
@@ -1300,7 +1275,7 @@ def check_span_identities(n, ctx=None):
     lhs = IntExpr.zero()
     for i in rng:
         lhs = lhs + IntExpr.gen(chigen(i))
-    ok = (ctx.lift(lhs) - ctx.lift(w).scale(RF_QM1)).is_zero() and w.all_coeffs_laurent()
+    ok = (ctx.lift(lhs) - ctx.lift(w).scale(RF_Q_MINUS_1)).is_zero() and w.all_coeffs_laurent()
     report.append(
         RelationRecord("span.sum-chi", "", "verified" if ok else "failed")
     )

@@ -6,6 +6,11 @@ stores a dict from keys to nonzero coefficients.  The rules for that dict
 live here: zero coefficients are never stored, and a public operation never
 mutates its operands, because elements sit in caches and are shared.  The
 sparse row reduction over a field (echelon, reduce_row) lives here too.
+
+So do the products and maps built from letters: concat_product multiplies
+word-keyed dicts, apply_word_map extends letter images to words and
+apply_pair_map extends two key maps to pair keys.  The map helpers call each
+image once per distinct letter or key in one call, so callers keep no memo.
 """
 
 from __future__ import annotations
@@ -77,20 +82,56 @@ def add_outer(dst, a, b, coeff):
     return dst
 
 
+def concat_product(a, b):
+    """The term dict of sum c1 c2 (w1 + w2) over the words w1 of a and w2 of
+    b, before any reduction."""
+    out = {}
+    for w1, c1 in a.items():
+        accumulate(out, ((w1 + w2, c1 * c2) for w2, c2 in b.items()))
+    return out
+
+
 def apply_word_map(terms, image, one, reverse=False):
     """sum_w c_w image(w_1) ... image(w_k) over a {word: c_w} dict.
 
-    image maps a letter to an element; one is the unit of the target, which
-    starts every product.  reverse=True multiplies the letters right to left,
-    as an anti-homomorphism does.
+    image maps a letter to an element and is called once per distinct
+    letter; one is the unit of the target, which starts every product.
+    reverse=True multiplies the letters right to left, as an
+    anti-homomorphism does.
     """
+    images = {}
     out = {}
     for w, c in terms.items():
         acc = one
         for letter in reversed(w) if reverse else w:
-            acc = acc * image(letter)
+            img = images.get(letter)
+            if img is None:
+                img = images[letter] = image(letter)
+            acc = acc * img
         accumulate(out, acc.terms.items(), c)
     return one._same(out)
+
+
+def apply_pair_map(terms, left, right):
+    """sum c left(a) (x) right(b) over a {(a, b): c} dict, as a new pair-keyed
+    term dict.
+
+    left and right map a key to a term dict.  Each is called once per
+    distinct key, and right is not called for a pair whose left image is
+    empty.
+    """
+    lefts, rights = {}, {}
+    out = {}
+    for (a, b), c in terms.items():
+        la = lefts.get(a)
+        if la is None:
+            la = lefts[a] = left(a)
+        if la:
+            rb = rights.get(b)
+            if rb is None:
+                rb = rights[b] = right(b)
+            add_outer(out, la, rb, c)
+    return out
 
 
 def coeff_text(c):
@@ -199,3 +240,15 @@ class LinComb:
         if not coeff:
             return self._same({})
         return self._same({k: c * coeff for k, c in self.terms.items()})
+
+    def __pow__(self, k):
+        """self ** k for an integer k >= 0, multiplied out from 1; a negative
+        k raises ValueError.  A type without a unit key has no powers."""
+        if self._unit_key() is None:
+            return NotImplemented
+        if k < 0:
+            raise ValueError(f"negative power {k} of a non-invertible element")
+        out = self._operand(1)
+        for _ in range(k):
+            out = out * self
+        return out

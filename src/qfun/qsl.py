@@ -156,15 +156,9 @@ class SLAlgebra(MatrixAlgebra):
 def _minor_antipode(alg, a, sign):
     """The anti-map x_ij -> alg.antipode_image(i, j, sign) applied to a."""
     sign = _select_antipode_sign() if sign is None else sign
-    images = {}
-
-    def image(p):
-        img = images.get(p)
-        if img is None:
-            img = images[p] = alg.antipode_image(*alg.cell_of(p), sign)
-        return img
-
-    return apply_word_map(a.terms, image, alg.one(), reverse=True)
+    return apply_word_map(
+        a.terms, lambda p: alg.antipode_image(*alg.cell_of(p), sign), alg.one(), reverse=True
+    )
 
 
 @functools.cache

@@ -18,10 +18,11 @@ from .laurent import (
     LaurentPoly,
     RATFUNC,
     RF_ONE,
+    RF_Q,
     RF_Q_MINUS_QINV,
     RatFunc,
 )
-from .lincomb import LinComb, accumulate, add_outer, apply_word_map, format_terms
+from .lincomb import LinComb, accumulate, add_outer, apply_pair_map, apply_word_map, format_terms
 from .qmatrix import perm_inversions
 from .qsl import BorelAlgebra, borel_quotient
 
@@ -30,7 +31,6 @@ class NotInSlForm(Exception):
     pass
 
 
-RF_Q = RatFunc.from_laurent(LaurentPoly({1: 1}))
 RF_QINV = RatFunc.from_laurent(LaurentPoly({-1: 1}))
 RF_Q_PLUS_QINV = RatFunc.from_laurent(LaurentPoly({1: 1, -1: 1}))
 
@@ -56,12 +56,11 @@ def _serre_relations(n):
 class UqAlgebra:
     """U_q(gl(n+1)); with sl_quotient=True the central G_1...G_{n+1} is 1."""
 
-    def __init__(self, n, sl_quotient=False, serre_cap=20000):
+    def __init__(self, n, sl_quotient=False):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
         self.sl_quotient = sl_quotient
-        self.serre_cap = serre_cap
         self.serre_relations = _serre_relations(n)
         # F- or E-word -> its normal form; E and F satisfy the same relations
         self._serre_nf = {(): {(): RF_ONE}}
@@ -80,9 +79,7 @@ class UqAlgebra:
         for letter in word:
             deg[letter - 1] += 1
         # letters are 0-based inside graded_component_basis
-        _, _, proj = graded_component_basis(
-            self.n, self.serre_relations, tuple(deg), cap=self.serre_cap
-        )
+        _, _, proj = graded_component_basis(self.n, self.serre_relations, tuple(deg))
         for w, expansion in proj.items():
             self._serre_nf[tuple(l + 1 for l in w)] = {
                 tuple(l + 1 for l in bw): c for bw, c in expansion.items()
@@ -91,9 +88,9 @@ class UqAlgebra:
 
     def _norm_g(self, g):
         if not self.sl_quotient:
-            return tuple(g), RF_ONE
+            return tuple(g)
         shift = g[-1]
-        return tuple(x - shift for x in g), RF_ONE
+        return tuple(x - shift for x in g)
 
     # -- elements ----------------------------------------------------------------
 
@@ -112,26 +109,16 @@ class UqAlgebra:
     def G(self, i, power=1):
         g = [0] * (self.n + 1)
         g[i - 1] = power
-        g, _ = self._norm_g(g)
-        return UqElement(self, {((), g, ()): RF_ONE})
+        return UqElement(self, {((), self._norm_g(g), ()): RF_ONE})
 
     def K(self, i, power=1):
         g = [0] * (self.n + 1)
         g[i - 1] = power
         g[i] = -power
-        g, _ = self._norm_g(g)
-        return UqElement(self, {((), g, ()): RF_ONE})
-
-    def L(self, i, power=1):
-        g = [0] * (self.n + 1)
-        for t in range(i):
-            g[t] = power
-        g, _ = self._norm_g(g)
-        return UqElement(self, {((), g, ()): RF_ONE})
+        return UqElement(self, {((), self._norm_g(g), ()): RF_ONE})
 
     def toral(self, g):
-        g, _ = self._norm_g(list(g))
-        return UqElement(self, {((), g, ()): RF_ONE})
+        return UqElement(self, {((), self._norm_g(list(g)), ()): RF_ONE})
 
     # -- straightening --------------------------------------------------------------
 
@@ -202,11 +189,11 @@ class UqAlgebra:
             for (fw, g, ew), c in raw.items():
                 if not c:
                     continue
-                g, unit = self._norm_g(g)
+                g = self._norm_g(g)
                 fexp = self._serre_nf_word(fw)
                 eexp = self._serre_nf_word(ew)
                 for fb, fc in fexp.items():
-                    k = c * fc * unit
+                    k = c * fc
                     for eb, ec in eexp.items():
                         yield (fb, g, eb), ec * k
 
@@ -239,12 +226,6 @@ class UqElement(LinComb):
         return UqElement(self.alg, self.alg.normalize(raw))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = self.alg.one()
-        for _ in range(k):
-            out = out * self
-        return out
 
     def in_sl_form(self):
         """G exponents lie in the root lattice (sum zero; mod n+1 in the
@@ -431,13 +412,9 @@ def braid_T(alg, i, el):
                 new[j - 1] += v
         return new
 
-    out = {}
-    for (fw, g, ew), c in el.terms.items():
-        tot = sum(g)
-        if alg.sl_quotient and tot % (n + 1):
-            raise NotInSlForm("G-exponent total not divisible by n+1")
+    def g_image(g):
         if alg.sl_quotient:
-            shift = tot // (n + 1)
+            shift = sum(g) // (n + 1)
             g = tuple(x - shift for x in g)
         kvec = [sum(g[:t]) for t in range(1, n + 1)]
         kimg = k_image_exponents(kvec)
@@ -445,15 +422,25 @@ def braid_T(alg, i, el):
         for t, v in enumerate(kimg, start=1):
             gimg[t - 1] += v
             gimg[t] -= v
-        acc = UqElement(alg, alg.normalize({((), tuple(gimg), ()): c}))
-        piece = alg.one()
-        for j in fw:
-            piece = piece * f_image(j)
-        piece = piece * acc
-        for j in ew:
-            piece = piece * e_image(j)
-        accumulate(out, piece.terms.items())
-    return UqElement(alg, out)
+        return UqElement(alg, alg.normalize({((), tuple(gimg), ()): RF_ONE}))
+
+    for (_, g, _) in el.terms:
+        if alg.sl_quotient and sum(g) % (n + 1):
+            raise NotInSlForm("G-exponent total not divisible by n+1")
+    images = {"F": f_image, "G": g_image, "E": e_image}
+    return apply_word_map(
+        _letter_words(el), lambda letter: images[letter[0]](letter[1]), alg.one()
+    )
+
+
+def _letter_words(el):
+    """The terms of a U_q element keyed by letter words: a term
+    (F-word, g, E-word) becomes ("F", j)... ("G", g) ("E", j)..., which a
+    multiplicative map sends letter by letter."""
+    return {
+        tuple(("F", j) for j in fw) + (("G", g),) + tuple(("E", j) for j in ew): c
+        for (fw, g, ew), c in el.terms.items()
+    }
 
 
 def root_vector_lusztig(alg, co, k, side):
@@ -478,7 +465,7 @@ class ThetaMap:
     verified to map to zero at construction.
     """
 
-    def __init__(self, sign, borel, uq, verify=True):
+    def __init__(self, sign, borel, uq):
         if not uq.sl_quotient:
             raise ValueError("theta maps land in the sl quotient")
         self.sign = sign
@@ -486,10 +473,9 @@ class ThetaMap:
         self.uq = uq
         self.n = borel.n
         self._images = {}
-        if verify:
-            rep = self.verify_relations()
-            if not rep["ok"]:
-                raise RuntimeError(f"theta{sign} fails Borel relations: {rep}")
+        rep = self.verify_relations()
+        if not rep["ok"]:
+            raise RuntimeError(f"theta{sign} fails Borel relations: {rep}")
 
     def image(self, i, j):
         key = (i, j)
@@ -546,14 +532,14 @@ class ThetaMap:
 
     def verify_coalgebra(self):
         """Delta^op(theta(g)) == (theta (x) theta)(Delta_B(g)) on generators."""
+        def word_image(w):
+            return self.apply(NCElement(self.borel.spec, {w: RF_ONE}, reduce=False)).terms
+
         failures = []
         for (i, j) in sorted(self.borel.cells):
             lhs = uq_coproduct(self.image(i, j)).swap()
-            rhs = {}
-            for (wl, wr), c in self.borel.coproduct(self.borel.gen(i, j)).terms.items():
-                ell = self.apply(NCElement(self.borel.spec, {wl: RF_ONE}, reduce=False))
-                elr = self.apply(NCElement(self.borel.spec, {wr: RF_ONE}, reduce=False))
-                add_outer(rhs, ell.terms, elr.terms, c)
+            delta = self.borel.coproduct(self.borel.gen(i, j))
+            rhs = apply_pair_map(delta.terms, word_image, word_image)
             if not (lhs - UqTensor(self.uq, rhs)).is_zero():
                 failures.append(f"x[{i},{j}]")
         return {"ok": not failures, "failures": failures}
@@ -628,21 +614,21 @@ def uq_coproduct(el):
             add_outer(out, a.terms, b.terms, RF_ONE)
         return UqTensor(alg, out)
 
-    out = {}
-    for (fw, g, ew), c in el.terms.items():
-        pieces = UqTensor(alg, {(((), (0,) * (n + 1), ()), ((), (0,) * (n + 1), ())): RF_ONE})
-        for j in fw:
-            pieces = pieces * delta(
+    def image(letter):
+        kind, j = letter
+        if kind == "F":
+            return delta(
                 (alg.F(j), alg.toral(_gvec(n, {j: -1, j + 1: 1}))), (alg.one(), alg.F(j))
             )
-        gg = alg.toral(g)
-        pieces = pieces * delta((gg, gg))
-        for j in ew:
-            pieces = pieces * delta(
+        if kind == "E":
+            return delta(
                 (alg.E(j), alg.one()), (alg.toral(_gvec(n, {j: 1, j + 1: -1})), alg.E(j))
             )
-        accumulate(out, pieces.terms.items(), c)
-    return UqTensor(alg, out)
+        gg = alg.toral(j)
+        return delta((gg, gg))
+
+    unit = ((), (0,) * (n + 1), ())
+    return apply_word_map(_letter_words(el), image, UqTensor(alg, {(unit, unit): RF_ONE}))
 
 
 class MuMap:
@@ -658,22 +644,17 @@ class MuMap:
         self.theta_minus = ThetaMap("-", self.bminus, self.uq)
 
     def apply(self, el):
+        def side(borel, theta):
+            def word_image(w):
+                word = NCElement(self.sl.spec, {w: RF_ONE}, reduce=False)
+                return theta.apply(borel_quotient(self.sl, borel, word)).terms
+
+            return word_image
+
         delta = self.sl.coproduct(el)
-        out = {}
-        for (wl, wr), c in delta.terms.items():
-            left = borel_quotient(
-                self.sl, self.bplus, NCElement(self.sl.spec, {wl: RF_ONE}, reduce=False)
-            )
-            if left.is_zero():
-                continue
-            right = borel_quotient(
-                self.sl, self.bminus, NCElement(self.sl.spec, {wr: RF_ONE}, reduce=False)
-            )
-            if right.is_zero():
-                continue
-            add_outer(
-                out, self.theta_plus.apply(left).terms, self.theta_minus.apply(right).terms, c
-            )
+        out = apply_pair_map(
+            delta.terms, side(self.bplus, self.theta_plus), side(self.bminus, self.theta_minus)
+        )
         return UqTensor(self.uq, out)
 
 

@@ -339,3 +339,19 @@ def test_term_budget_is_read_when_the_algebra_is_built(monkeypatch):
     assert run_command(["nf", "--n", "2", "--algebra", "M", "x[1,1]"]) == (0, "x[1,1]")
     code, out = run_command(["nf", "--n", "2", "--algebra", "M", word])
     assert code == 2 and "term budget 5 exceeded" in out
+
+
+def test_run_command_builds_the_parser_once(monkeypatch):
+    import qfun.cli as cli
+
+    builds = []
+    parent = cli._global_flags_parent
+    monkeypatch.setattr(cli, "_global_flags_parent", lambda: builds.append(1) or parent())
+    cli.build_argparser.cache_clear()
+    try:
+        assert run_command(["nf", "--n", "1", "x[1,2] x[2,1]"])[0] == 0
+        assert run_command(["nf", "--bogus", "x[1,2]"])[0] == 2
+        assert run_command(["detq", "--n", "2"]) == run_command(["detq", "--n", "2"])
+    finally:
+        cli.build_argparser.cache_clear()
+    assert builds == [1]

@@ -3,11 +3,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfun.laurent import LaurentPoly, RatFunc
-from qfun.lincomb import LinComb, accumulate, add_outer, echelon, reduce_row
+from qfun.lincomb import (
+    LinComb,
+    accumulate,
+    add_outer,
+    apply_pair_map,
+    apply_word_map,
+    concat_product,
+    echelon,
+    reduce_row,
+)
 
 
 class Vec(LinComb):
@@ -20,6 +29,18 @@ class Vec(LinComb):
 
     def _same(self, terms):
         return Vec(terms)
+
+
+class Words(Vec):
+    """Vec with the concatenation product of word keys."""
+
+    __slots__ = ()
+
+    def _same(self, terms):
+        return Words(terms)
+
+    def __mul__(self, other):
+        return Words(concat_product(self.terms, other.terms))
 
 
 ints = st.integers(min_value=-4, max_value=4)
@@ -90,3 +111,85 @@ def test_row_reduction_against_sympy_rank(rows, v):
     # v - rest lies in the row space; rest vanishes exactly when v adds no rank
     assert rank(rows + [accumulate(dict(v), rest.items(), -1)]) == rank(rows)
     assert (not rest) == (rank(rows + [v]) == rank(rows))
+
+
+word_terms = st.dictionaries(
+    st.lists(st.integers(min_value=0, max_value=3), max_size=4).map(tuple),
+    ints.filter(bool),
+    max_size=6,
+)
+
+
+def letter_image(letter):
+    """A two-term image of a letter; letter 1 maps to the single word (1,)."""
+    return Words(accumulate({}, [((letter,), 1), ((letter + 10,), letter - 1)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_terms, st.booleans())
+@example({(0, 1, 0): 2, (1, 1, 2): -1}, False)
+def test_apply_word_map_calls_image_once_per_letter(terms, reverse):
+    calls = []
+
+    def image(letter):
+        calls.append(letter)
+        return letter_image(letter)
+
+    got = apply_word_map(terms, image, Words({(): 1}), reverse=reverse)
+    assert sorted(calls) == sorted({letter for w in terms for letter in w})
+    ref = {}
+    for w, c in terms.items():
+        acc = Words({(): 1})
+        for letter in reversed(w) if reverse else w:
+            acc = acc * letter_image(letter)
+        accumulate(ref, acc.terms.items(), c)
+    assert got.terms == ref
+
+
+side_images = st.dictionaries(
+    st.integers(min_value=0, max_value=3),
+    st.dictionaries(st.integers(min_value=0, max_value=2), ints.filter(bool), max_size=3),
+)
+pair_terms = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+    ints.filter(bool),
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_terms, side_images, side_images)
+@example({(0, 1): 1, (0, 2): 3, (1, 1): -2, (2, 1): 1}, {0: {0: 1}, 2: {1: 2}}, {1: {0: 1}, 2: {2: 1}})
+def test_apply_pair_map_equals_the_per_pair_loop(terms, lefts, rights):
+    """An image missing from lefts or rights is empty."""
+    calls = {"left": [], "right": []}
+
+    def spy(side, images):
+        def image(key):
+            calls[side].append(key)
+            return images.get(key, {})
+
+        return image
+
+    got = apply_pair_map(terms, spy("left", lefts), spy("right", rights))
+    ref = {}
+    for (a, b), c in terms.items():
+        add_outer(ref, lefts.get(a, {}), rights.get(b, {}), c)
+    assert got == ref
+    assert sorted(calls["left"]) == sorted({a for a, _ in terms})
+    assert sorted(calls["right"]) == sorted({b for a, b in terms if lefts.get(a)})
+
+
+def test_powers_multiply_out_and_refuse_negative_exponents():
+    from qfun.qmatrix import MatrixAlgebra
+    from qfun.uq import UqAlgebra
+
+    m = MatrixAlgebra(1)
+    x = m.gen(1, 2) + m.gen(2, 1)
+    assert x ** 0 == 1 and x ** 1 == x and x ** 3 == x * x * x
+    uq = UqAlgebra(1)
+    for el in (x, uq.E(1), uq.K(1)):
+        with pytest.raises(ValueError):
+            el ** -1
+    with pytest.raises(TypeError):
+        m.coproduct(x) ** 2

@@ -18,6 +18,10 @@ from .laurent import LAURENT, RATFUNC, LaurentPoly, RatFunc
 from .lincomb import LinComb, accumulate, concat_product, echelon, format_terms, reduce_row
 
 
+# entries a memo keeps at most; past it, new results are computed but not kept
+CACHE_LIMIT = 300_000
+
+
 class AlgebraMismatch(Exception):
     pass
 
@@ -89,6 +93,10 @@ class AlgebraSpec:
         self.term_budget = _term_budget()
         self._nf_cache = {}
 
+    def clear_caches(self):
+        """Forget the normal-form memo, as after a change to the rules."""
+        self._nf_cache.clear()
+
     # -- rules ---------------------------------------------------------------
 
     def add_rule(self, a, b, rhs_terms):
@@ -157,7 +165,7 @@ class AlgebraSpec:
             if len(stack) + len(out) > budget:
                 raise TermBudgetExceeded(f"term budget {budget} exceeded")
         out = {w: c for w, c in out.items() if c}
-        if len(self._nf_cache) < 300000:
+        if len(self._nf_cache) < CACHE_LIMIT:
             self._nf_cache[word] = out
         return out
 

@@ -387,7 +387,10 @@ class RatFunc:
     exact synthetic division removes it; then the common integer content
     goes.  The gcd is skipped when den is a constant, and laurent_gcd
     answers 1 at once when either side is a monomial.  Sums and products
-    of two Laurent polynomials (den 1) are not reduced at all.
+    of two Laurent polynomials (den 1) are not reduced at all, and other
+    sums and products follow Henrici: they cancel gcds of their operands'
+    parts, which are smaller than the gcd of the full result, and skip a
+    gcd where a monomial or coprime denominators make it 1.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -451,8 +454,23 @@ class RatFunc:
             return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return RatFunc.from_laurent(self.num + other.num)
-        num = self.num * other.den + other.num * self.den
-        return RatFunc(num, self.den * other.den)
+        # Henrici: with g = gcd(b, d), gcd(a, b) = gcd(c, d) = 1 leaves only
+        # gcd(t, g) to cancel from t = a (d/g) + c (b/g) over (b/g)(d/g) g
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            g, t = b, a + c
+            b = d = LP_ONE
+        elif _coprime(b, d) or (g := laurent_gcd(b, d)).is_one():
+            return _content_reduced(a * d + c * b, b * d)
+        else:
+            b, d = b.divide_exact(g), d.divide_exact(g)
+            t = a * d + c * b
+        if t.is_zero():
+            return RF_ZERO
+        if not _coprime(t, g):
+            h = laurent_gcd(t, g)
+            t, g = t.divide_exact(h), g.divide_exact(h)
+        return _content_reduced(t, b * d * g)
 
     __radd__ = __add__
 
@@ -483,7 +501,18 @@ class RatFunc:
             if num is self.num:
                 return self
             return RatFunc.from_laurent(num)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        # Henrici: with gcd(a, b) = gcd(c, d) = 1, cancelling gcd(a, d) and
+        # gcd(c, b) leaves a reduced product
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
+            return RF_ZERO
+        if not _coprime(a, d):
+            g = laurent_gcd(a, d)
+            a, d = a.divide_exact(g), d.divide_exact(g)
+        if not _coprime(c, b):
+            g = laurent_gcd(c, b)
+            c, b = c.divide_exact(g), b.divide_exact(g)
+        return _content_reduced(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -546,6 +575,33 @@ def _coerce_rf(x):
     return NotImplemented
 
 
+def _coprime(a, b):
+    """True when a and b are known to share no factor of positive degree
+    without a gcd: one of them is a monomial (a unit times an integer)."""
+    return len(a.terms) == 1 or len(b.terms) == 1
+
+
+def _without_common_content(num, den):
+    """num and den divided by the gcd of all their integer coefficients."""
+    g = _int_gcd(*den.terms.values())
+    if g > 1:
+        g = _int_gcd(g, *num.terms.values())
+        if g > 1:
+            num = LaurentPoly({e: c // g for e, c in num.terms.items()})
+            den = LaurentPoly({e: c // g for e, c in den.terms.items()})
+    return num, den
+
+
+def _content_reduced(num, den):
+    """The RatFunc num/den for num and den with no common factor of positive
+    degree, den with min exponent 0 and a positive leading coefficient; only
+    the common integer content is left to remove."""
+    if num.is_zero():
+        return RF_ZERO
+    num, den = _without_common_content(num, den)
+    return RatFunc(num, den, _reduced=True)
+
+
 def _reduce_fraction(num, den):
     if num.is_zero():
         return LP_ZERO, LP_ONE
@@ -562,12 +618,7 @@ def _reduce_fraction(num, den):
             num = num.divide_exact(g)
             den = den.divide_exact(g)
     # coprime integer contents, positive leading coefficient of den
-    g = _int_gcd(*den.terms.values())
-    if g > 1:
-        g = _int_gcd(g, *num.terms.values())
-        if g > 1:
-            num = LaurentPoly({e: c // g for e, c in num.terms.items()})
-            den = LaurentPoly({e: c // g for e, c in den.terms.items()})
+    num, den = _without_common_content(num, den)
     if den.terms[den.max_exp()] < 0:
         num = -num
         den = -den

@@ -11,6 +11,8 @@ So do the products and maps built from letters: concat_product multiplies
 word-keyed dicts, apply_word_map extends letter images to words and
 apply_pair_map extends two key maps to pair keys.  The map helpers call each
 image once per distinct letter or key in one call, so callers keep no memo.
+Pair-keyed (tensor) dicts are summed by add_pair_products alone: add_outer,
+pair_product and apply_pair_map call it.
 """
 
 from __future__ import annotations
@@ -75,11 +77,54 @@ def reduce_row(row, pivots):
     return out
 
 
+def add_pair_products(dst, triples, one=None):
+    """dst += sum c * (left (x) right) over the (c, left, right) of triples,
+    in place, with left and right term dicts and c nonzero.
+
+    The one pair-product loop of qfun: every tensor product, tensor
+    reduction and pair map sums into dst here.  A factor that `is` one is
+    not multiplied.
+    """
+    get = dst.get
+    for c, left, right in triples:
+        for kl, cl in left.items():
+            if cl is one:
+                cl = c
+            elif c is not one:
+                cl = c * cl
+            for kr, cr in right.items():
+                v = cl if cr is one else (cr if cl is one else cl * cr)
+                key = (kl, kr)
+                s = get(key)
+                if s is None:
+                    dst[key] = v
+                else:
+                    s = s + v
+                    if s:
+                        dst[key] = s
+                    else:
+                        del dst[key]
+    return dst
+
+
 def add_outer(dst, a, b, coeff):
     """dst += coeff * (a tensor b) over pair keys, in place; a, b are term dicts."""
-    for ka, ca in a.items():
-        accumulate(dst, (((ka, kb), cb) for kb, cb in b.items()), coeff * ca)
-    return dst
+    return add_pair_products(dst, ((coeff, a, b),)) if coeff else dst
+
+
+def pair_product(x, y, left, right, one=None):
+    """The pair-keyed term dict of x * y, where the first factors of two keys
+    (a1, b1), (a2, b2) multiply to the term dict left(a1, a2) and the second
+    to right(b1, b2)."""
+    return add_pair_products(
+        {},
+        (
+            (c1 if c2 is one else (c2 if c1 is one else c1 * c2), left(a1, a2), right(b1, b2))
+            for (a1, b1), c1 in x.items()
+            for (a2, b2), c2 in y.items()
+        ),
+        one,
+    )
 
 
 def concat_product(a, b):
@@ -121,17 +166,19 @@ def apply_pair_map(terms, left, right):
     empty.
     """
     lefts, rights = {}, {}
-    out = {}
-    for (a, b), c in terms.items():
-        la = lefts.get(a)
-        if la is None:
-            la = lefts[a] = left(a)
-        if la:
-            rb = rights.get(b)
-            if rb is None:
-                rb = rights[b] = right(b)
-            add_outer(out, la, rb, c)
-    return out
+
+    def images():
+        for (a, b), c in terms.items():
+            la = lefts.get(a)
+            if la is None:
+                la = lefts[a] = left(a)
+            if la:
+                rb = rights.get(b)
+                if rb is None:
+                    rb = rights[b] = right(b)
+                yield c, la, rb
+
+    return add_pair_products({}, images())
 
 
 def coeff_text(c):

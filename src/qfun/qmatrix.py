@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
 
-from .freealg import AlgebraSpec, GenSym, NCElement, confluence_check
-from .lincomb import LinComb, accumulate, add_outer, format_terms
+from .freealg import CACHE_LIMIT, AlgebraMismatch, AlgebraSpec, GenSym, NCElement, confluence_check
+from .lincomb import LinComb, accumulate, add_outer, add_pair_products, format_terms, pair_product
 from .laurent import (
     LAURENT,
     LaurentPoly,
@@ -160,16 +160,24 @@ class MatrixAlgebra:
                 raise InadmissibleOrder(
                     f"rule table not confluent: {report['failures'][:3]}"
                 )
-        # letter -> the (x_ik, x_kj) letter pairs of its coproduct
+        # letter -> its coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict
         index = self.spec.index
-        self._splits = [
-            tuple(
-                (index[x_gen(i, k)], index[x_gen(k, j)])
+        one = self.spec.domain.one
+        self._letter_deltas = [
+            {
+                ((index[x_gen(i, k)],), (index[x_gen(k, j)],)): one
                 for k in range(1, n + 2)
                 if (i, k) in self.cells and (k, j) in self.cells
-            )
+            }
             for i, j in (g.indices for g in self.spec.alphabet)
         ]
+        # word -> its reduced coproduct as a pair-keyed term dict
+        self._delta_memo = {}
+
+    def clear_caches(self):
+        """Forget the normal-form memo and the coproduct memo."""
+        self.spec.clear_caches()
+        self._delta_memo.clear()
 
     # -- element constructors ----------------------------------------------
 
@@ -196,14 +204,33 @@ class MatrixAlgebra:
 
     def coproduct(self, a):
         """Delta as an algebra map; both factors are fully reduced here."""
-        splits = self._splits
         out = {}
+        one = self.spec.domain.one
         for w, c in a.terms.items():
-            pieces = [((), ())]
-            for p in w:
-                pieces = [(wl + (l,), wr + (r,)) for wl, wr in pieces for l, r in splits[p]]
-            accumulate(out, ((key, c) for key in pieces))
-        return TensorElement(self, self, out)
+            accumulate(out, self.coproduct_word(w).items(), None if c is one else c)
+        return TensorElement(self, self, out, reduce=False)
+
+    def coproduct_word(self, w):
+        """Delta of one word as a reduced pair-keyed term dict, memoized.
+
+        Delta is an algebra map, so Delta(w) = Delta(w[:-1]) Delta(w[-1]):
+        the longest memoized prefix is extended one letter at a time, and
+        every prefix on the way is memoized too.
+        """
+        memo = self._delta_memo
+        k = len(w)
+        while k and w[:k] not in memo:
+            k -= 1
+        d = memo[w[:k]] if k else {((), ()): self.spec.domain.one}
+        for t in range(k, len(w)):
+            d = self._delta_extend(d, w[t])
+            if len(memo) < CACHE_LIMIT:
+                memo[w[: t + 1]] = d
+        return d
+
+    def _delta_extend(self, d, p):
+        """Delta(w) from d = Delta(w[:-1]) and the last letter p of w."""
+        return _tensor_product(self.spec, self.spec, d, self._letter_deltas[p])
 
     def counit(self, a):
         tot = self.spec.domain.zero
@@ -308,6 +335,13 @@ def _word_normal_form(spec):
     return lambda w: spec.reduce_terms({w: one})
 
 
+def _tensor_product(left, right, x, y):
+    """The product of two pair-keyed term dicts over the specs left and
+    right: words concatenate side by side and reduce to full normal form."""
+    lnf, rnf = _word_normal_form(left), _word_normal_form(right)
+    return pair_product(x, y, lambda u, v: lnf(u + v), lambda u, v: rnf(u + v), left.domain.one)
+
+
 class TensorElement(LinComb):
     """Coefficient-weighted sum of word pairs over two algebra contexts."""
 
@@ -323,17 +357,23 @@ class TensorElement(LinComb):
     def _reduce(self, terms):
         lnf = _word_normal_form(self.left.spec)
         rnf = _word_normal_form(self.right.spec)
-        out = {}
-        for (wl, wr), c in terms.items():
-            if c:
-                add_outer(out, lnf(wl), rnf(wr), c)
-        return out
+        return add_pair_products(
+            {}, ((c, lnf(wl), rnf(wr)) for (wl, wr), c in terms.items() if c),
+            self.left.spec.domain.one,
+        )
 
     def _same(self, terms):
         return TensorElement(self.left, self.right, terms, reduce=False)
 
     def _coerce(self, c):
         return self.left.spec.domain.coerce(c)
+
+    def _check(self, other):
+        if self.left.spec is not other.left.spec or self.right.spec is not other.right.spec:
+            raise AlgebraMismatch(
+                f"{self.left.spec.name!r} (x) {self.right.spec.name!r} vs "
+                f"{other.left.spec.name!r} (x) {other.right.spec.name!r}"
+            )
 
     def _unit_key(self):
         return None
@@ -348,13 +388,9 @@ class TensorElement(LinComb):
 
     def __mul__(self, other):
         """Componentwise product (a ox b)(c ox d) = ac ox bd."""
-        out = {}
-        for (al, ar), ca in self.terms.items():
-            accumulate(
-                out,
-                (((al + bl, ar + br), ca * cb) for (bl, br), cb in other.terms.items()),
-            )
-        return TensorElement(self.left, self.right, out)
+        self._check(other)
+        out = _tensor_product(self.left.spec, self.right.spec, self.terms, other.terms)
+        return TensorElement(self.left, self.right, out, reduce=False)
 
     def swap(self):
         return TensorElement(

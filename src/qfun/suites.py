@@ -36,7 +36,7 @@ from .intform import (
     verify_relation_catalog,
 )
 from .laurent import RF_ONE, RF_Q_MINUS_QINV, RATFUNC
-from .lincomb import accumulate, echelon
+from .lincomb import accumulate, apply_pair_map, echelon
 from .qmatrix import MatrixAlgebra, perm_inversions
 from .qsl import (
     SLAlgebra,
@@ -80,17 +80,18 @@ def _report(suite, results, errata=None):
 
 
 def _tensor3_of_delta(alg, t, side):
-    """(Delta ox id) or (id ox Delta) applied to a TensorElement."""
-    out = {}
+    """(Delta ox id) or (id ox Delta) applied to a TensorElement, as a
+    {(w1, w2, w3): coeff} dict."""
     one = alg.spec.domain.one
-    for (wl, wr), c in t.terms.items():
-        if side == "left":
-            dd = alg.coproduct(NCElement(alg.spec, {wl: one}, reduce=False))
-            accumulate(out, (((a, b, wr), c2) for (a, b), c2 in dd.terms.items()), c)
-        else:
-            dd = alg.coproduct(NCElement(alg.spec, {wr: one}, reduce=False))
-            accumulate(out, (((wl, b, cw), c2) for (b, cw), c2 in dd.terms.items()), c)
-    return out
+
+    def word(w):
+        return {w: one}
+
+    if side == "left":
+        pairs = apply_pair_map(t.terms, alg.coproduct_word, word)
+        return {(a, b, c): v for ((a, b), c), v in pairs.items()}
+    pairs = apply_pair_map(t.terms, word, alg.coproduct_word)
+    return {(a, b, c): v for (a, (b, c)), v in pairs.items()}
 
 
 def hopf_axioms_suite(ns=(1, 2)):
@@ -194,7 +195,7 @@ def pbw_matrix_suite():
     coeff, word = bad[0]
     bad[0] = (coeff * Q, word)
     spec.rules[key] = tuple(bad)
-    spec._nf_cache.clear()
+    spec.clear_caches()
     rep = confluence_check(spec)
     _result(results, "corrupted rule table fails confluence", not rep["ok"])
     return _report("pbw", results)

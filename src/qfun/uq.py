@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import NCElement, graded_component_basis
+from .freealg import AlgebraMismatch, NCElement, graded_component_basis
 from .laurent import (
     LaurentPoly,
     RATFUNC,
@@ -22,7 +22,8 @@ from .laurent import (
     RF_Q_MINUS_QINV,
     RatFunc,
 )
-from .lincomb import LinComb, accumulate, add_outer, apply_pair_map, apply_word_map, format_terms
+from .lincomb import (LinComb, accumulate, add_outer, apply_pair_map, apply_word_map, format_terms,
+                      pair_product)
 from .qmatrix import perm_inversions
 from .qsl import BorelAlgebra, borel_quotient
 
@@ -567,6 +568,10 @@ class UqTensor(LinComb):
     def _coerce(self, c):
         return RATFUNC.coerce(c)
 
+    def _check(self, other):
+        if self.alg is not other.alg:
+            raise AlgebraMismatch("U_q tensors over two different UqAlgebra objects")
+
     def _unit_key(self):
         return None
 
@@ -574,14 +579,13 @@ class UqTensor(LinComb):
         return self._same(add_outer(dict(self.terms), a.terms, b.terms, coeff))
 
     def __mul__(self, other):
+        self._check(other)
         alg = self.alg
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                left = alg.normalize(alg.mul_terms(a1, RF_ONE, a2, RF_ONE))
-                right = alg.normalize(alg.mul_terms(b1, RF_ONE, b2, RF_ONE))
-                add_outer(out, left, right, c1 * c2)
-        return UqTensor(alg, out)
+
+        def product(u, v):
+            return alg.normalize(alg.mul_terms(u, RF_ONE, v, RF_ONE))
+
+        return UqTensor(alg, pair_product(self.terms, other.terms, product, product, RF_ONE))
 
     def swap(self):
         return UqTensor(self.alg, {(b, a): c for (a, b), c in self.terms.items()})

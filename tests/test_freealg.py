@@ -82,7 +82,7 @@ def test_confluence_passes_and_fails():
     key = next(iter(spec.rules))
     coeff, word = spec.rules[key][0]
     spec.rules[key] = ((coeff * Q, word),) + spec.rules[key][1:]
-    spec._nf_cache.clear()
+    spec.clear_caches()
     rep = confluence_check(spec)
     assert not rep["ok"] and rep["failures"]
 
@@ -263,7 +263,7 @@ def test_swap_with_an_added_correction_is_rewritten(which):
     pos = {"a": a, "b": b, "c": c}
     lhs = (pos[which[0]], pos[which[1]])
     spec.rules[lhs] = spec.rules[lhs] + ((spec.domain.one, (c, c)),)
-    spec._nf_cache.clear()
+    spec.clear_caches()
     asked.clear()
     report = confluence_check(spec)
     assert (b, a, c) in asked and (a, c, b) in asked

@@ -293,3 +293,45 @@ def test_rf_mul_fast_paths_against_sympy(a, b):
                              / (_expr(q, a.den) * _expr(q, b.den)))
         assert value == 0
     assert _snapshot(a.num, a.den, b.num, b.den) == before
+
+
+# -- Henrici products and sums: operands that share planted factors -----------
+
+
+def _sharing_operands(t):
+    """Two reduced fractions a/b and c/d with planted factors shared across
+    them: `cross` in a and d, `back` in c and b, `dens` in b and d."""
+    (pa, pb, pc, pd), cross, back, dens, (ca, cb, cc, cd) = t
+    a = RatFunc(_times(pa, cross, ca), _times(pb or LP_ONE, back + dens, cb))
+    c = RatFunc(_times(pc, back, cc), _times(pd or LP_ONE, cross + dens, cd))
+    return a, c
+
+
+sharing_pairs = st.tuples(st.tuples(small_polys, small_polys, small_polys, small_polys),
+                          factor_lists, factor_lists, factor_lists,
+                          st.tuples(contents, contents, contents, contents)).map(_sharing_operands)
+# 1/(q - 1) + (-1)/(q - 1) = 0 and q/(q^2 - 1) + 1/(q^2 - 1) = 1/(q - 1)
+CANCELLING_SUMS = (
+    (RatFunc(1, Q_MINUS_1), RatFunc(-1, Q_MINUS_1)),
+    (RatFunc(Q, Q * Q - 1), RatFunc(1, Q * Q - 1)),
+)
+
+
+@given(sharing_pairs)
+@example(CANCELLING_SUMS[0])
+@example(CANCELLING_SUMS[1])
+@settings(max_examples=100, deadline=None)
+def test_rf_sum_and_product_against_sympy(pair):
+    """The canonical form of a * c and a + c is the full reduction of the
+    numerator and denominator that sympy multiplied out."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    a, c = pair
+    e = {x: (_expr(q, x.num), _expr(q, x.den)) for x in (a, c)}
+    (an, ad), (cn, cd) = e[a], e[c]
+    cases = (("mul", an * cn, ad * cd), ("add", an * cd + cn * ad, ad * cd))
+    for op, num, den in cases:
+        expected = RatFunc(_from_sympy(sympy, q, num), _from_sympy(sympy, q, den))
+        for got in ((a * c, c * a) if op == "mul" else (a + c, c + a)):
+            assert (got.num, got.den) == (expected.num, expected.den)
+            assert sympy.expand(_expr(q, got.num) * den - num * _expr(q, got.den)) == 0

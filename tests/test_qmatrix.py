@@ -130,7 +130,7 @@ def test_corrupted_relation_breaks_centrality():
     key = next(iter(alg.spec.rules))
     coeff, word = alg.spec.rules[key][0]
     alg.spec.rules[key] = ((coeff * Q, word),) + alg.spec.rules[key][1:]
-    alg.spec._nf_cache.clear()
+    alg.clear_caches()
     assert not alg.verify_detq_central_grouplike()["ok"]
 
 

@@ -2,15 +2,19 @@
 """Run every verification suite and write one JSON report.
 
 Usage:  python scripts/verify_all.py [--seed N] [--extended] [-o report.json]
-Exit status is 0 when every suite passes, 1 otherwise.
+Exit status is 0 when every suite passes, 1 otherwise.  qfun is imported
+from src/ of the checkout that holds this script.
 """
 
 import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
-from qfun import suites
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qfun import suites  # noqa: E402
 
 
 def main():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -239,14 +240,32 @@ def _check_range(fam, idx, n):
         raise ExprIndexError(f"{fam}{list(idx)} out of range for n={n}")
 
 
-def _refuse_huge_power(k, scalar, budget):
-    """Refuse a power whose exponent exceeds the term budget before the
-    first multiplication.  Only a scalar +-q^e is exempt: it stays one term
-    with coefficient +-1 under every power."""
-    unit = (scalar is not None and scalar.is_laurent()
-            and list(scalar.num.terms.values()) in ([1], [-1]))
+def _refuse_huge_power(k, base, budget):
+    """Refuse a power before the first multiplication when its exponent
+    exceeds the term budget, or when its total degree k * (degree of the
+    base) exceeds the square root of the budget.  The loop multiplies out
+    words of up to that degree and rewrites each product again, so its work
+    grows with the square of the degree.  A scalar +-q^e is exempt from the
+    first check, as it stays one term with coefficient +-1 under every power,
+    and scalars and tensors from the second (a tensor power refuses at its
+    first multiplication)."""
+    scalar = isinstance(base, RatFunc)
+    unit = scalar and base.is_laurent() and list(base.num.terms.values()) in ([1], [-1])
     if abs(k) > budget and not unit:
         raise TermBudgetExceeded(f"exponent {k} exceeds the term budget {budget}")
+    if scalar or isinstance(base, TENSORS):
+        return
+    if isinstance(base, GLElement):
+        base = base.body
+    if isinstance(base, UqElement):
+        degree = max((len(f) + len(e) for f, _, e in base.terms), default=0)
+    else:
+        degree = max((len(w) for w in base.terms), default=0)
+    bound = math.isqrt(budget)
+    if abs(k) * degree > bound:
+        raise TermBudgetExceeded(
+            f"power of degree {abs(k) * degree} exceeds {bound}, the square root "
+            f"of the term budget {budget}")
 
 
 class Context:
@@ -373,8 +392,7 @@ class Context:
         if kind == "pow":
             base = self.eval(node[1])
             k = node[2]
-            _refuse_huge_power(k, base if isinstance(base, RatFunc) else None,
-                               self.term_budget)
+            _refuse_huge_power(k, base, self.term_budget)
             if isinstance(base, RatFunc):
                 return base ** k
             if k < 0:
@@ -526,7 +544,7 @@ def _as_intexpr(node, n, budget):
         base = _as_intexpr(node[1], n, budget)
         k = node[2]
         scalar = base.terms[()] if list(base.terms) == [()] else None
-        _refuse_huge_power(k, scalar, budget)
+        _refuse_huge_power(k, base if scalar is None else scalar, budget)
         if scalar is not None:
             return IntExpr.one().scale(scalar ** k)
         if k < 0:

@@ -146,18 +146,23 @@ class AlgebraSpec:
             return cached
         budget = self.term_budget
         one = self.domain.one
+        rules = self.rules
         out = {}
-        stack = [(word, one)]
+        # (word, coeff, position where its scan for a redex starts)
+        stack = [(word, one, 0)]
         while stack:
-            w, c = stack.pop()
-            rules = self.rules
-            for t in range(len(w) - 1):
-                rhs = rules.get((w[t], w[t + 1]))
-                if rhs is not None:
+            w, c, start = stack.pop()
+            for t in range(start, len(w) - 1):
+                # rules exist only for descending pairs
+                if w[t] > w[t + 1] and (rhs := rules.get((w[t], w[t + 1]))) is not None:
+                    # the pairs inside w[:t] hold no redex, so the scan of a
+                    # rewritten word starts at the pair that reaches into rw
                     pre = w[:t]
                     suf = w[t + 2 :]
+                    back = t - 1 if t else 0
                     for rc, rw in rhs:
-                        stack.append((pre + rw + suf, c * rc))
+                        rc = rc if c is one else (c if rc is one else c * rc)
+                        stack.append((pre + rw + suf, rc, back))
                     break
             else:
                 acc = out.get(w)

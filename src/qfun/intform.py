@@ -17,6 +17,7 @@ extension.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,12 +32,13 @@ from .classical import (
     h_sym,
     lie_algebra,
 )
-from .freealg import NCElement
+from .freealg import CACHE_LIMIT, NCElement
 from .laurent import (
     LaurentPoly,
     NotDivisible,
     ONE_PLUS_QINV,
     Q_MINUS_1,
+    Q_MINUS_QINV,
     RATFUNC,
     RF_ONE,
     RF_Q_MINUS_1,
@@ -44,8 +46,8 @@ from .laurent import (
     RatFunc,
     neg_q_power,
 )
-from .lincomb import (LinComb, accumulate, apply_pair_map, apply_word_map, concat_product,
-                      format_terms)
+from .lincomb import (LinComb, accumulate, add_pair_products, apply_pair_map, apply_word_map,
+                      concat_product, format_terms)
 from .qmatrix import MatrixAlgebra, TensorElement, perm_inversions
 from .qsl import SLAlgebra
 
@@ -150,12 +152,48 @@ class IntExpr(LinComb):
     __repr__ = __str__
 
 
+@functools.lru_cache(maxsize=256)
+def _den_power(a, b):
+    """(q-q^-1)^a (q-1)^b as a Laurent polynomial."""
+    return Q_MINUS_QINV ** a * Q_MINUS_1 ** b
+
+
+def _over_common_denominator(groups):
+    """sum N / ((q-q^-1)^a (q-1)^b) over the {(a, b): N} of groups, N term
+    dicts, as one term dict: each group is brought to the common denominator
+    (q-q^-1)^A (q-1)^B by a Laurent factor, and each summed coefficient is
+    divided by it once, so a reduced RatFunc is built once per term."""
+    if not groups:
+        return {}
+    top_a = max(a for a, _ in groups)
+    top_b = max(b for _, b in groups)
+    if len(groups) == 1:
+        (out,) = groups.values()
+    else:
+        out = {}
+        for (a, b), part in groups.items():
+            factor = None
+            if (a, b) != (top_a, top_b):
+                factor = RatFunc.from_laurent(_den_power(top_a - a, top_b - b))
+            accumulate(out, part.items(), factor)
+    if not (top_a or top_b):
+        return out
+    inv = RatFunc.from_laurent(_den_power(top_a, top_b)).inverse()
+    return {k: c * inv for k, c in out.items()}
+
+
 class IntContext:
     """Ambient algebra for one of the integer forms.
 
     gl=False: the SL algebra with the given canonical-form strategy.
     gl=True: the plain quantum matrix algebra (no determinant relation),
     the ambient algebra of the GL-localized forms.
+
+    Lifts are fraction-free: a generator word w lifts to
+    N(w) / ((q-q^-1)^a (q-1)^b), where the numerator N(w) is the reduced
+    product of the letters' numerators (x_ij, x_ii - x_{i+1,i+1}, ...), whose
+    coefficients are Laurent polynomials.  A lift sums numerators and
+    divides each output coefficient once.
     """
 
     def __init__(self, n, gl=False, strategy="diagonal74"):
@@ -166,48 +204,86 @@ class IntContext:
         else:
             self.alg = SLAlgebra(n, strategy=strategy, domain=RATFUNC)
         self.spec = self.alg.spec
-        self._lift_cache = {}
+        # generator word -> (N(w), a, b), letters included
+        self._num_memo = {}
         self._lie = None
+
+    def clear_caches(self):
+        """Forget the numerator memo and the ambient algebra's memos."""
+        self._num_memo.clear()
+        self.alg.clear_caches()
 
     # -- lifting ----------------------------------------------------------
 
-    def lift_gen(self, g):
-        el = self._lift_cache.get(g)
-        if el is not None:
-            return el
-        n = self.n
+    def _letter_numerator(self, g):
+        """(N, a, b) of one generator, memoized."""
+        memo = self._num_memo
+        entry = memo.get((g,))
+        if entry is not None:
+            return entry
         alg = self.alg
         if g.kind == "r":
             i, j = g.indices
-            el = alg.gen(i, j)
-            if i != j:
-                el = el.scale(RF_Q_MINUS_QINV.inverse())
+            entry = (alg.gen(i, j).terms, int(i != j), 0)
         elif g.kind == "phi":
             (i,) = g.indices
-            el = (alg.gen(i, i) - alg.gen(i + 1, i + 1)).scale(RF_Q_MINUS_1.inverse())
+            entry = ((alg.gen(i, i) - alg.gen(i + 1, i + 1)).terms, 0, 1)
         elif g.kind == "psi":
             (i,) = g.indices
             prod = alg.one()
             for s in range(1, i + 1):
                 prod = prod * alg.gen(s, s)
-            el = (prod - alg.one()).scale(RF_Q_MINUS_1.inverse())
+            entry = ((prod - alg.one()).terms, 0, 1)
         elif g.kind == "chi":
             (i,) = g.indices
-            el = (alg.gen(i, i) - alg.one()).scale(RF_Q_MINUS_1.inverse())
+            entry = ((alg.gen(i, i) - alg.one()).terms, 0, 1)
         else:
             raise OutOfForm(f"unknown generator kind {g.kind!r}")
-        self._lift_cache[g] = el
-        return el
+        if len(memo) < CACHE_LIMIT:
+            memo[(g,)] = entry
+        return entry
+
+    def _numerator(self, w):
+        """(N(w), a, b) of a generator word, memoized by prefix as
+        MatrixAlgebra.coproduct_word is: N(w) = N(w[:-1]) N(w[-1]), the
+        longest memoized prefix extended one letter at a time."""
+        if not w:
+            return {(): self.spec.domain.one}, 0, 0
+        memo = self._num_memo
+        k = len(w)
+        while k > 1 and w[:k] not in memo:
+            k -= 1
+        entry = memo[w[:k]] if k > 1 else self._letter_numerator(w[0])
+        for t in range(k, len(w)):
+            num, a, b = entry
+            gnum, ga, gb = self._letter_numerator(w[t])
+            entry = (self.spec.reduce_terms(concat_product(num, gnum)), a + ga, b + gb)
+            if len(memo) < CACHE_LIMIT:
+                memo[w[: t + 1]] = entry
+        return entry
+
+    def _lift_terms(self, terms):
+        """The reduced term dict of sum c lift(w) over a {word: c} dict."""
+        groups = {}
+        for w, c in terms.items():
+            num, a, b = self._numerator(w)
+            accumulate(groups.setdefault((a, b), {}), num.items(), None if c.is_one() else c)
+        return _over_common_denominator(groups)
+
+    def lift_gen(self, g):
+        return NCElement(self.spec, self._lift_terms({(g,): RF_ONE}), reduce=False)
 
     def lift(self, expr):
-        return apply_word_map(expr.terms, self.lift_gen, NCElement.one(self.spec))
+        return NCElement(self.spec, self._lift_terms(expr.terms), reduce=False)
 
     def lift_tensor(self, texpr):
-        def word_lift(w):
-            return self.lift(IntExpr({w: 1})).terms
-
-        out = apply_pair_map(texpr.terms, word_lift, word_lift)
-        return TensorElement(self.alg, self.alg, out, reduce=False)
+        groups = {}
+        one = self.spec.domain.one
+        for (wl, wr), c in texpr.terms.items():
+            nl, al, bl = self._numerator(wl)
+            nr, ar, br = self._numerator(wr)
+            add_pair_products(groups.setdefault((al + ar, bl + br), {}), ((c, nl, nr),), one)
+        return TensorElement(self.alg, self.alg, _over_common_denominator(groups), reduce=False)
 
     def coproduct(self, el):
         return self.alg.coproduct(el)

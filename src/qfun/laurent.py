@@ -61,6 +61,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_int(c):
+        if c == 1:
+            return LP_ONE
         return LaurentPoly({0: c}) if c else LP_ZERO
 
     @staticmethod
@@ -250,6 +252,7 @@ class LaurentPoly:
 
 LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly({0: 1})
+_ONE_TERMS = LP_ONE.terms
 Q = LaurentPoly({1: 1})
 QINV = LaurentPoly({-1: 1})
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
@@ -380,7 +383,8 @@ class RatFunc:
 
     Canonical form: den has min exponent 0, positive leading coefficient,
     gcd(num, den) = 1 up to units, and the integer contents of num and den
-    are coprime.  Equality is structural and agrees with cross-multiplication.
+    are coprime.  A unit den is always the LP_ONE object.  Equality is
+    structural and agrees with cross-multiplication.
 
     Reduction stays in Z[q]: the q-power of den moves to num, laurent_gcd
     (a primitive pseudo-remainder sequence) finds the common factor, and
@@ -390,7 +394,8 @@ class RatFunc:
     of two Laurent polynomials (den 1) are not reduced at all, and other
     sums and products follow Henrici: they cancel gcds of their operands'
     parts, which are smaller than the gcd of the full result, and skip a
-    gcd where a monomial or coprime denominators make it 1.
+    gcd where a monomial or coprime denominators make it 1.  An inverse
+    needs no gcd at all, and a quotient is the product by the inverse.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -405,7 +410,8 @@ class RatFunc:
         if not _reduced:
             num, den = _reduce_fraction(num, den)
         self.num = num
-        self.den = den
+        # a unit den is always the LP_ONE object, so the den-1 paths test it by `is`
+        self.den = LP_ONE if den.terms == _ONE_TERMS else den
         self._hash = None
 
     @staticmethod
@@ -425,13 +431,13 @@ class RatFunc:
         return bool(self.num)
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.den is LP_ONE and self.num.is_one()
 
     def is_laurent(self):
-        return self.den.is_one()
+        return self.den is LP_ONE
 
     def to_laurent(self):
-        if not self.den.is_one():
+        if self.den is not LP_ONE:
             raise NotDivisible(self.den)
         return self.num
 
@@ -449,10 +455,11 @@ class RatFunc:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
+        if other.__class__ is not RatFunc:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.den is LP_ONE and other.den is LP_ONE:
             return RatFunc.from_laurent(self.num + other.num)
         # Henrici: with g = gcd(b, d), gcd(a, b) = gcd(c, d) = 1 leaves only
         # gcd(t, g) to cancel from t = a (d/g) + c (b/g) over (b/g)(d/g) g
@@ -491,10 +498,11 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den.is_one() and other.den.is_one():
+        if other.__class__ is not RatFunc:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.den is LP_ONE and other.den is LP_ONE:
             num = self.num * other.num
             if num is other.num:
                 return other
@@ -522,15 +530,23 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero RatFunc")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return _coerce_rf(other) / self
 
     def inverse(self):
-        if self.is_zero():
+        """den/num without a gcd: the parts of a canonical fraction are
+        coprime, so only the q-power of num and the sign of its leading
+        coefficient move."""
+        a = self.num.terms
+        if not a:
             raise DivisionByZero("inverse of zero")
-        return RatFunc(self.den, self.num)
+        m = min(a)
+        s = -1 if a[max(a)] < 0 else 1
+        num = LaurentPoly({e - m: s * c for e, c in self.den.terms.items()})
+        den = LaurentPoly({e - m: s * c for e, c in a.items()})
+        return RatFunc(num, den, _reduced=True)
 
     def __pow__(self, k):
         if k < 0:
@@ -557,7 +573,7 @@ class RatFunc:
         return f"RatFunc({self})"
 
     def __str__(self):
-        if self.den.is_one():
+        if self.den is LP_ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -654,10 +670,10 @@ class Domain:
             raise TypeError(f"cannot coerce {x!r} into Z[q,q^-1]")
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, LaurentPoly):
-            return RatFunc.from_laurent(x)
         if isinstance(x, int):
-            return RatFunc.from_laurent(LaurentPoly.from_int(x))
+            x = LaurentPoly.from_int(x)
+        if isinstance(x, LaurentPoly):
+            return RF_ONE if x is LP_ONE else RatFunc.from_laurent(x)
         raise TypeError(f"cannot coerce {x!r} into k(q)")
 
     def __repr__(self):

@@ -14,7 +14,7 @@ from .freealg import CACHE_LIMIT, AlgebraMismatch, AlgebraSpec, GenSym, NCElemen
 from .lincomb import LinComb, accumulate, add_outer, add_pair_products, format_terms, pair_product
 from .laurent import (
     LAURENT,
-    LaurentPoly,
+    LP_ONE,
     Q,
     QINV,
     Q_MINUS_QINV,
@@ -83,11 +83,11 @@ def pair_relation(u, v):
     if k == l:
         return (Q if i < j else QINV), None
     if (i < j and k > l) or (i > j and k < l):
-        return LaurentPoly({0: 1}), None
+        return LP_ONE, None
     if i < j and k < l:
-        return LaurentPoly({0: 1}), (((i, l), (j, k)), 1)
+        return LP_ONE, (((i, l), (j, k)), 1)
     # i > j and k > l
-    return LaurentPoly({0: 1}), (((j, k), (i, l)), -1)
+    return LP_ONE, (((j, k), (i, l)), -1)
 
 
 def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import AlgebraMismatch, NCElement, graded_component_basis
+from .freealg import CACHE_LIMIT, AlgebraMismatch, NCElement, graded_component_basis
 from .laurent import (
     LaurentPoly,
     RATFUNC,
@@ -64,16 +64,25 @@ class UqAlgebra:
         self.sl_quotient = sl_quotient
         self.serre_relations = _serre_relations(n)
         # F- or E-word -> its normal form; E and F satisfy the same relations
-        self._serre_nf = {(): {(): RF_ONE}}
+        self._serre_nf = {}
+        # (E-word, F-word) -> their straightened product
         self._cross_cache = {}
+
+    def clear_caches(self):
+        """Forget the Serre normal-form memo and the E-F straightening memo."""
+        self._serre_nf.clear()
+        self._cross_cache.clear()
 
     # -- block normalization -------------------------------------------------
 
     def _serre_nf_word(self, word):
         """Expansion of an F/E word in the graded Serre-complement basis; a
         miss row-reduces the word's whole multidegree component and caches
-        every word of it."""
-        hit = self._serre_nf.get(word)
+        every word of it, up to CACHE_LIMIT entries."""
+        if not word:
+            return {(): RF_ONE}
+        memo = self._serre_nf
+        hit = memo.get(word)
         if hit is not None:
             return hit
         deg = [0] * self.n
@@ -82,10 +91,13 @@ class UqAlgebra:
         # letters are 0-based inside graded_component_basis
         _, _, proj = graded_component_basis(self.n, self.serre_relations, tuple(deg))
         for w, expansion in proj.items():
-            self._serre_nf[tuple(l + 1 for l in w)] = {
-                tuple(l + 1 for l in bw): c for bw, c in expansion.items()
-            }
-        return self._serre_nf[word]
+            nf = {tuple(l + 1 for l in bw): c for bw, c in expansion.items()}
+            w = tuple(l + 1 for l in w)
+            if w == word:
+                hit = nf
+            if len(memo) < CACHE_LIMIT:
+                memo[w] = nf
+        return hit
 
     def _norm_g(self, g):
         if not self.sl_quotient:
@@ -164,7 +176,8 @@ class UqAlgebra:
                         yield (f2, g, e2), qpow(s) * coeff * c2
 
         out = accumulate({}, terms())
-        self._cross_cache[key] = out
+        if len(self._cross_cache) < CACHE_LIMIT:
+            self._cross_cache[key] = out
         return out
 
     def mul_terms(self, t1, c1, t2, c2, out=None):

@@ -355,3 +355,27 @@ def test_run_command_builds_the_parser_once(monkeypatch):
     finally:
         cli.build_argparser.cache_clear()
     assert builds == [1]
+
+
+def test_powers_refused_by_total_degree():
+    import time
+
+    # the bound is the square root of the default budget, 10**6
+    code, out = run_command(["nf", "--algebra", "M", "x[1,2]^1001"])
+    assert code == 2 and out.startswith("error: power of degree 1001 exceeds 1000"), out
+    start = time.perf_counter()
+    code, out = run_command(["nf", "--algebra", "M", "x[1,2]^999999"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out.startswith("error:") and "degree 999999" in out, out
+    code, out = run_command(["nf", "--algebra", "M", "x[1,2]^50"])
+    assert code == 0 and out == " ".join(["x[1,2]"] * 50)
+    # the degree counts the base's letters, in every algebra that has powers
+    for argv in (["nf", "--algebra", "M", "(x[1,2] x[2,1])^501"],
+                 ["nf", "--algebra", "GL", "(x[1,1] + x[1,2])^1001"],
+                 ["nf", "--algebra", "Uq", "(E[1] F[1])^501"],
+                 ["nf", "--algebra", "Uh", "f[2,1]^1001"],
+                 ["specialize", "(r[1,2] phi[1])^501"]):
+        code, out = run_command(argv)
+        assert code == 2 and out.startswith("error: power of degree"), (argv, out)
+    # scalars stay exempt
+    assert run_command(["nf", "--algebra", "M", "2^1001"])[0] == 0

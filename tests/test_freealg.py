@@ -2,6 +2,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfun.freealg import (
     NCElement,
@@ -9,7 +11,7 @@ from qfun.freealg import (
     graded_component_basis,
     words_of_multidegree,
 )
-from qfun.laurent import Q, RF_ONE, RatFunc
+from qfun.laurent import LAURENT, Q, RATFUNC, RF_ONE, RatFunc
 from qfun.qmatrix import MatrixAlgebra, build_matrix_spec
 from qfun.suites import kostant_count
 
@@ -270,3 +272,46 @@ def test_swap_with_an_added_correction_is_rewritten(which):
     assert not report["ok"]
     assert spec.word_str((a, b, c)) in [f["word"] for f in report["failures"]]
     assert report == _confluence_by_rewriting(spec)
+
+
+# -- the normal_form_word kernel against a plain leftmost rewriting ----------------
+
+
+def _leftmost_normal_form(spec, word):
+    """Rewrite the leftmost pair that has a rule, scanning each word from its
+    start and multiplying every coefficient out: the kernel without its
+    shortcuts.  Returns the normal words with their coefficients in the order
+    they were reached."""
+    out = {}
+    stack = [(word, spec.domain.one)]
+    while stack:
+        w, c = stack.pop()
+        for t in range(len(w) - 1):
+            rhs = spec.rules.get((w[t], w[t + 1]))
+            if rhs is not None:
+                for rc, rw in rhs:
+                    stack.append((w[:t] + rw + w[t + 2 :], c * rc))
+                break
+        else:
+            out[w] = out[w] + c if w in out else c
+    return [(w, c) for w, c in out.items() if c]
+
+
+_KERNEL_SPECS = {}
+
+
+def _kernel_spec(n, order, domain):
+    key = (n, order, domain.name)
+    if key not in _KERNEL_SPECS:
+        _KERNEL_SPECS[key] = build_matrix_spec(n, order=order, domain=domain)
+    return _KERNEL_SPECS[key]
+
+
+@given(st.sampled_from([1, 2]), st.sampled_from(["lex", "antidiag", "triangular"]),
+       st.sampled_from([LAURENT, RATFUNC]), st.lists(st.integers(0, 8), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_normal_form_word_equals_leftmost_rewriting(n, order, domain, letters):
+    spec = _kernel_spec(n, order, domain)
+    word = tuple(x % len(spec.alphabet) for x in letters)
+    spec.clear_caches()
+    assert list(spec.normal_form_word(word).items()) == _leftmost_normal_form(spec, word)

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfun import intform
 from qfun.classical import f_sym, h_sym, reference_cobracket
 from qfun.intform import (
     IntContext,
@@ -18,7 +21,9 @@ from qfun.intform import (
     verify_hopf_catalog,
     verify_relation_catalog,
 )
-from qfun.laurent import Q_MINUS_1, RF_ONE, RatFunc
+from qfun.freealg import NCElement
+from qfun.laurent import Q_MINUS_1, Q_MINUS_QINV, RF_ONE, LaurentPoly, RatFunc
+from qfun.lincomb import apply_word_map
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +225,126 @@ def test_catalog_suites_check_each_entry_once(monkeypatch):
     monkeypatch.setattr(suites, "verify_hopf_catalog", counting_verify)
     assert suites.hopf_closure_suite(ns=(1,))["ok"]
     assert sorted(calls) == [("P", 1), ("Q", 1), ("plain", 1)]
+
+
+# -- the fraction-free lift against the per-letter scaled product -----------------
+
+_CONTEXTS = {}
+
+
+def _context(n, kind):
+    """One shared context per (n, kind): SL with each strategy, or GL."""
+    if (n, kind) not in _CONTEXTS:
+        _CONTEXTS[n, kind] = (IntContext(n, gl=True) if kind == "GL"
+                              else IntContext(n, strategy=kind))
+    return _CONTEXTS[n, kind]
+
+
+def _letters(n):
+    idx = range(1, n + 2)
+    return ([rgen(i, j) for i in idx for j in idx] + [phigen(i) for i in range(1, n + 1)]
+            + [psigen(i) for i in idx] + [chigen(i) for i in idx])
+
+
+def _scaled_gen(ctx, g):
+    """The lift of one generator, built as the generator scaled by the
+    inverse of its denominator."""
+    alg = ctx.alg
+    if g.kind == "r":
+        i, j = g.indices
+        el = alg.gen(i, j)
+        return el.scale(RatFunc(1, Q_MINUS_QINV)) if i != j else el
+    (i,) = g.indices
+    if g.kind == "phi":
+        num = alg.gen(i, i) - alg.gen(i + 1, i + 1)
+    elif g.kind == "chi":
+        num = alg.gen(i, i) - alg.one()
+    else:
+        prod = alg.one()
+        for s in range(1, i + 1):
+            prod = prod * alg.gen(s, s)
+        num = prod - alg.one()
+    return num.scale(RatFunc(1, Q_MINUS_1))
+
+
+_small = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), min_size=1, max_size=3).map(
+    LaurentPoly).filter(bool)
+_laurent_coeffs = _small.map(RatFunc.from_laurent)
+# k(q) coefficients with the lift's own denominator factors among others
+_dens = st.sampled_from([Q_MINUS_1, Q_MINUS_QINV, LaurentPoly({1: 1, 0: 1}),
+                         LaurentPoly({2: 1, 0: 1}), LaurentPoly({1: 2, 0: -3})])
+_field_coeffs = st.tuples(_small, _dens).map(lambda t: RatFunc(*t))
+
+
+@st.composite
+def _lift_cases(draw):
+    n = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["diagonal74", "antidiag73", "GL"]))
+    coeffs = draw(st.sampled_from([_laurent_coeffs, _field_coeffs]))
+    words = st.lists(st.sampled_from(_letters(n)), max_size=4).map(tuple)
+    terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=3))
+    return n, kind, IntExpr(terms)
+
+
+@given(_lift_cases())
+@settings(max_examples=60, deadline=None)
+def test_lift_equals_the_per_letter_product(case):
+    n, kind, expr = case
+    ctx = _context(n, kind)
+    got = ctx.lift(expr)
+    expected = apply_word_map(expr.terms, ctx.lift_gen, NCElement.one(ctx.spec))
+    assert got.terms == expected.terms
+    assert str(got) == str(expected)
+    scaled = apply_word_map(expr.terms, lambda g: _scaled_gen(ctx, g), NCElement.one(ctx.spec))
+    assert got.terms == scaled.terms
+
+
+def test_lift_gen_is_the_scaled_generator():
+    for n in (1, 2):
+        for kind in ("diagonal74", "antidiag73", "GL"):
+            ctx = _context(n, kind)
+            for g in _letters(n):
+                lifted = ctx.lift_gen(g)
+                assert lifted.terms == _scaled_gen(ctx, g).terms, (n, kind, g)
+                assert all(c.den.min_exp() == 0 for c in lifted.terms.values())
+
+
+def _counting_products(monkeypatch):
+    products = []
+    real = intform.concat_product
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(intform, "concat_product", counting)
+    return products
+
+
+def test_lift_multiplies_once_per_distinct_prefix(monkeypatch):
+    a, b, c, d = rgen(1, 2), phigen(1), chigen(2), psigen(1)
+    expr = IntExpr({(a, b, c): 1, (a, b, d): 2, (a, d): 3, (c,): 1, (b, b, a, c): -1})
+    # (a, b), (a, b, c), (a, b, d), (a, d), (b, b), (b, b, a), (b, b, a, c)
+    prefixes = 7
+    ctx = IntContext(1)
+    expected = apply_word_map(expr.terms, ctx.lift_gen, NCElement.one(ctx.spec))
+    products = _counting_products(monkeypatch)
+    assert ctx.lift(expr) == expected
+    assert len(products) == prefixes
+    products.clear()
+    assert ctx.lift(expr) == expected
+    assert ctx.lift_tensor(intform.TensorIntExpr({((a, b), (a, d)): 1})).terms
+    assert not products
+
+
+def test_numerator_memo_bounds_and_clears(monkeypatch):
+    expr = IntExpr({(rgen(1, 2), phigen(1), chigen(2)): 1, (psigen(1), rgen(2, 1)): 2})
+    ctx = IntContext(1)
+    expected = ctx.lift(expr)
+    assert ctx._num_memo
+    ctx.clear_caches()
+    assert not ctx._num_memo and not ctx.spec._nf_cache
+    monkeypatch.setattr(intform, "CACHE_LIMIT", 0)
+    assert ctx.lift(expr) == expected
+    assert ctx.lift_gen(phigen(1)).terms == _scaled_gen(ctx, phigen(1)).terms
+    assert not ctx._num_memo

@@ -14,6 +14,7 @@ from qfun.laurent import (
     QINV,
     Q_MINUS_1,
     Q_MINUS_QINV,
+    RATFUNC,
     DivisionByZero,
     RatFunc,
     divide_by_q_minus_1,
@@ -335,3 +336,79 @@ def test_rf_sum_and_product_against_sympy(pair):
         for got in ((a * c, c * a) if op == "mul" else (a + c, c + a)):
             assert (got.num, got.den) == (expected.num, expected.den)
             assert sympy.expand(_expr(q, got.num) * den - num * _expr(q, got.den)) == 0
+
+
+# -- inverse and quotient without a gcd --------------------------------------------
+
+
+@given(sharing_pairs)
+@example(CANCELLING_SUMS[1])
+@example((RatFunc(LaurentPoly({3: -2, 1: 4})), RatFunc(LaurentPoly({-2: -1}), Q_MINUS_1)))
+@settings(max_examples=60, deadline=None)
+def test_inverse_and_quotient_against_sympy(pair):
+    """a.inverse() is the full reduction RatFunc(den, num), and a / c the
+    full reduction of the cross products, checked against sympy.cancel."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    a, c = pair
+    for x in (a, c):
+        if x.is_zero():
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+            continue
+        inv = x.inverse()
+        expected = RatFunc(x.den, x.num)
+        assert (inv.num, inv.den) == (expected.num, expected.den)
+        assert sympy.cancel(_expr(q, inv.num) / _expr(q, inv.den)
+                            - _expr(q, x.den) / _expr(q, x.num)) == 0
+    if c.is_zero():
+        with pytest.raises(DivisionByZero, match="division by zero RatFunc"):
+            a / c
+        return
+    num = _expr(q, a.num) * _expr(q, c.den)
+    den = _expr(q, a.den) * _expr(q, c.num)
+    expected = RatFunc(_from_sympy(sympy, q, num), _from_sympy(sympy, q, den))
+    got = a / c
+    assert (got.num, got.den) == (expected.num, expected.den)
+    assert sympy.cancel(_expr(q, got.num) / _expr(q, got.den) - num / den) == 0
+
+
+def test_inverse_calls_no_gcd(monkeypatch):
+    import qfun.laurent as laurent
+
+    x = RatFunc(LaurentPoly({-2: -3, 1: 6, 2: 3}), LaurentPoly({0: 2, 1: 1}) * Q_MINUS_1)
+    y, z = RatFunc(-2), RatFunc(QINV)
+
+    def no_gcd(a, b):
+        raise AssertionError("laurent_gcd called")
+
+    monkeypatch.setattr(laurent, "laurent_gcd", no_gcd)
+    inverses = [x.inverse(), y.inverse(), z.inverse()]
+    monkeypatch.undo()
+    assert (inverses[0] * x).is_one()
+    assert inverses[1] == RatFunc(-1, 2)
+    assert inverses[2] == RatFunc(Q) and inverses[2].den is LP_ONE
+
+
+UNIT_DEN_CASES = (
+    (RatFunc(1, Q_MINUS_1), RatFunc(-1, Q_MINUS_1)),
+    (RatFunc(Q, Q_MINUS_1), RatFunc(-1, Q_MINUS_1)),
+    (RatFunc(Q * Q - 1, Q + 1), RatFunc(Q_MINUS_1)),
+    (RatFunc(Q + 1, Q_MINUS_1), RatFunc(Q_MINUS_1, Q + 1)),
+    (RatFunc(LaurentPoly({0: 2})), RatFunc(LaurentPoly({0: 2}))),
+    (RatFunc(QINV), RatFunc(LaurentPoly({2: -1}))),
+)
+
+
+@given(st.one_of(st.sampled_from(UNIT_DEN_CASES), st.tuples(rf_operands, rf_operands)))
+@settings(max_examples=200, deadline=None)
+def test_unit_denominator_is_lp_one(pair):
+    """Every + - * / result whose den is 1 holds the LP_ONE object."""
+    a, b = pair
+    results = [a + b, a - b, b - a, a * b, -a, a + 1, 2 * a, RatFunc(a.num, a.den)]
+    if b:
+        results += [a / b, b.inverse()]
+    for r in results:
+        assert r.den.is_one() == (r.den is LP_ONE), (a, b, r)
+    assert LaurentPoly.from_int(1) is LP_ONE
+    assert RATFUNC.coerce(1) is RATFUNC.coerce(LP_ONE) is RATFUNC.one

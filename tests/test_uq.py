@@ -276,3 +276,24 @@ def test_standard_rep_respects_relations():
     for r in _defining_relations(alg):
         m = _standard_rep_matrix(alg, r)
         assert all(not c for row in m for c in row)
+
+
+def _cache_probe(alg):
+    """An element whose product straightens E-F words and Serre-normalizes
+    F- and E-words of degree three."""
+    x = alg.E(1) * alg.E(2) * alg.E(1) * alg.F(2) * alg.F(1)
+    return x * (alg.F(1) * alg.F(2) * alg.E(2) + alg.G(1))
+
+
+def test_uq_memos_bound_and_clear(monkeypatch):
+    from qfun import uq
+
+    alg = UqAlgebra(2)
+    expected = _cache_probe(alg)
+    assert alg._serre_nf and alg._cross_cache
+    alg.clear_caches()
+    assert not alg._serre_nf and not alg._cross_cache
+    monkeypatch.setattr(uq, "CACHE_LIMIT", 0)
+    assert _cache_probe(alg) == expected
+    assert _cache_probe(UqAlgebra(2)).terms == expected.terms
+    assert not alg._serre_nf and not alg._cross_cache

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .freealg import certified
 from .lincomb import LinComb, accumulate, add_outer, concat_product, format_terms
 
 
@@ -74,6 +75,12 @@ class LieStructure:
         return {k: -v for k, v in neg.items()}
 
     def _check_jacobi(self):
+        """Raise JacobiFailure unless the brackets satisfy Jacobi; the check
+        runs once per (basis, brackets) in a process (certified)."""
+        brackets = tuple(sorted((ab, tuple(sorted(v.items()))) for ab, v in self.brackets.items()))
+        certified(("jacobi", tuple(self.basis), brackets), self._jacobi_holds)
+
+    def _jacobi_holds(self):
         for a in range(self.dim):
             for b in range(a):
                 for c in range(b):
@@ -86,6 +93,7 @@ class LieStructure:
                             f"Jacobi fails on ({self.basis[a]}, {self.basis[b]}, "
                             f"{self.basis[c]})"
                         )
+        return True
 
     def word_str(self, word):
         return " ".join(str(self.basis[i]) for i in word) if word else "1"

@@ -98,7 +98,10 @@ def tokenize(src):
             j = i
             while j < len(src) and src[j].isdigit():
                 j += 1
-            tokens.append(("num", int(src[i:j]), line, col))
+            try:
+                tokens.append(("num", int(src[i:j]), line, col))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ExprSyntaxError(f"number of {j - i} digits is too long", line, col) from None
             col += j - i
             i = j
             continue
@@ -245,22 +248,26 @@ def _refuse_huge_power(k, base, budget):
     exceeds the term budget, or when its total degree k * (degree of the
     base) exceeds the square root of the budget.  The loop multiplies out
     words of up to that degree and rewrites each product again, so its work
-    grows with the square of the degree.  A scalar +-q^e is exempt from the
-    first check, as it stays one term with coefficient +-1 under every power,
-    and scalars and tensors from the second (a tensor power refuses at its
-    first multiplication)."""
+    grows with the square of the degree.  The degree of a scalar is the span
+    of its q-exponents, which its powers multiply the same way; an element of
+    degree 0 counts as degree 1, as the loop still multiplies k times.  A
+    scalar +-q^e is exempt from the first check, as it stays one term with
+    coefficient +-1 under every power, and tensors from the second (a tensor
+    power refuses at its first multiplication)."""
     scalar = isinstance(base, RatFunc)
     unit = scalar and base.is_laurent() and list(base.num.terms.values()) in ([1], [-1])
     if abs(k) > budget and not unit:
         raise TermBudgetExceeded(f"exponent {k} exceeds the term budget {budget}")
-    if scalar or isinstance(base, TENSORS):
+    if isinstance(base, TENSORS):
         return
     if isinstance(base, GLElement):
         base = base.body
-    if isinstance(base, UqElement):
-        degree = max((len(f) + len(e) for f, _, e in base.terms), default=0)
+    if scalar:
+        degree = max(p.max_exp() - p.min_exp() for p in (base.num, base.den))
+    elif isinstance(base, UqElement):
+        degree = max(1, max((len(f) + len(e) for f, _, e in base.terms), default=0))
     else:
-        degree = max((len(w) for w in base.terms), default=0)
+        degree = max(1, max((len(w) for w in base.terms), default=0))
     bound = math.isqrt(budget)
     if abs(k) * degree > bound:
         raise TermBudgetExceeded(
@@ -459,6 +466,8 @@ class Context:
             a, b = b, a  # scalars are central
         if isinstance(b, RatFunc):
             return a.scale(self._scalar_for(b, a))
+        if isinstance(a, ClassicalTensor):
+            raise ExprIndexError("cobracket values do not multiply")
         return a * b
 
     def _call(self, name, argnode):
@@ -472,6 +481,8 @@ class Context:
                 fam, idx = argnode[1], argnode[2]
                 sym = {"f": f_sym, "e": e_sym, "h": h_sym}.get(fam)
                 sym = sym(*idx) if sym else C_SYM
+                if sym not in self.lie.index:
+                    raise ExprIndexError(f"{sym} is not a basis symbol for n={self.n}")
                 return reference_cobracket(self.lie, sym, self.n)
             raise ExprIndexError("delta not available here")
         arg = self.eval(argnode)
@@ -553,10 +564,20 @@ def _as_intexpr(node, n, budget):
     raise ExprIndexError("unsupported expression under delta(...)")
 
 
+class OutputTooLarge(Exception):
+    pass
+
+
 def format_value(v, fmt="text"):
-    if fmt == "text":
-        return str(v)
-    return json.dumps(value_to_json(v), indent=2, sort_keys=True)
+    try:
+        if fmt == "text":
+            return str(v)
+        return json.dumps(value_to_json(v), indent=2, sort_keys=True)
+    except ValueError:
+        # Python prints no integer past sys.get_int_max_str_digits()
+        raise OutputTooLarge(
+            f"the value has an integer of more than {sys.get_int_max_str_digits()} "
+            f"digits, which Python does not print") from None
 
 
 def value_to_json(v):
@@ -740,7 +761,7 @@ def run_command(argv):
         return 2, f"error: {exc}"
     except TermBudgetExceeded as exc:
         return 2, f"error: {exc} (raise QFUN_MAX_TERMS to allow more)"
-    except (DivisionByZero, NotDivisible, NotInBorel) as exc:
+    except (DivisionByZero, NotDivisible, NotInBorel, OutputTooLarge) as exc:
         return 2, f"error: {exc}"
 
 

@@ -14,12 +14,32 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
 
-from .laurent import LAURENT, RATFUNC, LaurentPoly, RatFunc
+from .laurent import LAURENT, LP_ONE, RATFUNC, LaurentPoly, RatFunc
 from .lincomb import LinComb, accumulate, concat_product, echelon, format_terms, reduce_row
 
 
 # entries a memo keeps at most; past it, new results are computed but not kept
 CACHE_LIMIT = 300_000
+
+# key of a check -> its result; one entry per distinct presentation checked
+_certificates = {}
+
+
+def certified(key, check):
+    """The result of check(), run once per key in this process.
+
+    key must be the exact data the check reads, so that an equal key gives
+    an equal result.  Results are kept up to CACHE_LIMIT keys; a check that
+    raises keeps nothing, so it raises again on the next call.
+    """
+    try:
+        return _certificates[key]
+    except KeyError:
+        pass
+    result = check()
+    if len(_certificates) < CACHE_LIMIT:
+        _certificates[key] = result
+    return result
 
 
 class AlgebraMismatch(Exception):
@@ -314,12 +334,37 @@ class NCElement(LinComb):
 # -- confluence ---------------------------------------------------------------
 
 
+def rule_table_key(spec):
+    """The data confluence_check reads: the alphabet and the rules.
+
+    A k(q) coefficient with unit den is read as its Laurent numerator, so a
+    table over Z[q,q^-1] and the same table over k(q) have one key.  The
+    post-reducers are not part of it.
+    """
+    return (
+        tuple(spec.alphabet),
+        tuple(
+            (lhs, tuple((c.num if c.__class__ is RatFunc and c.den is LP_ONE else c, w)
+                        for c, w in rhs))
+            for lhs, rhs in sorted(spec.rules.items())
+        ),
+    )
+
+
 def confluence_check(spec):
     """Check local confluence on all strictly descending length-3 words.
 
     Both reduction strategies (left pair first / right pair first) must give
-    the same full normal form.  Returns a report dict; failures are listed,
-    not raised.
+    the same full normal form.  Returns a fresh report dict; failures are
+    listed, not raised.  The report depends only on rule_table_key(spec), so
+    the overlaps are rewritten once per rule table in a process (certified).
+    """
+    report = certified(("confluence", rule_table_key(spec)), lambda: _overlap_report(spec))
+    return {**report, "failures": [dict(f) for f in report["failures"]]}
+
+
+def _overlap_report(spec):
+    """confluence_check's report, computed.
 
     An overlap abc (a > b > c) whose three rules (a, b), (b, c) and (a, c)
     are each a single-term swap xy -> s_xy yx is counted but not rewritten.

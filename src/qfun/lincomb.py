@@ -18,13 +18,14 @@ pair_product and apply_pair_map call it.
 from __future__ import annotations
 
 
-def accumulate(dst, items, coeff=None):
+def accumulate(dst, items, coeff=None, one=None):
     """dst[key] += c for each (key, c) in items, in place, each c first
-    multiplied by coeff when one is given; zero sums are dropped."""
+    multiplied by coeff when one is given; zero sums are dropped.  A c that
+    `is` one becomes coeff without a multiply."""
     get = dst.get
     for key, c in items:
         if coeff is not None:
-            c = c * coeff
+            c = coeff if c is one else c * coeff
         s = get(key)
         s = c if s is None else s + c
         if s:

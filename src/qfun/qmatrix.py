@@ -144,8 +144,7 @@ class MatrixAlgebra:
     cells that are present.
     """
 
-    def __init__(self, n, order="lex", domain=LAURENT, check_confluence=True,
-                 cells=None, name=None):
+    def __init__(self, n, order="lex", domain=LAURENT, cells=None, name=None):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
@@ -154,12 +153,9 @@ class MatrixAlgebra:
         self.domain = domain
         self.cells = frozenset(g.indices for g in self.spec.alphabet)
         self._detq = None
-        if check_confluence:
-            report = confluence_check(self.spec)
-            if not report["ok"]:
-                raise InadmissibleOrder(
-                    f"rule table not confluent: {report['failures'][:3]}"
-                )
+        report = confluence_check(self.spec)
+        if not report["ok"]:
+            raise InadmissibleOrder(f"rule table not confluent: {report['failures'][:3]}")
         # letter -> its coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict
         index = self.spec.index
         one = self.spec.domain.one
@@ -207,7 +203,7 @@ class MatrixAlgebra:
         out = {}
         one = self.spec.domain.one
         for w, c in a.terms.items():
-            accumulate(out, self.coproduct_word(w).items(), None if c is one else c)
+            accumulate(out, self.coproduct_word(w).items(), None if c is one else c, one)
         return TensorElement(self, self, out, reduce=False)
 
     def coproduct_word(self, w):

@@ -122,10 +122,9 @@ class DetReducer(PostReducer):
 class SLAlgebra(MatrixAlgebra):
     """Quantum SL(n+1) function algebra with a canonical-form strategy."""
 
-    def __init__(self, n, strategy="diagonal74", domain=RATFUNC, check_confluence=True):
+    def __init__(self, n, strategy="diagonal74", domain=RATFUNC):
         order = "triangular" if strategy == "diagonal74" else "antidiag"
-        super().__init__(n, order=order, domain=domain, check_confluence=check_confluence,
-                         name=f"SL({n + 1})/{strategy}")
+        super().__init__(n, order=order, domain=domain, name=f"SL({n + 1})/{strategy}")
         self.strategy = strategy
         self.reducer = DetReducer(n, strategy, self.spec)
         self.spec.post_reducers.append(self.reducer)
@@ -165,7 +164,7 @@ def _minor_antipode(alg, a, sign):
 def _select_antipode_sign():
     """Try both exponent conventions on SL(2); keep the first one satisfying
     the two-sided antipode axiom on every generator."""
-    alg = SLAlgebra(1, strategy="diagonal74", check_confluence=False)
+    alg = SLAlgebra(1, strategy="diagonal74")
     for sign in (1, -1):
         if all(_antipode_axiom_holds(alg, alg.gen(i, j), sign)
                for i in (1, 2) for j in (1, 2)):
@@ -305,7 +304,17 @@ class BorelAlgebra(MatrixAlgebra):
         return super().gen(i, j)
 
     def defining_relation_pairs(self):
-        """All (lhs, rhs) pairs of the presentation, for map checks."""
+        """All (lhs, rhs) pairs of the presentation, for map checks.
+
+        Both sides are left unreduced: reduced, they would be one element,
+        and a map would send them to the same image whatever it is.
+        """
+        domain = self.spec.domain
+
+        def word(*cells, coeff=domain.one):
+            w = tuple(self.spec.index[x_gen(*ij)] for ij in cells)
+            return NCElement(self.spec, {w: domain.coerce(coeff)}, reduce=False)
+
         pairs = []
         cells = sorted(self.cells)
         for u in cells:
@@ -313,25 +322,14 @@ class BorelAlgebra(MatrixAlgebra):
                 if u >= v:
                     continue
                 swap, corr = pair_relation(v, u)  # straighten x_v x_u
-                lhs = self.gen(*v) * self.gen(*u)
-                rhs = (self.gen(*u) * self.gen(*v)).scale(swap)
+                rhs = word(u, v, coeff=swap)
                 if corr is not None:
                     (a, b), s = corr
                     if a in self.cells and b in self.cells:
-                        rhs = rhs + (self.gen(*a) * self.gen(*b)).scale(
-                            Q_MINUS_QINV * s
-                        )
-                pairs.append((f"x{v} x{u}", lhs, rhs))
-        diag_word = tuple(
-            self.spec.index[x_gen(i, i)] for i in range(1, self.n + 2)
-        )
-        pairs.append(
-            (
-                "diag product = 1",
-                NCElement(self.spec, {diag_word: self.spec.domain.one}),
-                self.one(),
-            )
-        )
+                        rhs = rhs + word(a, b, coeff=Q_MINUS_QINV * s)
+                pairs.append((f"x{v} x{u}", word(v, u), rhs))
+        diag = [(i, i) for i in range(1, self.n + 2)]
+        pairs.append(("diag product = 1", word(*diag), word()))
         return pairs
 
 

@@ -149,8 +149,8 @@ def detq_suite(ns=(1, 2, 3)):
         _result(results, f"n={n} detq central", all(r["ok"] for r in rep["central"]))
         _result(results, f"n={n} detq group-like", rep["grouplike"])
         _result(results, f"n={n} eps(detq)=1", rep["counit"])
-        sl = SLAlgebra(n, strategy="diagonal74", check_confluence=(n <= 2))
-        malg = MatrixAlgebra(n, order="triangular", domain=RATFUNC, check_confluence=False)
+        sl = SLAlgebra(n, strategy="diagonal74")
+        malg = MatrixAlgebra(n, order="triangular", domain=RATFUNC)
         img = pi_project(malg, sl, malg.detq() - malg.one())
         _result(results, f"n={n} pi(detq - 1) = 0", img.is_zero())
     return _report("detq", results)
@@ -262,8 +262,8 @@ def sl_pbw_suite(seed=0):
         )
     # the two canonical monomial sets are equinumerous in every degree
     for n in (1, 2):
-        a74 = SLAlgebra(n, strategy="diagonal74", check_confluence=False)
-        a73 = SLAlgebra(n, strategy="antidiag73", check_confluence=False)
+        a74 = SLAlgebra(n, strategy="diagonal74")
+        a73 = SLAlgebra(n, strategy="antidiag73")
         eq = all(
             len(a74.pbw_basis_sl(r)) == len(a73.pbw_basis_sl(r)) for r in range(5)
         )
@@ -289,7 +289,7 @@ def sl_pbw_suite(seed=0):
         if not (idem - base).is_zero():
             ok = False
     _result(results, "sl_reduce path-independent + idempotent on 500 random elements", ok)
-    alg2 = SLAlgebra(2, strategy="diagonal74", check_confluence=False)
+    alg2 = SLAlgebra(2, strategy="diagonal74")
     k2 = len(alg2.spec.alphabet)
     ok2 = True
     for trial in range(50):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import CACHE_LIMIT, AlgebraMismatch, NCElement, graded_component_basis
+from .freealg import CACHE_LIMIT, AlgebraMismatch, NCElement, certified, graded_component_basis, rule_table_key
 from .laurent import (
     LaurentPoly,
     RATFUNC,
@@ -476,7 +476,8 @@ class ThetaMap:
 
     Images of the non-adjacent generators are produced by the two-step
     recursion through the Borel relations; the Borel presentation is
-    verified to map to zero at construction.
+    verified to map to zero at construction, once per process for each
+    sign, Borel rule table and set of generator images (certified).
     """
 
     def __init__(self, sign, borel, uq):
@@ -487,9 +488,14 @@ class ThetaMap:
         self.uq = uq
         self.n = borel.n
         self._images = {}
+        images = tuple((ij, frozenset(self.image(*ij).terms.items())) for ij in sorted(borel.cells))
+        certified(("theta", sign, rule_table_key(borel.spec), images), self._relations_hold)
+
+    def _relations_hold(self):
         rep = self.verify_relations()
         if not rep["ok"]:
-            raise RuntimeError(f"theta{sign} fails Borel relations: {rep}")
+            raise RuntimeError(f"theta{self.sign} fails Borel relations: {rep}")
+        return True
 
     def image(self, i, j):
         key = (i, j)

@@ -1,0 +1,130 @@
+"""The process-wide certificate memo: confluence, Jacobi and theta-relation
+checks run once per distinct presentation, keyed by the data they check."""
+
+import pytest
+
+from qfun import freealg
+from qfun.classical import JacobiFailure, LieStructure, build_h, e_sym, h_sym
+from qfun.freealg import confluence_check
+from qfun.laurent import LAURENT, Q, RATFUNC
+from qfun.qmatrix import InadmissibleOrder, MatrixAlgebra, build_matrix_spec
+from qfun.qsl import BorelAlgebra, SLAlgebra
+from qfun.uq import MuMap, ThetaMap, UqAlgebra
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """An empty memo, and the specs the raw confluence check rewrites."""
+    monkeypatch.setattr(freealg, "_certificates", {})
+    seen = []
+    real = freealg._overlap_report
+
+    def spy(spec):
+        seen.append(spec.name)
+        return real(spec)
+
+    monkeypatch.setattr(freealg, "_overlap_report", spy)
+    return seen
+
+
+def _corrupt(spec):
+    """Multiply the first coefficient of the first rule by q."""
+    key = next(iter(spec.rules))
+    coeff, word = spec.rules[key][0]
+    spec.rules[key] = ((coeff * Q, word),) + spec.rules[key][1:]
+    spec.clear_caches()
+    return spec
+
+
+def test_one_confluence_run_per_rule_table(runs):
+    SLAlgebra(3)
+    SLAlgebra(3)
+    MatrixAlgebra(3, order="triangular", domain=LAURENT)
+    MatrixAlgebra(3, order="triangular", domain=RATFUNC)
+    assert runs == ["SL(4)/diagonal74"]
+    # the other strategy orders its letters differently: a second table
+    SLAlgebra(3, strategy="antidiag73")
+    assert runs == ["SL(4)/diagonal74", "SL(4)/antidiag73"]
+
+
+def test_each_call_returns_a_fresh_report(runs):
+    spec = _corrupt(build_matrix_spec(1, order="lex"))
+    first = confluence_check(spec)
+    first["failures"][0]["word"] = "changed"
+    first["failures"].clear()
+    first["ok"] = True
+    second = confluence_check(spec)
+    assert not second["ok"] and second["failures"]
+    assert second["failures"][0]["word"] != "changed"
+    assert len(runs) == 1
+
+
+def test_a_mutated_rule_is_checked_again_and_fails(runs, monkeypatch):
+    import qfun.qmatrix as qmatrix
+
+    assert confluence_check(build_matrix_spec(1, order="lex"))["ok"]
+    assert len(runs) == 1
+    report = confluence_check(_corrupt(build_matrix_spec(1, order="lex")))
+    assert not report["ok"] and len(runs) == 2
+    MatrixAlgebra(1, order="lex")
+    real = qmatrix.build_matrix_spec
+    monkeypatch.setattr(qmatrix, "build_matrix_spec",
+                        lambda *args, **kwargs: _corrupt(real(*args, **kwargs)))
+    for _ in range(2):
+        with pytest.raises(InadmissibleOrder, match="not confluent"):
+            MatrixAlgebra(1, order="lex")
+    monkeypatch.setattr(qmatrix, "build_matrix_spec", real)
+    MatrixAlgebra(1, order="lex")
+    assert len(runs) == 2
+
+
+def test_corrupted_brackets_raise_on_every_build(monkeypatch):
+    monkeypatch.setattr(freealg, "_certificates", {})
+    lie = build_h(2)
+    ih, ie = lie.index[h_sym(1)], lie.index[e_sym(1, 2)]
+    key = (max(ih, ie), min(ih, ie))
+    bad = dict(lie.brackets)
+    bad[key] = {k: 3 * v / 2 for k, v in bad[key].items()}
+    for _ in range(2):
+        with pytest.raises(JacobiFailure):
+            LieStructure(lie.basis, bad)
+    LieStructure(lie.basis, lie.brackets)
+    assert len(freealg._certificates) == 1
+
+
+def test_a_wrong_theta_image_raises_on_every_build(monkeypatch):
+    uq = UqAlgebra(1, sl_quotient=True)
+    borel = BorelAlgebra(1, "+")
+    ThetaMap("+", borel, uq)
+    real = ThetaMap.image
+
+    def wrong(self, i, j):
+        img = real(self, i, j)
+        return img + self.uq.one() if (i, j) == (1, 2) else img
+
+    monkeypatch.setattr(ThetaMap, "image", wrong)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="fails Borel relations"):
+            ThetaMap("+", borel, uq)
+    monkeypatch.setattr(ThetaMap, "image", real)
+    ThetaMap("+", borel, uq)
+
+
+def test_cache_limit_zero_keeps_nothing_and_changes_nothing(runs, monkeypatch):
+    expect = {n: confluence_check(SLAlgebra(n).spec) for n in (1, 2)}
+    uq = UqAlgebra(1, sl_quotient=True)
+    mu = MuMap(SLAlgebra(1), uq)
+    expect_mu = mu.apply(mu.sl.gen(1, 2))
+    assert runs == ["SL(2)/diagonal74", "SL(3)/diagonal74", "B+(2)", "B-(2)"]
+    monkeypatch.setattr(freealg, "_certificates", {})
+    monkeypatch.setattr(freealg, "CACHE_LIMIT", 0)
+    for _ in range(2):
+        runs.clear()
+        assert {n: confluence_check(SLAlgebra(n).spec) for n in (1, 2)} == expect
+        mu = MuMap(SLAlgebra(1), uq)
+        assert mu.apply(mu.sl.gen(1, 2)) == expect_mu
+        build_h(2)
+        # every build and every call checks again
+        assert sorted(runs) == sorted(["SL(2)/diagonal74"] * 3 + ["SL(3)/diagonal74"] * 2
+                                      + ["B+(2)", "B-(2)"])
+    assert freealg._certificates == {}

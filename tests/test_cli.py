@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qfun.cli import Context, ExprSyntaxError, parse, run_command
 
@@ -286,7 +288,10 @@ def test_argparse_refusals_have_error_text(argv, hint):
 )
 def test_each_command_builds_only_its_algebra(monkeypatch, argv, builds):
     import qfun.qmatrix as qmatrix
+    from qfun.qsl import _select_antipode_sign
 
+    # the antipode convention is chosen on an SL(2) built once per process
+    _select_antipode_sign()
     checked = []
     real = qmatrix.confluence_check
 
@@ -379,3 +384,105 @@ def test_powers_refused_by_total_degree():
         assert code == 2 and out.startswith("error: power of degree"), (argv, out)
     # scalars stay exempt
     assert run_command(["nf", "--algebra", "M", "2^1001"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a degree-0 base still multiplies k times, and a scalar's powers
+        # multiply the span of its q-exponents
+        (["nf", "--algebra", "Uq", "G[1]^999999"], "power of degree 999999 exceeds 1000"),
+        (["nf", "--algebra", "Uq", "G[1]^-999999"], "power of degree 999999 exceeds 1000"),
+        (["nf", "--algebra", "B-", "S(2)^999999"], "power of degree 999999 exceeds 1000"),
+        (["nf", "--algebra", "M", "(q + 1)^1001"], "power of degree 1001 exceeds 1000"),
+        (["nf", "--algebra", "M", "(q^2 - q^-1)^334"], "power of degree 1002 exceeds 1000"),
+        # integers past Python's limit for str(), read or printed
+        (["nf", "--algebra", "M", "2^99999"], "integer of more than"),
+        (["nf", "--algebra", "M", "--format", "json", "2^99999 x[1,1]"], "integer of more than"),
+        (["nf", "--algebra", "M", "1" + "0" * 5000], "number of 5001 digits is too long"),
+        # a symbol outside h(n), and products of cobracket values
+        (["nf", "--algebra", "Uh", "delta(f[3,1])"], "f[3,1] is not a basis symbol for n=1"),
+        (["nf", "--algebra", "Uh", "--n", "2", "delta(f[3,1]) delta(f[3,1])"],
+         "cobracket values do not multiply"),
+        (["nf", "--algebra", "SL", "delta(r[1,2]) delta(r[1,2])"],
+         "cobracket values do not multiply"),
+    ],
+)
+def test_inputs_found_by_fuzzing_exit_2_at_once(argv, message):
+    import time
+
+    start = time.perf_counter()
+    code, out = run_command(argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert code == 2 and out.startswith("error: ") and message in out, (argv, out)
+
+
+def test_powers_below_the_bounds_still_print():
+    assert run_command(["nf", "--algebra", "Uq", "G[1]^1000"]) == (0, "G[1]^1000")
+    code, out = run_command(["nf", "--algebra", "M", "(q + 1)^1000"])
+    assert code == 0 and out.startswith("q^1000 + 1000*q^999 + ")
+    code, out = run_command(["nf", "--algebra", "M", "2^14000"])
+    assert code == 0 and len(out) == 4215
+
+
+# -- fuzz: every command line ends with exit 0, 1 or 2 and no traceback -------------
+
+_FUZZ_GENS = {
+    "M": ["x[1,1]", "x[1,2]", "x[2,1]", "x[2,2]", "x[1,3]", "detq"],
+    "SL": ["x[1,1]", "x[1,2]", "x[2,1]", "x[3,3]", "r[1,2]", "r[2,1]", "phi[1]", "psi[1]",
+           "chi[2]", "detqt"],
+    "GL": ["x[1,1]", "x[1,2]", "x[2,1]", "r[1,2]", "phi[1]", "chi[2]", "detq"],
+    "B+": ["x[1,1]", "x[1,2]", "x[2,2]", "x[2,3]"],
+    "B-": ["x[1,1]", "x[2,1]", "x[2,2]", "x[3,2]"],
+    "Uq": ["F[1]", "E[1]", "E[2]", "G[1]", "Ginv[2]", "G[3]"],
+    "Uh": ["f[2,1]", "f[3,1]", "h[1]", "e[1,2]", "e[2,3]", "c"],
+}
+_FUZZ_SCALARS = ["q", "2", "0", "1/2", "1/0", "(q - 1)", "(q^2 - 1)/(q - 1)"]
+# generators out of range or of no family, and tokens that break the grammar
+_FUZZ_FOREIGN = sorted({g for gens in _FUZZ_GENS.values() for g in gens}
+                       | {"x[0,1]", "x[9,9]", "r[1,1]", "f[1,2]", "e[2,1]", "phi[3]"})
+_FUZZ_JUNK = ["", "x[", "x[1]", "x[1,2,3]", "S()", "(", ")", "^", "q^", "y[1]", "@", "--", "-",
+              "+", "*", "/", "[1,2]", "^999999", "^-1", ",", "S", "Delta", "1/", "delta"]
+
+
+def _fuzz_expressions(algebra):
+    atoms = st.one_of(st.sampled_from(_FUZZ_GENS[algebra]), st.sampled_from(_FUZZ_SCALARS),
+                      st.sampled_from(_FUZZ_FOREIGN))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, inner).map(" ".join),
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(" ".join),
+            st.tuples(st.sampled_from(["S", "Delta", "eps", "delta", ""]), inner)
+            .map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, st.integers(-2, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        )
+
+    expr = st.recursive(atoms, extend, max_leaves=4)
+    return st.one_of(expr, st.tuples(expr, st.sampled_from(_FUZZ_JUNK), expr).map("".join))
+
+
+@st.composite
+def _fuzz_argv(draw):
+    # n = 3 stays out: the default SL strategy raises NonTerminating there
+    command = draw(st.sampled_from(
+        ["nf", "antipode", "coproduct", "counit", "specialize", "mul", "detq", "basis"]))
+    algebra = draw(st.sampled_from(sorted(_FUZZ_GENS)))
+    argv = [command, "--algebra", algebra, "--n", draw(st.sampled_from(["1", "2"])),
+            "--format", draw(st.sampled_from(["text", "json"]))]
+    if command == "basis":
+        return argv + ["--max-degree", "1"]
+    if command == "detq":
+        return argv
+    count = 2 if command == "mul" else 1
+    return argv + ["--", *(draw(_fuzz_expressions(algebra)) for _ in range(count))]
+
+
+@given(_fuzz_argv())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    code, out = run_command(argv)
+    assert code in (0, 1, 2), (argv, code, out)
+    assert "Traceback" not in out, argv
+    if code == 2:
+        assert out.startswith("error: "), (argv, out)

@@ -135,6 +135,25 @@ def test_coproduct_past_the_memo_bound(monkeypatch):
     assert not alg._delta_memo
 
 
+def test_scaled_coproduct_multiplies_no_coefficient_by_one(monkeypatch):
+    from qfun.laurent import LP_ONE, Q, LaurentPoly
+
+    alg = MatrixAlgebra(2)
+    el = (alg.gen(1, 2) * alg.gen(2, 3)).scale(Q) + alg.gen(3, 1).scale(2)
+    expect = alg.coproduct(el)
+    real = LaurentPoly.__mul__
+    ones = []
+
+    def mul(a, b):
+        if a is LP_ONE or b is LP_ONE:
+            ones.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+    assert alg.coproduct(el) == expect
+    assert not ones
+
+
 def test_tensors_over_different_algebras_are_refused():
     lex, anti = MatrixAlgebra(2), MatrixAlgebra(2, order="antidiag")
     a = lex.coproduct(lex.gen(1, 2))

@@ -92,6 +92,18 @@ def test_accumulate_drops_cancelled_terms_and_add_outer_pairs_keys():
     assert add_outer(t, {"x": 1}, {"z": -6}, 5) == {("y", "z"): 15}
 
 
+def test_accumulate_takes_coeff_for_an_item_that_is_one():
+    class One:
+        def __mul__(self, other):
+            raise AssertionError("multiplied by one")
+
+    one = One()
+    d = accumulate({}, [("a", one), ("b", Fraction(2))], Fraction(5), one)
+    assert d == {"a": Fraction(5), "b": Fraction(10)}
+    # an equal coefficient that is another object is multiplied
+    assert accumulate({}, [("a", Fraction(1))], Fraction(5), Fraction(1)) == {"a": Fraction(5)}
+
+
 sparse_rows = st.dictionaries(st.integers(min_value=0, max_value=5), fractions.filter(bool), max_size=4)
 
 

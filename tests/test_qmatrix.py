@@ -126,7 +126,7 @@ def test_detq_central_grouplike(m1, m2):
 
 
 def test_corrupted_relation_breaks_centrality():
-    alg = MatrixAlgebra(1, order="lex", check_confluence=False)
+    alg = MatrixAlgebra(1, order="lex")
     key = next(iter(alg.spec.rules))
     coeff, word = alg.spec.rules[key][0]
     alg.spec.rules[key] = ((coeff * Q, word),) + alg.spec.rules[key][1:]

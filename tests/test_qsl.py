@@ -92,7 +92,7 @@ def test_sl_reduce_random_path_independence(sl1):
 
 
 def test_pi_project(sl1):
-    m = MatrixAlgebra(1, order="triangular", domain=RATFUNC, check_confluence=False)
+    m = MatrixAlgebra(1, order="triangular", domain=RATFUNC)
     assert pi_project(m, sl1, m.detq()) == sl1.one()
     assert pi_project(m, sl1, m.gen(1, 2)) == sl1.gen(1, 2)
     # pi respects Delta on x12
@@ -123,7 +123,7 @@ def test_borel_quotient_and_relations(sl1):
 
 def test_borel_quotient_is_algebra_map_on_relations():
     for n in (1, 2):
-        sl = SLAlgebra(n, strategy="diagonal74", check_confluence=False)
+        sl = SLAlgebra(n, strategy="diagonal74")
         for sign in ("+", "-"):
             b = BorelAlgebra(n, sign)
             spec = sl.spec
@@ -140,7 +140,7 @@ def test_borel_coproduct_is_quotient_of_sl_coproduct(n, sign):
     from qfun.lincomb import add_outer
     from qfun.qmatrix import TensorElement
 
-    sl = SLAlgebra(n, strategy="diagonal74", check_confluence=False)
+    sl = SLAlgebra(n, strategy="diagonal74")
     b = BorelAlgebra(n, sign)
     for (i, j) in sorted(b.cells):
         expect = {}
@@ -191,7 +191,7 @@ def test_pbw_basis_sl_counts(sl1):
 
 
 def test_gl_element_arithmetic():
-    alg = MatrixAlgebra(1, order="triangular", domain=RATFUNC, check_confluence=False)
+    alg = MatrixAlgebra(1, order="triangular", domain=RATFUNC)
     d = GLElement(alg, alg.one(), -1)
     shifted = d.shift_det(1).canonical()
     assert shifted.detpow == 0 and shifted.body == alg.one()
@@ -199,7 +199,7 @@ def test_gl_element_arithmetic():
 
 
 def test_gl_canonical_divides_out_detq():
-    alg = MatrixAlgebra(2, order="triangular", domain=RATFUNC, check_confluence=False)
+    alg = MatrixAlgebra(2, order="triangular", domain=RATFUNC)
     x = alg.gen
     # terms of degree 0 to 3; det_q * c has degrees 3 to 6
     c = alg.one().scale(2) + x(1, 2).scale(Q) + x(2, 1) * x(1, 1) - x(3, 3) * x(1, 3) * x(2, 2)
@@ -211,7 +211,7 @@ def test_gl_canonical_divides_out_detq():
 
 
 def test_gl_antipode():
-    alg = MatrixAlgebra(1, order="triangular", domain=RATFUNC, check_confluence=False)
+    alg = MatrixAlgebra(1, order="triangular", domain=RATFUNC)
     s = gl_antipode(alg, GLElement(alg, alg.gen(1, 1), 0)).canonical()
     expect = GLElement(alg, alg.gen(2, 2), -1)
     assert s == expect
@@ -226,7 +226,7 @@ def test_gl_antipode():
 
 def test_pi_intertwines_gl_and_sl_antipodes(sl1, sl2):
     for n, sl in ((1, sl1), (2, sl2)):
-        malg = MatrixAlgebra(n, order="triangular", domain=RATFUNC, check_confluence=False)
+        malg = MatrixAlgebra(n, order="triangular", domain=RATFUNC)
         for i in range(1, n + 2):
             for j in range(1, n + 2):
                 gl_s = gl_antipode(malg, GLElement(malg, malg.gen(i, j), 0))
@@ -240,8 +240,8 @@ def test_strategies_agree_through_reprojection():
     # diagonal74 reduction: must equal the direct diagonal74 reduction
     rng = random.Random(17)
     for n in (1, 2):
-        a73 = SLAlgebra(n, strategy="antidiag73", check_confluence=False)
-        a74 = SLAlgebra(n, strategy="diagonal74", check_confluence=False)
+        a73 = SLAlgebra(n, strategy="antidiag73")
+        a74 = SLAlgebra(n, strategy="diagonal74")
         k = len(a73.spec.alphabet)
         for _ in range(25 if n == 1 else 10):
             terms = {}

@@ -336,21 +336,20 @@ class Context:
                 return self.alg.G(idx[0], -1)
             raise ExprIndexError(f"generator {fam} not available in Uq")
         if name == "Uh":
-            sym = None
-            if fam == "f":
-                sym = f_sym(*idx)
-            elif fam == "e":
-                sym = e_sym(*idx)
-            elif fam == "h":
-                sym = h_sym(*idx)
-            elif fam == "c":
-                sym = C_SYM
-            if sym is None:
-                raise ExprIndexError(f"generator {fam} not available in Uh")
-            if sym not in self.lie.index:
-                raise ExprIndexError(f"{sym} is not a basis symbol for n={self.n}")
-            return PBWElement.gen(self.lie, sym)
+            return PBWElement.gen(self.lie, self._uh_symbol(fam, idx))
         raise ExprIndexError(f"generator {fam} not available")
+
+    def _uh_symbol(self, fam, idx):
+        """The U(h) basis symbol of generator fam[idx]: f, e, h or the
+        central c; any other family, or a symbol outside the basis for n,
+        is refused."""
+        make = {"f": f_sym, "e": e_sym, "h": h_sym, "c": lambda: C_SYM}.get(fam)
+        if make is None:
+            raise ExprIndexError(f"generator {fam} not available in Uh")
+        sym = make(*idx)
+        if sym not in self.lie.index:
+            raise ExprIndexError(f"{sym} is not a basis symbol for n={self.n}")
+        return sym
 
     def one(self):
         if self.name == "Uh":
@@ -428,12 +427,15 @@ class Context:
 
     @staticmethod
     def _refuse_mixed(a, b, scalars_mix):
-        """A tensor combines only with tensors, and with scalars when
-        scalars_mix."""
-        kinds = [isinstance(v, TENSORS) for v in (a, b)
-                 if not (scalars_mix and isinstance(v, RatFunc))]
-        if any(kinds) and not all(kinds):
-            raise ExprIndexError("a tensor and an element do not combine here")
+        """A tensor combines only with a tensor of its own kind (a coproduct
+        value with a coproduct value, a cobracket value with a cobracket
+        value), and with scalars when scalars_mix."""
+        kinds = {type(v) if isinstance(v, TENSORS) else None for v in (a, b)
+                 if not (scalars_mix and isinstance(v, RatFunc))}
+        if len(kinds) > 1:
+            if None in kinds:
+                raise ExprIndexError("a tensor and an element do not combine here")
+            raise ExprIndexError("a coproduct value and a cobracket value do not combine")
 
     def _align(self, a, b):
         self._refuse_mixed(a, b, scalars_mix=False)
@@ -478,11 +480,7 @@ class Context:
             if self.name == "Uh":
                 if argnode[0] != "gen":
                     raise ExprIndexError("delta takes a single generator here")
-                fam, idx = argnode[1], argnode[2]
-                sym = {"f": f_sym, "e": e_sym, "h": h_sym}.get(fam)
-                sym = sym(*idx) if sym else C_SYM
-                if sym not in self.lie.index:
-                    raise ExprIndexError(f"{sym} is not a basis symbol for n={self.n}")
+                sym = self._uh_symbol(argnode[1], argnode[2])
                 return reference_cobracket(self.lie, sym, self.n)
             raise ExprIndexError("delta not available here")
         arg = self.eval(argnode)

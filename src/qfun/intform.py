@@ -34,6 +34,8 @@ from .classical import (
 )
 from .freealg import CACHE_LIMIT, NCElement
 from .laurent import (
+    LAURENT,
+    LP_ONE,
     LaurentPoly,
     NotDivisible,
     ONE_PLUS_QINV,
@@ -45,10 +47,11 @@ from .laurent import (
     RF_Q_MINUS_QINV,
     RatFunc,
     neg_q_power,
+    over_den_power,
 )
 from .lincomb import (LinComb, accumulate, add_pair_products, apply_pair_map, apply_word_map,
                       concat_product, format_terms)
-from .qmatrix import MatrixAlgebra, TensorElement, perm_inversions
+from .qmatrix import MatrixAlgebra, TensorElement, perm_inversions, x_gen
 from .qsl import SLAlgebra
 
 
@@ -158,28 +161,30 @@ def _den_power(a, b):
     return Q_MINUS_QINV ** a * Q_MINUS_1 ** b
 
 
-def _over_common_denominator(groups):
-    """sum N / ((q-q^-1)^a (q-1)^b) over the {(a, b): N} of groups, N term
-    dicts, as one term dict: each group is brought to the common denominator
+def _over_common_denominator(by_den):
+    """sum N / (d (q-q^-1)^a (q-1)^b) over the {d: {(a, b): N}} of by_den,
+    N term dicts over Z[q,q^-1], as one k(q) term dict.
+
+    For each d, every group is brought to the common denominator
     (q-q^-1)^A (q-1)^B by a Laurent factor, and each summed coefficient is
-    divided by it once, so a reduced RatFunc is built once per term."""
-    if not groups:
-        return {}
-    top_a = max(a for a, _ in groups)
-    top_b = max(b for _, b in groups)
-    if len(groups) == 1:
-        (out,) = groups.values()
-    else:
-        out = {}
-        for (a, b), part in groups.items():
-            factor = None
-            if (a, b) != (top_a, top_b):
-                factor = RatFunc.from_laurent(_den_power(top_a - a, top_b - b))
-            accumulate(out, part.items(), factor)
-    if not (top_a or top_b):
-        return out
-    inv = RatFunc.from_laurent(_den_power(top_a, top_b)).inverse()
-    return {k: c * inv for k, c in out.items()}
+    divided by it once, with no gcd (over_den_power), so a RatFunc is built
+    once per term.  A d other than 1, the den of a k(q) coefficient entered
+    by hand, is multiplied in after that division.
+    """
+    out = {}
+    for den, groups in by_den.items():
+        top_a = max(a for a, _ in groups)
+        top_b = max(b for _, b in groups)
+        if len(groups) == 1:
+            (summed,) = groups.values()
+        else:
+            summed = {}
+            for (a, b), part in groups.items():
+                factor = None if (a, b) == (top_a, top_b) else _den_power(top_a - a, top_b - b)
+                accumulate(summed, part.items(), factor)
+        part = ((k, over_den_power(c, top_a, top_b)) for k, c in summed.items())
+        accumulate(out, part, None if den is LP_ONE else RatFunc.from_laurent(den).inverse())
+    return out
 
 
 class IntContext:
@@ -189,11 +194,15 @@ class IntContext:
     gl=True: the plain quantum matrix algebra (no determinant relation),
     the ambient algebra of the GL-localized forms.
 
-    Lifts are fraction-free: a generator word w lifts to
-    N(w) / ((q-q^-1)^a (q-1)^b), where the numerator N(w) is the reduced
-    product of the letters' numerators (x_ij, x_ii - x_{i+1,i+1}, ...), whose
-    coefficients are Laurent polynomials.  A lift sums numerators and
-    divides each output coefficient once.
+    Lifts run over Z[q,q^-1] and divide once, at the boundary.  A generator
+    word w lifts to N(w) / ((q-q^-1)^a (q-1)^b), where the numerator N(w)
+    is the reduced product of the letters' numerators (x_ij,
+    x_ii - x_{i+1,i+1}, ...).  Numerators are reduced in a Laurent spec of
+    the same presentation (alg.spec_over(LAURENT)), which shares the
+    algebra's confluence certificate, and memoized per word.  A lift sums
+    numerators times the Laurent numerators of its coefficients and turns
+    each output coefficient into a reduced RatFunc once, by trial division
+    by (q-1) and (q+1).  Lifts are elements of the k(q) algebra alg.
     """
 
     def __init__(self, n, gl=False, strategy="diagonal74"):
@@ -204,13 +213,15 @@ class IntContext:
         else:
             self.alg = SLAlgebra(n, strategy=strategy, domain=RATFUNC)
         self.spec = self.alg.spec
-        # generator word -> (N(w), a, b), letters included
+        self._laurent_spec = self.alg.spec_over(LAURENT)
+        # generator word -> (N(w) over Z[q,q^-1], a, b), letters included
         self._num_memo = {}
         self._lie = None
 
     def clear_caches(self):
         """Forget the numerator memo and the ambient algebra's memos."""
         self._num_memo.clear()
+        self._laurent_spec.clear_caches()
         self.alg.clear_caches()
 
     # -- lifting ----------------------------------------------------------
@@ -221,22 +232,26 @@ class IntContext:
         entry = memo.get((g,))
         if entry is not None:
             return entry
-        alg = self.alg
+        spec = self._laurent_spec
+
+        def x(i, j):
+            return NCElement.gen(spec, x_gen(i, j))
+
         if g.kind == "r":
             i, j = g.indices
-            entry = (alg.gen(i, j).terms, int(i != j), 0)
+            entry = (x(i, j).terms, int(i != j), 0)
         elif g.kind == "phi":
             (i,) = g.indices
-            entry = ((alg.gen(i, i) - alg.gen(i + 1, i + 1)).terms, 0, 1)
+            entry = ((x(i, i) - x(i + 1, i + 1)).terms, 0, 1)
         elif g.kind == "psi":
             (i,) = g.indices
-            prod = alg.one()
+            prod = NCElement.one(spec)
             for s in range(1, i + 1):
-                prod = prod * alg.gen(s, s)
-            entry = ((prod - alg.one()).terms, 0, 1)
+                prod = prod * x(s, s)
+            entry = ((prod - NCElement.one(spec)).terms, 0, 1)
         elif g.kind == "chi":
             (i,) = g.indices
-            entry = ((alg.gen(i, i) - alg.one()).terms, 0, 1)
+            entry = ((x(i, i) - NCElement.one(spec)).terms, 0, 1)
         else:
             raise OutOfForm(f"unknown generator kind {g.kind!r}")
         if len(memo) < CACHE_LIMIT:
@@ -248,7 +263,7 @@ class IntContext:
         MatrixAlgebra.coproduct_word is: N(w) = N(w[:-1]) N(w[-1]), the
         longest memoized prefix extended one letter at a time."""
         if not w:
-            return {(): self.spec.domain.one}, 0, 0
+            return {(): LP_ONE}, 0, 0
         memo = self._num_memo
         k = len(w)
         while k > 1 and w[:k] not in memo:
@@ -257,18 +272,19 @@ class IntContext:
         for t in range(k, len(w)):
             num, a, b = entry
             gnum, ga, gb = self._letter_numerator(w[t])
-            entry = (self.spec.reduce_terms(concat_product(num, gnum)), a + ga, b + gb)
+            entry = (self._laurent_spec.reduce_terms(concat_product(num, gnum)), a + ga, b + gb)
             if len(memo) < CACHE_LIMIT:
                 memo[w[: t + 1]] = entry
         return entry
 
     def _lift_terms(self, terms):
         """The reduced term dict of sum c lift(w) over a {word: c} dict."""
-        groups = {}
+        by_den = {}
         for w, c in terms.items():
             num, a, b = self._numerator(w)
-            accumulate(groups.setdefault((a, b), {}), num.items(), None if c.is_one() else c)
-        return _over_common_denominator(groups)
+            group = by_den.setdefault(c.den, {}).setdefault((a, b), {})
+            accumulate(group, num.items(), None if c.num.is_one() else c.num)
+        return _over_common_denominator(by_den)
 
     def lift_gen(self, g):
         return NCElement(self.spec, self._lift_terms({(g,): RF_ONE}), reduce=False)
@@ -277,13 +293,13 @@ class IntContext:
         return NCElement(self.spec, self._lift_terms(expr.terms), reduce=False)
 
     def lift_tensor(self, texpr):
-        groups = {}
-        one = self.spec.domain.one
+        by_den = {}
         for (wl, wr), c in texpr.terms.items():
             nl, al, bl = self._numerator(wl)
             nr, ar, br = self._numerator(wr)
-            add_pair_products(groups.setdefault((al + ar, bl + br), {}), ((c, nl, nr),), one)
-        return TensorElement(self.alg, self.alg, _over_common_denominator(groups), reduce=False)
+            group = by_den.setdefault(c.den, {}).setdefault((al + ar, bl + br), {})
+            add_pair_products(group, ((c.num, nl, nr),), LP_ONE)
+        return TensorElement(self.alg, self.alg, _over_common_denominator(by_den), reduce=False)
 
     def coproduct(self, el):
         return self.alg.coproduct(el)

@@ -6,12 +6,14 @@ hashable, and safe to share between threads.
 
 All of it runs over Python ints.  A fraction is reduced by a primitive
 pseudo-remainder gcd in Z[q] (laurent_gcd) and exact synthetic division;
-the only rational number built here is the value at q = 1
-(RatFunc.regular_at_one).
+a quotient by (q-q^-1)^a (q-1)^b, the denominator of an integer-form lift,
+needs no gcd (over_den_power).  The only rational number built here is the
+value at q = 1 (RatFunc.regular_at_one).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -192,19 +194,11 @@ class LaurentPoly:
         """Exact quotient by (q-1); raises NotDivisible with the remainder."""
         if not self.terms:
             return LP_ZERO
-        rem = self.evaluate_at_one()
-        if rem != 0:
+        coeffs, m = _to_dense(self)
+        quo, rem = _divide_linear(coeffs, 1)
+        if rem:
             raise NotDivisible(rem)
-        # synthetic division: shift to ordinary polynomial, divide by (q-1)
-        m = self.min_exp()
-        top = self.max_exp()
-        coeffs = [self.terms.get(e, 0) for e in range(m, top + 1)]
-        out = [0] * (len(coeffs) - 1)
-        acc = 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc += coeffs[i]
-            out[i - 1] = acc
-        return LaurentPoly({m + i: c for i, c in enumerate(out) if c})
+        return LaurentPoly({m + i: c for i, c in enumerate(quo) if c})
 
     def divide_exact(self, other):
         """Exact quotient by another LaurentPoly.
@@ -258,6 +252,7 @@ QINV = LaurentPoly({-1: 1})
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})
 Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
 ONE_PLUS_QINV = LaurentPoly({0: 1, -1: 1})
+Q_PLUS_1 = LaurentPoly({1: 1, 0: 1})
 
 
 def neg_q_power(k):
@@ -283,6 +278,17 @@ def _to_dense(p):
     m = p.min_exp()
     top = p.max_exp()
     return [p.terms.get(e, 0) for e in range(m, top + 1)], m
+
+
+def _divide_linear(coeffs, r):
+    """Synthetic division of a dense polynomial by (q - r): (quotient,
+    remainder), the remainder being the value at r."""
+    quo = [0] * (len(coeffs) - 1)
+    acc = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[i] + r * acc
+        quo[i - 1] = acc
+    return quo, coeffs[0] + r * acc
 
 
 def _strip(coeffs):
@@ -646,6 +652,37 @@ RF_ONE = RatFunc.from_laurent(LP_ONE)
 RF_Q = RatFunc.from_laurent(Q)
 RF_Q_MINUS_1 = RatFunc.from_laurent(Q_MINUS_1)
 RF_Q_MINUS_QINV = RatFunc.from_laurent(Q_MINUS_QINV)
+
+
+@functools.lru_cache(maxsize=256)
+def _q_minus_1_q_plus_1(i, j):
+    """(q-1)^i (q+1)^j as a Laurent polynomial."""
+    return Q_MINUS_1 ** i * Q_PLUS_1 ** j
+
+
+def over_den_power(p, a, b):
+    """The reduced RatFunc p / ((q-q^-1)^a (q-1)^b), found with no gcd.
+
+    The denominator is q^-a (q-1)^(a+b) (q+1)^a, so (q-1) and (q+1) are the
+    only factors that can cancel from p.  Each is divided out by synthetic
+    division, as divide_q_minus_1 does for (q-1) alone, while p is zero at
+    1 or -1.  What is left of the denominator is monic with constant term
+    +-1: min exponent 0, positive leading coefficient and content 1, so the
+    fraction is canonical as it stands.
+    """
+    if not p.terms:
+        return RF_ZERO
+    coeffs, m = _to_dense(p)
+    i = a + b
+    while i and not sum(coeffs):
+        coeffs = _divide_linear(coeffs, 1)[0]
+        i -= 1
+    j = a
+    while j and sum(coeffs[::2]) == sum(coeffs[1::2]):
+        coeffs = _divide_linear(coeffs, -1)[0]
+        j -= 1
+    num = LaurentPoly({m + a + t: c for t, c in enumerate(coeffs) if c})
+    return RatFunc(num, _q_minus_1_q_plus_1(i, j), _reduced=True)
 
 
 # -- coefficient domains ----------------------------------------------------

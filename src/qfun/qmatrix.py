@@ -9,6 +9,7 @@ defined over a cell set, so the SL and Borel contexts of qsl.py subclass it.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
+from typing import NamedTuple
 
 from .freealg import CACHE_LIMIT, AlgebraMismatch, AlgebraSpec, GenSym, NCElement, confluence_check
 from .lincomb import LinComb, accumulate, add_outer, add_pair_products, format_terms, pair_product
@@ -90,13 +91,43 @@ def pair_relation(u, v):
     return LP_ONE, (((j, k), (i, l)), -1)
 
 
-def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None):
-    """AlgebraSpec for the quantum matrix relations on the given cells.
+class Presentation(NamedTuple):
+    """The immutable part of a quantum matrix presentation.
 
-    cells: iterable of (i, j) pairs (defaults to the full square).  Rule
-    corrections whose letters fall outside the cell set are dropped, which
-    realizes the Borel quotients.
+    alphabet: the ordered letters; rules: the checked rule table, never
+    mutated (build_matrix_spec copies it); letter_deltas: per letter, its
+    coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict.
     """
+
+    name: str
+    alphabet: tuple
+    cells: frozenset
+    rules: dict
+    letter_deltas: tuple
+
+
+# (n, order, cells, domain, name) -> its Presentation
+_presentations = {}
+
+
+def matrix_presentation(n, order="lex", domain=LAURENT, cells=None, name=None):
+    """The Presentation of build_matrix_spec's arguments, built once per
+    arguments in this process and kept up to CACHE_LIMIT entries; a build
+    that raises keeps nothing."""
+    if cells is not None:
+        cells = tuple(sorted(set(cells)))
+    key = (n, order if isinstance(order, str) else tuple(order), cells, domain, name)
+    pres = _presentations.get(key)
+    if pres is None:
+        pres = _build_presentation(n, order, domain, cells, name)
+        if len(_presentations) < CACHE_LIMIT:
+            _presentations[key] = pres
+    return pres
+
+
+def _build_presentation(n, order, domain, cells, name):
+    """The letters, rules and letter coproducts of the quantum matrix
+    relations on the given cells; see build_matrix_spec."""
     if cells is None:
         cells = [(i, j) for i in range(1, n + 2) for j in range(1, n + 2)]
     cells = sorted(set(cells))
@@ -131,6 +162,34 @@ def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None):
                 spec.add_rule(pos[u], pos[v], rhs)
             except ValueError as exc:
                 raise InadmissibleOrder(str(exc)) from exc
+    one = domain.one
+    letter_deltas = tuple(
+        {
+            ((pos[(i, k)],), (pos[(k, j)],)): one
+            for k in range(1, n + 2)
+            if (i, k) in cellset and (k, j) in cellset
+        }
+        for i, j in ordered
+    )
+    return Presentation(spec.name, tuple(spec.alphabet), frozenset(cellset), spec.rules,
+                        letter_deltas)
+
+
+def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None):
+    """AlgebraSpec for the quantum matrix relations on the given cells.
+
+    cells: iterable of (i, j) pairs (defaults to the full square).  Rule
+    corrections whose letters fall outside the cell set are dropped, which
+    realizes the Borel quotients.
+
+    The presentation is built once per arguments (matrix_presentation).
+    Each call returns a new spec with its own copy of the rules, its own
+    normal-form memo and post-reducers, and the term budget read now, so a
+    change to one spec's rules reaches no other.
+    """
+    pres = matrix_presentation(n, order, domain, cells, name)
+    spec = AlgebraSpec(pres.alphabet, domain=domain, name=pres.name)
+    spec.rules.update(pres.rules)
     return spec
 
 
@@ -149,26 +208,33 @@ class MatrixAlgebra:
             raise ValueError("n must be >= 1")
         self.n = n
         self.order_name = order if isinstance(order, str) else "custom"
+        self._presentation_args = (order, cells, name)
+        pres = matrix_presentation(n, order, domain, cells, name)
         self.spec = build_matrix_spec(n, order=order, domain=domain, cells=cells, name=name)
+        self.spec.post_reducers.extend(self._post_reducers(self.spec))
         self.domain = domain
-        self.cells = frozenset(g.indices for g in self.spec.alphabet)
+        self.cells = pres.cells
         self._detq = None
         report = confluence_check(self.spec)
         if not report["ok"]:
             raise InadmissibleOrder(f"rule table not confluent: {report['failures'][:3]}")
-        # letter -> its coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict
-        index = self.spec.index
-        one = self.spec.domain.one
-        self._letter_deltas = [
-            {
-                ((index[x_gen(i, k)],), (index[x_gen(k, j)],)): one
-                for k in range(1, n + 2)
-                if (i, k) in self.cells and (k, j) in self.cells
-            }
-            for i, j in (g.indices for g in self.spec.alphabet)
-        ]
+        self._letter_deltas = pres.letter_deltas
         # word -> its reduced coproduct as a pair-keyed term dict
         self._delta_memo = {}
+
+    def _post_reducers(self, spec):
+        """The reductions this algebra applies after its rules, built for spec."""
+        return []
+
+    def spec_over(self, domain):
+        """A new spec of this presentation over another domain, with this
+        algebra's post-reducers.  Its rules read as self.spec's under
+        rule_table_key, since every rule coefficient is a Laurent
+        polynomial, so the confluence certificate of self.spec covers it."""
+        order, cells, name = self._presentation_args
+        spec = build_matrix_spec(self.n, order=order, domain=domain, cells=cells, name=name)
+        spec.post_reducers.extend(self._post_reducers(spec))
+        return spec
 
     def clear_caches(self):
         """Forget the normal-form memo and the coproduct memo."""

@@ -24,8 +24,10 @@ class NotInBorel(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=64)
 def _det_substitution(n, strategy):
-    """Substitution terms for the extracted determinant product.
+    """Substitution terms for the extracted determinant product, as a tuple
+    built once per (n, strategy).
 
     diagonal74: x_11...x_{n+1,n+1} = 1 - sum_{s != id} (-q)^l(s) x_{1,s1}...
     antidiag73: x_{1,n+1}...x_{n+1,1} = (-q)^-N (1 - sum_{s != w0} ...)
@@ -50,7 +52,7 @@ def _det_substitution(n, strategy):
             inv = perm_inversions(perm)
             cells = tuple((t + 1, perm[t]) for t in range(n + 1))
             terms.append((-1 * neg_q_power(inv) * scale, cells))
-    return terms
+    return tuple(terms)
 
 
 class DetReducer(PostReducer):
@@ -66,10 +68,11 @@ class DetReducer(PostReducer):
             self.block_cells = [(i, n + 2 - i) for i in range(1, n + 2)]
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        self.block_pos = frozenset(spec.index[x_gen(*ij)] for ij in self.block_cells)
-        self.det_word = tuple(spec.index[x_gen(*ij)] for ij in self.block_cells)
+        pos = {g.indices: p for p, g in enumerate(spec.alphabet)}
+        self.block_pos = frozenset(pos[ij] for ij in self.block_cells)
+        self.det_word = tuple(pos[ij] for ij in self.block_cells)
         self.subst = [
-            (spec.domain.coerce(c), tuple(spec.index[x_gen(*ij)] for ij in cells))
+            (spec.domain.coerce(c), tuple(pos[ij] for ij in cells))
             for c, cells in _det_substitution(n, strategy)
         ]
 
@@ -124,10 +127,12 @@ class SLAlgebra(MatrixAlgebra):
 
     def __init__(self, n, strategy="diagonal74", domain=RATFUNC):
         order = "triangular" if strategy == "diagonal74" else "antidiag"
-        super().__init__(n, order=order, domain=domain, name=f"SL({n + 1})/{strategy}")
         self.strategy = strategy
-        self.reducer = DetReducer(n, strategy, self.spec)
-        self.spec.post_reducers.append(self.reducer)
+        super().__init__(n, order=order, domain=domain, name=f"SL({n + 1})/{strategy}")
+        (self.reducer,) = self.spec.post_reducers
+
+    def _post_reducers(self, spec):
+        return [DetReducer(self.n, self.strategy, spec)]
 
     def antipode(self, a, sign=None):
         """Algebra anti-map extended from the minor formula on generators."""
@@ -292,11 +297,13 @@ class BorelAlgebra(MatrixAlgebra):
             raise ValueError("sign must be '+' or '-'")
         offdiag = sorted(ij for ij in cells if ij[0] != ij[1])
         diag = [(i, i) for i in range(1, n + 2)]
+        self.sign = sign
         # diagonal letters last: exact det reduction
         super().__init__(n, order=offdiag + diag, domain=domain, cells=cells,
                          name=f"B{sign}({n + 1})")
-        self.sign = sign
-        self.spec.post_reducers.append(DiagProductReducer(n, self.spec))
+
+    def _post_reducers(self, spec):
+        return [DiagProductReducer(self.n, spec)]
 
     def gen(self, i, j):
         if (i, j) not in self.cells:

@@ -128,3 +128,101 @@ def test_cache_limit_zero_keeps_nothing_and_changes_nothing(runs, monkeypatch):
         assert sorted(runs) == sorted(["SL(2)/diagonal74"] * 3 + ["SL(3)/diagonal74"] * 2
                                       + ["B+(2)", "B-(2)"])
     assert freealg._certificates == {}
+
+
+# -- the presentation memo: one build per (n, order, cells, domain, name) -------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty presentation memo, and the keys its builder is called with."""
+    import qfun.qmatrix as qmatrix
+
+    monkeypatch.setattr(qmatrix, "_presentations", {})
+    seen = []
+    real = qmatrix._build_presentation
+
+    def spy(n, order, domain, cells, name):
+        seen.append((n, order if isinstance(order, str) else "custom", domain.name, name))
+        return real(n, order, domain, cells, name)
+
+    monkeypatch.setattr(qmatrix, "_build_presentation", spy)
+    return seen
+
+
+def test_one_presentation_build_per_key(builds):
+    for _ in range(2):
+        SLAlgebra(2)
+        SLAlgebra(2, domain=LAURENT)
+        MatrixAlgebra(2, order="triangular", domain=RATFUNC)
+        BorelAlgebra(2, "+")
+        build_matrix_spec(2, order="lex")
+    assert builds == [
+        (2, "triangular", "ratfunc", "SL(3)/diagonal74"),
+        (2, "triangular", "laurent", "SL(3)/diagonal74"),
+        (2, "triangular", "ratfunc", None),
+        (2, "custom", "ratfunc", "B+(3)"),
+        (2, "lex", "laurent", None),
+    ]
+    # the Laurent twin of an algebra's spec is one more key, built once too
+    for _ in range(2):
+        SLAlgebra(2).spec_over(LAURENT)
+    assert len(builds) == 5
+
+
+def test_each_build_gets_its_own_rule_table(builds, runs):
+    first = build_matrix_spec(1, order="lex")
+    reference = dict(first.rules)
+    _corrupt(first)
+    second = build_matrix_spec(1, order="lex")
+    assert second.rules == reference and second.rules is not first.rules
+    assert not confluence_check(first)["ok"] and confluence_check(second)["ok"]
+    a, b = SLAlgebra(1), SLAlgebra(1)
+    assert a.spec.rules is not b.spec.rules
+    assert a.spec.post_reducers[0] is not b.spec.post_reducers[0]
+    assert a.reducer.subst == b.reducer.subst
+    assert len(builds) == 2
+
+
+def test_term_budget_is_read_at_each_build(builds, monkeypatch):
+    monkeypatch.setenv("QFUN_MAX_TERMS", "123")
+    assert SLAlgebra(1).spec.term_budget == 123
+    monkeypatch.setenv("QFUN_MAX_TERMS", "456")
+    assert SLAlgebra(1).spec.term_budget == 456
+    assert SLAlgebra(1).spec_over(LAURENT).term_budget == 456
+    assert len(builds) == 2
+
+
+def test_presentation_cache_limit_zero_keeps_nothing(builds, monkeypatch):
+    import qfun.qmatrix as qmatrix
+
+    alg = SLAlgebra(2)
+    x = alg.gen(1, 2) * alg.gen(2, 1)
+    expected = (str(x), x.terms)
+    monkeypatch.setattr(qmatrix, "_presentations", {})
+    monkeypatch.setattr(qmatrix, "CACHE_LIMIT", 0)
+    builds.clear()
+    for _ in range(2):
+        alg = SLAlgebra(2)
+        y = alg.gen(1, 2) * alg.gen(2, 1)
+        assert (str(y), y.terms) == expected
+    # an algebra looks its presentation up twice, for its spec and for its
+    # letter coproducts, and with nothing kept each lookup builds
+    assert len(builds) == 4 and qmatrix._presentations == {}
+
+
+def test_an_integer_form_context_runs_one_confluence_check(monkeypatch):
+    import qfun.qmatrix as qmatrix
+    from qfun.intform import IntContext
+
+    checked = []
+    real = qmatrix.confluence_check
+
+    def counting(spec):
+        checked.append(spec.name)
+        return real(spec)
+
+    monkeypatch.setattr(qmatrix, "confluence_check", counting)
+    IntContext(2)
+    IntContext(2, gl=True)
+    assert checked == ["SL(3)/diagonal74", "M(3)/triangular"]

@@ -406,6 +406,15 @@ def test_powers_refused_by_total_degree():
          "cobracket values do not multiply"),
         (["nf", "--algebra", "SL", "delta(r[1,2]) delta(r[1,2])"],
          "cobracket values do not multiply"),
+        # a coproduct value with a cobracket value, either side first
+        (["mul", "--algebra", "GL", "--", "Delta(x[1,1])", "delta(q)"],
+         "a coproduct value and a cobracket value do not combine"),
+        (["nf", "--algebra", "SL", "Delta(x[1,1]) + delta(q)"],
+         "a coproduct value and a cobracket value do not combine"),
+        (["nf", "--algebra", "SL", "delta(q) - Delta(x[1,1])"],
+         "a coproduct value and a cobracket value do not combine"),
+        (["nf", "--algebra", "GL", "delta(q) + Delta(x[1,1])"],
+         "a coproduct value and a cobracket value do not combine"),
     ],
 )
 def test_inputs_found_by_fuzzing_exit_2_at_once(argv, message):
@@ -415,6 +424,24 @@ def test_inputs_found_by_fuzzing_exit_2_at_once(argv, message):
     code, out = run_command(argv)
     assert time.perf_counter() - start < 1.0, argv
     assert code == 2 and out.startswith("error: ") and message in out, (argv, out)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("expr, family", [
+    ("delta(r[1,2])", "r"), ("delta(x[1,1])", "x"), ("delta(phi[1])", "phi"),
+    ("delta(E[1])", "E"), ("delta(G[1])", "G"),
+])
+def test_uh_delta_refuses_a_family_outside_uh(n, expr, family):
+    # only f, e, h and the central c are generators of U(h)
+    code, out = run_command(["nf", "--algebra", "Uh", "--n", str(n), expr])
+    assert (code, out) == (2, f"error: generator {family} not available in Uh")
+
+
+def test_uh_delta_of_the_central_element_still_prints():
+    assert run_command(["nf", "--algebra", "Uh", "delta(c)"]) == (
+        0, "4 f[2,1] (x) e[1,2] + -4 e[1,2] (x) f[2,1]")
+    code, out = run_command(["nf", "--algebra", "Uh", "delta(h[1])"])
+    assert code == 0 and out == "-8 f[2,1] (x) e[1,2] + 8 e[1,2] (x) f[2,1]"
 
 
 def test_powers_below_the_bounds_still_print():

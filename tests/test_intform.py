@@ -23,7 +23,7 @@ from qfun.intform import (
 )
 from qfun.freealg import NCElement
 from qfun.laurent import Q_MINUS_1, Q_MINUS_QINV, RF_ONE, LaurentPoly, RatFunc
-from qfun.lincomb import apply_word_map
+from qfun.lincomb import apply_pair_map, apply_word_map
 
 
 @pytest.fixture(scope="module")
@@ -348,3 +348,71 @@ def test_numerator_memo_bounds_and_clears(monkeypatch):
     assert ctx.lift(expr) == expected
     assert ctx.lift_gen(phigen(1)).terms == _scaled_gen(ctx, phigen(1)).terms
     assert not ctx._num_memo
+
+
+# -- numerators over Z[q,q^-1], one division at the boundary ----------------------
+
+
+def _word_lift(ctx, w):
+    return apply_word_map({w: RF_ONE}, ctx.lift_gen, NCElement.one(ctx.spec)).terms
+
+
+def test_numerators_are_laurent_and_a_laurent_lift_multiplies_no_ratfunc(monkeypatch):
+    a, b, c, d = rgen(1, 2), phigen(1), chigen(2), psigen(2)
+    expr = IntExpr({(a, b, c): 1, (d, a): RatFunc(LaurentPoly({1: 2, -1: -1})), (b, b): -3})
+    for kind in ("diagonal74", "antidiag73", "GL"):
+        ctx = _context(1, kind)
+        expected = apply_word_map(expr.terms, ctx.lift_gen, NCElement.one(ctx.spec))
+        ctx.clear_caches()
+        products = []
+        real = RatFunc.__mul__
+
+        def counting(x, y):
+            products.append(1)
+            return real(x, y)
+
+        monkeypatch.setattr(RatFunc, "__mul__", counting)
+        got = ctx.lift(expr)
+        monkeypatch.undo()
+        assert got.terms == expected.terms and got.spec is ctx.spec
+        assert not products, kind
+        assert ctx._num_memo
+        for num, _, _ in ctx._num_memo.values():
+            assert num and all(type(v) is LaurentPoly for v in num.values())
+        assert all(type(v) is RatFunc for v in got.terms.values())
+
+
+def test_lift_with_a_field_coefficient_is_the_per_letter_product():
+    a, b, c = rgen(2, 1), phigen(1), chigen(1)
+    inv_q_plus_1 = RatFunc(1, LaurentPoly({1: 1, 0: 1}))
+    over_q_minus_1 = RatFunc(LaurentPoly({1: 2}), Q_MINUS_1)
+    expr = IntExpr({(a, b): inv_q_plus_1, (b,): 2, (a, c): over_q_minus_1, (c,): inv_q_plus_1})
+    for kind in ("diagonal74", "antidiag73", "GL"):
+        ctx = _context(2, kind)
+        got = ctx.lift(expr)
+        expected = apply_word_map(expr.terms, ctx.lift_gen, NCElement.one(ctx.spec))
+        assert got.terms == expected.terms and str(got) == str(expected), kind
+        # the field coefficient alone: its den is folded in after the division
+        single = ctx.lift(IntExpr({(a, b): inv_q_plus_1}))
+        assert single.terms == {w: v * inv_q_plus_1 for w, v in _word_lift(ctx, (a, b)).items()}
+
+
+def test_lift_tensor_with_laurent_and_field_coefficients():
+    a, b, c = rgen(1, 2), phigen(1), chigen(2)
+    texpr = intform.TensorIntExpr({
+        ((a, b), (c,)): RatFunc(LaurentPoly({2: 1, 0: -1})),
+        ((b,), (a, c)): RatFunc(LaurentPoly({0: 3}), LaurentPoly({2: 1, 0: 1})),
+        ((), (b,)): RatFunc(1, Q_MINUS_QINV),
+        ((c,), ()): -1,
+    })
+    for kind in ("diagonal74", "GL"):
+        ctx = _context(1, kind)
+        got = ctx.lift_tensor(texpr)
+        lifted = {}
+
+        def lift_word(w):
+            return lifted.setdefault(w, _word_lift(ctx, w))
+
+        expected = apply_pair_map(texpr.terms, lift_word, lift_word)
+        assert got.terms == expected, kind
+        assert got.left is got.right is ctx.alg

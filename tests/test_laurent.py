@@ -14,11 +14,13 @@ from qfun.laurent import (
     QINV,
     Q_MINUS_1,
     Q_MINUS_QINV,
+    Q_PLUS_1,
     RATFUNC,
     DivisionByZero,
     RatFunc,
     divide_by_q_minus_1,
     laurent_gcd,
+    over_den_power,
     rf_regular_at_one,
 )
 
@@ -412,3 +414,60 @@ def test_unit_denominator_is_lp_one(pair):
         assert r.den.is_one() == (r.den is LP_ONE), (a, b, r)
     assert LaurentPoly.from_int(1) is LP_ONE
     assert RATFUNC.coerce(1) is RATFUNC.coerce(LP_ONE) is RATFUNC.one
+
+
+# -- the lift boundary division p / ((q-q^-1)^a (q-1)^b), with no gcd ------------
+
+
+def _boundary_den(a, b):
+    return Q_MINUS_QINV ** a * Q_MINUS_1 ** b
+
+
+@st.composite
+def _boundary_cases(draw):
+    """p with planted (q-1)^i (q+1)^j, a q-power and integer content, over
+    (q-q^-1)^a (q-1)^b with a, b <= 6; i and j may pass what the den holds."""
+    p = draw(small_polys)
+    i, j = draw(st.integers(0, 8)), draw(st.integers(0, 7))
+    p = p * Q_MINUS_1 ** i * Q_PLUS_1 ** j * LaurentPoly({draw(st.integers(-4, 4)): 1})
+    return p * draw(contents), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+
+
+# (q^2 - 1)^6 over (q - q^-1)^6: every factor cancels, leaving q^6
+_FULL_CANCEL = ((Q * Q - 1) ** 6, 6, 0)
+
+
+@given(_boundary_cases())
+@example(_FULL_CANCEL)
+@settings(max_examples=200, deadline=None)
+def test_boundary_division_against_the_gcd_path_and_sympy(case):
+    p, a, b = case
+    got = over_den_power(p, a, b)
+    expected = RatFunc(p, _boundary_den(a, b))
+    assert (got.num, got.den) == (expected.num, expected.den)
+    assert got.den.is_one() == (got.den is LP_ONE)
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    n_s, d_s = sympy.fraction(sympy.cancel(_expr(q, p) / _expr(q, _boundary_den(a, b))))
+    assert sympy.expand(_expr(q, got.num) * d_s - n_s * _expr(q, got.den)) == 0
+    if not p.is_zero():
+        assert got.den == _normalized(sympy.Poly(d_s, q))
+
+
+def test_boundary_division_needs_no_gcd(monkeypatch):
+    from qfun import laurent
+
+    cases = [_FULL_CANCEL, (LaurentPoly(), 2, 1), (LaurentPoly({-3: 4}), 0, 0),
+             (2 * Q_MINUS_1 ** 3 * Q_PLUS_1 * (Q * Q + 1), 2, 2), (Q_PLUS_1 ** 4, 1, 5)]
+    expected = [RatFunc(p, _boundary_den(a, b)) for p, a, b in cases]
+
+    def no_gcd(a, b):
+        raise AssertionError("laurent_gcd called")
+
+    monkeypatch.setattr(laurent, "laurent_gcd", no_gcd)
+    got = [over_den_power(p, a, b) for p, a, b in cases]
+    monkeypatch.undo()
+    assert got == expected
+    assert got[0].num == LaurentPoly({6: 1}) and got[0].den is LP_ONE
+    # 2 (q-1)^3 (q+1) (q^2+1) q^2 / (q-1)^4 (q+1)^2
+    assert got[3].den == Q_MINUS_1 * Q_PLUS_1

@@ -42,7 +42,8 @@ def main():
             fh.write(text)
     for r in reports:
         n_checks = len(r["results"])
-        print(f"[{'PASS' if r['ok'] else 'FAIL'}] {r['suite']:<14} {n_checks} checks")
+        print(f"[{'PASS' if r['ok'] else 'FAIL'}] {r['suite']:<14} {n_checks} checks"
+              f" in {r['seconds']:.2f}s")
         for res in r["results"]:
             if not res["ok"]:
                 print(f"    FAIL {res['check']}")

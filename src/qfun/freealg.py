@@ -15,7 +15,7 @@ from itertools import combinations
 from math import factorial
 
 from .laurent import LAURENT, LP_ONE, RATFUNC, LaurentPoly, RatFunc
-from .lincomb import LinComb, accumulate, concat_product, echelon, format_terms, reduce_row
+from .lincomb import LinComb, accumulate, back_substitute, concat_product, echelon, format_terms
 
 
 # entries a memo keeps at most; past it, new results are computed but not kept
@@ -209,16 +209,15 @@ class AlgebraSpec:
         while changed:
             changed = False
             for red in self.post_reducers:
-                target = None
-                for w in terms:
-                    if red.reduce_word(self, w) is not None:
-                        target = w
+                # the first word in terms' order that has a redex is rewritten
+                for target in terms:
+                    repl = red.reduce_word(self, target)
+                    if repl is not None:
                         break
-                if target is None:
+                else:
                     continue
                 changed = True
                 c = terms.pop(target)
-                repl = red.reduce_word(self, target)
                 bound = red.measure(self, target)
                 expanded = {}
                 for rw, rc in repl.items():
@@ -443,8 +442,22 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
     if count > cap:
         raise DimensionOverflow(f"graded component has {count} words (cap {cap})")
     words = words_of_multidegree(n_letters, multidegree)
-    word_ix = {w: i for i, w in enumerate(words)}
+    # the lex-first word of each row leads; proj[w] is w modulo the ideal,
+    # written in the words that lead no pivot row: a basis word is itself,
+    # and a pivot word is minus the tail of its reduced row
+    tails = back_substitute(echelon(ideal_rows(n_letters, relations, multidegree, words)))
+    basis = [w for i, w in enumerate(words) if i not in tails]
+    proj = {}
+    for i, w in enumerate(words):
+        tail = tails.get(i)
+        proj[w] = {w: RATFUNC.one} if tail is None else {words[j]: -c for j, c in tail.items()}
+    return words, basis, proj
 
+
+def ideal_rows(n_letters, relations, multidegree, words):
+    """The rows u*rel*v of the ideal's piece in a multidegree, as sparse rows
+    over the positions of words, which lists every word of it."""
+    word_ix = {w: i for i, w in enumerate(words)}
     rows = []
     for rel in relations:
         if not rel:
@@ -463,16 +476,7 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
                     row = accumulate({}, ((word_ix[u + rw + v], rc) for rw, rc in rel.items()))
                     if row:
                         rows.append(row)
-
-    # the lex-first word of each row leads; proj[w] is w modulo the ideal,
-    # written in the words that lead no pivot row
-    pivots = echelon(rows)
-    basis = [w for i, w in enumerate(words) if i not in pivots]
-    proj = {
-        w: {words[j]: c for j, c in reduce_row({i: RATFUNC.one}, pivots).items()}
-        for i, w in enumerate(words)
-    }
-    return words, basis, proj
+    return rows
 
 
 def _split_multidegrees(rem):

@@ -50,7 +50,7 @@ from .laurent import (
     over_den_power,
 )
 from .lincomb import (LinComb, accumulate, add_pair_products, apply_pair_map, apply_word_map,
-                      concat_product, format_terms)
+                      concat_product, extend_prefix, format_terms)
 from .qmatrix import MatrixAlgebra, TensorElement, perm_inversions, x_gen
 from .qsl import SLAlgebra
 
@@ -261,21 +261,19 @@ class IntContext:
     def _numerator(self, w):
         """(N(w), a, b) of a generator word, memoized by prefix as
         MatrixAlgebra.coproduct_word is: N(w) = N(w[:-1]) N(w[-1]), the
-        longest memoized prefix extended one letter at a time."""
+        longest memoized prefix extended (extend_prefix)."""
         if not w:
             return {(): LP_ONE}, 0, 0
-        memo = self._num_memo
-        k = len(w)
-        while k > 1 and w[:k] not in memo:
-            k -= 1
-        entry = memo[w[:k]] if k > 1 else self._letter_numerator(w[0])
-        for t in range(k, len(w)):
-            num, a, b = entry
-            gnum, ga, gb = self._letter_numerator(w[t])
-            entry = (self._laurent_spec.reduce_terms(concat_product(num, gnum)), a + ga, b + gb)
-            if len(memo) < CACHE_LIMIT:
-                memo[w[: t + 1]] = entry
+        entry = self._num_memo.get(w)
+        if entry is None:
+            unit = self._letter_numerator(w[0])
+            entry = extend_prefix(self._num_memo, w, unit, self._numerator_extend, CACHE_LIMIT, start=1)
         return entry
+
+    def _numerator_extend(self, entry, g):
+        num, a, b = entry
+        gnum, ga, gb = self._letter_numerator(g)
+        return self._laurent_spec.reduce_terms(concat_product(num, gnum)), a + ga, b + gb
 
     def _lift_terms(self, terms):
         """The reduced term dict of sum c lift(w) over a {word: c} dict."""

@@ -5,12 +5,15 @@ square, triangular U_q terms, PBW words, formal integer-form expressions)
 stores a dict from keys to nonzero coefficients.  The rules for that dict
 live here: zero coefficients are never stored, and a public operation never
 mutates its operands, because elements sit in caches and are shared.  The
-sparse row reduction over a field (echelon, reduce_row) lives here too.
+sparse row reduction over a field (echelon, reduce_row, back_substitute)
+lives here too.
 
 So do the products and maps built from letters: concat_product multiplies
 word-keyed dicts, apply_word_map extends letter images to words and
 apply_pair_map extends two key maps to pair keys.  The map helpers call each
 image once per distinct letter or key in one call, so callers keep no memo.
+A map that is memoized across calls extends the longest memoized prefix of
+a word one letter at a time (extend_prefix).
 Pair-keyed (tensor) dicts are summed by add_pair_products alone: add_outer,
 pair_product and apply_pair_map call it.
 """
@@ -76,6 +79,30 @@ def reduce_row(row, pivots):
         else:
             accumulate(row, ((k, v) for k, v in piv.items() if k != key), -c)
     return out
+
+
+def back_substitute(pivots):
+    """The reduced echelon form of echelon pivots, as {lead: tail}: each
+    pivot row is lead + tail, and no tail holds a pivot key.
+
+    The pivots are cleared from the largest lead down.  A pivot row holds
+    only keys larger than its lead, whose tails are then already reduced, so
+    each row is reduced in one pass.  The negated tail of a lead is the
+    remainder of {lead: 1} modulo the pivots' span, what reduce_row returns.
+    """
+    tails = {}
+    for lead in sorted(pivots, reverse=True):
+        tail = {}
+        for k, c in pivots[lead].items():
+            if k == lead:
+                continue
+            sub = tails.get(k)
+            if sub is None:
+                accumulate(tail, ((k, c),))
+            else:
+                accumulate(tail, sub.items(), -c)
+        tails[lead] = tail
+    return tails
 
 
 def add_pair_products(dst, triples, one=None):
@@ -156,6 +183,27 @@ def apply_word_map(terms, image, one, reverse=False):
             acc = acc * img
         accumulate(out, acc.terms.items(), c)
     return one._same(out)
+
+
+def extend_prefix(memo, word, unit, extend, limit, start=0):
+    """The value of word under a map with value(word[:start]) = unit and
+    value(w) = extend(value(w[:-1]), w[-1]) on longer prefixes w, such as an
+    algebra map applied to a word.
+
+    memo maps words to values.  The longest memoized prefix of word longer
+    than start is extended one letter at a time, and every prefix on the way
+    is memoized while memo holds fewer than limit entries.  A leading letter
+    that names the map lets one memo serve several maps.
+    """
+    k = len(word)
+    while k > start and word[:k] not in memo:
+        k -= 1
+    value = memo[word[:k]] if k > start else unit
+    for t in range(k, len(word)):
+        value = extend(value, word[t])
+        if len(memo) < limit:
+            memo[word[: t + 1]] = value
+    return value
 
 
 def apply_pair_map(terms, left, right):

@@ -12,7 +12,8 @@ from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
 from .freealg import CACHE_LIMIT, AlgebraMismatch, AlgebraSpec, GenSym, NCElement, confluence_check
-from .lincomb import LinComb, accumulate, add_outer, add_pair_products, format_terms, pair_product
+from .lincomb import (LinComb, accumulate, add_outer, add_pair_products, extend_prefix, format_terms,
+                      pair_product)
 from .laurent import (
     LAURENT,
     LP_ONE,
@@ -275,20 +276,11 @@ class MatrixAlgebra:
     def coproduct_word(self, w):
         """Delta of one word as a reduced pair-keyed term dict, memoized.
 
-        Delta is an algebra map, so Delta(w) = Delta(w[:-1]) Delta(w[-1]):
-        the longest memoized prefix is extended one letter at a time, and
-        every prefix on the way is memoized too.
+        Delta is an algebra map, so Delta(w) = Delta(w[:-1]) Delta(w[-1]),
+        and the longest memoized prefix is extended (extend_prefix).
         """
-        memo = self._delta_memo
-        k = len(w)
-        while k and w[:k] not in memo:
-            k -= 1
-        d = memo[w[:k]] if k else {((), ()): self.spec.domain.one}
-        for t in range(k, len(w)):
-            d = self._delta_extend(d, w[t])
-            if len(memo) < CACHE_LIMIT:
-                memo[w[: t + 1]] = d
-        return d
+        unit = {((), ()): self.spec.domain.one}
+        return extend_prefix(self._delta_memo, w, unit, self._delta_extend, CACHE_LIMIT)
 
     def _delta_extend(self, d, p):
         """Delta(w) from d = Delta(w[:-1]) and the last letter p of w."""

@@ -221,12 +221,12 @@ def sl_reduce(alg, a, rng=None):
             raw[nw] = raw.get(nw, spec.domain.zero) + nc * c
     raw = {w: c for w, c in raw.items() if c}
     while True:
-        sites = [w for w in raw if red.reduce_word(spec, w) is not None]
+        sites = [(w, repl) for w in raw if (repl := red.reduce_word(spec, w)) is not None]
         if not sites:
             break
-        w = sites[rng.randrange(len(sites))]
+        w, repl = sites[rng.randrange(len(sites))]
         c = raw.pop(w)
-        for rw, rc in red.reduce_word(spec, w).items():
+        for rw, rc in repl.items():
             accumulate(raw, spec.normal_form_word(rw).items(), rc * c)
     return NCElement(spec, raw, reduce=False)
 

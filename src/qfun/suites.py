@@ -1,15 +1,18 @@
 """Packaged verification suites.
 
-Each suite returns a report dict {"suite", "ok", "results", "errata"}; the
-CLI serializes these and the acceptance tests assert on them.  Results are
+Each suite returns a report dict {"suite", "ok", "results", "errata",
+"seconds"}, seconds being the suite's wall time; the CLI serializes these
+and the acceptance tests assert on them.  Results are
 one line per check; errata collect every printed formula that needed a
 declared variant, with the variant that verified.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
@@ -67,6 +70,19 @@ def _result(results, name, ok, detail=None):
     return ok
 
 
+def _timed(suite):
+    """The suite, with its wall time in seconds added to its report."""
+
+    @functools.wraps(suite)
+    def run(*args, **kwargs):
+        t0 = time.perf_counter()
+        report = suite(*args, **kwargs)
+        report["seconds"] = time.perf_counter() - t0
+        return report
+
+    return run
+
+
 def _report(suite, results, errata=None):
     return {
         "suite": suite,
@@ -94,6 +110,7 @@ def _tensor3_of_delta(alg, t, side):
     return {(a, b, c): v for (a, (b, c)), v in pairs.items()}
 
 
+@_timed
 def hopf_axioms_suite(ns=(1, 2)):
     results = []
     sign = _select_antipode_sign()
@@ -141,6 +158,7 @@ def hopf_axioms_suite(ns=(1, 2)):
 # -- criterion 2: det_q central and group-like; pi kills det - 1 ---------------------
 
 
+@_timed
 def detq_suite(ns=(1, 2, 3)):
     results = []
     for n in ns:
@@ -163,6 +181,7 @@ def _comm_monomial_count(nvars, degree):
     return sum(math.comb(nvars + d - 1, d) for d in range(degree + 1))
 
 
+@_timed
 def pbw_matrix_suite():
     results = []
     for n in (1, 2):
@@ -247,6 +266,7 @@ def _commutative_hilbert(n, dmax):
     return out
 
 
+@_timed
 def sl_pbw_suite(seed=0):
     results = []
     # canonical monomial counts vs the commutative coordinate-ring oracle
@@ -335,6 +355,7 @@ def _catalog_result(results, errata, check, records):
     )
 
 
+@_timed
 def intform_suite(ns=(1, 2), gl=False):
     results = []
     errata = []
@@ -366,6 +387,7 @@ def intform_suite(ns=(1, 2), gl=False):
     return _report("intform-gl" if gl else "intform", results, _dedup_errata(errata))
 
 
+@_timed
 def hopf_closure_suite(ns=(1, 2)):
     """Criteria 11 + 12: Hopf formulas re-expand integrally; S(psi_i) + psi_i
     is (q-1)-divisible with the constructive witness."""
@@ -402,6 +424,7 @@ def _dedup_errata(errata):
 # -- criterion 6: the Poisson cobracket ------------------------------------------------
 
 
+@_timed
 def cobracket_suite(ns=(1, 2)):
     results = []
     for n in ns:
@@ -420,6 +443,7 @@ def cobracket_suite(ns=(1, 2)):
     return _report("cobracket", results)
 
 
+@_timed
 def gl_central_suite(ns=(1, 2)):
     """Criterion 13: the GL forms with the central element c."""
     results = []
@@ -472,6 +496,7 @@ def gl_central_suite(ns=(1, 2)):
 # -- criteria 7 + 8: root-vector constructions and the convex order -------------------
 
 
+@_timed
 def thm53_suite(ns=(2, 3)):
     results = []
     for n in ns:
@@ -490,6 +515,7 @@ def thm53_suite(ns=(2, 3)):
     return _report("thm53", results)
 
 
+@_timed
 def convex_suite(ns=(2, 3, 4, 5, 6)):
     results = []
     errata = []
@@ -540,6 +566,7 @@ def convex_suite(ns=(2, 3, 4, 5, 6)):
 # -- criteria 9 + 10: Borel isomorphisms and collapse ----------------------------------
 
 
+@_timed
 def mu_suite(ns=(1, 2)):
     results = []
     for n in ns:
@@ -618,6 +645,7 @@ def kostant_count(n, multidegree):
     return count(0, target)
 
 
+@_timed
 def graded_dimension_suite():
     results = []
     for n in (2, 3):

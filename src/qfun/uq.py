@@ -22,8 +22,8 @@ from .laurent import (
     RF_Q_MINUS_QINV,
     RatFunc,
 )
-from .lincomb import (LinComb, accumulate, add_outer, apply_pair_map, apply_word_map, format_terms,
-                      pair_product)
+from .lincomb import (LinComb, accumulate, add_outer, apply_pair_map, apply_word_map, extend_prefix,
+                      format_terms, pair_product)
 from .qmatrix import perm_inversions
 from .qsl import BorelAlgebra, borel_quotient
 
@@ -67,11 +67,15 @@ class UqAlgebra:
         self._serre_nf = {}
         # (E-word, F-word) -> their straightened product
         self._cross_cache = {}
+        # (i,) + a prefix of a letter word (_letter_words) -> T_i of it
+        self._braid_memo = {}
 
     def clear_caches(self):
-        """Forget the Serre normal-form memo and the E-F straightening memo."""
+        """Forget the Serre normal-form memo, the E-F straightening memo and
+        the braid operator memo."""
         self._serre_nf.clear()
         self._cross_cache.clear()
+        self._braid_memo.clear()
 
     # -- block normalization -------------------------------------------------
 
@@ -381,70 +385,74 @@ def corrected_position_formula(n, i, j):
 
 
 def braid_T(alg, i, el):
-    """Lusztig braid operator on the sl-subalgebra (F's, K's, E's)."""
+    """Lusztig braid operator on the sl-subalgebra (F's, K's, E's).
+
+    T_i is an algebra map, so T_i(w) = T_i(w[:-1]) T_i(w[-1]) on the letter
+    word w of a term, and alg memoizes T_i of every prefix (extend_prefix).
+    """
     if not el.in_sl_form():
         raise NotInSlForm("element has G-exponents outside the root lattice")
-    n = alg.n
+    for (_, g, _) in el.terms:
+        if alg.sl_quotient and sum(g) % (alg.n + 1):
+            raise NotInSlForm("G-exponent total not divisible by n+1")
+    memo = alg._braid_memo
 
-    def f_image(j):
+    def extend(acc, letter):
+        # T_i of a letter is T_i of the one-letter word, memoized at (i, letter)
+        img = memo.get((i, letter))
+        if img is None:
+            img = _braid_image(alg, i, letter)
+            if len(memo) < CACHE_LIMIT:
+                memo[(i, letter)] = img
+        return img if acc is None else acc * img
+
+    out = {}
+    for w, c in _letter_words(el).items():
+        image = extend_prefix(memo, (i,) + w, None, extend, CACHE_LIMIT, start=1)
+        accumulate(out, image.terms.items(), c)
+    return UqElement(alg, out)
+
+
+def _braid_image(alg, i, letter):
+    """T_i of one letter ("F", j), ("G", g) or ("E", j) of a letter word."""
+    kind, j = letter
+    n = alg.n
+    if kind == "F":
         if j == i:
             # -K_i^{-1} E_i
-            g = [0] * (n + 1)
-            g[i - 1] = -1
-            g[i] = 1
-            return UqElement(alg, alg.normalize({((), tuple(g), (i,)): -RF_ONE}))
+            return UqElement(alg, alg.normalize({((), _gvec(n, {i: -1, i + 1: 1}), (i,)): -RF_ONE}))
         if abs(i - j) == 1:
             return (alg.F(j) * alg.F(i)).scale(-1) + (alg.F(i) * alg.F(j)).scale(RF_Q)
         return alg.F(j)
-
-    def e_image(j):
+    if kind == "E":
         if j == i:
-            g = [0] * (n + 1)
-            g[i - 1] = 1
-            g[i] = -1
-            return UqElement(alg, alg.normalize({((i,), tuple(g), ()): -RF_ONE}))
+            # -F_i K_i
+            return UqElement(alg, alg.normalize({((i,), _gvec(n, {i: 1, i + 1: -1}), ()): -RF_ONE}))
         if abs(i - j) == 1:
-            return (alg.E(i) * alg.E(j)).scale(-1) + (alg.E(j) * alg.E(i)).scale(
-                RF_QINV
-            )
+            return (alg.E(i) * alg.E(j)).scale(-1) + (alg.E(j) * alg.E(i)).scale(RF_QINV)
         return alg.E(j)
-
-    def k_image_exponents(kvec):
-        out = list(kvec)
-        # T_i: K_i -> K_i^{-1}; K_j -> K_i K_j for |i-j| = 1; else fixed
-        new = [0] * n
-        for j in range(1, n + 1):
-            v = out[j - 1]
-            if not v:
-                continue
-            if j == i:
-                new[i - 1] -= v
-            elif abs(i - j) == 1:
-                new[i - 1] += v
-                new[j - 1] += v
-            else:
-                new[j - 1] += v
-        return new
-
-    def g_image(g):
-        if alg.sl_quotient:
-            shift = sum(g) // (n + 1)
-            g = tuple(x - shift for x in g)
-        kvec = [sum(g[:t]) for t in range(1, n + 1)]
-        kimg = k_image_exponents(kvec)
-        gimg = [0] * (n + 1)
-        for t, v in enumerate(kimg, start=1):
-            gimg[t - 1] += v
-            gimg[t] -= v
-        return UqElement(alg, alg.normalize({((), tuple(gimg), ()): RF_ONE}))
-
-    for (_, g, _) in el.terms:
-        if alg.sl_quotient and sum(g) % (n + 1):
-            raise NotInSlForm("G-exponent total not divisible by n+1")
-    images = {"F": f_image, "G": g_image, "E": e_image}
-    return apply_word_map(
-        _letter_words(el), lambda letter: images[letter[0]](letter[1]), alg.one()
-    )
+    g = j
+    if alg.sl_quotient:
+        shift = sum(g) // (n + 1)
+        g = tuple(x - shift for x in g)
+    # T_i: K_i -> K_i^{-1}; K_j -> K_i K_j for |i-j| = 1; else fixed
+    kimg = [0] * n
+    for t in range(1, n + 1):
+        v = sum(g[:t])
+        if not v:
+            continue
+        if t == i:
+            kimg[i - 1] -= v
+        elif abs(i - t) == 1:
+            kimg[i - 1] += v
+            kimg[t - 1] += v
+        else:
+            kimg[t - 1] += v
+    gimg = [0] * (n + 1)
+    for t, v in enumerate(kimg, start=1):
+        gimg[t - 1] += v
+        gimg[t] -= v
+    return UqElement(alg, alg.normalize({((), tuple(gimg), ()): RF_ONE}))
 
 
 def _letter_words(el):

@@ -5,6 +5,14 @@ criterion; each test also prints its own PASS line.  Criterion 7 includes
 its n=4 extension unconditionally.
 """
 
+import json
+import re
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
 from qfun import suites
 
 
@@ -98,3 +106,22 @@ def test_criterion_13_gl_forms():
 def test_supporting_graded_dimensions():
     rep = suites.graded_dimension_suite()
     _assert_report(rep, "supporting: graded dimensions match Kostant partition counts")
+
+
+def test_suite_reports_carry_their_wall_time(monkeypatch, capsys, tmp_path):
+    """Every suite report has "seconds", verify_all prints it on the suite's
+    line, and the report schema stays qfun/1."""
+    rep = suites.convex_suite(ns=(2,))
+    assert isinstance(rep["seconds"], float) and rep["seconds"] >= 0
+    script = Path(__file__).resolve().parent.parent / "scripts" / "verify_all.py"
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", [str(script), "-o", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
+    payload = json.loads(out.read_text())
+    assert payload["schema"] == "qfun/1"
+    seconds = [r["seconds"] for r in payload["reports"]]
+    assert len(seconds) == 12 and all(isinstance(s, float) and s >= 0 for s in seconds)
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[PASS]")]
+    assert len(lines) == 12 and all(re.search(r" checks in \d+\.\d\ds$", line) for line in lines)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +10,11 @@ from qfun.freealg import (
     NCElement,
     confluence_check,
     graded_component_basis,
+    ideal_rows,
     words_of_multidegree,
 )
 from qfun.laurent import LAURENT, Q, RATFUNC, RF_ONE, RatFunc
+from qfun.lincomb import echelon, reduce_row
 from qfun.qmatrix import MatrixAlgebra, build_matrix_spec
 from qfun.suites import kostant_count
 
@@ -125,6 +127,28 @@ def test_graded_component_projection_consistency():
     for w in words:
         exp = proj[w]
         assert all(bw in basis for bw in exp)
+
+
+def _assert_projection_is_reduce_row(n, degree):
+    """proj (back-substituted pivots) equals reduce_row of each word's unit
+    row modulo the echelon pivots of the ideal's rows."""
+    rels = _serre_relations(n)
+    words, basis, proj = graded_component_basis(n, rels, degree)
+    pivots = echelon(ideal_rows(n, rels, degree, words))
+    assert basis == [w for i, w in enumerate(words) if i not in pivots]
+    for i, w in enumerate(words):
+        assert proj[w] == {words[j]: c for j, c in reduce_row({i: RF_ONE}, pivots).items()}
+
+
+def test_graded_component_projection_equals_reduce_row_to_degree_5():
+    for n in (1, 2, 3):
+        for degree in product(range(6), repeat=n):
+            if 1 <= sum(degree) <= 5:
+                _assert_projection_is_reduce_row(n, degree)
+
+
+def test_graded_component_projection_equals_reduce_row_at_n5():
+    _assert_projection_is_reduce_row(5, (1, 2, 1, 1, 1))
 
 
 def test_words_of_multidegree():

@@ -13,8 +13,10 @@ from qfun.lincomb import (
     add_outer,
     apply_pair_map,
     apply_word_map,
+    back_substitute,
     concat_product,
     echelon,
+    extend_prefix,
     reduce_row,
 )
 
@@ -123,6 +125,59 @@ def test_row_reduction_against_sympy_rank(rows, v):
     # v - rest lies in the row space; rest vanishes exactly when v adds no rank
     assert rank(rows + [accumulate(dict(v), rest.items(), -1)]) == rank(rows)
     assert (not rest) == (rank(rows + [v]) == rank(rows))
+
+
+ratfunc_rows = st.dictionaries(st.integers(min_value=0, max_value=7), ratfuncs.filter(bool), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(ratfunc_rows, max_size=7))
+def test_back_substitute_matches_reduce_row_over_ratfuncs(rows):
+    """Minus the tail of a lead is reduce_row of that lead, a key that leads
+    no pivot reduces to itself, and lead + tail lies in the row span."""
+    pivots = echelon(rows)
+    tails = back_substitute(pivots)
+    assert set(tails) == set(pivots)
+    one = RatFunc(LaurentPoly({0: 1}))
+    for lead, tail in tails.items():
+        assert not set(tail) & set(pivots)
+        assert all(k > lead for k in tail)
+        assert {k: -c for k, c in tail.items()} == reduce_row({lead: one}, pivots)
+        assert reduce_row({lead: one, **tail}, pivots) == {}
+    for k in range(8):
+        if k not in pivots:
+            assert reduce_row({k: one}, pivots) == {k: one}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=2), max_size=5).map(tuple), max_size=8),
+       st.integers(min_value=0, max_value=2), st.sampled_from([0, 3, 100]))
+def test_extend_prefix_equals_the_fold(words, start, limit):
+    """The value of every word equals the letter-by-letter fold from the unit
+    at word[:start], on a cold and a warm memo and at any limit; only
+    prefixes longer than start are memoized, at most limit of them."""
+    calls = []
+
+    def extend(value, letter):
+        calls.append(letter)
+        return value * 3 + letter + 1
+
+    def fold(word):
+        value = 7
+        for letter in word[start:]:
+            value = value * 3 + letter + 1
+        return value
+
+    memo = {}
+    for _ in range(2):
+        for w in words:
+            assert extend_prefix(memo, w, 7, extend, limit, start=start) == fold(w)
+    assert len(memo) <= limit
+    assert all(len(k) > start and v == fold(k) for k, v in memo.items())
+    if limit == 100:
+        # each distinct prefix is extended once
+        prefixes = {w[:t] for w in words for t in range(start + 1, len(w) + 1)}
+        assert len(calls) == len(prefixes)
 
 
 word_terms = st.dictionaries(

@@ -91,6 +91,34 @@ def test_sl_reduce_random_path_independence(sl1):
         assert (base - alt).is_zero()
 
 
+def test_post_reducers_compute_each_replacement_once(monkeypatch):
+    """The scan for a redex keeps the replacement it finds: reduce_word never
+    runs twice in a row on a word with a redex, in reduce_terms and in the
+    random-site loop of sl_reduce."""
+    from qfun.qsl import DetReducer
+
+    calls = []
+    real = DetReducer.reduce_word
+
+    def spy(self, spec, word):
+        repl = real(self, spec, word)
+        calls.append((word, repl is not None))
+        return repl
+
+    monkeypatch.setattr(DetReducer, "reduce_word", spy)
+    alg = SLAlgebra(1)
+    rng = random.Random(7)
+    k = len(alg.spec.alphabet)
+    for trial in range(30):
+        raw = NCElement(alg.spec, {}, reduce=False)
+        raw.terms = {tuple(rng.randrange(k) for _ in range(rng.randrange(6))): RF_ONE for _ in range(2)}
+        base = sl_reduce(alg, raw)
+        assert (sl_reduce(alg, raw, rng=random.Random(trial)) - base).is_zero()
+    hits = [t for t, (_, found) in enumerate(calls) if found]
+    assert hits
+    assert all(calls[t + 1][0] != calls[t][0] for t in hits if t + 1 < len(calls))
+
+
 def test_pi_project(sl1):
     m = MatrixAlgebra(1, order="triangular", domain=RATFUNC)
     assert pi_project(m, sl1, m.detq()) == sl1.one()

@@ -1,14 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfun import uq
 from qfun.laurent import RF_ONE, RF_Q_MINUS_QINV
+from qfun.lincomb import apply_word_map
 from qfun.qsl import SLAlgebra
 from qfun.uq import (
     MuMap,
     NotInSlForm,
     RF_Q_PLUS_QINV,
     UqAlgebra,
+    _braid_image,
+    _letter_words,
     braid_T,
     collapse_at_one,
     convex_order,
@@ -155,6 +161,84 @@ def test_braid_is_automorphism(u2):
     for i in (1, 2):
         for r in _defining_relations(u2):
             assert braid_T(u2, i, r).is_zero()
+
+
+# (n, sl_quotient, i, terms): each term (coefficient, F-word, K-exponents,
+# E-word) is c F_word K^k E_word, so a draw spans U-, the torus and U+
+braid_cases = st.tuples(st.integers(1, 3), st.booleans()).flatmap(
+    lambda ns: st.tuples(
+        st.just(ns[0]),
+        st.just(ns[1]),
+        st.integers(1, ns[0]),
+        st.lists(
+            st.tuples(
+                st.integers(-2, 2).filter(bool),
+                st.lists(st.integers(1, ns[0]), max_size=2),
+                st.lists(st.integers(-1, 1), min_size=ns[0], max_size=ns[0]),
+                st.lists(st.integers(1, ns[0]), max_size=2),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+)
+
+
+def _braid_element(alg, terms):
+    el = alg.zero()
+    for c, fw, ks, ew in terms:
+        x = alg.one()
+        for j in fw:
+            x = x * alg.F(j)
+        for j, k in enumerate(ks, start=1):
+            x = x * alg.K(j, k)
+        for j in ew:
+            x = x * alg.E(j)
+        el = el + x.scale(c)
+    return el
+
+
+def _braid_reference(alg, i, el):
+    """T_i without the memo: apply_word_map of the letter images."""
+    return apply_word_map(_letter_words(el), lambda letter: _braid_image(alg, i, letter), alg.one())
+
+
+@settings(max_examples=40, deadline=None)
+@given(braid_cases)
+def test_braid_memo_equals_the_memo_free_map(case):
+    """Cold memo, warm memo and CACHE_LIMIT 0 give the memo-free value."""
+    n, sl, i, terms = case
+    alg = UqAlgebra(n, sl_quotient=sl)
+    el = _braid_element(alg, terms)
+    ref = _braid_reference(alg, i, el)
+    assert not alg._braid_memo
+    assert braid_T(alg, i, el).terms == ref.terms
+    assert all(key[0] == i for key in alg._braid_memo)
+    assert braid_T(alg, i, el).terms == ref.terms
+    # T_i of T_i(el) runs on a memo that already holds T_i of el's letters,
+    # and the other operators share the memo
+    assert braid_T(alg, i, ref).terms == _braid_reference(alg, i, ref).terms
+    for j in range(1, n + 1):
+        assert braid_T(alg, j, el).terms == _braid_reference(alg, j, el).terms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uq, "CACHE_LIMIT", 0)
+        fresh = UqAlgebra(n, sl_quotient=sl)
+        assert braid_T(fresh, i, _braid_element(fresh, terms)).terms == ref.terms
+        assert not fresh._braid_memo
+
+
+def test_braid_memo_clears_and_refuses_before_lookup():
+    alg = UqAlgebra(2)
+    root_vector_lusztig(alg, convex_order(2), 3, "E")
+    assert alg._braid_memo
+    alg.clear_caches()
+    assert not alg._braid_memo
+    with pytest.raises(NotInSlForm):
+        braid_T(alg, 1, alg.G(1))
+    quotient = UqAlgebra(2, sl_quotient=True)
+    with pytest.raises(NotInSlForm):
+        braid_T(quotient, 1, quotient.G(1) * quotient.E(1))
+    assert not alg._braid_memo and not quotient._braid_memo
 
 
 def test_braid_equals_iterated_root_vectors(u2):

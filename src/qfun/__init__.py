@@ -10,8 +10,6 @@ from .laurent import (
     PoleAtOne,
     RATFUNC,
     RatFunc,
-    divide_by_q_minus_1,
-    rf_regular_at_one,
 )
 from .freealg import (
     AlgebraMismatch,
@@ -37,9 +35,7 @@ from .qsl import (
     SLAlgebra,
     antipode_convention_report,
     borel_antipode,
-    borel_quotient,
     gl_antipode,
-    gl_inverse_det,
     pi_project,
     sl_reduce,
 )

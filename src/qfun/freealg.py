@@ -5,6 +5,11 @@ the alphabet list.  Rules rewrite descending adjacent pairs and must carry a
 degree-lexicographic termination witness.  Non-quadratic reductions (quantum
 determinant substitution, Borel diagonal products) plug in as post-reducers
 with an explicit decreasing measure.
+
+Rewriting runs over Z[q,q^-1] whatever the coefficients of the elements:
+every rule, normal form and post-reducer holds LaurentPoly coefficients, and
+an element's coefficients (RatFunc over k(q)) meet them only where a normal
+form is multiplied by them, with the element's coefficient on the left.
 """
 
 from __future__ import annotations
@@ -97,6 +102,10 @@ class PostReducer:
 class AlgebraSpec:
     """Alphabet, generator order, rewrite rules, coefficient domain.
 
+    The rules, the normal-form memo and the post-reducers' replacements are
+    over Z[q,q^-1] whatever the domain; the domain types the coefficients of
+    the elements, and reduce_terms returns coefficients of the type it is
+    given.  So one spec serves a k(q) algebra and Laurent numerators alike.
     The term budget of normal_form_word is QFUN_MAX_TERMS as it reads when
     the spec is built.
     """
@@ -122,15 +131,16 @@ class AlgebraSpec:
     def add_rule(self, a, b, rhs_terms):
         """Install a rule for the descending pair (a, b), positions a > b.
 
-        rhs_terms: iterable of (coeff, word).  Every rhs word must be strictly
-        smaller than (a, b) in deglex order; this is the termination witness.
+        rhs_terms: iterable of (coeff, word), each coeff in Z[q,q^-1].  Every
+        rhs word must be strictly smaller than (a, b) in deglex order; this is
+        the termination witness.
         """
         if a <= b:
             raise ValueError(f"rule lhs {(a, b)} is not descending")
         lhs = (a, b)
         cleaned = []
         for coeff, word in rhs_terms:
-            coeff = self.domain.coerce(coeff)
+            coeff = LAURENT.coerce(coeff)
             if not coeff:
                 continue
             if not self._deglex_less(word, lhs):
@@ -160,12 +170,12 @@ class AlgebraSpec:
     # -- normalization ---------------------------------------------------
 
     def normal_form_word(self, word):
-        """Normal form of a single word as {word: coeff}; memoized."""
+        """Normal form of a single word as {word: LaurentPoly}; memoized."""
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
         budget = self.term_budget
-        one = self.domain.one
+        one = LP_ONE
         rules = self.rules
         out = {}
         # (word, coeff, position where its scan for a redex starts)
@@ -195,11 +205,15 @@ class AlgebraSpec:
         return out
 
     def reduce_terms(self, terms):
-        """Full normal form of a {word: coeff} dict, post-reducers included."""
+        """Full normal form of a {word: coeff} dict, post-reducers included.
+
+        The coefficients come out of the type they go in: RatFunc for a k(q)
+        element, LaurentPoly for a numerator over Z[q,q^-1].
+        """
         out = {}
         for w, c in terms.items():
             if c:
-                accumulate(out, self.normal_form_word(w).items(), c)
+                accumulate(out, self.normal_form_word(w).items(), None if c is LP_ONE else c, LP_ONE)
         if self.post_reducers:
             out = self._apply_post_reducers(out)
         return out
@@ -228,7 +242,7 @@ class AlgebraSpec:
                             f"{red.name}: measure did not decrease on "
                             f"{self.word_str(nw)}"
                         )
-                accumulate(terms, expanded.items(), c)
+                accumulate(terms, expanded.items(), c, LP_ONE)
         return terms
 
     # -- display -----------------------------------------------------------
@@ -336,18 +350,10 @@ class NCElement(LinComb):
 def rule_table_key(spec):
     """The data confluence_check reads: the alphabet and the rules.
 
-    A k(q) coefficient with unit den is read as its Laurent numerator, so a
-    table over Z[q,q^-1] and the same table over k(q) have one key.  The
-    post-reducers are not part of it.
+    Rules are over Z[q,q^-1] whatever the spec's domain, so a table has one
+    key over either domain.  The post-reducers are not part of it.
     """
-    return (
-        tuple(spec.alphabet),
-        tuple(
-            (lhs, tuple((c.num if c.__class__ is RatFunc and c.den is LP_ONE else c, w)
-                        for c, w in rhs))
-            for lhs, rhs in sorted(spec.rules.items())
-        ),
-    )
+    return tuple(spec.alphabet), tuple(sorted(spec.rules.items()))
 
 
 def confluence_check(spec):

@@ -34,7 +34,6 @@ from .classical import (
 )
 from .freealg import CACHE_LIMIT, NCElement
 from .laurent import (
-    LAURENT,
     LP_ONE,
     LaurentPoly,
     NotDivisible,
@@ -197,12 +196,13 @@ class IntContext:
     Lifts run over Z[q,q^-1] and divide once, at the boundary.  A generator
     word w lifts to N(w) / ((q-q^-1)^a (q-1)^b), where the numerator N(w)
     is the reduced product of the letters' numerators (x_ij,
-    x_ii - x_{i+1,i+1}, ...).  Numerators are reduced in a Laurent spec of
-    the same presentation (alg.spec_over(LAURENT)), which shares the
-    algebra's confluence certificate, and memoized per word.  A lift sums
-    numerators times the Laurent numerators of its coefficients and turns
-    each output coefficient into a reduced RatFunc once, by trial division
-    by (q-1) and (q+1).  Lifts are elements of the k(q) algebra alg.
+    x_ii - x_{i+1,i+1}, ...).  Numerators are Laurent term dicts reduced in
+    alg's own spec, which rewrites over Z[q,q^-1] for its k(q) elements too,
+    so they share its rule table and normal-form memo; they are memoized per
+    word.  A lift sums numerators times the Laurent numerators of its
+    coefficients and turns each output coefficient into a reduced RatFunc
+    once, by trial division by (q-1) and (q+1).  Lifts are elements of the
+    k(q) algebra alg.
     """
 
     def __init__(self, n, gl=False, strategy="diagonal74"):
@@ -213,7 +213,6 @@ class IntContext:
         else:
             self.alg = SLAlgebra(n, strategy=strategy, domain=RATFUNC)
         self.spec = self.alg.spec
-        self._laurent_spec = self.alg.spec_over(LAURENT)
         # generator word -> (N(w) over Z[q,q^-1], a, b), letters included
         self._num_memo = {}
         self._lie = None
@@ -221,7 +220,6 @@ class IntContext:
     def clear_caches(self):
         """Forget the numerator memo and the ambient algebra's memos."""
         self._num_memo.clear()
-        self._laurent_spec.clear_caches()
         self.alg.clear_caches()
 
     # -- lifting ----------------------------------------------------------
@@ -232,26 +230,26 @@ class IntContext:
         entry = memo.get((g,))
         if entry is not None:
             return entry
-        spec = self._laurent_spec
+        index = self.spec.index
 
         def x(i, j):
-            return NCElement.gen(spec, x_gen(i, j))
+            return (index[x_gen(i, j)],)
 
         if g.kind == "r":
             i, j = g.indices
-            entry = (x(i, j).terms, int(i != j), 0)
+            entry = ({x(i, j): LP_ONE}, int(i != j), 0)
         elif g.kind == "phi":
             (i,) = g.indices
-            entry = ((x(i, i) - x(i + 1, i + 1)).terms, 0, 1)
+            entry = ({x(i, i): LP_ONE, x(i + 1, i + 1): -LP_ONE}, 0, 1)
         elif g.kind == "psi":
             (i,) = g.indices
-            prod = NCElement.one(spec)
+            prod = {(): LP_ONE}
             for s in range(1, i + 1):
-                prod = prod * x(s, s)
-            entry = ((prod - NCElement.one(spec)).terms, 0, 1)
+                prod = self.spec.reduce_terms(concat_product(prod, {x(s, s): LP_ONE}))
+            entry = (accumulate(prod, (((), -LP_ONE),)), 0, 1)
         elif g.kind == "chi":
             (i,) = g.indices
-            entry = ((x(i, i) - NCElement.one(spec)).terms, 0, 1)
+            entry = ({x(i, i): LP_ONE, (): -LP_ONE}, 0, 1)
         else:
             raise OutOfForm(f"unknown generator kind {g.kind!r}")
         if len(memo) < CACHE_LIMIT:
@@ -273,7 +271,7 @@ class IntContext:
     def _numerator_extend(self, entry, g):
         num, a, b = entry
         gnum, ga, gb = self._letter_numerator(g)
-        return self._laurent_spec.reduce_terms(concat_product(num, gnum)), a + ga, b + gb
+        return self.spec.reduce_terms(concat_product(num, gnum)), a + ga, b + gb
 
     def _lift_terms(self, terms):
         """The reduced term dict of sum c lift(w) over a {word: c} dict."""
@@ -298,12 +296,6 @@ class IntContext:
             group = by_den.setdefault(c.den, {}).setdefault((al + ar, bl + br), {})
             add_pair_products(group, ((c.num, nl, nr),), LP_ONE)
         return TensorElement(self.alg, self.alg, _over_common_denominator(by_den), reduce=False)
-
-    def coproduct(self, el):
-        return self.alg.coproduct(el)
-
-    def counit(self, el):
-        return self.alg.counit(el)
 
     def antipode(self, el):
         if self.gl:
@@ -511,7 +503,7 @@ def poisson_cobracket(ctx, expr):
     """((Delta - Delta^op)(x) / (q-1)) at q=1, mapped into the classical
     tensor square through the specialization dictionary."""
     el = ctx.lift(expr) if isinstance(expr, IntExpr) else expr
-    t = ctx.coproduct(el)
+    t = ctx.alg.coproduct(el)
     d = t - t.swap()
     lie = ctx.lie()
 
@@ -1214,9 +1206,9 @@ def _hopf_residual(ctx, mode, gen, payload):
     else a text residual."""
     lifted = ctx.lift_gen(gen)
     if mode == "delta":
-        diff = ctx.coproduct(lifted) - ctx.lift_tensor(payload)
+        diff = ctx.alg.coproduct(lifted) - ctx.lift_tensor(payload)
     elif mode == "counit":
-        val = ctx.counit(lifted)
+        val = ctx.alg.counit(lifted)
         return None if val == RATFUNC.coerce(payload) else str(val)
     elif mode == "antipode":
         diff = ctx.antipode(lifted) - ctx.lift(payload)

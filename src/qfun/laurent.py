@@ -719,11 +719,3 @@ class Domain:
 
 LAURENT = Domain("laurent", LP_ZERO, LP_ONE)
 RATFUNC = Domain("ratfunc", RF_ZERO, RF_ONE)
-
-
-def divide_by_q_minus_1(a):
-    return a.divide_q_minus_1()
-
-
-def rf_regular_at_one(a):
-    return a.regular_at_one()

@@ -24,11 +24,12 @@ from __future__ import annotations
 def accumulate(dst, items, coeff=None, one=None):
     """dst[key] += c for each (key, c) in items, in place, each c first
     multiplied by coeff when one is given; zero sums are dropped.  A c that
-    `is` one becomes coeff without a multiply."""
+    `is` one becomes coeff without a multiply.  coeff is the left operand,
+    so a RatFunc coeff times a LaurentPoly c is one RatFunc product."""
     get = dst.get
     for key, c in items:
         if coeff is not None:
-            c = coeff if c is one else c * coeff
+            c = coeff if c is one else coeff * c
         s = get(key)
         s = c if s is None else s + c
         if s:

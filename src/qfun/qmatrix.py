@@ -95,9 +95,10 @@ def pair_relation(u, v):
 class Presentation(NamedTuple):
     """The immutable part of a quantum matrix presentation.
 
-    alphabet: the ordered letters; rules: the checked rule table, never
-    mutated (build_matrix_spec copies it); letter_deltas: per letter, its
-    coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict.
+    alphabet: the ordered letters; rules: the checked rule table over
+    Z[q,q^-1], never mutated (build_matrix_spec copies it); letter_deltas:
+    per letter, its coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict
+    over Z[q,q^-1].
     """
 
     name: str
@@ -107,26 +108,26 @@ class Presentation(NamedTuple):
     letter_deltas: tuple
 
 
-# (n, order, cells, domain, name) -> its Presentation
+# (n, order, cells, name) -> its Presentation
 _presentations = {}
 
 
-def matrix_presentation(n, order="lex", domain=LAURENT, cells=None, name=None):
-    """The Presentation of build_matrix_spec's arguments, built once per
-    arguments in this process and kept up to CACHE_LIMIT entries; a build
-    that raises keeps nothing."""
+def matrix_presentation(n, order="lex", cells=None, name=None):
+    """The Presentation of build_matrix_spec's arguments other than the
+    domain, built once per arguments in this process and kept up to
+    CACHE_LIMIT entries; a build that raises keeps nothing."""
     if cells is not None:
         cells = tuple(sorted(set(cells)))
-    key = (n, order if isinstance(order, str) else tuple(order), cells, domain, name)
+    key = (n, order if isinstance(order, str) else tuple(order), cells, name)
     pres = _presentations.get(key)
     if pres is None:
-        pres = _build_presentation(n, order, domain, cells, name)
+        pres = _build_presentation(n, order, cells, name)
         if len(_presentations) < CACHE_LIMIT:
             _presentations[key] = pres
     return pres
 
 
-def _build_presentation(n, order, domain, cells, name):
+def _build_presentation(n, order, cells, name):
     """The letters, rules and letter coproducts of the quantum matrix
     relations on the given cells; see build_matrix_spec."""
     if cells is None:
@@ -141,7 +142,6 @@ def _build_presentation(n, order, domain, cells, name):
             raise InadmissibleOrder("custom order is not a permutation of the cells")
     spec = AlgebraSpec(
         [x_gen(i, j) for i, j in ordered],
-        domain=domain,
         name=name or f"M({n + 1})/{order if isinstance(order, str) else 'custom'}",
     )
     cellset = set(cells)
@@ -163,10 +163,9 @@ def _build_presentation(n, order, domain, cells, name):
                 spec.add_rule(pos[u], pos[v], rhs)
             except ValueError as exc:
                 raise InadmissibleOrder(str(exc)) from exc
-    one = domain.one
     letter_deltas = tuple(
         {
-            ((pos[(i, k)],), (pos[(k, j)],)): one
+            ((pos[(i, k)],), (pos[(k, j)],)): LP_ONE
             for k in range(1, n + 2)
             if (i, k) in cellset and (k, j) in cellset
         }
@@ -183,12 +182,14 @@ def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None):
     corrections whose letters fall outside the cell set are dropped, which
     realizes the Borel quotients.
 
-    The presentation is built once per arguments (matrix_presentation).
-    Each call returns a new spec with its own copy of the rules, its own
-    normal-form memo and post-reducers, and the term budget read now, so a
-    change to one spec's rules reaches no other.
+    The rules are over Z[q,q^-1] whatever the domain, which types only the
+    coefficients of the spec's elements, so the presentation is built once
+    per arguments other than the domain (matrix_presentation).  Each call
+    returns a new spec with its own copy of the rules, its own normal-form
+    memo and post-reducers, and the term budget read now, so a change to one
+    spec's rules reaches no other.
     """
-    pres = matrix_presentation(n, order, domain, cells, name)
+    pres = matrix_presentation(n, order, cells, name)
     spec = AlgebraSpec(pres.alphabet, domain=domain, name=pres.name)
     spec.rules.update(pres.rules)
     return spec
@@ -209,8 +210,7 @@ class MatrixAlgebra:
             raise ValueError("n must be >= 1")
         self.n = n
         self.order_name = order if isinstance(order, str) else "custom"
-        self._presentation_args = (order, cells, name)
-        pres = matrix_presentation(n, order, domain, cells, name)
+        pres = matrix_presentation(n, order, cells, name)
         self.spec = build_matrix_spec(n, order=order, domain=domain, cells=cells, name=name)
         self.spec.post_reducers.extend(self._post_reducers(self.spec))
         self.domain = domain
@@ -226,16 +226,6 @@ class MatrixAlgebra:
     def _post_reducers(self, spec):
         """The reductions this algebra applies after its rules, built for spec."""
         return []
-
-    def spec_over(self, domain):
-        """A new spec of this presentation over another domain, with this
-        algebra's post-reducers.  Its rules read as self.spec's under
-        rule_table_key, since every rule coefficient is a Laurent
-        polynomial, so the confluence certificate of self.spec covers it."""
-        order, cells, name = self._presentation_args
-        spec = build_matrix_spec(self.n, order=order, domain=domain, cells=cells, name=name)
-        spec.post_reducers.extend(self._post_reducers(spec))
-        return spec
 
     def clear_caches(self):
         """Forget the normal-form memo and the coproduct memo."""
@@ -254,7 +244,8 @@ class MatrixAlgebra:
         return NCElement.zero(self.spec)
 
     def element(self, terms):
-        return NCElement(self.spec, terms)
+        coerce = self.spec.domain.coerce
+        return NCElement(self.spec, {w: coerce(c) for w, c in terms.items()})
 
     def monomial(self, cells, coeff=1):
         word = tuple(self.spec.index[x_gen(i, j)] for i, j in cells)
@@ -268,18 +259,18 @@ class MatrixAlgebra:
     def coproduct(self, a):
         """Delta as an algebra map; both factors are fully reduced here."""
         out = {}
-        one = self.spec.domain.one
         for w, c in a.terms.items():
-            accumulate(out, self.coproduct_word(w).items(), None if c is one else c, one)
+            accumulate(out, self.coproduct_word(w).items(), None if c is LP_ONE else c, LP_ONE)
         return TensorElement(self, self, out, reduce=False)
 
     def coproduct_word(self, w):
-        """Delta of one word as a reduced pair-keyed term dict, memoized.
+        """Delta of one word as a reduced pair-keyed term dict over
+        Z[q,q^-1], memoized.
 
         Delta is an algebra map, so Delta(w) = Delta(w[:-1]) Delta(w[-1]),
         and the longest memoized prefix is extended (extend_prefix).
         """
-        unit = {((), ()): self.spec.domain.one}
+        unit = {((), ()): LP_ONE}
         return extend_prefix(self._delta_memo, w, unit, self._delta_extend, CACHE_LIMIT)
 
     def _delta_extend(self, d, p):
@@ -381,19 +372,19 @@ class MatrixAlgebra:
 
 
 def _word_normal_form(spec):
-    """The full normal form of one word as {word: coeff}: the memoized
+    """The full normal form of one word as {word: LaurentPoly}: the memoized
     quadratic normal form itself unless post-reducers act on top of it."""
     if not spec.post_reducers:
         return spec.normal_form_word
-    one = spec.domain.one
-    return lambda w: spec.reduce_terms({w: one})
+    return lambda w: spec.reduce_terms({w: LP_ONE})
 
 
 def _tensor_product(left, right, x, y):
     """The product of two pair-keyed term dicts over the specs left and
-    right: words concatenate side by side and reduce to full normal form."""
+    right: words concatenate side by side and reduce to full normal form.
+    The coefficients come out of the type of x's and y's."""
     lnf, rnf = _word_normal_form(left), _word_normal_form(right)
-    return pair_product(x, y, lambda u, v: lnf(u + v), lambda u, v: rnf(u + v), left.domain.one)
+    return pair_product(x, y, lambda u, v: lnf(u + v), lambda u, v: rnf(u + v), LP_ONE)
 
 
 class TensorElement(LinComb):
@@ -412,8 +403,7 @@ class TensorElement(LinComb):
         lnf = _word_normal_form(self.left.spec)
         rnf = _word_normal_form(self.right.spec)
         return add_pair_products(
-            {}, ((c, lnf(wl), rnf(wr)) for (wl, wr), c in terms.items() if c),
-            self.left.spec.domain.one,
+            {}, ((c, lnf(wl), rnf(wr)) for (wl, wr), c in terms.items() if c), LP_ONE
         )
 
     def _same(self, terms):

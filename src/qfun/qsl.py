@@ -15,7 +15,7 @@ import functools
 from itertools import combinations_with_replacement, permutations
 
 from .freealg import NCElement, PostReducer
-from .laurent import Q_MINUS_QINV, RATFUNC, neg_q_power
+from .laurent import LAURENT, LP_ONE, LP_ZERO, Q_MINUS_QINV, RATFUNC, neg_q_power
 from .lincomb import accumulate, apply_word_map, echelon, reduce_row
 from .qmatrix import MatrixAlgebra, pair_relation, perm_inversions, x_gen
 
@@ -72,54 +72,55 @@ class DetReducer(PostReducer):
         self.block_pos = frozenset(pos[ij] for ij in self.block_cells)
         self.det_word = tuple(pos[ij] for ij in self.block_cells)
         self.subst = [
-            (spec.domain.coerce(c), tuple(pos[ij] for ij in cells))
+            (LAURENT.coerce(c), tuple(pos[ij] for ij in cells))
             for c, cells in _det_substitution(n, strategy)
         ]
 
     def measure(self, spec, word):
         return sum(1 for p in word if p in self.block_pos)
 
-    def _block_exponents(self, word):
-        counts = {p: 0 for p in self.det_word}
-        for p in word:
-            if p in self.block_pos:
-                counts[p] += 1
-        return counts
-
     def reduce_word(self, spec, word):
-        counts = self._block_exponents(word)
-        if not counts or min(counts.values()) < 1:
+        found = _drop_block(word, self.block_pos)
+        if found is None:
             return None
-        # remove one copy of each block letter, then append the extracted
-        # product at the right end of the block; quadratic renormalization
-        # accounts for the (lower measure) commutator corrections.
-        removed = {p: 1 for p in self.det_word}
-        reduced = []
-        block_at = None
-        for t, p in enumerate(word):
-            if p in self.block_pos and removed.get(p):
-                removed[p] -= 1
-                block_at = t
-                continue
-            reduced.append((t, p))
-        # rebuild: letters before/inside/after the block; the extracted det
-        # product is inserted where the block ends
-        prefix = tuple(p for t, p in reduced if t <= block_at)
-        suffix = tuple(p for t, p in reduced if t > block_at)
+        # remove one copy of each block letter, then insert the extracted
+        # product where the block ends; quadratic renormalization accounts
+        # for the (lower measure) commutator corrections.
+        kept, block_at = found
+        prefix = tuple(word[t] for t in kept if t < block_at)
+        suffix = tuple(word[t] for t in kept if t > block_at)
         rearranged = prefix + self.det_word + suffix
         base = spec.normal_form_word(rearranged)
         out = {}
-        one = spec.domain.one
         # word == rearranged + (word - NF(rearranged)); the main term of
         # NF(rearranged) is `word` itself with coefficient 1.
         for w, c in base.items():
             if w == word:
                 continue
-            out[w] = out.get(w, spec.domain.zero) - c
+            out[w] = out.get(w, LP_ZERO) - c
         for c, sub in self.subst:
             w = prefix + sub + suffix
-            out[w] = out.get(w, spec.domain.zero) + c
+            out[w] = out.get(w, LP_ZERO) + c
         return {w: c for w, c in out.items() if c}
+
+
+def _drop_block(word, block):
+    """(kept, last) when word holds every letter of block: the positions of
+    word left after dropping the first copy of each block letter, and the
+    position of the last letter dropped.  None when a block letter is
+    missing."""
+    if not block.issubset(word):
+        return None
+    missing = set(block)
+    kept = []
+    last = None
+    for t, p in enumerate(word):
+        if p in missing:
+            missing.discard(p)
+            last = t
+        else:
+            kept.append(t)
+    return kept, last
 
 
 class SLAlgebra(MatrixAlgebra):
@@ -144,17 +145,9 @@ class SLAlgebra(MatrixAlgebra):
         """Canonical monomials (min block exponent zero) up to total degree."""
         k = len(self.spec.alphabet)
         block = self.reducer.block_pos
-        words = []
-        for d in range(degree + 1):
-            for w in combinations_with_replacement(range(k), d):
-                counts = {p: 0 for p in block}
-                for p in w:
-                    if p in block:
-                        counts[p] += 1
-                if counts and min(counts.values()) >= 1:
-                    continue
-                words.append(w)
-        return words
+        return [w for d in range(degree + 1)
+                for w in combinations_with_replacement(range(k), d)
+                if _drop_block(w, block) is None]
 
 
 def _minor_antipode(alg, a, sign):
@@ -218,7 +211,7 @@ def sl_reduce(alg, a, rng=None):
     raw = {}
     for w, c in a.terms.items():
         for nw, nc in spec.normal_form_word(w).items():
-            raw[nw] = raw.get(nw, spec.domain.zero) + nc * c
+            raw[nw] = raw.get(nw, spec.domain.zero) + c * nc
     raw = {w: c for w, c in raw.items() if c}
     while True:
         sites = [(w, repl) for w in raw if (repl := red.reduce_word(spec, w)) is not None]
@@ -227,7 +220,7 @@ def sl_reduce(alg, a, rng=None):
         w, repl = sites[rng.randrange(len(sites))]
         c = raw.pop(w)
         for rw, rc in repl.items():
-            accumulate(raw, spec.normal_form_word(rw).items(), rc * c)
+            accumulate(raw, spec.normal_form_word(rw).items(), c * rc)
     return NCElement(spec, raw, reduce=False)
 
 
@@ -236,21 +229,18 @@ def pi_project(source, target, a):
     there; words with a cell that target lacks are dropped.
 
     As pi: M -> SL this is x_ij -> rho_ij followed by the SL canonical
-    reduction; as SL -> B+- it kills the complementary triangle and reduces
-    in the Borel (borel_quotient is the same map).
+    reduction; as SL -> B+- it is the Borel quotient: it kills the
+    complementary triangle and reduces in the Borel.
     """
     if isinstance(a, GLElement):
         a = a.body
-    index = target.spec.index
+    index, coerce = target.spec.index, target.spec.domain.coerce
     terms = {}
     for w, c in a.terms.items():
         cells = [source.cell_of(p) for p in w]
         if all(ij in target.cells for ij in cells):
-            terms[tuple(index[x_gen(*ij)] for ij in cells)] = c
+            terms[tuple(index[x_gen(*ij)] for ij in cells)] = coerce(c)
     return NCElement(target.spec, terms)
-
-
-borel_quotient = pi_project
 
 
 # -- Borel quotients -------------------------------------------------------------
@@ -269,20 +259,10 @@ class DiagProductReducer(PostReducer):
         return sum(1 for p in word if p in self.diag_pos)
 
     def reduce_word(self, spec, word):
-        counts = {p: 0 for p in self.diag_pos}
-        for p in word:
-            if p in self.diag_pos:
-                counts[p] += 1
-        if min(counts.values()) < 1:
+        found = _drop_block(word, self.diag_pos)
+        if found is None:
             return None
-        removed = {p: 1 for p in self.diag_pos}
-        out = []
-        for p in word:
-            if p in self.diag_pos and removed[p]:
-                removed[p] -= 1
-                continue
-            out.append(p)
-        return {tuple(out): spec.domain.one}
+        return {tuple(word[t] for t in found[0]): LP_ONE}
 
 
 class BorelAlgebra(MatrixAlgebra):
@@ -483,7 +463,3 @@ def gl_antipode(alg, a, sign=None):
     # S(det^k) = det^{-k}, det_q being group-like and central
     return out.shift_det(-a.detpow)
 
-
-def gl_inverse_det(a, k):
-    """Multiply a GLElement by det_q^{-k}."""
-    return GLElement(a.alg, a.body, a.detpow - k)

@@ -25,7 +25,7 @@ from .laurent import (
 from .lincomb import (LinComb, accumulate, add_outer, apply_pair_map, apply_word_map, extend_prefix,
                       format_terms, pair_product)
 from .qmatrix import perm_inversions
-from .qsl import BorelAlgebra, borel_quotient
+from .qsl import BorelAlgebra, pi_project
 
 
 class NotInSlForm(Exception):
@@ -162,7 +162,8 @@ class UqAlgebra:
                     # move g1 right past f2
                     s = sum(g1[j] - g1[j - 1] for j in f2)
                     g = tuple(x + y for x, y in zip(g1, g2))
-                    yield (f1 + f2, g, e2), qpow(s) * (c1 * c2)
+                    c = c1 if c2 is RF_ONE else (c2 if c1 is RF_ONE else c1 * c2)
+                    yield (f1 + f2, g, e2), (qpow(s) * c if s else c)
             if a == b:
                 for sign, pw in ((1, 1), (-1, -1)):
                     gk = [0] * (self.n + 1)
@@ -177,7 +178,8 @@ class UqAlgebra:
                         f2, g2, e2 = t2
                         s = sum(gk[j] - gk[j - 1] for j in f2)
                         g = tuple(x + y for x, y in zip(gk, g2))
-                        yield (f2, g, e2), qpow(s) * coeff * c2
+                        c = coeff if c2 is RF_ONE else coeff * c2
+                        yield (f2, g, e2), (qpow(s) * c if s else c)
 
         out = accumulate({}, terms())
         if len(self._cross_cache) < CACHE_LIMIT:
@@ -196,9 +198,10 @@ class UqAlgebra:
                 s1 = sum(g1[j] - g1[j - 1] for j in fm)
                 s2 = sum(g2[j] - g2[j - 1] for j in em)
                 g = tuple(a + b + c for a, b, c in zip(g1, gm, g2))
-                yield (f1 + fm, g, em + e2), cc * qpow(s1 + s2)
+                yield (f1 + fm, g, em + e2), (cc * qpow(s1 + s2) if s1 + s2 else cc)
 
-        return accumulate({} if out is None else out, terms(), c1 * c2)
+        c = c1 if c2 is RF_ONE else (c2 if c1 is RF_ONE else c1 * c2)
+        return accumulate({} if out is None else out, terms(), None if c is RF_ONE else c, RF_ONE)
 
     def normalize(self, raw):
         """Serre-normalize blocks and reduce G-exponents; returns term dict."""
@@ -211,9 +214,9 @@ class UqAlgebra:
                 fexp = self._serre_nf_word(fw)
                 eexp = self._serre_nf_word(ew)
                 for fb, fc in fexp.items():
-                    k = c * fc
+                    k = c if fc is RF_ONE else c * fc
                     for eb, ec in eexp.items():
-                        yield (fb, g, eb), ec * k
+                        yield (fb, g, eb), (k if ec is RF_ONE else ec * k)
 
         return accumulate({}, terms())
 
@@ -678,7 +681,7 @@ class MuMap:
         def side(borel, theta):
             def word_image(w):
                 word = NCElement(self.sl.spec, {w: RF_ONE}, reduce=False)
-                return theta.apply(borel_quotient(self.sl, borel, word)).terms
+                return theta.apply(pi_project(self.sl, borel, word)).terms
 
             return word_image
 

@@ -6,6 +6,7 @@ import pytest
 from qfun import freealg
 from qfun.classical import JacobiFailure, LieStructure, build_h, e_sym, h_sym
 from qfun.freealg import confluence_check
+from qfun.intform import IntExpr, phigen, psigen, rgen
 from qfun.laurent import LAURENT, Q, RATFUNC
 from qfun.qmatrix import InadmissibleOrder, MatrixAlgebra, build_matrix_spec
 from qfun.qsl import BorelAlgebra, SLAlgebra
@@ -130,7 +131,7 @@ def test_cache_limit_zero_keeps_nothing_and_changes_nothing(runs, monkeypatch):
     assert freealg._certificates == {}
 
 
-# -- the presentation memo: one build per (n, order, cells, domain, name) -------
+# -- the presentation memo: one build per (n, order, cells, name) ---------------
 
 
 @pytest.fixture
@@ -142,9 +143,9 @@ def builds(monkeypatch):
     seen = []
     real = qmatrix._build_presentation
 
-    def spy(n, order, domain, cells, name):
-        seen.append((n, order if isinstance(order, str) else "custom", domain.name, name))
-        return real(n, order, domain, cells, name)
+    def spy(n, order, cells, name):
+        seen.append((n, order if isinstance(order, str) else "custom", name))
+        return real(n, order, cells, name)
 
     monkeypatch.setattr(qmatrix, "_build_presentation", spy)
     return seen
@@ -157,17 +158,14 @@ def test_one_presentation_build_per_key(builds):
         MatrixAlgebra(2, order="triangular", domain=RATFUNC)
         BorelAlgebra(2, "+")
         build_matrix_spec(2, order="lex")
+    # the rules are over Z[q,q^-1] for either domain: SL(3) over k(q) and
+    # over Z[q,q^-1] share one build
     assert builds == [
-        (2, "triangular", "ratfunc", "SL(3)/diagonal74"),
-        (2, "triangular", "laurent", "SL(3)/diagonal74"),
-        (2, "triangular", "ratfunc", None),
-        (2, "custom", "ratfunc", "B+(3)"),
-        (2, "lex", "laurent", None),
+        (2, "triangular", "SL(3)/diagonal74"),
+        (2, "triangular", None),
+        (2, "custom", "B+(3)"),
+        (2, "lex", None),
     ]
-    # the Laurent twin of an algebra's spec is one more key, built once too
-    for _ in range(2):
-        SLAlgebra(2).spec_over(LAURENT)
-    assert len(builds) == 5
 
 
 def test_each_build_gets_its_own_rule_table(builds, runs):
@@ -189,8 +187,7 @@ def test_term_budget_is_read_at_each_build(builds, monkeypatch):
     assert SLAlgebra(1).spec.term_budget == 123
     monkeypatch.setenv("QFUN_MAX_TERMS", "456")
     assert SLAlgebra(1).spec.term_budget == 456
-    assert SLAlgebra(1).spec_over(LAURENT).term_budget == 456
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_presentation_cache_limit_zero_keeps_nothing(builds, monkeypatch):
@@ -226,3 +223,23 @@ def test_an_integer_form_context_runs_one_confluence_check(monkeypatch):
     IntContext(2)
     IntContext(2, gl=True)
     assert checked == ["SL(3)/diagonal74", "M(3)/triangular"]
+
+
+@pytest.mark.parametrize("gl", [False, True])
+def test_an_integer_form_context_builds_one_spec(monkeypatch, gl):
+    """Lifts reduce their Laurent numerators in the ambient algebra's own
+    spec: no second spec of the same presentation."""
+    from qfun.intform import IntContext
+
+    IntContext(2, gl=gl)  # the presentation, built once per process
+    built = []
+    real = freealg.AlgebraSpec.__init__
+
+    def spy(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.name)
+
+    monkeypatch.setattr(freealg.AlgebraSpec, "__init__", spy)
+    ctx = IntContext(2, gl=gl)
+    ctx.lift(IntExpr({(phigen(1), rgen(1, 2), psigen(2)): 1}))
+    assert built == [ctx.spec.name] and ctx.alg.spec is ctx.spec

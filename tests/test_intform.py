@@ -91,9 +91,9 @@ def test_hopf_catalogs_never_fail(ctx1, ctx2):
 
 
 def test_eps_phi(ctx1):
-    assert ctx1.counit(ctx1.lift_gen(phigen(1))).is_zero()
-    assert ctx1.counit(ctx1.lift_gen(rgen(1, 2))).is_zero()
-    assert ctx1.counit(ctx1.lift_gen(rgen(1, 1))).is_one()
+    assert ctx1.alg.counit(ctx1.lift_gen(phigen(1))).is_zero()
+    assert ctx1.alg.counit(ctx1.lift_gen(rgen(1, 2))).is_zero()
+    assert ctx1.alg.counit(ctx1.lift_gen(rgen(1, 1))).is_one()
 
 
 def test_s_psi_witness_is_integral(ctx1, ctx2):
@@ -129,7 +129,7 @@ def test_integer_form_closed_under_products():
 def test_delta_of_generators_integral(ctx1):
     # tensor coordinates of Delta(gen) are Laurent in the r/chi lattice
     for g in (rgen(1, 2), rgen(1, 1), chigen(1), phigen(1), psigen(2)):
-        t = ctx1.coproduct(ctx1.lift_gen(g))
+        t = ctx1.alg.coproduct(ctx1.lift_gen(g))
         from qfun.intform import expand_lattice_word
 
         coords = {}

@@ -18,10 +18,8 @@ from qfun.laurent import (
     RATFUNC,
     DivisionByZero,
     RatFunc,
-    divide_by_q_minus_1,
     laurent_gcd,
     over_den_power,
-    rf_regular_at_one,
 )
 
 coeffs = st.integers(min_value=-30, max_value=30)
@@ -53,24 +51,24 @@ def test_ring_axioms(a, b, c):
 
 
 def test_divide_q_minus_1():
-    assert divide_by_q_minus_1(Q * Q - 1) == Q + 1
-    assert divide_by_q_minus_1(LaurentPoly()) == LaurentPoly()
+    assert (Q * Q - 1).divide_q_minus_1() == Q + 1
+    assert LaurentPoly().divide_q_minus_1() == LaurentPoly()
     p = (Q_MINUS_1 ** 2) * ((LP_ONE + QINV) ** 3)
-    assert divide_by_q_minus_1(p) == Q_MINUS_1 * ((LP_ONE + QINV) ** 3)
+    assert p.divide_q_minus_1() == Q_MINUS_1 * ((LP_ONE + QINV) ** 3)
 
 
 @given(polys)
 @settings(max_examples=200, deadline=None)
 def test_divide_then_multiply_back(p):
     m = p * Q_MINUS_1
-    assert divide_by_q_minus_1(m) * Q_MINUS_1 == m
+    assert m.divide_q_minus_1() * Q_MINUS_1 == m
 
 
 @given(polys)
 @settings(max_examples=200, deadline=None)
 def test_not_divisible_iff_nonzero_at_one(p):
     try:
-        divide_by_q_minus_1(p)
+        p.divide_q_minus_1()
         divisible = True
     except NotDivisible:
         divisible = False
@@ -103,9 +101,9 @@ def test_rf_div_by_zero():
 
 
 def test_rf_regular_at_one():
-    assert rf_regular_at_one(RatFunc(Q - 1, Q * Q - 1)) == Fraction(1, 2)
-    assert rf_regular_at_one(RatFunc(LP_ONE, Q_MINUS_1)) is POLE_AT_ONE
-    assert rf_regular_at_one(RatFunc.from_laurent(LaurentPoly.from_int(5))) == 5
+    assert RatFunc(Q - 1, Q * Q - 1).regular_at_one() == Fraction(1, 2)
+    assert RatFunc(LP_ONE, Q_MINUS_1).regular_at_one() is POLE_AT_ONE
+    assert RatFunc.from_laurent(LaurentPoly.from_int(5)).regular_at_one() == 5
 
 
 nonzero_polys = polys.filter(bool)

@@ -381,3 +381,49 @@ def test_uq_memos_bound_and_clear(monkeypatch):
     assert _cache_probe(alg) == expected
     assert _cache_probe(UqAlgebra(2)).terms == expected.terms
     assert not alg._serre_nf and not alg._cross_cache
+
+
+
+@st.composite
+def _uq_words(draw):
+    """n and a word of U_q(gl(n+1)) letters: E_i's, then F_i's (1 <= i <= n),
+    so that every split of it straightens an E-word past an F-word, with a
+    G_i^{+-1} (1 <= i <= n+1) put in somewhere."""
+    n = draw(st.sampled_from([1, 2]))
+    index = st.integers(1, n)
+    word = ([("E", i) for i in draw(st.lists(index, min_size=1, max_size=3))]
+            + [("F", i) for i in draw(st.lists(index, min_size=1, max_size=3))])
+    g = (draw(st.sampled_from(["G+", "G-"])), draw(st.integers(1, n + 1)))
+    word.insert(draw(st.integers(0, len(word))), g)
+    return n, word
+
+
+_UQ = {n: UqAlgebra(n) for n in (1, 2)}
+
+
+def _uq_letter(alg, kind, i):
+    if kind == "E":
+        return alg.E(i)
+    if kind == "F":
+        return alg.F(i)
+    return alg.G(i, 1 if kind == "G+" else -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_uq_words())
+def test_uq_product_is_associative(case):
+    # straightening E past F (_cross) and the Serre normal forms must give
+    # the same product whichever way a word is bracketed
+    n, word = case
+    alg = _UQ[n]
+    factors = [_uq_letter(alg, kind, i) for kind, i in word]
+
+    def product(fs):
+        out = alg.one()
+        for f in fs:
+            out = out * f
+        return out
+
+    whole = product(factors)
+    for k in range(1, len(factors)):
+        assert product(factors[:k]) * product(factors[k:]) == whole

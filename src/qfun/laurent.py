@@ -48,7 +48,14 @@ POLE_AT_ONE = PoleAtOne()
 
 
 class LaurentPoly:
-    """Integer Laurent polynomial, stored as {exponent: coefficient}."""
+    """Integer Laurent polynomial, stored as {exponent: coefficient} with no
+    zero coefficient.
+
+    Arithmetic takes a LaurentPoly or an int and returns NotImplemented for
+    anything else, so a RatFunc operand answers through its reflected
+    method.  A product by 1 returns the other operand object, and a product
+    with 0 is LP_ZERO: callers skip unit factors by `is`.
+    """
 
     __slots__ = ("terms", "_hash")
 
@@ -103,15 +110,19 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        t = dict(self.terms)
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, int):
+                other = LaurentPoly.from_int(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
+        t = self.terms.copy()
+        get = t.get
         for e, c in other.terms.items():
-            s = t.get(e, 0) + c
+            s = get(e, 0) + c
             if s:
                 t[e] = s
             else:
-                t.pop(e, None)
+                del t[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = t
         out._hash = None
@@ -127,44 +138,70 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        return self + (-other)
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, int):
+                other = LaurentPoly.from_int(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
+        t = self.terms.copy()
+        get = t.get
+        for e, c in other.terms.items():
+            s = get(e, 0) - c
+            if s:
+                t[e] = s
+            else:
+                del t[e]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.terms = t
+        out._hash = None
+        return out
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return LP_ZERO
-            if other == 1:
-                return self
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            out._hash = None
-            return out
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        """The product; LP_ONE times p is p itself, either way round.
+
+        A single-term factor c q^s shifts and scales the other's terms in
+        one loop: the exponents stay distinct and no product of nonzero
+        integers is zero, so nothing is summed or dropped."""
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, int):
+                if other == 0:
+                    return LP_ZERO
+                if other == 1:
+                    return self
+                out = LaurentPoly.__new__(LaurentPoly)
+                out.terms = {e: c * other for e, c in self.terms.items()}
+                out._hash = None
+                return out
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         a, b = self.terms, other.terms
-        if not a or not b:
-            return LP_ZERO
-        one = LP_ONE.terms
-        if a == one:
-            return other
-        if b == one:
-            return self
         if len(a) > len(b):
-            a, b = b, a
-        t = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]
+            a, b, self, other = b, a, other, self
+        if len(a) == 1:
+            (e1, c1), = a.items()
+            if e1 == 0 and c1 == 1:
+                return other
+            if b == _ONE_TERMS:
+                return self
+            t = {}
+            for e, c in b.items():
+                t[e + e1] = c * c1
+        elif not a:
+            return LP_ZERO
+        else:
+            t = {}
+            get = t.get
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    s = get(e, 0) + c1 * c2
+                    if s:
+                        t[e] = s
+                    else:
+                        del t[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out.terms = t
         out._hash = None
@@ -448,6 +485,8 @@ class RatFunc:
         return self.num
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            return self.den is LP_ONE and self.num == other
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented

@@ -14,8 +14,9 @@ apply_pair_map extends two key maps to pair keys.  The map helpers call each
 image once per distinct letter or key in one call, so callers keep no memo.
 A map that is memoized across calls extends the longest memoized prefix of
 a word one letter at a time (extend_prefix).
-Pair-keyed (tensor) dicts are summed by add_pair_products alone: add_outer,
-pair_product and apply_pair_map call it.
+Pair-keyed (tensor) dicts are summed by two loops: pair_product multiplies
+two of them in one fused loop, and add_pair_products sums (c, left, right)
+triples for add_outer, apply_pair_map and the tensor reductions.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ def echelon(rows):
 
     The leading key of a row is its smallest key.  Each row is reduced at
     its leading key until that key is not yet a pivot; a row that vanishes
-    adds nothing, so len(pivots) is the rank.
+    adds nothing, so len(pivots) is the rank.  A row whose leading
+    coefficient == 1 is kept as it is, and a multiplier == 1 is not
+    multiplied, for any coefficient type.
     """
     pivots = {}
     for row in rows:
@@ -54,11 +57,15 @@ def echelon(rows):
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                inv = 1 / row[lead]
-                pivots[lead] = {k: c * inv for k, c in row.items()}
+                c = row[lead]
+                if c != 1:
+                    inv = 1 / c
+                    row = {k: v * inv for k, v in row.items()}
+                pivots[lead] = row
                 break
             c = row.pop(lead)
-            accumulate(row, ((k, v) for k, v in piv.items() if k != lead), -c)
+            accumulate(row, ((k, v) for k, v in piv.items() if k != lead),
+                       None if c == -1 else -c)
     return pivots
 
 
@@ -101,7 +108,7 @@ def back_substitute(pivots):
             if sub is None:
                 accumulate(tail, ((k, c),))
             else:
-                accumulate(tail, sub.items(), -c)
+                accumulate(tail, sub.items(), None if c == -1 else -c)
         tails[lead] = tail
     return tails
 
@@ -110,9 +117,9 @@ def add_pair_products(dst, triples, one=None):
     """dst += sum c * (left (x) right) over the (c, left, right) of triples,
     in place, with left and right term dicts and c nonzero.
 
-    The one pair-product loop of qfun: every tensor product, tensor
-    reduction and pair map sums into dst here.  A factor that `is` one is
-    not multiplied.
+    Every tensor reduction, outer product and pair map sums into dst here;
+    products of two tensors take pair_product's fused copy of this loop.  A
+    factor that `is` one is not multiplied.
     """
     get = dst.get
     for c, left, right in triples:
@@ -144,16 +151,36 @@ def add_outer(dst, a, b, coeff):
 def pair_product(x, y, left, right, one=None):
     """The pair-keyed term dict of x * y, where the first factors of two keys
     (a1, b1), (a2, b2) multiply to the term dict left(a1, a2) and the second
-    to right(b1, b2)."""
-    return add_pair_products(
-        {},
-        (
-            (c1 if c2 is one else (c2 if c1 is one else c1 * c2), left(a1, a2), right(b1, b2))
-            for (a1, b1), c1 in x.items()
-            for (a2, b2), c2 in y.items()
-        ),
-        one,
-    )
+    to right(b1, b2).
+
+    The sum of c1 c2 cl cr over the terms of x, y, left and right runs in
+    one loop, with the skips and zero-dropping of add_pair_products; left
+    and right are called once per pair of terms, left first."""
+    dst = {}
+    get = dst.get
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            c = c1 if c2 is one else (c2 if c1 is one else c1 * c2)
+            lt = left(a1, a2)
+            rt = right(b1, b2)
+            for kl, cl in lt.items():
+                if cl is one:
+                    cl = c
+                elif c is not one:
+                    cl = c * cl
+                for kr, cr in rt.items():
+                    v = cl if cr is one else (cr if cl is one else cl * cr)
+                    key = (kl, kr)
+                    s = get(key)
+                    if s is None:
+                        dst[key] = v
+                    else:
+                        s = s + v
+                        if s:
+                            dst[key] = s
+                        else:
+                            del dst[key]
+    return dst
 
 
 def concat_product(a, b):

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from qfun.laurent import (
     LP_ONE,
+    LP_ZERO,
     LaurentPoly,
     NotDivisible,
     POLE_AT_ONE,
@@ -294,6 +296,67 @@ def test_rf_mul_fast_paths_against_sympy(a, b):
                              / (_expr(q, a.den) * _expr(q, b.den)))
         assert value == 0
     assert _snapshot(a.num, a.den, b.num, b.den) == before
+
+
+# the operand a itself, or its negation, built without LaurentPoly arithmetic
+lp_summands = st.one_of(lp_operands, st.sampled_from([0, 1, -1, 3, "a", "-a"]))
+
+
+@given(lp_operands, lp_summands)
+@settings(max_examples=300, deadline=None)
+def test_lp_add_and_sub_against_sympy(a, b):
+    """Sums and differences in both operand orders, including ones that
+    cancel to zero: the terms sympy expands, no zero stored, operands kept."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    if b in ("a", "-a"):
+        sign = 1 if b == "a" else -1
+        b = LaurentPoly({e: sign * c for e, c in a.terms.items()})
+    operands = [p for p in (a, b) if isinstance(p, LaurentPoly)]
+    before = _snapshot(*operands)
+    a_expr = _expr(q, a)
+    b_expr = b if isinstance(b, int) else _expr(q, b)
+    for got, expr in ((a + b, a_expr + b_expr), (b + a, a_expr + b_expr),
+                      (a - b, a_expr - b_expr), (b - a, b_expr - a_expr)):
+        assert isinstance(got, LaurentPoly)
+        assert got.terms == _from_sympy(sympy, q, expr).terms
+        assert all(got.terms.values())
+    assert _snapshot(*operands) == before
+
+
+@given(lp_operands)
+def test_lp_one_times_p_is_p_itself(p):
+    """RatFunc products and the `one` skips of the element types test the
+    unit by `is`, so a product by 1 returns the other operand object; a
+    product with a zero polynomial or 0 is LP_ZERO."""
+    one = LaurentPoly({0: 1})
+    for unit in (LP_ONE, one):
+        # when p is 1 too, either operand object is the product
+        allowed = (LP_ZERO,) if not p else ((p, unit) if p == 1 else (p,))
+        assert any(unit * p is r for r in allowed)
+        assert any(p * unit is r for r in allowed)
+    assert p * 1 is p and 1 * p is p
+    assert LP_ZERO * p is LP_ZERO and p * LP_ZERO is LP_ZERO and p * 0 is LP_ZERO
+
+
+@given(polys, rf_operands)
+@settings(max_examples=100, deadline=None)
+def test_laurent_and_ratfunc_operands_mix_in_both_orders(p, r):
+    """A LaurentPoly meets a RatFunc as the RatFunc with den 1 would."""
+    rp = RatFunc.from_laurent(p)
+    for got, expected in ((p + r, rp + r), (r + p, r + rp), (p - r, rp - r),
+                          (r - p, r - rp), (p * r, rp * r), (r * p, r * rp)):
+        assert isinstance(got, RatFunc)
+        assert (got.num, got.den) == (expected.num, expected.den)
+
+
+@pytest.mark.parametrize("other", [1.5, Fraction(1, 2)], ids=["float", "Fraction"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_laurent_refuses_other_operands(op, other):
+    with pytest.raises(TypeError):
+        op(LP_ONE, other)
+    with pytest.raises(TypeError):
+        op(other, LP_ONE)
 
 
 # -- Henrici products and sums: operands that share planted factors -----------

@@ -593,8 +593,8 @@ def value_to_json(v):
             "tensor": [
                 {
                     "coeff": c.to_json(),
-                    "left": v.left.spec.word_str(wl),
-                    "right": v.right.spec.word_str(wr),
+                    "left": v.alg.spec.word_str(wl),
+                    "right": v.alg.spec.word_str(wr),
                 }
                 for (wl, wr), c in sorted(v.terms.items(), key=lambda kv: str(kv[0]))
             ],

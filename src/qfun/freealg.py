@@ -307,6 +307,8 @@ class NCElement(LinComb):
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly, RatFunc)):
             return self.scale(other)
+        if not isinstance(other, NCElement):
+            return NotImplemented
         self._check(other)
         return NCElement(self.spec, concat_product(self.terms, other.terms))
 

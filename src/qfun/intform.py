@@ -295,7 +295,7 @@ class IntContext:
             nr, ar, br = self._numerator(wr)
             group = by_den.setdefault(c.den, {}).setdefault((al + ar, bl + br), {})
             add_pair_products(group, ((c.num, nl, nr),), LP_ONE)
-        return TensorElement(self.alg, self.alg, _over_common_denominator(by_den), reduce=False)
+        return TensorElement(self.alg, _over_common_denominator(by_den))
 
     def antipode(self, el):
         if self.gl:
@@ -342,9 +342,6 @@ class TensorIntExpr(LinComb):
         """Add coeff * (wl tensor wr) in place; returns self."""
         accumulate(self.terms, [((tuple(wl), tuple(wr)), RATFUNC.coerce(coeff))])
         return self
-
-    def all_coeffs_laurent(self):
-        return all(c.is_laurent() for c in self.terms.values())
 
 
 # -- the toral specialization dictionary -------------------------------------------

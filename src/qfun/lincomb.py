@@ -15,8 +15,8 @@ image once per distinct letter or key in one call, so callers keep no memo.
 A map that is memoized across calls extends the longest memoized prefix of
 a word one letter at a time (extend_prefix).
 Pair-keyed (tensor) dicts are summed by two loops: pair_product multiplies
-two of them in one fused loop, and add_pair_products sums (c, left, right)
-triples for add_outer, apply_pair_map and the tensor reductions.
+two of them in one fused loop with one product of keys, and
+add_pair_products sums (c, left, right) triples for the rest.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ def add_pair_products(dst, triples, one=None):
     """dst += sum c * (left (x) right) over the (c, left, right) of triples,
     in place, with left and right term dicts and c nonzero.
 
-    Every tensor reduction, outer product and pair map sums into dst here;
-    products of two tensors take pair_product's fused copy of this loop.  A
-    factor that `is` one is not multiplied.
+    Every outer product and pair map sums into dst here; products of two
+    tensors take pair_product's fused copy of this loop.  A factor that `is`
+    one is not multiplied.
     """
     get = dst.get
     for c, left, right in triples:
@@ -148,21 +148,21 @@ def add_outer(dst, a, b, coeff):
     return add_pair_products(dst, ((coeff, a, b),)) if coeff else dst
 
 
-def pair_product(x, y, left, right, one=None):
-    """The pair-keyed term dict of x * y, where the first factors of two keys
-    (a1, b1), (a2, b2) multiply to the term dict left(a1, a2) and the second
-    to right(b1, b2).
+def pair_product(x, y, product, one=None):
+    """The pair-keyed term dict of x * y in a tensor square, where two keys
+    (a1, b1), (a2, b2) multiply to product(a1, a2) (x) product(b1, b2), and
+    product maps two keys of the algebra to the term dict of their product.
 
-    The sum of c1 c2 cl cr over the terms of x, y, left and right runs in
-    one loop, with the skips and zero-dropping of add_pair_products; left
-    and right are called once per pair of terms, left first."""
+    The sum of c1 c2 cl cr over the terms of x, y and both products runs in
+    one loop, with the skips and zero-dropping of add_pair_products; product
+    is called twice per pair of terms, first factors first."""
     dst = {}
     get = dst.get
     for (a1, b1), c1 in x.items():
         for (a2, b2), c2 in y.items():
             c = c1 if c2 is one else (c2 if c1 is one else c1 * c2)
-            lt = left(a1, a2)
-            rt = right(b1, b2)
+            lt = product(a1, a2)
+            rt = product(b1, b2)
             for kl, cl in lt.items():
                 if cl is one:
                     cl = c
@@ -318,11 +318,15 @@ class LinComb:
         return ()
 
     def _operand(self, other):
+        """other as an element of self's type (an int as a multiple of 1), or
+        NotImplemented."""
+        if isinstance(other, type(self)):
+            self._check(other)
+            return other
         if isinstance(other, int) and self._unit_key() is not None:
             c = self._coerce(other)
             return self._same({self._unit_key(): c} if c else {})
-        self._check(other)
-        return other
+        return NotImplemented
 
     # -- structure -------------------------------------------------------------
 
@@ -351,13 +355,18 @@ class LinComb:
 
     def __add__(self, other):
         other = self._operand(other)
+        if other is NotImplemented:
+            return other
         return self._same(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self._same({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._operand(other))
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
 
     def scale(self, coeff):
         coeff = self._coerce(coeff)

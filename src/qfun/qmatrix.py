@@ -12,8 +12,7 @@ from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
 from .freealg import CACHE_LIMIT, AlgebraMismatch, AlgebraSpec, GenSym, NCElement, confluence_check
-from .lincomb import (LinComb, accumulate, add_outer, add_pair_products, extend_prefix, format_terms,
-                      pair_product)
+from .lincomb import LinComb, accumulate, add_outer, extend_prefix, format_terms, pair_product
 from .laurent import (
     LAURENT,
     LP_ONE,
@@ -261,7 +260,7 @@ class MatrixAlgebra:
         out = {}
         for w, c in a.terms.items():
             accumulate(out, self.coproduct_word(w).items(), None if c is LP_ONE else c, LP_ONE)
-        return TensorElement(self, self, out, reduce=False)
+        return TensorElement(self, out)
 
     def coproduct_word(self, w):
         """Delta of one word as a reduced pair-keyed term dict over
@@ -275,7 +274,7 @@ class MatrixAlgebra:
 
     def _delta_extend(self, d, p):
         """Delta(w) from d = Delta(w[:-1]) and the last letter p of w."""
-        return _tensor_product(self.spec, self.spec, d, self._letter_deltas[p])
+        return _tensor_product(self.spec, d, self._letter_deltas[p])
 
     def counit(self, a):
         tot = self.spec.domain.zero
@@ -332,9 +331,7 @@ class MatrixAlgebra:
                 if not ok:
                     report["ok"] = False
         dd = self.coproduct(d)
-        target = TensorElement(
-            self, self, {}
-        ).add_product(d, d, self.spec.domain.one)
+        target = TensorElement(self, add_outer({}, d.terms, d.terms, self.spec.domain.one))
         report["grouplike"] = dd == target
         report["counit"] = self.counit(d) == self.spec.domain.one
         report["ok"] = report["ok"] and report["grouplike"] and report["counit"]
@@ -379,76 +376,53 @@ def _word_normal_form(spec):
     return lambda w: spec.reduce_terms({w: LP_ONE})
 
 
-def _tensor_product(left, right, x, y):
-    """The product of two pair-keyed term dicts over the specs left and
-    right: words concatenate side by side and reduce to full normal form.
-    The coefficients come out of the type of x's and y's."""
-    lnf, rnf = _word_normal_form(left), _word_normal_form(right)
-    return pair_product(x, y, lambda u, v: lnf(u + v), lambda u, v: rnf(u + v), LP_ONE)
+def _tensor_product(spec, x, y):
+    """The product of two pair-keyed term dicts in the tensor square of spec:
+    words concatenate side by side and reduce to full normal form.  The
+    coefficients come out of the type of x's and y's."""
+    nf = _word_normal_form(spec)
+    return pair_product(x, y, lambda u, v: nf(u + v), LP_ONE)
 
 
 class TensorElement(LinComb):
-    """Coefficient-weighted sum of word pairs over two algebra contexts."""
+    """Coefficient-weighted sum of pairs of normal words of one algebra: an
+    element of its tensor square.  The terms are taken as they are given."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("alg",)
 
-    def __init__(self, left, right, terms=None, reduce=True):
-        self.left = left
-        self.right = right
-        if terms and reduce:
-            terms = self._reduce(terms)
+    def __init__(self, alg, terms=None):
+        self.alg = alg
         self.terms = terms or {}
 
-    def _reduce(self, terms):
-        lnf = _word_normal_form(self.left.spec)
-        rnf = _word_normal_form(self.right.spec)
-        return add_pair_products(
-            {}, ((c, lnf(wl), rnf(wr)) for (wl, wr), c in terms.items() if c), LP_ONE
-        )
-
     def _same(self, terms):
-        return TensorElement(self.left, self.right, terms, reduce=False)
+        return TensorElement(self.alg, terms)
 
     def _coerce(self, c):
-        return self.left.spec.domain.coerce(c)
+        return self.alg.spec.domain.coerce(c)
 
     def _check(self, other):
-        if self.left.spec is not other.left.spec or self.right.spec is not other.right.spec:
-            raise AlgebraMismatch(
-                f"{self.left.spec.name!r} (x) {self.right.spec.name!r} vs "
-                f"{other.left.spec.name!r} (x) {other.right.spec.name!r}"
-            )
+        if self.alg.spec is not other.alg.spec:
+            raise AlgebraMismatch(f"{self.alg.spec.name!r} vs {other.alg.spec.name!r}")
 
     def _unit_key(self):
         return None
 
-    @staticmethod
-    def zero(left, right):
-        return TensorElement(left, right, {})
-
-    def add_product(self, a, b, coeff):
-        """self + coeff * (a tensor b); a, b already reduced elements."""
-        return self._same(add_outer(dict(self.terms), a.terms, b.terms, coeff))
-
     def __mul__(self, other):
         """Componentwise product (a ox b)(c ox d) = ac ox bd."""
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         self._check(other)
-        out = _tensor_product(self.left.spec, self.right.spec, self.terms, other.terms)
-        return TensorElement(self.left, self.right, out, reduce=False)
+        return TensorElement(self.alg, _tensor_product(self.alg.spec, self.terms, other.terms))
 
     def swap(self):
-        return TensorElement(
-            self.right,
-            self.left,
-            {(wr, wl): c for (wl, wr), c in self.terms.items()},
-            reduce=False,
-        )
+        return TensorElement(self.alg, {(wr, wl): c for (wl, wr), c in self.terms.items()})
 
     def __str__(self):
+        word_str = self.alg.spec.word_str
         return format_terms(
             self.terms,
             lambda k: (len(k[0]) + len(k[1]), k),
-            lambda k: f"{self.left.spec.word_str(k[0])} (x) {self.right.spec.word_str(k[1])}",
+            lambda k: f"{word_str(k[0])} (x) {word_str(k[1])}",
         )
 
     def __repr__(self):

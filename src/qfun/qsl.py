@@ -15,9 +15,9 @@ import functools
 from itertools import combinations_with_replacement, permutations
 
 from .freealg import NCElement, PostReducer
-from .laurent import LAURENT, LP_ONE, LP_ZERO, Q_MINUS_QINV, RATFUNC, neg_q_power
+from .laurent import LAURENT, LP_ONE, RATFUNC, neg_q_power
 from .lincomb import accumulate, apply_word_map, echelon, reduce_row
-from .qmatrix import MatrixAlgebra, pair_relation, perm_inversions, x_gen
+from .qmatrix import MatrixAlgebra, perm_inversions, x_gen
 
 
 class NotInBorel(Exception):
@@ -91,17 +91,10 @@ class DetReducer(PostReducer):
         suffix = tuple(word[t] for t in kept if t > block_at)
         rearranged = prefix + self.det_word + suffix
         base = spec.normal_form_word(rearranged)
-        out = {}
         # word == rearranged + (word - NF(rearranged)); the main term of
         # NF(rearranged) is `word` itself with coefficient 1.
-        for w, c in base.items():
-            if w == word:
-                continue
-            out[w] = out.get(w, LP_ZERO) - c
-        for c, sub in self.subst:
-            w = prefix + sub + suffix
-            out[w] = out.get(w, LP_ZERO) + c
-        return {w: c for w, c in out.items() if c}
+        out = accumulate({}, ((w, -c) for w, c in base.items() if w != word))
+        return accumulate(out, ((prefix + sub + suffix, c) for c, sub in self.subst))
 
 
 def _drop_block(word, block):
@@ -210,9 +203,7 @@ def sl_reduce(alg, a, rng=None):
     # replay the loop manually on the raw terms to exercise random sites
     raw = {}
     for w, c in a.terms.items():
-        for nw, nc in spec.normal_form_word(w).items():
-            raw[nw] = raw.get(nw, spec.domain.zero) + c * nc
-    raw = {w: c for w, c in raw.items() if c}
+        accumulate(raw, spec.normal_form_word(w).items(), c)
     while True:
         sites = [(w, repl) for w in raw if (repl := red.reduce_word(spec, w)) is not None]
         if not sites:
@@ -232,8 +223,6 @@ def pi_project(source, target, a):
     reduction; as SL -> B+- it is the Borel quotient: it kills the
     complementary triangle and reduces in the Borel.
     """
-    if isinstance(a, GLElement):
-        a = a.body
     index, coerce = target.spec.index, target.spec.domain.coerce
     terms = {}
     for w, c in a.terms.items():
@@ -291,32 +280,22 @@ class BorelAlgebra(MatrixAlgebra):
         return super().gen(i, j)
 
     def defining_relation_pairs(self):
-        """All (lhs, rhs) pairs of the presentation, for map checks.
+        """All (name, lhs, rhs) of the presentation, for map checks: each
+        rule of the rule table, its lhs word against its rhs, and the
+        diagonal product against 1.
 
         Both sides are left unreduced: reduced, they would be one element,
         and a map would send them to the same image whatever it is.
         """
-        domain = self.spec.domain
+        spec, coerce = self.spec, self.spec.domain.coerce
 
-        def word(*cells, coeff=domain.one):
-            w = tuple(self.spec.index[x_gen(*ij)] for ij in cells)
-            return NCElement(self.spec, {w: domain.coerce(coeff)}, reduce=False)
+        def element(terms):
+            return NCElement(spec, {w: coerce(c) for c, w in terms}, reduce=False)
 
-        pairs = []
-        cells = sorted(self.cells)
-        for u in cells:
-            for v in cells:
-                if u >= v:
-                    continue
-                swap, corr = pair_relation(v, u)  # straighten x_v x_u
-                rhs = word(u, v, coeff=swap)
-                if corr is not None:
-                    (a, b), s = corr
-                    if a in self.cells and b in self.cells:
-                        rhs = rhs + word(a, b, coeff=Q_MINUS_QINV * s)
-                pairs.append((f"x{v} x{u}", word(v, u), rhs))
-        diag = [(i, i) for i in range(1, self.n + 2)]
-        pairs.append(("diag product = 1", word(*diag), word()))
+        pairs = [(spec.word_str(lhs), element([(1, lhs)]), element(rhs))
+                 for lhs, rhs in spec.rules.items()]
+        diag = tuple(spec.index[x_gen(i, i)] for i in range(1, self.n + 2))
+        pairs.append(("diag product = 1", element([(1, diag)]), element([(1, ())])))
         return pairs
 
 

@@ -224,9 +224,9 @@ class UqAlgebra:
 class UqElement(LinComb):
     __slots__ = ("alg",)
 
-    def __init__(self, alg, terms, normalized=True):
+    def __init__(self, alg, terms):
         self.alg = alg
-        self.terms = terms if normalized else alg.normalize(terms)
+        self.terms = terms
 
     def _same(self, terms):
         return UqElement(self.alg, terms)
@@ -395,9 +395,6 @@ def braid_T(alg, i, el):
     """
     if not el.in_sl_form():
         raise NotInSlForm("element has G-exponents outside the root lattice")
-    for (_, g, _) in el.terms:
-        if alg.sl_quotient and sum(g) % (alg.n + 1):
-            raise NotInSlForm("G-exponent total not divisible by n+1")
     memo = alg._braid_memo
 
     def extend(acc, letter):
@@ -605,17 +602,16 @@ class UqTensor(LinComb):
     def _unit_key(self):
         return None
 
-    def add_product(self, a, b, coeff=RF_ONE):
-        return self._same(add_outer(dict(self.terms), a.terms, b.terms, coeff))
-
     def __mul__(self, other):
+        if not isinstance(other, UqTensor):
+            return NotImplemented
         self._check(other)
         alg = self.alg
 
         def product(u, v):
             return alg.normalize(alg.mul_terms(u, RF_ONE, v, RF_ONE))
 
-        return UqTensor(alg, pair_product(self.terms, other.terms, product, product, RF_ONE))
+        return UqTensor(alg, pair_product(self.terms, other.terms, product, RF_ONE))
 
     def swap(self):
         return UqTensor(self.alg, {(b, a): c for (a, b), c in self.terms.items()})

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfun import qmatrix
+from qfun.classical import ClassicalTensor, lie_algebra
 from qfun.laurent import LAURENT, RATFUNC
 from qfun.freealg import AlgebraMismatch, NCElement
-from qfun.qmatrix import MatrixAlgebra, TensorElement
+from qfun.qmatrix import MatrixAlgebra
 from qfun.qsl import BorelAlgebra, SLAlgebra
 from qfun.uq import UqAlgebra, uq_coproduct
 
@@ -103,7 +104,6 @@ def test_tensor_product_equals_accumulate_then_reduce(name, data):
             raw[key] = raw.get(key, alg.spec.domain.zero) + ca * cb
     raw = {k: c for k, c in raw.items() if c}
     assert (x * y).terms == _reduce_pairs(alg, raw)
-    assert TensorElement(alg, alg, raw).terms == _reduce_pairs(alg, raw)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -183,3 +183,28 @@ def test_tensors_over_different_algebras_are_refused():
         with pytest.raises(AlgebraMismatch):
             op()
     assert (s * s - s * s).is_zero()
+
+
+_M1 = MatrixAlgebra(1)
+_T = _M1.coproduct(_M1.gen(1, 2))
+_X = _M1.gen(1, 2)
+_U = uq_coproduct(UqAlgebra(1).E(1))
+_C = ClassicalTensor(lie_algebra(1), {})
+FOREIGN = {
+    "tensor + int": lambda: _T + 1,
+    "tensor - int": lambda: _T - 1,
+    "tensor * int": lambda: _T * 2,
+    "int * tensor": lambda: 2 * _T,
+    "tensor + element": lambda: _T + _X,
+    "element + tensor": lambda: _X + _T,
+    "element * tensor": lambda: _X * _T,
+    "tensor + uq tensor": lambda: _T + _U,
+    "uq tensor * int": lambda: _U * 2,
+    "classical tensor + int": lambda: _C + 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN))
+def test_an_operand_of_another_type_raises_type_error(name):
+    with pytest.raises(TypeError):
+        FOREIGN[name]()

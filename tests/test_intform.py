@@ -415,4 +415,4 @@ def test_lift_tensor_with_laurent_and_field_coefficients():
 
         expected = apply_pair_map(texpr.terms, lift_word, lift_word)
         assert got.terms == expected, kind
-        assert got.left is got.right is ctx.alg
+        assert got.alg is ctx.alg

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfun.laurent import LaurentPoly, RatFunc
+from qfun.laurent import LP_ONE, LaurentPoly, RatFunc
 from qfun.lincomb import (
     LinComb,
     accumulate,
     add_outer,
+    add_pair_products,
     apply_pair_map,
     apply_word_map,
     back_substitute,
     concat_product,
     echelon,
     extend_prefix,
+    pair_product,
     reduce_row,
 )
 
@@ -245,6 +247,47 @@ def test_apply_pair_map_equals_the_per_pair_loop(terms, lefts, rights):
     assert got == ref
     assert sorted(calls["left"]) == sorted({a for a, _ in terms})
     assert sorted(calls["right"]) == sorted({b for a, b in terms if lefts.get(a)})
+
+
+# LP_ONE itself takes the `one` skips; units make sums cancel
+units = st.sampled_from([LP_ONE, -LP_ONE, LaurentPoly({0: 1}), LaurentPoly({1: 1})])
+small_keys = st.integers(min_value=0, max_value=2)
+tensors = st.dictionaries(
+    st.tuples(small_keys, small_keys), st.one_of(units, polys.filter(bool)), max_size=5
+)
+products = st.dictionaries(
+    st.tuples(small_keys, small_keys), st.dictionaries(small_keys, units, min_size=1, max_size=2)
+)
+
+
+def _snapshot(terms):
+    return {k: (_snapshot(c) if isinstance(c, dict) else dict(c.terms)) for k, c in terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensors, tensors, products)
+@example({(0, 0): LP_ONE, (1, 0): LP_ONE}, {(0, 0): LP_ONE},
+         {(0, 0): {0: LP_ONE}, (1, 0): {0: -LP_ONE}})
+def test_pair_product_equals_the_double_loop(x, y, table):
+    """A pair of keys missing from table multiplies to 0."""
+    before = [_snapshot(x), _snapshot(y), _snapshot(table)]
+    calls = []
+
+    def product(u, v):
+        calls.append((u, v))
+        return table.get((u, v), {})
+
+    ref = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            add_pair_products(ref, [(c1 * c2, table.get((a1, a2), {}), table.get((b1, b2), {}))])
+    for one in (LP_ONE, None):
+        calls.clear()
+        got = pair_product(x, y, product, one)
+        assert list(got.items()) == list(ref.items())
+        assert all(got.values())
+        assert calls == [p for (a1, b1) in x for (a2, b2) in y for p in ((a1, a2), (b1, b2))]
+    assert [_snapshot(x), _snapshot(y), _snapshot(table)] == before
 
 
 def test_powers_multiply_out_and_refuse_negative_exponents():

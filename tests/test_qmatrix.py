@@ -4,6 +4,7 @@ import pytest
 
 from qfun.freealg import NCElement
 from qfun.laurent import Q, QINV, Q_MINUS_QINV
+from qfun.lincomb import add_outer
 from qfun.qmatrix import (
     BadIndexLists,
     InadmissibleOrder,
@@ -53,14 +54,13 @@ def test_inadmissible_custom_order():
 
 def test_coproduct_on_generator(m1):
     t = m1.coproduct(m1.gen(1, 2))
-    expect = TensorElement(m1, m1, {}).add_product(
-        m1.gen(1, 1), m1.gen(1, 2), m1.spec.domain.one
-    ).add_product(m1.gen(1, 2), m1.gen(2, 2), m1.spec.domain.one)
-    assert t == expect
+    expect = {}
+    add_outer(expect, m1.gen(1, 1).terms, m1.gen(1, 2).terms, m1.spec.domain.one)
+    add_outer(expect, m1.gen(1, 2).terms, m1.gen(2, 2).terms, m1.spec.domain.one)
+    assert t == TensorElement(m1, expect)
     one = m1.one()
-    assert m1.coproduct(one) == TensorElement(m1, m1, {}).add_product(
-        one, one, m1.spec.domain.one
-    )
+    expect = add_outer({}, one.terms, one.terms, m1.spec.domain.one)
+    assert m1.coproduct(one) == TensorElement(m1, expect)
 
 
 def test_coassociativity_n2(m2):

@@ -159,9 +159,12 @@ class PBWElement(LinComb):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, PBWElement):
+            return NotImplemented
         return PBWElement(self.lie, concat_product(self.terms, other.terms))
 
-    __rmul__ = LinComb.scale
+    def __rmul__(self, other):
+        return self.scale(other) if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __str__(self):
         return format_terms(

@@ -128,6 +128,10 @@ class IntExpr(LinComb):
         return IntExpr({tuple(gens): coeff})
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scale(other)
+        if not isinstance(other, IntExpr):
+            return NotImplemented
         return self._same(concat_product(self.terms, other.terms))
 
     def all_coeffs_laurent(self):

@@ -256,11 +256,34 @@ class MatrixAlgebra:
     # -- coalgebra ------------------------------------------------------------
 
     def coproduct(self, a):
-        """Delta as an algebra map; both factors are fully reduced here."""
-        out = {}
-        for w, c in a.terms.items():
-            accumulate(out, self.coproduct_word(w).items(), None if c is LP_ONE else c, LP_ONE)
-        return TensorElement(self, out)
+        """Delta as an algebra map; both factors are fully reduced here.
+
+        The sum is taken in Horner form, grouped by each word's last letter
+        p: Delta(sum_u c_u u p) = Delta(sum_u c_u u) Delta(p).  A group of
+        two or more words sums its prefixes first, so their cancellation
+        happens before its one tensor product with Delta(p); a group of one
+        word reads the memoized coproduct_word.  Every tensor product
+        reduces both sides to full normal form, so the result is exact.
+        """
+        return TensorElement(self, self._coproduct_terms(a.terms))
+
+    def _coproduct_terms(self, terms):
+        """Delta of a {word: c} dict as a new pair-keyed term dict (see
+        coproduct); no dict of the coproduct memo is mutated or returned."""
+        out = {((), ()): terms[()]} if () in terms else {}
+        groups = {}
+        for w, c in terms.items():
+            if w:
+                groups.setdefault(w[-1], []).append((w, c))
+        for p, group in groups.items():
+            if len(group) == 1:
+                [(w, c)] = group
+                accumulate(out, self.coproduct_word(w).items(), None if c is LP_ONE else c, LP_ONE)
+            else:
+                prefix_delta = self._coproduct_terms({w[:-1]: c for w, c in group})
+                product = _tensor_product(self.spec, prefix_delta, self._letter_deltas[p])
+                out = accumulate(out, product.items()) if out else product
+        return out
 
     def coproduct_word(self, w):
         """Delta of one word as a reduced pair-keyed term dict over

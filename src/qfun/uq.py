@@ -240,6 +240,8 @@ class UqElement(LinComb):
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly, RatFunc)):
             return self.scale(other)
+        if not isinstance(other, UqElement):
+            return NotImplemented
         raw = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():

@@ -35,6 +35,13 @@ def test_criterion_02_detq_central_grouplike():
     _assert_report(rep, "criterion 2: det_q central/group-like n = 1..3, pi kills det_q - 1")
 
 
+def test_criterion_02_detq_frontier_n4():
+    """The n=4 frontier of criterion 2: Delta(det_q) of 120 words of degree 5."""
+    rep = suites.detq_suite(ns=(4,))
+    _assert_report(rep, "criterion 2 frontier: det_q central/group-like n = 4")
+    assert rep["ok"]
+
+
 def test_criterion_03_pbw_counts_and_confluence():
     rep = suites.pbw_matrix_suite()
     _assert_report(rep, "criterion 3: ordered-monomial counts and confluence, n <= 3")

@@ -3,14 +3,19 @@ definitions they replace: the raw (n+1)^k expansion of Delta on a word and
 the accumulate-then-reduce product of two tensors, both reduced pair by pair
 with plain loops."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfun import qmatrix
-from qfun.classical import ClassicalTensor, lie_algebra
+from qfun.classical import ClassicalTensor, PBWElement, lie_algebra
 from qfun.laurent import LAURENT, RATFUNC
 from qfun.freealg import AlgebraMismatch, NCElement
+from qfun.intform import IntExpr, rgen
+from qfun.lincomb import add_outer
 from qfun.qmatrix import MatrixAlgebra
 from qfun.qsl import BorelAlgebra, SLAlgebra
 from qfun.uq import UqAlgebra, uq_coproduct
@@ -78,16 +83,70 @@ def elements(draw, alg, max_len=3):
     return NCElement(alg.spec, {w: coerce(c) for w, c in terms.items()}, reduce=False)
 
 
+def _assert_coproduct_is_the_raw_expansion(alg, el):
+    """Delta(el) equals the reduced raw expansion, and the call changes no
+    value of the coproduct memo and returns none of them as its terms."""
+    memo = alg._delta_memo
+    before = {w: dict(d) for w, d in memo.items()}
+    got = alg.coproduct(el).terms
+    assert got == _reduce_pairs(alg, _raw_coproduct(alg, el))
+    assert all(memo[w] == d for w, d in before.items())
+    assert all(got is not d for d in memo.values())
+    return got
+
+
+def _cancelling_group(alg):
+    """u p - nf(u) p unreduced, for the first rule's word u = (a, b) and the
+    letter p = a: the words ending in p form one group whose prefixes sum
+    to zero in the algebra."""
+    (a, b) = next(iter(alg.spec.rules))
+    terms = {(a, b, a): alg.spec.domain.one}
+    for w, c in alg.spec.reduce_terms({(a, b): alg.spec.domain.one}).items():
+        terms[w + (a,)] = -c
+    return NCElement(alg.spec, terms, reduce=False)
+
+
+def _explicit_elements(alg):
+    """Every quantum minor (det_q among them), the antipode images of the
+    generators and a sum whose group of last letters cancels to zero."""
+    idx = range(1, alg.n + 2)
+    out = {"cancelling group": _cancelling_group(alg)}
+    for k in idx:
+        for rows in combinations(idx, k):
+            for cols in combinations(idx, k):
+                out[f"minor {rows} {cols}"] = alg.quantum_minor(rows, cols)
+    for i in idx:
+        for j in idx:
+            for sign in (1, -1):
+                out[f"S(x{i}{j}) sign {sign}"] = alg.antipode_image(i, j, sign)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_memoized_coproduct_equals_the_raw_expansion(name, data):
     alg = ALGEBRAS[name]
     el = data.draw(elements(alg))
-    assert alg.coproduct(el).terms == _reduce_pairs(alg, _raw_coproduct(alg, el))
+    got = _assert_coproduct_is_the_raw_expansion(alg, el)
     # the reduced element has the same coproduct
     reduced = NCElement(alg.spec, dict(el.terms))
-    assert alg.coproduct(reduced).terms == alg.coproduct(el).terms
+    assert alg.coproduct(reduced).terms == got
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["M(3)/lex"])
+def test_memoized_coproduct_equals_the_raw_expansion_on_minors(name):
+    """Words that share a last letter take the grouped path of coproduct:
+    the cancelling group everywhere, and det_q of M(3), whose six words fall
+    into three groups of two."""
+    alg = TENSOR_ALGEBRAS[name]
+    for label, el in _explicit_elements(alg).items():
+        got = _assert_coproduct_is_the_raw_expansion(alg, el)
+        if label == "cancelling group":
+            assert got == {}
+    # det_q is group-like (in SL it is 1, whose coproduct is 1 (x) 1)
+    d = alg.detq()
+    assert alg.coproduct(d).terms == add_outer({}, d.terms, d.terms, alg.spec.domain.one)
 
 
 @pytest.mark.parametrize("name", sorted(TENSOR_ALGEBRAS))
@@ -124,7 +183,10 @@ def test_coproduct_builds_each_distinct_word_once(name, data):
     try:
         first = alg.coproduct(el)
         prefixes = {w[:k] for w in el.terms for k in range(1, len(w) + 1)}
-        assert len(built) == len(prefixes)
+        # grouped words build no Delta of their own; each build is memoized
+        # under a new prefix, so none is built twice
+        memo = alg._delta_memo
+        assert len(built) == len(memo) and set(memo) <= prefixes
         assert alg.coproduct(el) == first
         for w in el.terms:
             alg.coproduct_word(w)
@@ -208,3 +270,36 @@ FOREIGN = {
 def test_an_operand_of_another_type_raises_type_error(name):
     with pytest.raises(TypeError):
         FOREIGN[name]()
+
+
+_E = UqAlgebra(1).E(1)
+_PBW = PBWElement.one(lie_algebra(1))
+FOREIGN_FACTORS = {
+    "int expr * element": (IntExpr.one(), _X),
+    "int expr * uq element": (IntExpr.one(), _E),
+    "uq element * element": (_E, _X),
+    "element * uq element": (_X, _E),
+    "uq element * float": (_E, 1.5),
+    "float * uq element": (1.5, _E),
+    "pbw element * element": (_PBW, _X),
+    "pbw element * float": (_PBW, 1.5),
+    "float * pbw element": (1.5, _PBW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREIGN_FACTORS))
+def test_a_factor_of_another_type_raises_type_error(name):
+    """Python's own TypeError for the two operand types: the product
+    returned NotImplemented on both sides instead of failing inside the
+    other operand's terms."""
+    left, right = FOREIGN_FACTORS[name]
+    names = f"'{type(left).__name__}' and '{type(right).__name__}'"
+    with pytest.raises(TypeError, match=f"unsupported operand .*: {names}$"):
+        left * right
+
+
+def test_scalar_factors_still_scale():
+    x = IntExpr.gen(rgen(1, 2))
+    assert (x * 2).terms == x.scale(2).terms
+    assert (_E * 2).terms == _E.scale(2).terms == (2 * _E).terms
+    assert _PBW * Fraction(1, 2) == _PBW.scale(Fraction(1, 2)) == Fraction(1, 2) * _PBW

@@ -3,8 +3,8 @@
 Words are tuples of alphabet positions; the generator order is the order of
 the alphabet list.  Rules rewrite descending adjacent pairs and must carry a
 degree-lexicographic termination witness.  Non-quadratic reductions (quantum
-determinant substitution, Borel diagonal products) plug in as post-reducers
-with an explicit decreasing measure.
+determinant substitution, Borel diagonal products) plug in as post-reducers,
+held to the same witness: each replacement goes down in deg-lex.
 
 Rewriting runs over Z[q,q^-1] whatever the coefficients of the elements:
 every rule, normal form and post-reducer holds LaurentPoly coefficients, and
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 from math import factorial
 
@@ -71,6 +72,11 @@ def _term_budget():
         return 10**6
 
 
+def deglex_key(word):
+    """Sort key of the degree-lexicographic order: length, then letters."""
+    return len(word), word
+
+
 @dataclass(frozen=True, order=True)
 class GenSym:
     """A named generator: family tag plus one or two 1-based indices."""
@@ -86,16 +92,14 @@ class PostReducer:
     """A pattern reduction applied after quadratic normalization.
 
     reduce_word returns None (irreducible) or a dict {word: coeff} replacing
-    the word; measure(word) must strictly decrease on every replacement word
-    after renormalization, which normal_form enforces.
+    the word.  Every word of the replacement's normal form must be deg-lex
+    smaller than the word replaced, the witness the rules carry too;
+    AlgebraSpec raises NonTerminating on a replacement that is not.
     """
 
     name = "post"
 
     def reduce_word(self, spec, word):
-        raise NotImplementedError
-
-    def measure(self, spec, word):
         raise NotImplementedError
 
 
@@ -155,9 +159,7 @@ class AlgebraSpec:
 
     @staticmethod
     def _deglex_less(w1, w2):
-        if len(w1) != len(w2):
-            return len(w1) < len(w2)
-        return w1 < w2
+        return deglex_key(w1) < deglex_key(w2)
 
     def rules_total_on_descending_pairs(self):
         missing = []
@@ -219,30 +221,47 @@ class AlgebraSpec:
         return out
 
     def _apply_post_reducers(self, terms):
-        changed = True
-        while changed:
-            changed = False
-            for red in self.post_reducers:
-                # the first word in terms' order that has a redex is rewritten
-                for target in terms:
-                    repl = red.reduce_word(self, target)
+        """Rewrite terms in place until no word has a post-reducer redex.
+
+        Each replacement must go down in deg-lex (NonTerminating if not),
+        a well-order on words of bounded length, so the rewriting stops
+        whatever the order of the targets.  Targets are taken deg-lex
+        largest first from a heap of the words with a redex, in terms or
+        brought in by a replacement: those a replacement brings in are
+        smaller than every target taken so far, so no word is replaced
+        twice, and only they are searched for a new redex.
+        """
+        redexes = {}
+        heap = []
+
+        def find(words):
+            for w in words:
+                for red in self.post_reducers:
+                    repl = red.reduce_word(self, w)
                     if repl is not None:
+                        redexes[w] = red, repl
+                        heappush(heap, (-len(w), tuple(-p for p in w), w))
                         break
-                else:
-                    continue
-                changed = True
-                c = terms.pop(target)
-                bound = red.measure(self, target)
-                expanded = {}
-                for rw, rc in repl.items():
-                    accumulate(expanded, self.normal_form_word(rw).items(), rc)
-                for nw in expanded:
-                    if red.measure(self, nw) >= bound:
-                        raise NonTerminating(
-                            f"{red.name}: measure did not decrease on "
-                            f"{self.word_str(nw)}"
-                        )
-                accumulate(terms, expanded.items(), c, LP_ONE)
+
+        find(terms)
+        while heap:
+            target = heappop(heap)[2]
+            red, repl = redexes.pop(target)
+            c = terms.pop(target, None)
+            if c is None:
+                continue
+            expanded = {}
+            for rw, rc in repl.items():
+                accumulate(expanded, self.normal_form_word(rw).items(), rc)
+            for nw in expanded:
+                if not self._deglex_less(nw, target):
+                    raise NonTerminating(
+                        f"{red.name}: {self.word_str(nw)} is not deg-lex "
+                        f"below {self.word_str(target)}"
+                    )
+            new = [nw for nw in expanded if nw not in terms and nw not in redexes]
+            accumulate(terms, expanded.items(), c, LP_ONE)
+            find(new)
         return terms
 
     # -- display -----------------------------------------------------------

@@ -14,70 +14,66 @@ from __future__ import annotations
 import functools
 from itertools import combinations_with_replacement, permutations
 
-from .freealg import NCElement, PostReducer
+from .freealg import NCElement, PostReducer, deglex_key
 from .laurent import LAURENT, LP_ONE, RATFUNC, neg_q_power
-from .lincomb import accumulate, apply_word_map, echelon, reduce_row
-from .qmatrix import MatrixAlgebra, perm_inversions, x_gen
+from .lincomb import accumulate, apply_word_map
+from .qmatrix import MatrixAlgebra, OrderMismatch, perm_inversions, x_gen
 
 
 class NotInBorel(Exception):
     pass
 
 
+def _block_perm(n, strategy):
+    """The permutation whose cells x_{1,b1}...x_{n+1,b(n+1)} form the
+    strategy's block: the identity for diagonal74, w0 for antidiag73."""
+    if strategy == "diagonal74":
+        return tuple(range(1, n + 2))
+    if strategy == "antidiag73":
+        return tuple(range(n + 1, 0, -1))
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 @functools.lru_cache(maxsize=64)
 def _det_substitution(n, strategy):
-    """Substitution terms for the extracted determinant product, as a tuple
-    built once per (n, strategy).
+    """Substitution terms for the extracted block product, as a tuple built
+    once per (n, strategy).
 
-    diagonal74: x_11...x_{n+1,n+1} = 1 - sum_{s != id} (-q)^l(s) x_{1,s1}...
-    antidiag73: x_{1,n+1}...x_{n+1,1} = (-q)^-N (1 - sum_{s != w0} ...)
+    With det_q = sum_s (-q)^l(s) x_{1,s1}...x_{n+1,s(n+1)} set to 1, the
+    block permutation b gives
+    x_{1,b1}...x_{n+1,b(n+1)} = (-q)^-l(b) (1 - sum_{s != b} (-q)^l(s) x_{1,s1}...).
     Words are given by their cell sequences (rows increasing).
     """
-    N = (n + 1) * n // 2
-    terms = []
-    if strategy == "diagonal74":
-        terms.append((1, ()))
-        for perm in permutations(range(1, n + 2)):
-            if all(perm[t] == t + 1 for t in range(n + 1)):
-                continue
-            inv = perm_inversions(perm)
+    block = _block_perm(n, strategy)
+    scale = neg_q_power(-perm_inversions(block))
+    terms = [(scale, ())]
+    for perm in permutations(range(1, n + 2)):
+        if perm != block:
             cells = tuple((t + 1, perm[t]) for t in range(n + 1))
-            terms.append((-1 * neg_q_power(inv), cells))
-    else:
-        scale = neg_q_power(-N)
-        terms.append((scale, ()))
-        for perm in permutations(range(1, n + 2)):
-            if all(perm[t] == n + 1 - t for t in range(n + 1)):
-                continue
-            inv = perm_inversions(perm)
-            cells = tuple((t + 1, perm[t]) for t in range(n + 1))
-            terms.append((-1 * neg_q_power(inv) * scale, cells))
+            terms.append((-neg_q_power(perm_inversions(perm)) * scale, cells))
     return tuple(terms)
 
 
 class DetReducer(PostReducer):
-    """Rewrites monomials whose strategy block contains a full det product."""
+    """Rewrites monomials that hold every letter of the strategy's block.
+
+    The block is the diagonal for diagonal74 and the antidiagonal for
+    antidiag73.  In the algebra's deg-lex order NF(det_q u) leads with the
+    word sorted(block + u) for every sorted word u, with coefficient
+    (-q)^l(b), b the block's permutation.  So a word holding the block is
+    (-q)^-l(b) det_q u, which is (-q)^-l(b) u in SL, plus words below it:
+    each replacement goes down in deg-lex.
+    """
 
     def __init__(self, n, strategy, spec):
-        self.n = n
-        self.strategy = strategy
         self.name = f"det-{strategy}"
-        if strategy == "diagonal74":
-            self.block_cells = [(i, i) for i in range(1, n + 2)]
-        elif strategy == "antidiag73":
-            self.block_cells = [(i, n + 2 - i) for i in range(1, n + 2)]
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
         pos = {g.indices: p for p, g in enumerate(spec.alphabet)}
-        self.block_pos = frozenset(pos[ij] for ij in self.block_cells)
-        self.det_word = tuple(pos[ij] for ij in self.block_cells)
+        self.det_word = tuple(pos[ij] for ij in enumerate(_block_perm(n, strategy), 1))
+        self.block_pos = frozenset(self.det_word)
         self.subst = [
             (LAURENT.coerce(c), tuple(pos[ij] for ij in cells))
             for c, cells in _det_substitution(n, strategy)
         ]
-
-    def measure(self, spec, word):
-        return sum(1 for p in word if p in self.block_pos)
 
     def reduce_word(self, spec, word):
         found = _drop_block(word, self.block_pos)
@@ -85,7 +81,7 @@ class DetReducer(PostReducer):
             return None
         # remove one copy of each block letter, then insert the extracted
         # product where the block ends; quadratic renormalization accounts
-        # for the (lower measure) commutator corrections.
+        # for the (deg-lex lower) commutator corrections.
         kept, block_at = found
         prefix = tuple(word[t] for t in kept if t < block_at)
         suffix = tuple(word[t] for t in kept if t > block_at)
@@ -244,9 +240,6 @@ class DiagProductReducer(PostReducer):
     def __init__(self, n, spec):
         self.diag_pos = frozenset(spec.index[x_gen(i, i)] for i in range(1, n + 2))
 
-    def measure(self, spec, word):
-        return sum(1 for p in word if p in self.diag_pos)
-
     def reduce_word(self, spec, word):
         found = _drop_block(word, self.diag_pos)
         if found is None:
@@ -386,45 +379,28 @@ class GLElement:
 def _divide_by_detq(alg, body):
     """The c with body = det_q * c, or None when det_q does not divide body.
 
-    The relations keep row and column degrees, and det_q has degree one in
-    each row and column, so each bihomogeneous part is divided on its own,
-    smallest first.  One row per candidate word w of c: d*w under (0, -word)
-    keys plus a (1, w) tag.  The part reduces to tags only exactly when it
-    is d times a combination of candidates, and the tags then hold minus
-    that combination.  Under negated letters each row leads with its
-    lex-largest word, which differs from row to row, so echelon has no
-    fill-in.
+    Long division by the leading word.  NF(det_q u) leads in deg-lex with
+    the word sorted(L + u), L the leading word of det_q, and with det_q's
+    leading coefficient; adding L keeps the deg-lex order of sorted words.
+    So the leading word of det_q * c holds L and comes from the leading
+    word of c alone, and each step below removes the leading word of body.
+    The fact holds in the triangular, antidiag and lex orders, not in every
+    custom one: a step that leaves a word as large raises OrderMismatch.
     """
-    d, one, m = alg.detq(), alg.spec.domain.one, alg.n + 1
-
-    def degrees(word, shift=0):
-        """(row degrees, column degrees) of a word, each entry plus shift."""
-        rows, cols = [shift] * m, [shift] * m
-        for p in word:
-            i, j = alg.cell_of(p)
-            rows[i - 1] += 1
-            cols[j - 1] += 1
-        return tuple(rows), tuple(cols)
-
-    def key(word):
-        return (0, tuple(-p for p in word))
-
-    parts = {}
-    for w, c in body.terms.items():
-        parts.setdefault(degrees(w, shift=-1), {})[key(w)] = c
+    d = alg.detq()
+    lead = max(d.terms, key=deglex_key)
+    block, lead_c = frozenset(lead), d.terms[lead]
     quotient = {}
-    for deg in sorted(parts, key=lambda deg: sum(deg[0])):
-        if min(deg[0] + deg[1]) < 0:
+    while not body.is_zero():
+        top = max(body.terms, key=deglex_key)
+        found = _drop_block(top, block)
+        if found is None:
             return None
-        rows = []
-        for w in combinations_with_replacement(range(len(alg.spec.alphabet)), sum(deg[0])):
-            if degrees(w) == deg:
-                dw = d * NCElement(alg.spec, {w: one}, reduce=False)
-                rows.append({**{key(v): c for v, c in dw.terms.items()}, (1, w): one})
-        rest = reduce_row(parts[deg], echelon(rows))
-        if any(tag == 0 for tag, _ in rest):
-            return None
-        quotient.update((w, -c) for (_, w), c in rest.items())
+        u = tuple(top[t] for t in found[0])
+        quotient[u] = body.terms[top] / lead_c
+        body = body - d * NCElement(alg.spec, {u: quotient[u]}, reduce=False)
+        if any(deglex_key(w) >= deglex_key(top) for w in body.terms):
+            raise OrderMismatch(f"det_q does not divide by its leading word in {alg.spec.name}")
     return NCElement(alg.spec, quotient)
 
 

@@ -1,14 +1,16 @@
 import random
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from qfun.freealg import NCElement
-from qfun.laurent import Q, QINV, RATFUNC, RF_ONE, RatFunc
-from qfun.qmatrix import MatrixAlgebra
+from qfun.freealg import AlgebraSpec, GenSym, NCElement, NonTerminating, PostReducer
+from qfun.laurent import LP_ONE, Q, QINV, RATFUNC, RF_ONE, LaurentPoly, RatFunc, neg_q_power
+from qfun.qmatrix import MatrixAlgebra, perm_inversions
 from qfun.qsl import (
     BorelAlgebra,
     GLElement,
     NotInBorel,
+    _det_substitution,
     SLAlgebra,
     antipode_convention_report,
     borel_antipode,
@@ -306,3 +308,198 @@ def test_strategies_agree_through_reprojection():
                     el = el * a74.gen(*ij)
                 direct = direct + el.scale(c)
             assert (pushed - direct).is_zero()
+
+
+# -- deg-lex termination of the det_q rewrite -----------------------------------
+
+
+@pytest.mark.parametrize("order", ["triangular", "antidiag", "lex"])
+def test_detq_times_u_leads_with_block_plus_u(order):
+    """The leading-word fact behind the SL canonical form and GL division:
+    for every sorted word u, the deg-lex largest word of NF(det_q u) is
+    sorted(block + u), with coefficient 1 (triangular order, diagonal block)
+    or (-q)^N (antidiag and lex orders, antidiagonal block)."""
+    checked = 0
+    for n, max_degree in ((1, 4), (2, 3), (3, 2)):
+        alg = MatrixAlgebra(n, order=order, domain=RATFUNC)
+        d = alg.detq()
+        cols = range(1, n + 2) if order == "triangular" else range(n + 1, 0, -1)
+        block_word = tuple(alg.spec.index[GenSym("x", (i, j))] for i, j in enumerate(cols, 1))
+        lead_c = RF_ONE if order == "triangular" else RATFUNC.coerce(neg_q_power(n * (n + 1) // 2))
+        for k in range(max_degree + 1):
+            for u in combinations_with_replacement(range(len(alg.spec.alphabet)), k):
+                prod = d * NCElement(alg.spec, {u: RF_ONE}, reduce=False)
+                top = max(prod.terms, key=lambda w: (len(w), w))
+                assert top == tuple(sorted(block_word + u)), (n, u)
+                assert prod.terms[top] == lead_c, (n, u)
+                checked += 1
+    assert checked == 443
+
+
+def test_det_substitution_is_the_block_solved_from_detq_equal_1():
+    """One formula for both strategies, with the coefficients of the two
+    written out separately."""
+    for n in (1, 2, 3):
+        N = n * (n + 1) // 2
+        ident = tuple(range(1, n + 2))
+        w0 = ident[::-1]
+
+        def cells(perm):
+            return tuple((t + 1, perm[t]) for t in range(n + 1))
+
+        diagonal = [(1, ())] + [(-neg_q_power(perm_inversions(p)), cells(p))
+                                for p in permutations(ident) if p != ident]
+        scale = neg_q_power(-N)
+        antidiag = [(scale, ())] + [(-neg_q_power(perm_inversions(p)) * scale, cells(p))
+                                    for p in permutations(ident) if p != w0]
+        assert list(_det_substitution(n, "diagonal74")) == diagonal
+        assert list(_det_substitution(n, "antidiag73")) == antidiag
+    with pytest.raises(ValueError):
+        _det_substitution(1, "diagonal")
+    with pytest.raises(ValueError):
+        SLAlgebra(1, strategy="diagonal")
+
+
+def test_a_replacement_that_does_not_go_down_in_deglex_is_refused():
+    """A post-reducer is held to the rules' witness: x y -> y x with x < y
+    goes up in deg-lex, so it raises NonTerminating instead of looping."""
+
+    class Swap(PostReducer):
+        name = "swap"
+
+        def __init__(self, up):
+            self.up = up
+
+        def reduce_word(self, spec, word):
+            if len(word) == 2 and word[0] != word[1] and (word[0] < word[1]) == self.up:
+                return {word[::-1]: LP_ONE}
+            return None
+
+    for up in (False, True):
+        spec = AlgebraSpec([GenSym("x", (1,)), GenSym("x", (2,))])
+        spec.post_reducers.append(Swap(up))
+        if up:
+            with pytest.raises(NonTerminating):
+                spec.reduce_terms({(0, 1): LP_ONE})
+        else:
+            assert spec.reduce_terms({(1, 0): LP_ONE}) == {(0, 1): LP_ONE}
+
+
+def _words_holding_the_diagonal(alg, rng, copies, extra):
+    """A word with the whole diagonal `copies` times and up to `extra` other
+    random letters, shuffled: random words almost never hold the diagonal."""
+    diag = [alg.spec.index[GenSym("x", (i, i))] for i in range(1, alg.n + 2)]
+    letters = diag * copies + [rng.randrange(len(alg.spec.alphabet)) for _ in range(rng.randrange(extra + 1))]
+    rng.shuffle(letters)
+    return tuple(letters)
+
+
+def test_no_word_is_replaced_twice(monkeypatch):
+    """Targets are taken deg-lex largest first, so a word that a
+    replacement brings in is never a word already replaced.  A word that
+    holds the diagonal twice needs a second replacement, of a word that
+    the first brings in."""
+    from qfun.qsl import DetReducer
+
+    replaced = []
+    real = DetReducer.reduce_word
+
+    def spy(self, spec, word):
+        repl = real(self, spec, word)
+        if repl is not None:
+            replaced.append(word)
+        return repl
+
+    monkeypatch.setattr(DetReducer, "reduce_word", spy)
+    for n in (1, 2):
+        alg = SLAlgebra(n)
+        rng = random.Random(5)
+        for _ in range(10):
+            replaced.clear()
+            alg.spec.reduce_terms({_words_holding_the_diagonal(alg, rng, 2, 2): RF_ONE})
+            assert len(replaced) > 1
+            assert len(replaced) == len(set(replaced))
+
+
+@pytest.mark.parametrize("n, copies", [(1, 3), (2, 2)])
+def test_words_holding_the_diagonal_again_reduce_to_canonical_words(n, copies):
+    """A replacement can bring in words that hold the diagonal again; they
+    are rewritten too, and the random-site loop agrees."""
+    alg = SLAlgebra(n)
+    rng = random.Random(29 + n)
+    diag = {alg.spec.index[GenSym("x", (i, i))] for i in range(1, n + 2)}
+    for trial in range(10):
+        raw = NCElement(alg.spec, {}, reduce=False)
+        raw.terms = {_words_holding_the_diagonal(alg, rng, copies, 2): RF_ONE}
+        base = sl_reduce(alg, raw)
+        assert base.terms and all(diag - set(w) for w in base.terms)
+        assert sl_reduce(alg, raw, rng=random.Random(trial)) == base
+
+
+@pytest.fixture(scope="module")
+def sl3():
+    return SLAlgebra(3, strategy="diagonal74")
+
+
+@pytest.mark.parametrize("expr", ["S(x[1,2])S(x[4,3])", "S(x[4,3])S(x[1,2])"])
+def test_sl4_products_of_antipodes_reduce(expr):
+    """The two products that once raised NonTerminating under diagonal74."""
+    from qfun.cli import run_command
+
+    code, out = run_command(["nf", "--n", "3", "--algebra", "SL", expr])
+    assert code == 0, out
+    assert "x[" in out
+
+
+def test_sl4_antipode_is_antimultiplicative_on_all_generator_pairs(sl3):
+    gens = [sl3.gen(i, j) for i in range(1, 5) for j in range(1, 5)]
+    images = [sl3.antipode(g) for g in gens]
+    for a, sa in zip(gens, images):
+        for b, sb in zip(gens, images):
+            assert sl3.antipode(a * b) == sb * sa
+
+
+def test_sl4_random_sites_agree_with_the_installed_reducer(sl3):
+    rng = random.Random(23)
+    diag = {sl3.spec.index[GenSym("x", (i, i))] for i in range(1, 5)}
+    for trial in range(12):
+        raw = NCElement(sl3.spec, {}, reduce=False)
+        raw.terms = {_words_holding_the_diagonal(sl3, rng, 1, 2): RATFUNC.coerce(rng.randrange(-2, 3) or 1)
+                     for _ in range(2)}
+        base = sl_reduce(sl3, raw)
+        assert all(diag - set(w) for w in base.terms)
+        assert sl_reduce(sl3, raw, rng=random.Random(trial)) == base
+
+
+@pytest.mark.parametrize("order", ["triangular", "antidiag"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_gl_canonical_divides_seeded_multiples_of_detq(n, order):
+    """Long division by det_q's leading word, whose coefficient is 1 in the
+    triangular order and (-q)^N in the antidiag order."""
+    alg = MatrixAlgebra(n, order=order, domain=RATFUNC)
+    k = len(alg.spec.alphabet)
+    rng = random.Random(40 + n)
+    for _ in range(15):
+        c = NCElement(alg.spec, {
+            tuple(rng.randrange(k) for _ in range(rng.randrange(4 - n))):
+                RATFUNC.coerce(LaurentPoly.monomial(rng.randrange(-3, 4) or 1, rng.randrange(-1, 2)))
+            for _ in range(rng.randrange(1, 4))
+        })
+        body = alg.detq() * c
+        got = GLElement(alg, body, -1).canonical()
+        assert got.detpow == 0 and got.body == c
+        # x[1,2] added: det_q no longer divides the body
+        body = body + alg.gen(1, 2)
+        got = GLElement(alg, body, -1).canonical()
+        assert got.detpow == -1 and got.body == body
+
+
+def test_gl_division_refuses_an_order_where_detq_does_not_lead():
+    """In this custom order NF(det_q x[2,1]) leads with q^-1, not with the
+    leading coefficient of det_q, so long division cannot run."""
+    from qfun.qmatrix import OrderMismatch
+
+    alg = MatrixAlgebra(1, order=[(1, 2), (1, 1), (2, 1), (2, 2)], domain=RATFUNC)
+    body = alg.detq() * alg.gen(2, 1)
+    with pytest.raises(OrderMismatch):
+        GLElement(alg, body, -1).canonical()

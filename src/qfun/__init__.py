@@ -30,12 +30,10 @@ from .qmatrix import (
 )
 from .qsl import (
     BorelAlgebra,
-    GLElement,
+    GLAlgebra,
     NotInBorel,
     SLAlgebra,
     antipode_convention_report,
-    borel_antipode,
-    gl_antipode,
     pi_project,
     sl_reduce,
 )

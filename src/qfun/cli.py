@@ -43,7 +43,7 @@ from .intform import (
 )
 from .laurent import POLE_AT_ONE, DivisionByZero, LaurentPoly, NotDivisible, RatFunc
 from .qmatrix import MatrixAlgebra, TensorElement
-from .qsl import BorelAlgebra, GLElement, NotInBorel, SLAlgebra, borel_antipode, gl_antipode
+from .qsl import BorelAlgebra, GLAlgebra, NotInBorel, SLAlgebra, pi_project
 from .uq import MuMap, UqAlgebra, UqElement, UqTensor, collapse_at_one, convex_order, root_vector_iterated, root_vector_lusztig, uq_coproduct
 from . import suites
 
@@ -75,6 +75,9 @@ GEN_FAMILIES = {
 }
 
 CALLS = {"S", "Delta", "eps", "delta"}
+
+# the algebras whose values are NCElements of a MatrixAlgebra
+MATRIX_ALGEBRAS = ("M", "SL", "GL", "B+", "B-")
 
 TENSORS = (TensorElement, UqTensor, ClassicalTensor)
 
@@ -260,8 +263,6 @@ def _refuse_huge_power(k, base, budget):
         raise TermBudgetExceeded(f"exponent {k} exceeds the term budget {budget}")
     if isinstance(base, TENSORS):
         return
-    if isinstance(base, GLElement):
-        base = base.body
     if scalar:
         degree = max(p.max_exp() - p.min_exp() for p in (base.num, base.den))
     elif isinstance(base, UqElement):
@@ -287,11 +288,9 @@ class Context:
 
             self.alg = MatrixAlgebra(n, order=order or "lex", domain=RATFUNC)
         elif algebra == "SL":
-            self.ictx = IntContext(n, gl=False, strategy=sl_strategy)
             self.alg = self.ictx.alg
         elif algebra == "GL":
-            self.ictx = IntContext(n, gl=True)
-            self.alg = self.ictx.alg
+            self.alg = GLAlgebra(n)
         elif algebra in ("B+", "B-"):
             self.alg = BorelAlgebra(n, algebra[1])
         elif algebra == "Uq":
@@ -303,7 +302,14 @@ class Context:
         # eval refuses a power by the budget the algebra's normalization
         # read when it was built; U_q and U_h normalize without one
         self.term_budget = (self.alg.spec.term_budget
-                            if algebra in ("M", "SL", "GL", "B+", "B-") else _term_budget())
+                            if algebra in MATRIX_ALGEBRAS else _term_budget())
+
+    @functools.cached_property
+    def ictx(self):
+        """The integer-form context whose lifts give r, phi, psi and chi: in
+        SL its algebra is self.alg; in GL it is the matrix algebra, and
+        pi_project carries its lifts into GL.  Built on first use."""
+        return IntContext(self.n, gl=self.name == "GL", strategy=self.sl_strategy)
 
     @functools.cached_property
     def lattice(self):
@@ -318,12 +324,15 @@ class Context:
     def gen(self, fam, idx):
         _check_range(fam, idx, self.n)
         name = self.name
-        if name in ("M", "SL", "GL", "B+", "B-"):
+        if name in MATRIX_ALGEBRAS:
             if fam == "x":
                 return self.alg.gen(*idx)
             if name in ("SL", "GL") and fam in ("r", "phi", "psi", "chi"):
                 g = {"r": rgen, "phi": phigen, "psi": psigen, "chi": chigen}[fam](*idx)
-                return self.ictx.lift_gen(g)
+                lifted = self.ictx.lift_gen(g)
+                if self.ictx.alg is not self.alg:
+                    lifted = pi_project(self.ictx.alg, self.alg, lifted)
+                return lifted
             raise ExprIndexError(f"generator {fam} not available in {name}")
         if name == "Uq":
             if fam == "F":
@@ -417,14 +426,6 @@ class Context:
             return self._call(node[1], node[2])
         raise ValueError(f"bad node {node!r}")
 
-    def _as_gl(self, v):
-        """A GL value as a GLElement: scalars and bodies carry det_q^0."""
-        if isinstance(v, GLElement):
-            return v
-        if isinstance(v, RatFunc):
-            v = self.one().scale(v)
-        return GLElement(self.alg, v, 0)
-
     @staticmethod
     def _refuse_mixed(a, b, scalars_mix):
         """A tensor combines only with a tensor of its own kind (a coproduct
@@ -439,8 +440,6 @@ class Context:
 
     def _align(self, a, b):
         self._refuse_mixed(a, b, scalars_mix=False)
-        if isinstance(a, GLElement) or isinstance(b, GLElement):
-            return self._as_gl(a), self._as_gl(b)
         if isinstance(a, RatFunc) and not isinstance(b, RatFunc):
             a = self.one().scale(self._scalar_for(a, b))
         elif isinstance(b, RatFunc) and not isinstance(a, RatFunc):
@@ -460,8 +459,6 @@ class Context:
 
     def _mul(self, a, b):
         self._refuse_mixed(a, b, scalars_mix=True)
-        if isinstance(a, GLElement) or isinstance(b, GLElement):
-            return self._as_gl(a) * self._as_gl(b)
         if isinstance(a, RatFunc) and isinstance(b, RatFunc):
             return a * b
         if isinstance(a, RatFunc):
@@ -488,30 +485,19 @@ class Context:
             raise ExprIndexError(f"{name} takes an element, not a tensor")
         if isinstance(arg, RatFunc) and self.name != "Uh":
             arg = self.one().scale(arg)  # a scalar c stands for c 1
-        if self.name == "GL":
-            arg = self._as_gl(arg).canonical()
         if name == "Delta":
-            if self.name == "GL":
-                if arg.detpow:
-                    raise ExprIndexError("Delta of a det_q power is not available in GL")
-                return self.alg.coproduct(arg.body)
-            if self.name in ("M", "SL", "B+", "B-"):
+            if self.name in MATRIX_ALGEBRAS:
                 return self.alg.coproduct(arg)
             if self.name == "Uq":
                 return uq_coproduct(arg)
             raise ExprIndexError("Delta not available here")
         if name == "eps":
-            if self.name not in ("M", "SL", "GL", "B+", "B-"):
+            if self.name not in MATRIX_ALGEBRAS:
                 raise ExprIndexError("eps not available here")
-            # eps(det_q) = 1, so in GL eps reads the body
-            return self.alg.counit(arg.body if self.name == "GL" else arg)
+            return self.alg.counit(arg)
         if name == "S":
-            if self.name == "SL":
+            if self.name in ("SL", "GL", "B+", "B-"):
                 return self.alg.antipode(arg)
-            if self.name in ("B+", "B-"):
-                return borel_antipode(self.alg, arg)
-            if self.name == "GL":
-                return gl_antipode(self.alg, arg).canonical()
             raise ExprIndexError("S not available here")
         raise ExprIndexError(f"unknown call {name}")
 
@@ -856,10 +842,7 @@ def _dispatch(args):
         if args.algebra not in ("M", "SL", "GL"):
             return 2, "error: basis needs a matrix-type algebra"
         alg = Context(args.algebra, args.n, order=args.order, sl_strategy=args.sl_strategy).alg
-        # SL lists its canonical monomials, M and GL (the plain matrix
-        # algebra) their PBW words
-        basis = alg.pbw_basis_sl if args.algebra == "SL" else alg.pbw_basis
-        lines = [alg.spec.word_str(w) for w in basis(args.max_degree)]
+        lines = [alg.spec.word_str(w) for w in alg.pbw_basis(args.max_degree)]
         if fmt == "json":
             return 0, json.dumps({"schema": "qfun/1", "basis": lines}, indent=2)
         return 0, "\n".join(lines)

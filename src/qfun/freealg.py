@@ -79,12 +79,15 @@ def deglex_key(word):
 
 @dataclass(frozen=True, order=True)
 class GenSym:
-    """A named generator: family tag plus one or two 1-based indices."""
+    """A named generator: family tag plus 1-based indices; one with no
+    indices prints as its family alone."""
 
     family: str
     indices: tuple
 
     def __str__(self):
+        if not self.indices:
+            return self.family
         return f"{self.family}[{','.join(str(i) for i in self.indices)}]"
 
 

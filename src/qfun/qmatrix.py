@@ -2,8 +2,9 @@
 
 Relations, generator orders, comultiplication/counit, quantum minors, the
 minor formula of the antipode and the quantum determinant, triangular
-decomposition, and ordered-monomial (PBW) enumeration.  MatrixAlgebra is
-defined over a cell set, so the SL and Borel contexts of qsl.py subclass it.
+decomposition, and canonical-word (PBW) enumeration.  MatrixAlgebra is
+defined over a cell set, and may adjoin a letter for det_q^-1, so the SL,
+GL and Borel contexts of qsl.py subclass it.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ class Presentation(NamedTuple):
     """The immutable part of a quantum matrix presentation.
 
     alphabet: the ordered letters; rules: the checked rule table over
-    Z[q,q^-1], never mutated (build_matrix_spec copies it); letter_deltas:
-    per letter, its coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict
-    over Z[q,q^-1].
+    Z[q,q^-1], never mutated (build_matrix_spec copies it); letter_deltas: per
+    letter, its coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict over
+    Z[q,q^-1]; counit_letters: the letters with counit 1 (the diagonal
+    cells), every other letter having counit 0.
     """
 
     name: str
@@ -105,30 +107,39 @@ class Presentation(NamedTuple):
     cells: frozenset
     rules: dict
     letter_deltas: tuple
+    counit_letters: frozenset
 
 
-# (n, order, cells, name) -> its Presentation
+# (n, order, cells, name, inverse) -> its Presentation
 _presentations = {}
 
 
-def matrix_presentation(n, order="lex", cells=None, name=None):
+def matrix_presentation(n, order="lex", cells=None, name=None, inverse=None):
     """The Presentation of build_matrix_spec's arguments other than the
     domain, built once per arguments in this process and kept up to
-    CACHE_LIMIT entries; a build that raises keeps nothing."""
+    CACHE_LIMIT entries; a build that raises keeps nothing.
+
+    inverse: a letter adjoined after the cells as det_q^-1, central (a
+    commuting rule with each cell), group-like and of counit 1; the
+    relation det_q det_q^-1 = 1 is left to the algebra's post-reducers.
+    """
     if cells is not None:
         cells = tuple(sorted(set(cells)))
-    key = (n, order if isinstance(order, str) else tuple(order), cells, name)
+    key = (n, order if isinstance(order, str) else tuple(order), cells, name, inverse)
     pres = _presentations.get(key)
     if pres is None:
-        pres = _build_presentation(n, order, cells, name)
+        if inverse is None:
+            pres = _build_presentation(n, order, cells, name)
+        else:
+            pres = _adjoin_inverse(matrix_presentation(n, order, cells, name), inverse)
         if len(_presentations) < CACHE_LIMIT:
             _presentations[key] = pres
     return pres
 
 
 def _build_presentation(n, order, cells, name):
-    """The letters, rules and letter coproducts of the quantum matrix
-    relations on the given cells; see build_matrix_spec."""
+    """The letters, rules, letter coproducts and counits of the quantum
+    matrix relations on the given cells; see build_matrix_spec."""
     if cells is None:
         cells = [(i, j) for i in range(1, n + 2) for j in range(1, n + 2)]
     cells = sorted(set(cells))
@@ -170,16 +181,31 @@ def _build_presentation(n, order, cells, name):
         }
         for i, j in ordered
     )
+    units = frozenset(pos[ij] for ij in cells if ij[0] == ij[1])
     return Presentation(spec.name, tuple(spec.alphabet), frozenset(cellset), spec.rules,
-                        letter_deltas)
+                        letter_deltas, units)
 
 
-def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None):
+def _adjoin_inverse(pres, inverse):
+    """pres with the letter inverse adjoined last: a commuting rule with
+    each letter, Delta(t) = t (x) t and counit 1."""
+    spec = AlgebraSpec(pres.alphabet + (inverse,), name=pres.name)
+    spec.rules.update(pres.rules)
+    t = len(pres.alphabet)
+    for p in range(t):
+        spec.add_rule(t, p, [(LP_ONE, (p, t))])
+    return pres._replace(alphabet=tuple(spec.alphabet), rules=spec.rules,
+                         letter_deltas=pres.letter_deltas + ({((t,), (t,)): LP_ONE},),
+                         counit_letters=pres.counit_letters | {t})
+
+
+def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None, inverse=None):
     """AlgebraSpec for the quantum matrix relations on the given cells.
 
     cells: iterable of (i, j) pairs (defaults to the full square).  Rule
     corrections whose letters fall outside the cell set are dropped, which
-    realizes the Borel quotients.
+    realizes the Borel quotients.  inverse: a det_q^-1 letter adjoined last
+    (matrix_presentation).
 
     The rules are over Z[q,q^-1] whatever the domain, which types only the
     coefficients of the spec's elements, so the presentation is built once
@@ -188,7 +214,7 @@ def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None):
     memo and post-reducers, and the term budget read now, so a change to one
     spec's rules reaches no other.
     """
-    pres = matrix_presentation(n, order, cells, name)
+    pres = matrix_presentation(n, order, cells, name, inverse)
     spec = AlgebraSpec(pres.alphabet, domain=domain, name=pres.name)
     spec.rules.update(pres.rules)
     return spec
@@ -199,18 +225,20 @@ class MatrixAlgebra:
 
     With the full square of cells this is M_q(n+1).  A subset of the cells
     gives the quotient that kills the missing generators (the Borels), and
-    subclasses add post-reducers on top (SL's det_q = 1).  In every case
-    Delta(x_ij) = sum_k x_ik (x) x_kj and the quantum minors sum over the
-    cells that are present.
+    subclasses add post-reducers on top (SL's det_q = 1).  With inverse,
+    a central letter follows the cells (GL's det_q^-1; see
+    matrix_presentation).  In every case Delta(x_ij) = sum_k x_ik (x) x_kj
+    and the quantum minors sum over the cells that are present.
     """
 
-    def __init__(self, n, order="lex", domain=LAURENT, cells=None, name=None):
+    def __init__(self, n, order="lex", domain=LAURENT, cells=None, name=None, inverse=None):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
         self.order_name = order if isinstance(order, str) else "custom"
-        pres = matrix_presentation(n, order, cells, name)
-        self.spec = build_matrix_spec(n, order=order, domain=domain, cells=cells, name=name)
+        pres = matrix_presentation(n, order, cells, name, inverse)
+        self.spec = build_matrix_spec(n, order=order, domain=domain, cells=cells, name=name,
+                                      inverse=inverse)
         self.spec.post_reducers.extend(self._post_reducers(self.spec))
         self.domain = domain
         self.cells = pres.cells
@@ -219,6 +247,7 @@ class MatrixAlgebra:
         if not report["ok"]:
             raise InadmissibleOrder(f"rule table not confluent: {report['failures'][:3]}")
         self._letter_deltas = pres.letter_deltas
+        self._counit_letters = pres.counit_letters
         # word -> its reduced coproduct as a pair-keyed term dict
         self._delta_memo = {}
 
@@ -300,9 +329,12 @@ class MatrixAlgebra:
         return _tensor_product(self.spec, d, self._letter_deltas[p])
 
     def counit(self, a):
+        """eps as an algebra map: a word counts 1 when each of its letters
+        has counit 1, and 0 otherwise."""
+        units = self._counit_letters
         tot = self.spec.domain.zero
         for w, c in a.terms.items():
-            if all(self.cell_of(p)[0] == self.cell_of(p)[1] for p in w):
+            if units.issuperset(w):
                 tot = tot + c
         return tot
 
@@ -334,6 +366,10 @@ class MatrixAlgebra:
         idx = range(1, self.n + 2)
         minor = self.quantum_minor([h for h in idx if h != j], [k for k in idx if k != i])
         return minor.scale(neg_q_power(sign * (j - i)))
+
+    def letter_antipode(self, p, sign):
+        """antipode_image of the cell of letter p."""
+        return self.antipode_image(*self.cell_of(p), sign)
 
     def detq(self):
         if self._detq is None:
@@ -383,12 +419,12 @@ class MatrixAlgebra:
     # -- PBW enumeration ---------------------------------------------------------
 
     def pbw_basis(self, degree):
-        """All ordered monomials of total degree <= degree (includes 1)."""
-        k = len(self.spec.alphabet)
-        words = []
-        for d in range(degree + 1):
-            words.extend(combinations_with_replacement(range(k), d))
-        return words
+        """The canonical words of total degree <= degree (1 included): the
+        sorted words that no post-reducer rewrites."""
+        spec = self.spec
+        return [w for d in range(degree + 1)
+                for w in combinations_with_replacement(range(len(spec.alphabet)), d)
+                if all(red.reduce_word(spec, w) is None for red in spec.post_reducers)]
 
 
 def _word_normal_form(spec):

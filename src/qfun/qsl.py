@@ -3,21 +3,23 @@
 The SL algebra is the quantum matrix algebra with the quantum-determinant
 relation installed as a canonical-form reduction: every monomial is rewritten
 until the minimal diagonal exponent (strategy "diagonal74") or the minimal
-antidiagonal exponent (strategy "antidiag73") is zero.  Antipode, Borel
-quotients, and the determinant-localized GL algebra live here too.  SLAlgebra
-and BorelAlgebra are MatrixAlgebra subclasses: they inherit Delta, epsilon,
-the quantum minors and the antipode's generator images, and add reducers.
+antidiagonal exponent (strategy "antidiag73") is zero.  The GL algebra is the
+quantum matrix algebra with one more letter t = det_q^-1, central and last in
+the order, and the same reduction on words that hold the diagonal and t, which
+sets det_q t = 1.  SLAlgebra, GLAlgebra and BorelAlgebra are MatrixAlgebra
+subclasses: they inherit Delta, epsilon, the quantum minors and the
+antipode's generator images, and add reducers and the antipode.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
-from .freealg import NCElement, PostReducer, deglex_key
+from .freealg import GenSym, NCElement, PostReducer
 from .laurent import LAURENT, LP_ONE, RATFUNC, neg_q_power
 from .lincomb import accumulate, apply_word_map
-from .qmatrix import MatrixAlgebra, OrderMismatch, perm_inversions, x_gen
+from .qmatrix import MatrixAlgebra, perm_inversions, x_gen
 
 
 class NotInBorel(Exception):
@@ -63,28 +65,38 @@ class DetReducer(PostReducer):
     (-q)^l(b), b the block's permutation.  So a word holding the block is
     (-q)^-l(b) det_q u, which is (-q)^-l(b) u in SL, plus words below it:
     each replacement goes down in deg-lex.
+
+    With inverse, the letter t = det_q^-1 of GL, the block also holds t,
+    which comes last in the order, and det_q t = 1: a word holding the
+    block is (-q)^-l(b) det_q t u plus words below it, and the non-constant
+    substitution words end in t.
     """
 
-    def __init__(self, n, strategy, spec):
+    def __init__(self, n, strategy, spec, inverse=None):
         self.name = f"det-{strategy}"
         pos = {g.indices: p for p, g in enumerate(spec.alphabet)}
-        self.det_word = tuple(pos[ij] for ij in enumerate(_block_perm(n, strategy), 1))
+        cells = tuple(pos[ij] for ij in enumerate(_block_perm(n, strategy), 1))
+        tail = () if inverse is None else (spec.index[inverse],)
+        self.det_word = cells + tail
         self.block_pos = frozenset(self.det_word)
+        # kept letters below the block's last cell stay before it
+        self.split = max(cells)
         self.subst = [
-            (LAURENT.coerce(c), tuple(pos[ij] for ij in cells))
-            for c, cells in _det_substitution(n, strategy)
+            (LAURENT.coerce(c), tuple(pos[ij] for ij in sub) + (tail if sub else ()))
+            for c, sub in _det_substitution(n, strategy)
         ]
 
     def reduce_word(self, spec, word):
-        found = _drop_block(word, self.block_pos)
-        if found is None:
+        kept = _drop_block(word, self.block_pos)
+        if kept is None:
             return None
-        # remove one copy of each block letter, then insert the extracted
-        # product where the block ends; quadratic renormalization accounts
-        # for the (deg-lex lower) commutator corrections.
-        kept, block_at = found
-        prefix = tuple(word[t] for t in kept if t < block_at)
-        suffix = tuple(word[t] for t in kept if t > block_at)
+        # word is sorted: remove one copy of each block letter and insert the
+        # extracted product where the block's cells end; only block cells
+        # and t cross it, so the quadratic renormalization adds (deg-lex
+        # lower) commutator corrections and leaves word's coefficient 1.
+        split = self.split
+        prefix = tuple(p for p in kept if p < split)
+        suffix = tuple(p for p in kept if p >= split)
         rearranged = prefix + self.det_word + suffix
         base = spec.normal_form_word(rearranged)
         # word == rearranged + (word - NF(rearranged)); the main term of
@@ -94,22 +106,18 @@ class DetReducer(PostReducer):
 
 
 def _drop_block(word, block):
-    """(kept, last) when word holds every letter of block: the positions of
-    word left after dropping the first copy of each block letter, and the
-    position of the last letter dropped.  None when a block letter is
-    missing."""
+    """The letters of word left after dropping the first copy of each
+    letter of block, or None when a block letter is missing."""
     if not block.issubset(word):
         return None
     missing = set(block)
     kept = []
-    last = None
-    for t, p in enumerate(word):
+    for p in word:
         if p in missing:
             missing.discard(p)
-            last = t
         else:
-            kept.append(t)
-    return kept, last
+            kept.append(p)
+    return kept
 
 
 class SLAlgebra(MatrixAlgebra):
@@ -128,23 +136,48 @@ class SLAlgebra(MatrixAlgebra):
         """Algebra anti-map extended from the minor formula on generators."""
         return _minor_antipode(self, a, sign)
 
-    # -- canonical monomials ----------------------------------------------------
 
-    def pbw_basis_sl(self, degree):
-        """Canonical monomials (min block exponent zero) up to total degree."""
-        k = len(self.spec.alphabet)
-        block = self.reducer.block_pos
-        return [w for d in range(degree + 1)
-                for w in combinations_with_replacement(range(k), d)
-                if _drop_block(w, block) is None]
+# the letter t = det_q^-1 of GL
+DET_INVERSE = GenSym("detq^-1", ())
+
+
+class GLAlgebra(MatrixAlgebra):
+    """Quantum GL(n+1) function algebra: O_q(M(n+1))[t] / (t det_q - 1) with
+    t central (Levasseur-Stafford, J. Pure Appl. Algebra 86, 1993).
+
+    The letters are the cells in the triangular order and t = det_q^-1
+    last; t commutes with every cell, Delta(t) = t (x) t and eps(t) = 1.
+    The DetReducer with t in its block sets det_q t = 1, so the canonical
+    words are the sorted words that do not hold the diagonal and t: every
+    word of the matrix algebra, and u t^k (k >= 1) with u free of the
+    diagonal.  The spec keeps the matrix algebra's name, M(n+1)/triangular.
+    """
+
+    def __init__(self, n, domain=RATFUNC):
+        super().__init__(n, order="triangular", domain=domain, inverse=DET_INVERSE)
+        (self.reducer,) = self.spec.post_reducers
+
+    def _post_reducers(self, spec):
+        return [DetReducer(self.n, "diagonal74", spec, inverse=DET_INVERSE)]
+
+    def det_inverse(self):
+        return NCElement.gen(self.spec, DET_INVERSE)
+
+    def antipode(self, a, sign=None):
+        """Algebra anti-map extended from S(x_ij) = antipode_image(i, j) t
+        and S(t) = det_q."""
+        return _minor_antipode(self, a, sign)
+
+    def letter_antipode(self, p, sign):
+        if self.spec.alphabet[p] == DET_INVERSE:
+            return self.detq()
+        return super().letter_antipode(p, sign) * self.det_inverse()
 
 
 def _minor_antipode(alg, a, sign):
-    """The anti-map x_ij -> alg.antipode_image(i, j, sign) applied to a."""
+    """The anti-map p -> alg.letter_antipode(p, sign) applied to a."""
     sign = _select_antipode_sign() if sign is None else sign
-    return apply_word_map(
-        a.terms, lambda p: alg.antipode_image(*alg.cell_of(p), sign), alg.one(), reverse=True
-    )
+    return apply_word_map(a.terms, lambda p: alg.letter_antipode(p, sign), alg.one(), reverse=True)
 
 
 @functools.cache
@@ -217,7 +250,8 @@ def pi_project(source, target, a):
 
     As pi: M -> SL this is x_ij -> rho_ij followed by the SL canonical
     reduction; as SL -> B+- it is the Borel quotient: it kills the
-    complementary triangle and reduces in the Borel.
+    complementary triangle and reduces in the Borel; as M -> GL it is the
+    inclusion.
     """
     index, coerce = target.spec.index, target.spec.domain.coerce
     terms = {}
@@ -241,10 +275,10 @@ class DiagProductReducer(PostReducer):
         self.diag_pos = frozenset(spec.index[x_gen(i, i)] for i in range(1, n + 2))
 
     def reduce_word(self, spec, word):
-        found = _drop_block(word, self.diag_pos)
-        if found is None:
+        kept = _drop_block(word, self.diag_pos)
+        if kept is None:
             return None
-        return {tuple(word[t] for t in found[0]): LP_ONE}
+        return {tuple(kept): LP_ONE}
 
 
 class BorelAlgebra(MatrixAlgebra):
@@ -266,6 +300,11 @@ class BorelAlgebra(MatrixAlgebra):
 
     def _post_reducers(self, spec):
         return [DiagProductReducer(self.n, spec)]
+
+    def antipode(self, a, sign=None):
+        """The minor formula with the complementary triangle set to zero,
+        extended as an anti-map."""
+        return _minor_antipode(self, a, sign)
 
     def gen(self, i, j):
         if (i, j) not in self.cells:
@@ -290,131 +329,3 @@ class BorelAlgebra(MatrixAlgebra):
         diag = tuple(spec.index[x_gen(i, i)] for i in range(1, self.n + 2))
         pairs.append(("diag product = 1", element([(1, diag)]), element([(1, ())])))
         return pairs
-
-
-def borel_antipode(borel, a, sign=None):
-    """Antipode on the Borel: the minor formula with the complementary
-    triangle set to zero."""
-    return _minor_antipode(borel, a, sign)
-
-
-# -- GL: localization at det_q ------------------------------------------------------
-
-
-class GLElement:
-    """Element of the quantum GL algebra: matrix-algebra body times an
-    integer power of the central det_q^{-1}."""
-
-    __slots__ = ("alg", "body", "detpow")
-
-    def __init__(self, alg, body, detpow=0):
-        self.alg = alg
-        self.body = body
-        self.detpow = detpow
-
-    def _aligned(self, other):
-        k = min(self.detpow, other.detpow)
-        return self._times_det(self.detpow - k), other._times_det(other.detpow - k), k
-
-    def _times_det(self, m):
-        """The body times det_q^m, m >= 0."""
-        body = self.body
-        for _ in range(m):
-            body = body * self.alg.detq()
-        return body
-
-    def __eq__(self, other):
-        if not isinstance(other, GLElement):
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a == b
-
-    def __add__(self, other):
-        a, b, k = self._aligned(other)
-        return GLElement(self.alg, a + b, k)
-
-    def __neg__(self):
-        return GLElement(self.alg, -self.body, self.detpow)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, GLElement):
-            return GLElement(
-                self.alg, self.body * other.body, self.detpow + other.detpow
-            )
-        return GLElement(self.alg, self.body * other, self.detpow)
-
-    def scale(self, coeff):
-        return GLElement(self.alg, self.body.scale(coeff), self.detpow)
-
-    def shift_det(self, k):
-        """Multiply by det_q^k (k of either sign); the body takes on only the
-        positive part of the resulting power."""
-        detpow = self.detpow + k
-        return GLElement(self.alg, self._times_det(max(detpow, 0)), min(detpow, 0))
-
-    def canonical(self):
-        """Extract det_q factors out of the body where possible."""
-        body, detpow = self.body, self.detpow
-        while detpow < 0 and not body.is_zero():
-            quo = _divide_by_detq(self.alg, body)
-            if quo is None:
-                break
-            body, detpow = quo, detpow + 1
-        return GLElement(self.alg, body, detpow)
-
-    def is_zero(self):
-        return self.body.is_zero()
-
-    def __str__(self):
-        if self.detpow == 0:
-            return str(self.body)
-        return f"({self.body}) * detq^{self.detpow}"
-
-    __repr__ = __str__
-
-
-def _divide_by_detq(alg, body):
-    """The c with body = det_q * c, or None when det_q does not divide body.
-
-    Long division by the leading word.  NF(det_q u) leads in deg-lex with
-    the word sorted(L + u), L the leading word of det_q, and with det_q's
-    leading coefficient; adding L keeps the deg-lex order of sorted words.
-    So the leading word of det_q * c holds L and comes from the leading
-    word of c alone, and each step below removes the leading word of body.
-    The fact holds in the triangular, antidiag and lex orders, not in every
-    custom one: a step that leaves a word as large raises OrderMismatch.
-    """
-    d = alg.detq()
-    lead = max(d.terms, key=deglex_key)
-    block, lead_c = frozenset(lead), d.terms[lead]
-    quotient = {}
-    while not body.is_zero():
-        top = max(body.terms, key=deglex_key)
-        found = _drop_block(top, block)
-        if found is None:
-            return None
-        u = tuple(top[t] for t in found[0])
-        quotient[u] = body.terms[top] / lead_c
-        body = body - d * NCElement(alg.spec, {u: quotient[u]}, reduce=False)
-        if any(deglex_key(w) >= deglex_key(top) for w in body.terms):
-            raise OrderMismatch(f"det_q does not divide by its leading word in {alg.spec.name}")
-    return NCElement(alg.spec, quotient)
-
-
-def gl_antipode(alg, a, sign=None):
-    """Antipode on GL: S(x_ij) = (-q)^{sign (j-i)} minor * det^{-1}."""
-    # det_q is central, so a word of length k maps to its minor anti-image
-    # times det^{-k}: one anti-map call per word length
-    by_length = {}
-    for w, c in a.body.terms.items():
-        by_length.setdefault(len(w), {})[w] = c
-    out = GLElement(alg, alg.zero(), 0)
-    for k, terms in by_length.items():
-        body = _minor_antipode(alg, NCElement(alg.spec, terms, reduce=False), sign)
-        out = out + GLElement(alg, body, -k)
-    # S(det^k) = det^{-k}, det_q being group-like and central
-    return out.shift_det(-a.detpow)
-

@@ -5,6 +5,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qfun.cli import Context, ExprSyntaxError, parse, run_command
+from qfun.freealg import NCElement
+from qfun.laurent import RF_ONE
+from qfun.lincomb import add_outer
+from qfun.qmatrix import TensorElement
 
 
 def test_parse_product_node():
@@ -170,9 +174,17 @@ def test_gl_scalars_and_nested_calls():
     # S(S(x12)) has no det_q^-1 left, as in SL
     sl = run_command(["--n", "1", "--algebra", "SL", "nf", "S(S(x[1,2]))"])
     assert gl("nf", "S(S(x[1,2]))") == sl == (0, "(q^-2) x[1,2]")
-    assert gl("nf", "x[2,1] S(x[1,2])") == (0, "((-q^-1) x[2,1] x[1,2]) * detq^-1")
-    code, out = gl("coproduct", "S(x[1,2])")
-    assert code == 2 and out.startswith("error:")
+    assert gl("nf", "x[2,1] S(x[1,2])") == (0, "(-q^-1) x[2,1] x[1,2] detq^-1")
+    # Delta(S(x12)) = (S ox S)(Delta^op(x12)), t = det_q^-1 being group-like
+    ctx = Context("GL", 1)
+    alg = ctx.alg
+    expect = {}
+    for (wl, wr), c in alg.coproduct(alg.gen(1, 2)).terms.items():
+        left = alg.antipode(NCElement(alg.spec, {wr: RF_ONE}, reduce=False))
+        right = alg.antipode(NCElement(alg.spec, {wl: RF_ONE}, reduce=False))
+        add_outer(expect, left.terms, right.terms, c)
+    assert ctx.eval(parse("Delta(S(x[1,2]))")) == TensorElement(alg, expect)
+    assert gl("coproduct", "S(x[1,2])") == (0, str(TensorElement(alg, expect)))
 
 
 @pytest.mark.parametrize(
@@ -492,8 +504,9 @@ def _fuzz_expressions(algebra):
 @st.composite
 def _fuzz_argv(draw):
     # n = 3 stays out: some draws there run for tens of seconds or more, such as
-    # `antipode S((x[1,2])^3)` in SL (over 20 s) and `antipode S(x[1,1])` in
-    # GL (about 8 s); tests/test_qsl.py covers the SL canonical form at n = 3
+    # `antipode S((x[1,2])^3)` in SL (over 20 s), and `antipode S(x[1,1])` in
+    # GL takes about 3.4 s; tests/test_qsl.py covers the SL canonical form at
+    # n = 3
     command = draw(st.sampled_from(
         ["nf", "antipode", "coproduct", "counit", "specialize", "mul", "detq", "basis"]))
     algebra = draw(st.sampled_from(sorted(_FUZZ_GENS)))

@@ -4,17 +4,17 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from qfun.freealg import AlgebraSpec, GenSym, NCElement, NonTerminating, PostReducer
+from qfun.lincomb import accumulate
 from qfun.laurent import LP_ONE, Q, QINV, RATFUNC, RF_ONE, LaurentPoly, RatFunc, neg_q_power
 from qfun.qmatrix import MatrixAlgebra, perm_inversions
 from qfun.qsl import (
+    DET_INVERSE,
     BorelAlgebra,
-    GLElement,
+    GLAlgebra,
     NotInBorel,
     _det_substitution,
     SLAlgebra,
     antipode_convention_report,
-    borel_antipode,
-    gl_antipode,
     pi_project,
     sl_reduce,
 )
@@ -215,15 +215,15 @@ def test_borel_antipode_axiom():
         for (wl, wr), c in bp.coproduct(g).terms.items():
             el = NCElement(bp.spec, {wl: RF_ONE}, reduce=False)
             er = NCElement(bp.spec, {wr: RF_ONE}, reduce=False)
-            acc = acc + (borel_antipode(bp, el) * er).scale(c)
+            acc = acc + (bp.antipode(el) * er).scale(c)
         assert acc == target
 
 
 def test_pbw_basis_sl_counts(sl1):
-    words = sl1.pbw_basis_sl(1)
+    words = sl1.pbw_basis(1)
     assert len(words) == 5
     # no canonical word contains the full diagonal product
-    for w in sl1.pbw_basis_sl(4):
+    for w in sl1.pbw_basis(4):
         counts = {}
         for p in w:
             i, j = sl1.cell_of(p)
@@ -233,47 +233,54 @@ def test_pbw_basis_sl_counts(sl1):
 
 
 def test_gl_element_arithmetic():
-    alg = MatrixAlgebra(1, order="triangular", domain=RATFUNC)
-    d = GLElement(alg, alg.one(), -1)
-    shifted = d.shift_det(1).canonical()
-    assert shifted.detpow == 0 and shifted.body == alg.one()
-    assert GLElement(alg, alg.one(), 0).shift_det(-1).detpow == -1
+    """det_q and t = det_q^-1 cancel on either side; t alone stays."""
+    alg = GLAlgebra(1)
+    t = alg.det_inverse()
+    assert alg.detq() * t == alg.one() == t * alg.detq()
+    assert list(t.terms) == [(alg.spec.index[DET_INVERSE],)]
+    assert str(t * t) == "detq^-1 detq^-1"
 
 
 def test_gl_canonical_divides_out_detq():
-    alg = MatrixAlgebra(2, order="triangular", domain=RATFUNC)
-    x = alg.gen
+    alg = GLAlgebra(2)
+    x, t = alg.gen, alg.det_inverse()
     # terms of degree 0 to 3; det_q * c has degrees 3 to 6
     c = alg.one().scale(2) + x(1, 2).scale(Q) + x(2, 1) * x(1, 1) - x(3, 3) * x(1, 3) * x(2, 2)
-    got = GLElement(alg, alg.detq() * c, -1).canonical()
-    assert got.detpow == 0 and got.body == c
-    # det_q does not divide the degree-1 part, so nothing is extracted
-    got = GLElement(alg, x(1, 2) + alg.detq(), -1).canonical()
-    assert got.detpow == -1 and got.body == x(1, 2) + alg.detq()
+    assert alg.detq() * c * t == c
+    # det_q does not divide the degree-1 part, so a det_q^-1 stays
+    got = (x(1, 2) + alg.detq()) * t
+    assert got == alg.one() + x(1, 2) * t
+    assert any(alg.spec.index[DET_INVERSE] in w for w in got.terms)
+
+
+def _t_to_one(alg, a):
+    """a with every letter t = det_q^-1 dropped: t -> 1 on words."""
+    t = alg.spec.index[DET_INVERSE]
+    return NCElement(alg.spec, accumulate({}, ((tuple(p for p in w if p != t), c)
+                                              for w, c in a.terms.items())), reduce=False)
 
 
 def test_gl_antipode():
-    alg = MatrixAlgebra(1, order="triangular", domain=RATFUNC)
-    s = gl_antipode(alg, GLElement(alg, alg.gen(1, 1), 0)).canonical()
-    expect = GLElement(alg, alg.gen(2, 2), -1)
-    assert s == expect
+    alg = GLAlgebra(1)
+    s = alg.antipode(alg.gen(1, 1))
+    assert s == alg.gen(2, 2) * alg.det_inverse()
     # antipode axiom in GL: m(S ox id)Delta(x11) = eps(x11) = 1
-    acc = GLElement(alg, alg.zero(), 0)
+    acc = alg.zero()
     for (wl, wr), c in alg.coproduct(alg.gen(1, 1)).terms.items():
-        el = GLElement(alg, NCElement(alg.spec, {wl: RF_ONE}, reduce=False), 0)
-        er = GLElement(alg, NCElement(alg.spec, {wr: RF_ONE}, reduce=False), 0)
-        acc = acc + (gl_antipode(alg, el) * er).scale(c)
-    assert acc == GLElement(alg, alg.one(), 0)
+        el = NCElement(alg.spec, {wl: RF_ONE}, reduce=False)
+        er = NCElement(alg.spec, {wr: RF_ONE}, reduce=False)
+        acc = acc + (alg.antipode(el) * er).scale(c)
+    assert acc == alg.one()
 
 
 def test_pi_intertwines_gl_and_sl_antipodes(sl1, sl2):
     for n, sl in ((1, sl1), (2, sl2)):
-        malg = MatrixAlgebra(n, order="triangular", domain=RATFUNC)
+        gl = GLAlgebra(n)
         for i in range(1, n + 2):
             for j in range(1, n + 2):
-                gl_s = gl_antipode(malg, GLElement(malg, malg.gen(i, j), 0))
-                # project: body maps through pi, det^{-1} maps to 1
-                projected = pi_project(malg, sl, gl_s.body)
+                gl_s = gl.antipode(gl.gen(i, j))
+                # project: the cells map through pi, det^{-1} maps to 1
+                projected = pi_project(gl, sl, _t_to_one(gl, gl_s))
                 assert projected == sl.antipode(sl.gen(i, j))
 
 
@@ -315,7 +322,7 @@ def test_strategies_agree_through_reprojection():
 
 @pytest.mark.parametrize("order", ["triangular", "antidiag", "lex"])
 def test_detq_times_u_leads_with_block_plus_u(order):
-    """The leading-word fact behind the SL canonical form and GL division:
+    """The leading-word fact behind the SL and GL canonical forms:
     for every sorted word u, the deg-lex largest word of NF(det_q u) is
     sorted(block + u), with coefficient 1 (triangular order, diagonal block)
     or (-q)^N (antidiag and lex orders, antidiagonal block)."""
@@ -474,32 +481,21 @@ def test_sl4_random_sites_agree_with_the_installed_reducer(sl3):
 @pytest.mark.parametrize("order", ["triangular", "antidiag"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_gl_canonical_divides_seeded_multiples_of_detq(n, order):
-    """Long division by det_q's leading word, whose coefficient is 1 in the
-    triangular order and (-q)^N in the antidiag order."""
-    alg = MatrixAlgebra(n, order=order, domain=RATFUNC)
-    k = len(alg.spec.alphabet)
+    """det_q c formed in the matrix algebra of either order, carried into GL
+    by its cells and multiplied by det_q^-1, reduces to c."""
+    m = MatrixAlgebra(n, order=order, domain=RATFUNC)
+    gl = GLAlgebra(n)
+    t = gl.det_inverse()
+    k = len(m.spec.alphabet)
     rng = random.Random(40 + n)
     for _ in range(15):
-        c = NCElement(alg.spec, {
+        c = NCElement(m.spec, {
             tuple(rng.randrange(k) for _ in range(rng.randrange(4 - n))):
                 RATFUNC.coerce(LaurentPoly.monomial(rng.randrange(-3, 4) or 1, rng.randrange(-1, 2)))
             for _ in range(rng.randrange(1, 4))
         })
-        body = alg.detq() * c
-        got = GLElement(alg, body, -1).canonical()
-        assert got.detpow == 0 and got.body == c
-        # x[1,2] added: det_q no longer divides the body
-        body = body + alg.gen(1, 2)
-        got = GLElement(alg, body, -1).canonical()
-        assert got.detpow == -1 and got.body == body
-
-
-def test_gl_division_refuses_an_order_where_detq_does_not_lead():
-    """In this custom order NF(det_q x[2,1]) leads with q^-1, not with the
-    leading coefficient of det_q, so long division cannot run."""
-    from qfun.qmatrix import OrderMismatch
-
-    alg = MatrixAlgebra(1, order=[(1, 2), (1, 1), (2, 1), (2, 2)], domain=RATFUNC)
-    body = alg.detq() * alg.gen(2, 1)
-    with pytest.raises(OrderMismatch):
-        GLElement(alg, body, -1).canonical()
+        body = pi_project(m, gl, m.detq() * c)
+        assert body * t == pi_project(m, gl, c) == t * body
+        # x[1,2] added: det_q no longer divides the body, and a t stays
+        got = (body + gl.gen(1, 2)) * t
+        assert got == pi_project(m, gl, c) + gl.gen(1, 2) * t

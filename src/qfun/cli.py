@@ -34,6 +34,7 @@ from .freealg import NCElement, TermBudgetExceeded, _term_budget
 from .intform import (
     IntContext,
     IntExpr,
+    OutOfForm,
     chigen,
     phigen,
     poisson_cobracket,
@@ -405,8 +406,12 @@ class Context:
                 return num / den
             return self._mul(num, den.inverse())
         if kind == "pow":
-            base = self.eval(node[1])
             k = node[2]
+            if k < 0 and self.name == "GL" and node[1] == ("detq",):
+                # GL's letter det_q^-1, as a GL value prints it
+                base, k = self.alg.det_inverse(), -k
+            else:
+                base = self.eval(node[1])
             _refuse_huge_power(k, base, self.term_budget)
             if isinstance(base, RatFunc):
                 return base ** k
@@ -745,7 +750,7 @@ def run_command(argv):
         return 2, f"error: {exc}"
     except TermBudgetExceeded as exc:
         return 2, f"error: {exc} (raise QFUN_MAX_TERMS to allow more)"
-    except (DivisionByZero, NotDivisible, NotInBorel, OutputTooLarge) as exc:
+    except (DivisionByZero, NotDivisible, NotInBorel, OutOfForm, OutputTooLarge) as exc:
         return 2, f"error: {exc}"
 
 

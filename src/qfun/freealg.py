@@ -10,6 +10,13 @@ Rewriting runs over Z[q,q^-1] whatever the coefficients of the elements:
 every rule, normal form and post-reducer holds LaurentPoly coefficients, and
 an element's coefficients (RatFunc over k(q)) meet them only where a normal
 form is multiplied by them, with the element's coefficient on the left.
+
+Algebras without a rule table, such as U_q(n+-) under the Serre relations,
+are normalized by graded linear algebra (graded_component_basis): one
+multidegree component at a time, the relations that identify two words
+(c*a - c*b, like the far commutations) merge its words into classes, and
+only the other relations' rows are row-reduced over k(q), on one
+representative word per class.
 """
 
 from __future__ import annotations
@@ -461,9 +468,24 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
     """Basis and reduction map for a graded piece of a free algebra mod ideal.
 
     relations: list of {word: RatFunc} dicts, each homogeneous in the letter
-    multidegree.  Spans the two-sided ideal piece by u*rel*v, row reduces over
-    k(q), and returns (all_words, basis_words, proj) where proj maps every
-    word to its expansion {basis_word: coeff} modulo the ideal.
+    multidegree.  Returns (all_words, basis_words, proj), where proj maps
+    every word to its expansion {basis_word: coeff} modulo the ideal: the
+    reduced echelon form over k(q) of the rows u*rel*v (ideal_rows), led by
+    their lex-first words, with the basis words the words that lead no row.
+
+    A relation c*a - c*b of two words is an identification: its rows only
+    identify u*a*v with u*b*v, as the commutations of a partially
+    commutative monoid do (Cartier-Foata, LNM 85, 1969).  So the words are
+    first split into the classes these rows link (union-find), and only the
+    other relations' rows are row-reduced, each word replaced by the
+    representative of its class, its lex-last word.  The basis and proj are
+    those of the full reduction: every other word x of a class leads the row
+    x - rep(x) of the ideal, so x is not a basis word and proj[x] =
+    proj[rep(x)]; and a vector of the ideal led by a representative r maps,
+    word to representative, to a reduced row led by r again, since its
+    words are >= r and r is the only one of them in r's class.  A
+    representative is therefore a basis word exactly when no reduced row
+    leads with it.
     """
     # the multinomial count of the words, checked before enumerating them
     count = factorial(sum(multidegree))
@@ -472,16 +494,69 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
     if count > cap:
         raise DimensionOverflow(f"graded component has {count} words (cap {cap})")
     words = words_of_multidegree(n_letters, multidegree)
-    # the lex-first word of each row leads; proj[w] is w modulo the ideal,
-    # written in the words that lead no pivot row: a basis word is itself,
-    # and a pivot word is minus the tail of its reduced row
-    tails = back_substitute(echelon(ideal_rows(n_letters, relations, multidegree, words)))
-    basis = [w for i, w in enumerate(words) if i not in tails]
-    proj = {}
-    for i, w in enumerate(words):
-        tail = tails.get(i)
-        proj[w] = {w: RATFUNC.one} if tail is None else {words[j]: -c for j, c in tail.items()}
+    word_ix = {w: i for i, w in enumerate(words)}
+    identifications, others = [], []
+    for rel in relations:
+        if len(rel) == 2:
+            c, d = rel.values()
+            if c and not c + d:  # c*a - c*b, c nonzero
+                identifications.append(rel)
+                continue
+        if rel:
+            others.append(rel)
+    # union-find over word positions; a root is linked under the larger
+    # root, so each root is the lex-last word of its class
+    rep = list(range(len(words)))
+
+    def find(i):
+        while rep[i] != i:
+            rep[i] = rep[rep[i]]
+            i = rep[i]
+        return i
+
+    for i, u, v, rel in _occurrences(words, identifications):
+        _, b = rel  # words[i] is u*a*v, a the first word of rel
+        r, s = find(i), find(word_ix[u + b + v])
+        if r != s:
+            rep[min(r, s)] = max(r, s)
+    # a parent's position is above its child's, so a pass from the top
+    # down points every position at its root
+    for i in reversed(range(len(words))):
+        rep[i] = rep[rep[i]]
+    # the other rows over the representatives; equal rows are reduced once
+    rows = {}
+    for _, u, v, rel in _occurrences(words, others):
+        row = accumulate({}, ((rep[word_ix[u + w + v]], c) for w, c in rel.items()))
+        if row:
+            rows.setdefault(frozenset(row.items()), row)
+    # proj[w] is w's representative modulo the reduced rows: a basis
+    # representative is itself, and one that leads a row is minus its tail
+    tails = back_substitute(echelon(rows.values()))
+    basis = [w for i, w in enumerate(words) if rep[i] == i and i not in tails]
+    expansions = {}
+    for r in rep:
+        if r not in expansions:
+            tail = tails.get(r)
+            expansions[r] = ({words[r]: RATFUNC.one} if tail is None
+                             else {words[j]: -c for j, c in tail.items()})
+    proj = {w: dict(expansions[r]) for w, r in zip(words, rep)}
     return words, basis, proj
+
+
+def _occurrences(words, relations):
+    """(i, u, v, rel) for each word words[i] = u*a*v and each relation rel
+    whose first word is a.  When words lists a whole component, these are the
+    (u, v) of the rows u*rel*v of ideal_rows, each once: a homogeneous rel
+    fits between u and v exactly when u*a*v is a word of the component."""
+    by_first = {}
+    for rel in relations:
+        by_first.setdefault(next(iter(rel)), []).append(rel)
+    lengths = sorted({len(a) for a in by_first})
+    for i, w in enumerate(words):
+        for k in lengths:
+            for t in range(len(w) - k + 1):
+                for rel in by_first.get(w[t : t + k], ()):
+                    yield i, w[:t], w[t + k :], rel
 
 
 def ideal_rows(n_letters, relations, multidegree, words):

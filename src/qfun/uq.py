@@ -2,7 +2,9 @@
 
 Elements are sums of terms (F-word, G-exponent vector, E-word) with k(q)
 coefficients.  Straightening moves E past F through the cross relation and
-normalizes each F/E block against the Serre ideal by graded linear algebra.
+normalizes each F/E block against the Serre ideal by graded linear algebra:
+the far commutations merge the words of a multidegree into classes, and only
+the cubic Serre rows are row-reduced over k(q), on those classes.
 Braid operators, the two quantum root vector constructions, the convex
 order on positive roots, the Borel isomorphisms, and the q->1 collapse of
 the composite embedding all live here.
@@ -81,8 +83,9 @@ class UqAlgebra:
 
     def _serre_nf_word(self, word):
         """Expansion of an F/E word in the graded Serre-complement basis; a
-        miss row-reduces the word's whole multidegree component and caches
-        every word of it, up to CACHE_LIMIT entries."""
+        miss builds the word's whole multidegree component (its cubic Serre
+        rows row-reduced over the commutation classes of its words) and
+        caches every word of it, up to CACHE_LIMIT entries."""
         if not word:
             return {(): RF_ONE}
         memo = self._serre_nf

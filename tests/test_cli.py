@@ -187,6 +187,24 @@ def test_gl_scalars_and_nested_calls():
     assert gl("coproduct", "S(x[1,2])") == (0, str(TensorElement(alg, expect)))
 
 
+@pytest.mark.parametrize("n, expr", [(1, "x[1,2]"), (1, "S(x[1,1]) x[2,1]"), (2, "x[1,3] x[2,1]")])
+def test_printed_gl_values_read_back(n, expr):
+    args = ["--n", str(n), "--algebra", "GL"]
+    code, printed = run_command(args + ["antipode", expr])
+    assert code == 0 and "detq^-1" in printed
+    assert run_command(args + ["nf", printed]) == (0, printed)
+
+
+def test_detq_negative_powers_are_gl_letters():
+    def nf(algebra, expr):
+        return run_command(["--n", "1", "--algebra", algebra, "nf", expr])
+
+    assert nf("GL", "detq^-2 detq^2") == nf("GL", "detq detq^-1") == (0, "1")
+    assert nf("GL", "detq^-2") == nf("GL", "detq^-1 detq^-1") == (0, "detq^-1 detq^-1")
+    # det_q has no inverse in the matrix algebra
+    assert nf("M", "detq^-1")[0] == 2
+
+
 @pytest.mark.parametrize(
     "algebra, expr",
     [
@@ -264,6 +282,10 @@ def test_negative_powers_under_delta_and_specialize():
     assert code == 2 and out.startswith("error:")
     assert run_command(["specialize", "(q+1)^-2 r[1,2]"]) == run_command(
         ["specialize", "1/4 r[1,2]"])
+    # a coefficient with a pole at q = 1 has no specialization
+    for algebra in ("SL", "B+"):
+        assert run_command(["specialize", "--algebra", algebra, "(q - 1)^-1"]) == (
+            2, "error: coefficient (1)/(q - 1) has a pole at q=1")
 
 
 @pytest.mark.parametrize(

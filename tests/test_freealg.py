@@ -129,12 +129,12 @@ def test_graded_component_projection_consistency():
         assert all(bw in basis for bw in exp)
 
 
-def _assert_projection_is_reduce_row(n, degree):
-    """proj (back-substituted pivots) equals reduce_row of each word's unit
-    row modulo the echelon pivots of the ideal's rows."""
-    rels = _serre_relations(n)
-    words, basis, proj = graded_component_basis(n, rels, degree)
-    pivots = echelon(ideal_rows(n, rels, degree, words))
+def _assert_projection_is_reduce_row(n_letters, relations, degree):
+    """basis and proj equal what the echelon pivots of every row of
+    ideal_rows give, with no word identified with another: the basis words
+    lead no pivot, and proj[w] is reduce_row of w's unit row."""
+    words, basis, proj = graded_component_basis(n_letters, relations, degree)
+    pivots = echelon(ideal_rows(n_letters, relations, degree, words))
     assert basis == [w for i, w in enumerate(words) if i not in pivots]
     for i, w in enumerate(words):
         assert proj[w] == {words[j]: c for j, c in reduce_row({i: RF_ONE}, pivots).items()}
@@ -144,11 +144,59 @@ def test_graded_component_projection_equals_reduce_row_to_degree_5():
     for n in (1, 2, 3):
         for degree in product(range(6), repeat=n):
             if 1 <= sum(degree) <= 5:
-                _assert_projection_is_reduce_row(n, degree)
+                _assert_projection_is_reduce_row(n, _serre_relations(n), degree)
 
 
 def test_graded_component_projection_equals_reduce_row_at_n5():
-    _assert_projection_is_reduce_row(5, (1, 2, 1, 1, 1))
+    # the three 360-word components of the braid root vector E_(2,6) at n=5
+    for degree in [(1, 2, 1, 1, 1), (1, 1, 2, 1, 1), (1, 1, 1, 2, 1)]:
+        _assert_projection_is_reduce_row(5, _serre_relations(5), degree)
+
+
+_RF_Q = RatFunc.from_laurent(Q)
+# nonzero coefficients, c = +-1 and c != +-1 alike
+_COEFFS = [RF_ONE, -RF_ONE, RF_ONE + _RF_Q, RatFunc.from_laurent(Q * Q - 2),
+           RF_ONE / (RF_ONE + _RF_Q)]
+
+
+@st.composite
+def _relation_sets(draw):
+    """(n_letters, relations, multidegree) on 2-4 letters: identifications
+    c*a - c*b, binomials a - q*b, and trinomials, each homogeneous."""
+    n = draw(st.integers(2, 4))
+    rels = []
+    for kind in draw(st.lists(st.sampled_from(["identify", "q-binomial", "trinomial"]),
+                              min_size=1, max_size=4)):
+        size = 3 if kind == "trinomial" else 2
+        letters = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=3))
+        perms = sorted(set(permutations(letters)))
+        if len(perms) < size:
+            continue
+        a, b, *rest = draw(st.permutations(perms))[:size]
+        if kind == "identify":
+            c = draw(st.sampled_from(_COEFFS))
+            rels.append({a: c, b: -c})
+        elif kind == "q-binomial":
+            rels.append({a: RF_ONE, b: -_RF_Q})
+        else:
+            rels.append({w: draw(st.sampled_from(_COEFFS)) for w in (a, b, *rest)})
+    # at most 6 letters, 180 words
+    degree = tuple(draw(st.lists(st.integers(0, 6 // n), min_size=n, max_size=n)))
+    return n, rels, degree
+
+
+@given(_relation_sets())
+@settings(max_examples=80, deadline=None)
+def test_graded_component_matches_full_echelon_on_mixed_relations(case):
+    _assert_projection_is_reduce_row(*case)
+
+
+def test_a_q_binomial_is_not_an_identification():
+    # x0 x1 = q x1 x0 identifies no words; (q+1)(x0 x1 - x1 x0) = 0 does
+    ab, ba = (0, 1), (1, 0)
+    for rels in ([{ab: RF_ONE, ba: -_RF_Q}], [{ab: RF_ONE + _RF_Q, ba: -RF_ONE - _RF_Q}]):
+        _assert_projection_is_reduce_row(2, rels, (1, 1))
+        _assert_projection_is_reduce_row(2, rels, (2, 1))
 
 
 def test_words_of_multidegree():

@@ -44,7 +44,7 @@ from .intform import (
 )
 from .laurent import POLE_AT_ONE, DivisionByZero, LaurentPoly, NotDivisible, RatFunc
 from .qmatrix import MatrixAlgebra, TensorElement
-from .qsl import BorelAlgebra, GLAlgebra, NotInBorel, SLAlgebra, pi_project
+from .qsl import BorelAlgebra, NotInBorel, SLAlgebra
 from .uq import MuMap, UqAlgebra, UqElement, UqTensor, collapse_at_one, convex_order, root_vector_iterated, root_vector_lusztig, uq_coproduct
 from . import suites
 
@@ -288,10 +288,8 @@ class Context:
             from .laurent import RATFUNC
 
             self.alg = MatrixAlgebra(n, order=order or "lex", domain=RATFUNC)
-        elif algebra == "SL":
+        elif algebra in ("SL", "GL"):
             self.alg = self.ictx.alg
-        elif algebra == "GL":
-            self.alg = GLAlgebra(n)
         elif algebra in ("B+", "B-"):
             self.alg = BorelAlgebra(n, algebra[1])
         elif algebra == "Uq":
@@ -307,9 +305,8 @@ class Context:
 
     @functools.cached_property
     def ictx(self):
-        """The integer-form context whose lifts give r, phi, psi and chi: in
-        SL its algebra is self.alg; in GL it is the matrix algebra, and
-        pi_project carries its lifts into GL.  Built on first use."""
+        """The integer-form context whose lifts give r, phi, psi and chi; in
+        SL and GL its algebra is self.alg.  Built on first use."""
         return IntContext(self.n, gl=self.name == "GL", strategy=self.sl_strategy)
 
     @functools.cached_property
@@ -330,10 +327,7 @@ class Context:
                 return self.alg.gen(*idx)
             if name in ("SL", "GL") and fam in ("r", "phi", "psi", "chi"):
                 g = {"r": rgen, "phi": phigen, "psi": psigen, "chi": chigen}[fam](*idx)
-                lifted = self.ictx.lift_gen(g)
-                if self.ictx.alg is not self.alg:
-                    lifted = pi_project(self.ictx.alg, self.alg, lifted)
-                return lifted
+                return self.ictx.lift_gen(g)
             raise ExprIndexError(f"generator {fam} not available in {name}")
         if name == "Uq":
             if fam == "F":

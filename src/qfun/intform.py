@@ -50,8 +50,8 @@ from .laurent import (
 )
 from .lincomb import (LinComb, accumulate, add_pair_products, apply_pair_map, apply_word_map,
                       concat_product, extend_prefix, format_terms)
-from .qmatrix import MatrixAlgebra, TensorElement, perm_inversions, x_gen
-from .qsl import SLAlgebra
+from .qmatrix import TensorElement, perm_inversions, x_gen
+from .qsl import GLAlgebra, SLAlgebra
 
 
 class OutOfForm(Exception):
@@ -194,8 +194,9 @@ class IntContext:
     """Ambient algebra for one of the integer forms.
 
     gl=False: the SL algebra with the given canonical-form strategy.
-    gl=True: the plain quantum matrix algebra (no determinant relation),
-    the ambient algebra of the GL-localized forms.
+    gl=True: the GL algebra (qsl.GLAlgebra), the ambient algebra of the
+    GL-localized forms; its lifts are matrix words, which GL keeps as they
+    are, and its antipode brings in det_q^-1.
 
     Lifts run over Z[q,q^-1] and divide once, at the boundary.  A generator
     word w lifts to N(w) / ((q-q^-1)^a (q-1)^b), where the numerator N(w)
@@ -213,7 +214,7 @@ class IntContext:
         self.n = n
         self.gl = gl
         if gl:
-            self.alg = MatrixAlgebra(n, order="triangular", domain=RATFUNC)
+            self.alg = GLAlgebra(n, domain=RATFUNC)
         else:
             self.alg = SLAlgebra(n, strategy=strategy, domain=RATFUNC)
         self.spec = self.alg.spec
@@ -300,11 +301,6 @@ class IntContext:
             group = by_den.setdefault(c.den, {}).setdefault((al + ar, bl + br), {})
             add_pair_products(group, ((c.num, nl, nr),), LP_ONE)
         return TensorElement(self.alg, _over_common_denominator(by_den))
-
-    def antipode(self, el):
-        if self.gl:
-            raise OutOfForm("antipode in the GL context needs det_q^{-1}")
-        return self.alg.antipode(el)
 
     # -- classical target ----------------------------------------------------
 
@@ -1212,7 +1208,7 @@ def _hopf_residual(ctx, mode, gen, payload):
         val = ctx.alg.counit(lifted)
         return None if val == RATFUNC.coerce(payload) else str(val)
     elif mode == "antipode":
-        diff = ctx.antipode(lifted) - ctx.lift(payload)
+        diff = ctx.alg.antipode(lifted) - ctx.lift(payload)
         if diff.is_zero() and not payload.all_coeffs_laurent():
             return "non-Laurent re-expansion"
     elif mode == "antipode-psi":
@@ -1315,7 +1311,7 @@ def _s_psi_residual(ctx, i):
     w = s_psi_witness(ctx.n, i)
     if not w.all_coeffs_laurent():
         return "witness has non-Laurent coefficients"
-    lhs = ctx.antipode(ctx.lift_gen(psigen(i))) + ctx.lift_gen(psigen(i))
+    lhs = ctx.alg.antipode(ctx.lift_gen(psigen(i))) + ctx.lift_gen(psigen(i))
     diff = lhs - ctx.lift(w).scale(RF_Q_MINUS_1)
     return None if diff.is_zero() else str(diff)
 

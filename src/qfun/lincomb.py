@@ -9,11 +9,13 @@ sparse row reduction over a field (echelon, reduce_row, back_substitute)
 lives here too.
 
 So do the products and maps built from letters: concat_product multiplies
-word-keyed dicts, apply_word_map extends letter images to words and
+word-keyed dicts, apply_word_map extends letter images to sums of words (the
+one algebra or anti-map of a sum in qfun, taken in Horner form) and
 apply_pair_map extends two key maps to pair keys.  The map helpers call each
 image once per distinct letter or key in one call, so callers keep no memo.
-A map that is memoized across calls extends the longest memoized prefix of
-a word one letter at a time (extend_prefix).
+A map memoized across calls passes apply_word_map its value of one word,
+which extends the longest memoized prefix one letter at a time
+(extend_prefix).
 Pair-keyed (tensor) dicts are summed by two loops: pair_product multiplies
 two of them in one fused loop with one product of keys, and
 add_pair_products sums (c, left, right) triples for the rest.
@@ -192,25 +194,59 @@ def concat_product(a, b):
     return out
 
 
-def apply_word_map(terms, image, one, reverse=False):
-    """sum_w c_w image(w_1) ... image(w_k) over a {word: c_w} dict.
+def apply_word_map(terms, image, one, reverse=False, word_value=None):
+    """sum_w c_w image(w_1) ... image(w_k) over a {word: c_w} dict, or with
+    reverse=True the anti-map's sum of image(w_k) ... image(w_1).  image
+    maps a letter to an element and is called once per distinct letter; one
+    is the unit of the target.
 
-    image maps a letter to an element and is called once per distinct
-    letter; one is the unit of the target, which starts every product.
-    reverse=True multiplies the letters right to left, as an
-    anti-homomorphism does.
+    The sum is taken in Horner form: the words are grouped by the letter
+    multiplied last, and a group of two or more maps the sum of its words'
+    rests first, so they cancel before its one product by that letter's
+    image (none when they cancel to 0).  A word alone in its group takes
+    word_value(w), the caller's memoized term dict of one word, when given,
+    and is multiplied out from one otherwise.  A coefficient that `is` the
+    unit coefficient of one is not multiplied.
     """
-    images = {}
+    unit = next(iter(one.terms.values()))
+    return one._same(_horner(terms, image, {}, one, unit, reverse, word_value))
+
+
+def _horner(terms, image, images, one, unit, reverse, word_value):
+    """The term dict of apply_word_map's sum; images memoizes image by
+    letter for one call."""
     out = {}
+    groups = {}
     for w, c in terms.items():
-        acc = one
-        for letter in reversed(w) if reverse else w:
-            img = images.get(letter)
-            if img is None:
-                img = images[letter] = image(letter)
-            acc = acc * img
-        accumulate(out, acc.terms.items(), c)
-    return one._same(out)
+        if w:
+            groups.setdefault(w[0] if reverse else w[-1], []).append((w, c))
+        else:
+            accumulate(out, one.terms.items(), None if c is unit else c, unit)
+    for letter, group in groups.items():
+        if len(group) == 1:
+            [(w, c)] = group
+            if word_value is None:
+                value = one
+                for p in reversed(w) if reverse else w:
+                    value = value * _letter_image(images, image, p)
+                value = value.terms
+            else:
+                value = word_value(w)
+            accumulate(out, value.items(), None if c is unit else c, unit)
+            continue
+        rest = _horner({w[1:] if reverse else w[:-1]: c for w, c in group}, image, images, one,
+                       unit, reverse, word_value)
+        if rest:
+            product = (one._same(rest) * _letter_image(images, image, letter)).terms
+            out = accumulate(out, product.items()) if out else dict(product)
+    return out
+
+
+def _letter_image(images, image, letter):
+    img = images.get(letter)
+    if img is None:
+        img = images[letter] = image(letter)
+    return img
 
 
 def extend_prefix(memo, word, unit, extend, limit, start=0):

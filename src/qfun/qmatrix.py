@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
 from .freealg import CACHE_LIMIT, AlgebraMismatch, AlgebraSpec, GenSym, NCElement, confluence_check
-from .lincomb import LinComb, accumulate, add_outer, extend_prefix, format_terms, pair_product
+from .lincomb import LinComb, add_outer, apply_word_map, extend_prefix, format_terms, pair_product
 from .laurent import (
     LAURENT,
     LP_ONE,
@@ -122,6 +122,9 @@ def matrix_presentation(n, order="lex", cells=None, name=None, inverse=None):
     inverse: a letter adjoined after the cells as det_q^-1, central (a
     commuting rule with each cell), group-like and of counit 1; the
     relation det_q det_q^-1 = 1 is left to the algebra's post-reducers.
+    With inverse, name names the result only: the letter is adjoined to
+    the unnamed presentation of the cells, which the matrix algebra shares,
+    so no rule table is built twice.
     """
     if cells is not None:
         cells = tuple(sorted(set(cells)))
@@ -131,7 +134,7 @@ def matrix_presentation(n, order="lex", cells=None, name=None, inverse=None):
         if inverse is None:
             pres = _build_presentation(n, order, cells, name)
         else:
-            pres = _adjoin_inverse(matrix_presentation(n, order, cells, name), inverse)
+            pres = _adjoin_inverse(matrix_presentation(n, order, cells), inverse, name)
         if len(_presentations) < CACHE_LIMIT:
             _presentations[key] = pres
     return pres
@@ -186,15 +189,15 @@ def _build_presentation(n, order, cells, name):
                         letter_deltas, units)
 
 
-def _adjoin_inverse(pres, inverse):
+def _adjoin_inverse(pres, inverse, name=None):
     """pres with the letter inverse adjoined last: a commuting rule with
-    each letter, Delta(t) = t (x) t and counit 1."""
-    spec = AlgebraSpec(pres.alphabet + (inverse,), name=pres.name)
+    each letter, Delta(t) = t (x) t and counit 1; named name, or as pres."""
+    spec = AlgebraSpec(pres.alphabet + (inverse,), name=name or pres.name)
     spec.rules.update(pres.rules)
     t = len(pres.alphabet)
     for p in range(t):
         spec.add_rule(t, p, [(LP_ONE, (p, t))])
-    return pres._replace(alphabet=tuple(spec.alphabet), rules=spec.rules,
+    return pres._replace(name=spec.name, alphabet=tuple(spec.alphabet), rules=spec.rules,
                          letter_deltas=pres.letter_deltas + ({((t,), (t,)): LP_ONE},),
                          counit_letters=pres.counit_letters | {t})
 
@@ -287,32 +290,13 @@ class MatrixAlgebra:
     def coproduct(self, a):
         """Delta as an algebra map; both factors are fully reduced here.
 
-        The sum is taken in Horner form, grouped by each word's last letter
-        p: Delta(sum_u c_u u p) = Delta(sum_u c_u u) Delta(p).  A group of
-        two or more words sums its prefixes first, so their cancellation
-        happens before its one tensor product with Delta(p); a group of one
-        word reads the memoized coproduct_word.  Every tensor product
-        reduces both sides to full normal form, so the result is exact.
+        apply_word_map takes the sum in Horner form by last letters, so the
+        words ending in p cancel before one tensor product with Delta(p),
+        and a word alone in its group reads the memoized coproduct_word.
+        No dict of the coproduct memo is mutated or returned.
         """
-        return TensorElement(self, self._coproduct_terms(a.terms))
-
-    def _coproduct_terms(self, terms):
-        """Delta of a {word: c} dict as a new pair-keyed term dict (see
-        coproduct); no dict of the coproduct memo is mutated or returned."""
-        out = {((), ()): terms[()]} if () in terms else {}
-        groups = {}
-        for w, c in terms.items():
-            if w:
-                groups.setdefault(w[-1], []).append((w, c))
-        for p, group in groups.items():
-            if len(group) == 1:
-                [(w, c)] = group
-                accumulate(out, self.coproduct_word(w).items(), None if c is LP_ONE else c, LP_ONE)
-            else:
-                prefix_delta = self._coproduct_terms({w[:-1]: c for w, c in group})
-                product = _tensor_product(self.spec, prefix_delta, self._letter_deltas[p])
-                out = accumulate(out, product.items()) if out else product
-        return out
+        return apply_word_map(a.terms, lambda p: TensorElement(self, self._letter_deltas[p]),
+                              TensorElement(self, {((), ()): LP_ONE}), word_value=self.coproduct_word)
 
     def coproduct_word(self, w):
         """Delta of one word as a reduced pair-keyed term dict over

@@ -150,11 +150,12 @@ class GLAlgebra(MatrixAlgebra):
     The DetReducer with t in its block sets det_q t = 1, so the canonical
     words are the sorted words that do not hold the diagonal and t: every
     word of the matrix algebra, and u t^k (k >= 1) with u free of the
-    diagonal.  The spec keeps the matrix algebra's name, M(n+1)/triangular.
+    diagonal.  The spec is named GL(n+1).
     """
 
     def __init__(self, n, domain=RATFUNC):
-        super().__init__(n, order="triangular", domain=domain, inverse=DET_INVERSE)
+        super().__init__(n, order="triangular", domain=domain, name=f"GL({n + 1})",
+                         inverse=DET_INVERSE)
         (self.reducer,) = self.spec.post_reducers
 
     def _post_reducers(self, spec):
@@ -250,8 +251,7 @@ def pi_project(source, target, a):
 
     As pi: M -> SL this is x_ij -> rho_ij followed by the SL canonical
     reduction; as SL -> B+- it is the Borel quotient: it kills the
-    complementary triangle and reduces in the Borel; as M -> GL it is the
-    inclusion.
+    complementary triangle and reduces in the Borel.
     """
     index, coerce = target.spec.index, target.spec.domain.coerce
     terms = {}

@@ -658,7 +658,7 @@ def graded_dimension_suite():
                     d[t] += 1
                 degs.append(tuple(d))
         for d in sorted(set(degs)):
-            words, basis, proj = graded_component_basis(n, alg.serre_relations, d)
+            words, basis, proj = graded_component_basis(n + 1, alg.serre_relations, (0, *d))
             expect = kostant_count(n, d)
             _result(
                 results,

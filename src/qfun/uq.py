@@ -44,10 +44,11 @@ def qpow(k):
 
 def _serre_relations(n):
     """The quantum Serre relations of sl(n+1) as {word: coeff} dicts, on the
-    0-based letters that graded_component_basis takes."""
+    letters 1..n of the F- and E-words.  graded_component_basis takes them
+    over n + 1 letters, letter 0 of degree 0."""
     rels = []
-    for i in range(n):
-        for j in range(n):
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
             if abs(i - j) > 1:
                 if i < j:
                     rels.append({(i, j): RF_ONE, (j, i): -RF_ONE})
@@ -85,26 +86,22 @@ class UqAlgebra:
         """Expansion of an F/E word in the graded Serre-complement basis; a
         miss builds the word's whole multidegree component (its cubic Serre
         rows row-reduced over the commutation classes of its words) and
-        caches every word of it, up to CACHE_LIMIT entries."""
+        caches the expansion of every word of it, as it comes back, up to
+        CACHE_LIMIT entries."""
         if not word:
             return {(): RF_ONE}
         memo = self._serre_nf
         hit = memo.get(word)
         if hit is not None:
             return hit
-        deg = [0] * self.n
+        deg = [0] * (self.n + 1)
         for letter in word:
-            deg[letter - 1] += 1
-        # letters are 0-based inside graded_component_basis
-        _, _, proj = graded_component_basis(self.n, self.serre_relations, tuple(deg))
+            deg[letter] += 1
+        _, _, proj = graded_component_basis(self.n + 1, self.serre_relations, tuple(deg))
         for w, expansion in proj.items():
-            nf = {tuple(l + 1 for l in bw): c for bw, c in expansion.items()}
-            w = tuple(l + 1 for l in w)
-            if w == word:
-                hit = nf
             if len(memo) < CACHE_LIMIT:
-                memo[w] = nf
-        return hit
+                memo[w] = expansion
+        return proj[word]
 
     def _norm_g(self, g):
         if not self.sl_quotient:
@@ -395,27 +392,30 @@ def corrected_position_formula(n, i, j):
 def braid_T(alg, i, el):
     """Lusztig braid operator on the sl-subalgebra (F's, K's, E's).
 
-    T_i is an algebra map, so T_i(w) = T_i(w[:-1]) T_i(w[-1]) on the letter
-    word w of a term, and alg memoizes T_i of every prefix (extend_prefix).
+    T_i is an algebra map, applied to the letter words of el's terms by
+    apply_word_map: T_i(w) = T_i(w[:-1]) T_i(w[-1]), in Horner form by last
+    letters.  alg memoizes T_i of every prefix of a word it maps alone
+    (extend_prefix), and T_i of a letter as its one-letter prefix.
     """
     if not el.in_sl_form():
         raise NotInSlForm("element has G-exponents outside the root lattice")
     memo = alg._braid_memo
 
-    def extend(acc, letter):
-        # T_i of a letter is T_i of the one-letter word, memoized at (i, letter)
+    def image(letter):
         img = memo.get((i, letter))
         if img is None:
             img = _braid_image(alg, i, letter)
             if len(memo) < CACHE_LIMIT:
                 memo[(i, letter)] = img
-        return img if acc is None else acc * img
+        return img
 
-    out = {}
-    for w, c in _letter_words(el).items():
-        image = extend_prefix(memo, (i,) + w, None, extend, CACHE_LIMIT, start=1)
-        accumulate(out, image.terms.items(), c)
-    return UqElement(alg, out)
+    def extend(acc, letter):
+        return image(letter) if acc is None else acc * image(letter)
+
+    def word_value(w):
+        return extend_prefix(memo, (i,) + w, None, extend, CACHE_LIMIT, start=1).terms
+
+    return apply_word_map(_letter_words(el), image, alg.one(), word_value=word_value)
 
 
 def _braid_image(alg, i, letter):

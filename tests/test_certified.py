@@ -222,7 +222,7 @@ def test_an_integer_form_context_runs_one_confluence_check(monkeypatch):
     monkeypatch.setattr(qmatrix, "confluence_check", counting)
     IntContext(2)
     IntContext(2, gl=True)
-    assert checked == ["SL(3)/diagonal74", "M(3)/triangular"]
+    assert checked == ["SL(3)/diagonal74", "GL(3)"]
 
 
 @pytest.mark.parametrize("gl", [False, True])

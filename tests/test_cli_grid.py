@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # SHA-256 of `python scripts/cli_grid.py -o grid.json`: 3 508 records, 2 012
 # exit 0, 1 496 exit 2 and none raising; the same under every PYTHONHASHSEED
-GRID_SHA256 = "af13834575f61d1f7e58018ec36430455954718d283f026d78c6544335f8a11f"
+GRID_SHA256 = "c57200954d0125c3770d6fd51e6e8d39df9d85a26263e809a0c5e62f031c8c12"
 
 
 def test_cli_grid_digest_is_pinned(tmp_path):

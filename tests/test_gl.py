@@ -5,8 +5,9 @@ from math import comb
 
 import pytest
 
-from qfun.freealg import NCElement
-from qfun.laurent import RATFUNC, RF_ONE, LaurentPoly
+from qfun.freealg import AlgebraMismatch, NCElement
+from qfun.intform import IntContext, chigen, phigen, psigen, rgen
+from qfun.laurent import Q_MINUS_1, Q_MINUS_QINV, RATFUNC, RF_ONE, LaurentPoly, RatFunc
 from qfun.lincomb import add_outer
 from qfun.qmatrix import MatrixAlgebra, TensorElement
 from qfun.qsl import DET_INVERSE, GLAlgebra
@@ -133,3 +134,47 @@ def test_gl_basis_counts_are_the_words_not_divisible_by_the_diagonal_and_t(n, ma
     L = (n + 1) ** 2 + 1
     for D in range(max_degree + 1):
         assert len(gl.pbw_basis(D)) == comb(D + L, L) - comb(D - (n + 2) + L, L)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gl_integer_form_context_lifts_into_gl(n):
+    """IntContext(n, gl=True) lifts into GLAlgebra: r_ij = x_ij/(q - q^-1)
+    (i != j), r_ii = x_ii, phi_i = (x_ii - x_{i+1,i+1})/(q - 1),
+    psi_i = (x_11...x_ii - 1)/(q - 1) and chi_i = (x_ii - 1)/(q - 1), written
+    out in a GL(n+1) of its own; and the lifts have GL's antipode."""
+    ctx = IntContext(n, gl=True)
+    assert isinstance(ctx.alg, GLAlgebra)
+    gl, _ = _algebras(n)
+    x, one = gl.gen, gl.one()
+    by_q_minus_1 = RatFunc(1, Q_MINUS_1)
+    idx = range(1, n + 2)
+    formulas = {rgen(i, i): x(i, i) for i in idx}
+    for i in idx:
+        for j in idx:
+            if i != j:
+                formulas[rgen(i, j)] = x(i, j).scale(RatFunc(1, Q_MINUS_QINV))
+        formulas[chigen(i)] = (x(i, i) - one).scale(by_q_minus_1)
+        diagonal = one
+        for s in range(1, i + 1):
+            diagonal = diagonal * x(s, s)
+        formulas[psigen(i)] = (diagonal - one).scale(by_q_minus_1)
+    for i in range(1, n + 1):
+        formulas[phigen(i)] = (x(i, i) - x(i + 1, i + 1)).scale(by_q_minus_1)
+    for g, formula in formulas.items():
+        lifted = ctx.lift_gen(g)
+        assert lifted.terms == formula.terms, str(g)
+        assert ctx.alg.antipode(lifted).terms == gl.antipode(formula).terms, str(g)
+
+
+def test_gl_spec_is_named_gl():
+    """GL(n+1) and the matrix algebra it extends have two names, and GL's
+    letter is adjoined to the unnamed presentation of the cells: no
+    presentation of the cells is built under GL's name."""
+    from qfun import qmatrix
+
+    gl, m = GLAlgebra(1), MatrixAlgebra(1, order="triangular", domain=RATFUNC)
+    assert gl.spec.name == "GL(2)" and m.spec.name == "M(2)/triangular"
+    with pytest.raises(AlgebraMismatch, match=r"^'GL\(2\)' vs 'M\(2\)/triangular'$"):
+        gl.gen(1, 2) + m.gen(1, 2)
+    keys = {k[3:] for k in qmatrix._presentations if k[:3] == (1, "triangular", None)}
+    assert {(None, None), ("GL(2)", DET_INVERSE)} <= keys and ("GL(2)", None) not in keys

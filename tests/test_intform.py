@@ -101,7 +101,7 @@ def test_s_psi_witness_is_integral(ctx1, ctx2):
         for i in range(1, n + 2):
             w = s_psi_witness(n, i)
             assert w.all_coeffs_laurent()
-            lhs = ctx.antipode(ctx.lift_gen(psigen(i))) + ctx.lift_gen(psigen(i))
+            lhs = ctx.alg.antipode(ctx.lift_gen(psigen(i))) + ctx.lift_gen(psigen(i))
             rhs = ctx.lift(w).scale(RatFunc.from_laurent(Q_MINUS_1))
             assert (lhs - rhs).is_zero()
 

@@ -215,6 +215,92 @@ def test_apply_word_map_calls_image_once_per_letter(terms, reverse):
     assert got.terms == ref
 
 
+class Monomials(Vec):
+    """Vec with the commutative product: a key is a sorted word.  Its
+    images of distinct words can cancel, unlike those of the free product."""
+
+    __slots__ = ()
+    products = None  # a list records (left terms, right terms) of each product
+
+    def _same(self, terms):
+        return Monomials(terms)
+
+    def __mul__(self, other):
+        if Monomials.products is not None:
+            Monomials.products.append((self.terms, other.terms))
+        out = {}
+        for w1, c1 in self.terms.items():
+            accumulate(out, ((tuple(sorted(w1 + w2)), c1 * c2) for w2, c2 in other.terms.items()))
+        return Monomials(out)
+
+
+def monomial_image(letter):
+    """x_l + (l - 1) x_(l+1): images of distinct words collide."""
+    return Monomials(accumulate({}, [((letter,), 1), ((letter + 1,), letter - 1)]))
+
+
+def fold(terms, image, one, reverse):
+    """The oracle: sum_w c_w image(w_1)...image(w_k), word by word."""
+    out = {}
+    for w, c in terms.items():
+        acc = one
+        for letter in reversed(w) if reverse else w:
+            acc = acc * image(letter)
+        accumulate(out, acc.terms.items(), c)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(word_terms, st.booleans(), st.booleans(), st.sampled_from(["free", "commutative"]))
+@example({(0, 1, 2): 1, (1, 0, 2): -1, (2, 0, 1): 1, (2, 1, 0): -1}, False, True, "commutative")
+def test_apply_word_map_equals_the_per_word_fold(terms, reverse, memoized, product):
+    """Horner form against the fold, forward and reversed, with the caller's
+    value of one word and without it."""
+    image, one = ((letter_image, Words({(): 1})) if product == "free"
+                  else (monomial_image, Monomials({(): 1})))
+    values = []
+
+    def word_value(w):
+        values.append(w)
+        return fold({w: 1}, image, one, reverse)
+
+    got = apply_word_map(terms, image, one, reverse=reverse,
+                         word_value=word_value if memoized else None)
+    assert got.terms == fold(terms, image, one, reverse)
+    # word_value sees only a word of terms or the rest of one: a nonempty
+    # prefix, or a nonempty suffix when reversed
+    rests = {w[t:] if reverse else w[:len(w) - t] for w in terms for t in range(len(w))}
+    assert set(values) <= rests
+    if memoized:
+        # a word alone in its group takes word_value, not a product of images
+        last = [w[0] if reverse else w[-1] for w in terms if w]
+        assert {w for w in terms if w and last.count(w[0] if reverse else w[-1]) == 1} <= set(values)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_group_whose_rests_cancel_makes_no_product_with_its_image(reverse):
+    """x0 x1 x2 - x1 x0 x2: the rests of the group of letter 2 cancel in the
+    commutative target, so image(2) is neither built nor multiplied."""
+    terms = {(0, 1, 2): 1, (1, 0, 2): -1, (3, 3): 2}
+    if reverse:
+        terms = {w[::-1]: c for w, c in terms.items()}
+    calls = []
+
+    def image(letter):
+        calls.append(letter)
+        return monomial_image(letter)
+
+    products = Monomials.products = []
+    try:
+        got = apply_word_map(terms, image, Monomials({(): 1}), reverse=reverse)
+    finally:
+        Monomials.products = None
+    assert got.terms == fold(terms, monomial_image, Monomials({(): 1}), reverse)
+    assert got.terms == (monomial_image(3) * monomial_image(3)).scale(2).terms
+    assert 2 not in calls
+    assert all(right != monomial_image(2).terms for _, right in products)
+
+
 side_images = st.dictionaries(
     st.integers(min_value=0, max_value=3),
     st.dictionaries(st.integers(min_value=0, max_value=2), ints.filter(bool), max_size=3),

@@ -9,6 +9,9 @@ The grid:
     text/json, over EXPRS (generators of every family, k(q) scalars and
     nested calls; many exit 2 in some algebra, which is recorded too);
   - rootvec (both methods), mu, cobracket and specialize up to n = 3;
+  - the classical paths: U(h) cobracket values of composite root vectors
+    (the adjoint action) at n = 2, 3, a U(h) product that reorders with a
+    fractional coefficient, and a GL specialization at n = 3;
   - the queries corpus of perfbench/workloads.py for seeds 1-3, text and
     json, and its known-defect corpus.
 
@@ -70,6 +73,13 @@ def grid():
             for expr in ("r[2,1]", "phi[1] r[1,2]", "r[1,2] r[2,1] - q^2 r[2,1] r[1,2]",
                          "(q+1)^-2 r[1,2]", "chi[1] + psi[1]", "r[1,2]^-1"):
                 yield ["specialize", *A, expr]
+    for n in (2, 3):
+        for expr in ("delta(e[1,3])", "delta(f[3,1])"):
+            yield ["nf", "--n", str(n), "--algebra", "Uh", expr]
+    for fmt in ("text", "json"):
+        yield ["nf", "--n", "2", "--algebra", "Uh", "--format", fmt,
+               "1/2 e[2,3] e[1,2] h[2] f[3,1] c - 3/4 e[1,3] h[1] f[3,2]"]
+    yield ["specialize", "--n", "3", "--algebra", "GL", "chi[1] psi[2]"]
     from workloads import KNOWN_DEFECT_CORPUS, WORKLOADS
 
     for seed in (1, 2, 3):

@@ -1,11 +1,15 @@
 """The classical targets: the dual Lie bialgebra of sl(n+1), its central
-extension, and their enveloping algebras with PBW straightening.
+extension, and their enveloping algebras in PBW normal form.
 
 The Lie algebra h has commuting upper and lower triangular copies (root
 vectors e_{ij} for i<j and f_{ji} for i<j), with the Cartan elements h_i
 acting on both copies through the positive root, with the same sign.
 Structure constants come from the matrix model; Jacobi is checked at
 construction.
+
+U(h) is a freealg rule table, x_a x_b -> x_b x_a + [x_a, x_b] for a > b; by
+Bergman's diamond lemma (Adv. Math. 29, 1978) it is confluent exactly when
+Jacobi holds, so confluence_check certifies the PBW basis.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import certified
+from .freealg import AlgebraMismatch, AlgebraSpec, certified, confluence_check
+from .laurent import LP_ONE
 from .lincomb import LinComb, accumulate, add_outer, concat_product, format_terms
 
 
@@ -53,17 +58,21 @@ C_SYM = BasisSym("c", ())
 
 class LieStructure:
     """Finite-dimensional Lie algebra by structure constants on an ordered
-    basis; elements of U are straightened against the basis order."""
+    basis.  self.spec is U(h): its rules are built and checked once per
+    (basis, brackets) in a process (certified), and copied into each
+    structure's own spec, whose normal-form memo starts cold."""
 
     def __init__(self, basis, brackets, name=""):
-        self.basis = list(basis)
+        self.spec = AlgebraSpec(basis, name=name)
+        self.basis = self.spec.alphabet
         self.name = name
-        self.index = {s: i for i, s in enumerate(self.basis)}
+        self.index = self.spec.index
         self.dim = len(self.basis)
         # brackets given on index pairs (a, b) with a > b (descending);
         # values are {index: Fraction}
         self.brackets = brackets
-        self._check_jacobi()
+        key = tuple(sorted((ab, tuple(sorted(v.items()))) for ab, v in brackets.items()))
+        self.spec.rules.update(certified(("U(h)", tuple(self.basis), key), self._rule_table))
 
     def bracket(self, a, b):
         """[x_a, x_b] as {index: Fraction} for any index pair."""
@@ -74,11 +83,20 @@ class LieStructure:
         neg = self.brackets.get((b, a), {})
         return {k: -v for k, v in neg.items()}
 
-    def _check_jacobi(self):
-        """Raise JacobiFailure unless the brackets satisfy Jacobi; the check
-        runs once per (basis, brackets) in a process (certified)."""
-        brackets = tuple(sorted((ab, tuple(sorted(v.items()))) for ab, v in self.brackets.items()))
-        certified(("jacobi", tuple(self.basis), brackets), self._jacobi_holds)
+    def _rule_table(self):
+        """The rules x_a x_b -> x_b x_a + [x_a, x_b] (a > b) of U(h); raise
+        JacobiFailure unless Jacobi holds and the rules are confluent."""
+        self._jacobi_holds()
+        spec = AlgebraSpec(self.basis, name=self.name)
+        for a in range(self.dim):
+            for b in range(a):
+                rhs = [(Fraction(c), (k,)) for k, c in self.bracket(a, b).items()]
+                if any(c.denominator != 1 for c, _ in rhs):
+                    raise ValueError(f"[{self.basis[a]}, {self.basis[b]}] is not integral")
+                spec.add_rule(a, b, [(1, (b, a))] + [(c.numerator, w) for c, w in rhs])
+        if not confluence_check(spec)["ok"]:
+            raise JacobiFailure(f"the U(h) rules of {self.name!r} are not confluent")
+        return spec.rules
 
     def _jacobi_holds(self):
         for a in range(self.dim):
@@ -93,31 +111,13 @@ class LieStructure:
                             f"Jacobi fails on ({self.basis[a]}, {self.basis[b]}, "
                             f"{self.basis[c]})"
                         )
-        return True
-
-    def word_str(self, word):
-        return " ".join(str(self.basis[i]) for i in word) if word else "1"
-
-    # -- U(h) straightening ---------------------------------------------------
 
     def ue_normal_form(self, terms):
-        """PBW normal form of {word: Fraction} with words = index tuples."""
-        normal = []
-        stack = list(terms.items())
-        while stack:
-            w, c = stack.pop()
-            if not c:
-                continue
-            for t in range(len(w) - 1):
-                if w[t] > w[t + 1]:
-                    pre, a, b, suf = w[:t], w[t], w[t + 1], w[t + 2 :]
-                    stack.append((pre + (b, a) + suf, c))
-                    for k, v in self.bracket(a, b).items():
-                        stack.append((pre + (k,) + suf, c * v))
-                    break
-            else:
-                normal.append((w, c))
-        return accumulate({}, normal)
+        """PBW normal form of {word: Fraction} with words = index tuples; the
+        rules' coefficients, so the normal forms', are integer constants."""
+        nf = self.spec.normal_form_word
+        return accumulate({}, ((rw, c if rc is LP_ONE else c * rc.terms[0])
+                               for w, c in terms.items() if c for rw, rc in nf(w).items()))
 
     def adjoint_matrix(self, idx):
         """ad(x_idx) as a dense matrix of Fractions (column-action)."""
@@ -126,6 +126,12 @@ class LieStructure:
             for k, v in self.bracket(idx, b).items():
                 m[k][b] += v
         return m
+
+
+def _check_lie(a, b):
+    """Refuse operands over two Lie structures."""
+    if a.lie is not b.lie:
+        raise AlgebraMismatch(f"{a.lie.name!r} vs {b.lie.name!r}")
 
 
 class PBWElement(LinComb):
@@ -144,6 +150,8 @@ class PBWElement(LinComb):
     def _coerce(self, c):
         return Fraction(c)
 
+    _check = _check_lie
+
     @staticmethod
     def zero(lie):
         return PBWElement(lie, {}, reduce=False)
@@ -161,6 +169,7 @@ class PBWElement(LinComb):
             return self.scale(other)
         if not isinstance(other, PBWElement):
             return NotImplemented
+        self._check(other)
         return PBWElement(self.lie, concat_product(self.terms, other.terms))
 
     def __rmul__(self, other):
@@ -168,7 +177,7 @@ class PBWElement(LinComb):
 
     def __str__(self):
         return format_terms(
-            self.terms, lambda w: (len(w), w), self.lie.word_str, coeff=str, style="signed"
+            self.terms, lambda w: (len(w), w), self.lie.spec.word_str, coeff=str, style="signed"
         )
 
     __repr__ = __str__
@@ -231,7 +240,6 @@ def build_h(n, central=False):
     es.sort(key=lambda s: s.indices)
     hs = [h_sym(i) for i in range(1, n + 1)]
     basis = fs + hs + ([C_SYM] if central else []) + es
-    lie = object.__new__(LieStructure)
     index = {s: i for i, s in enumerate(basis)}
 
     # matrix-model coefficients: e_{ij} <-> (-1)^{j-i-1} M_{ij} and the same
@@ -243,16 +251,12 @@ def build_h(n, central=False):
     brackets = {}
 
     def put(a, b, val):
-        # store on descending index pairs
+        # store [a, b] = val (a != b) on the descending index pair
         ia, ib = index[a], index[b]
-        entry = val
-        if ia == ib:
-            return
         if ia < ib:
-            ia, ib = ib, ia
-            entry = {k: -v for k, v in val.items()}
-        if entry:
-            brackets[(ia, ib)] = entry
+            ia, ib, val = ib, ia, {k: -v for k, v in val.items()}
+        if val:
+            brackets[(ia, ib)] = val
 
     # within the e-copy and within the f-copy: matrix model
     for fam, syms in (("e", es), ("f", fs)):
@@ -260,12 +264,8 @@ def build_h(n, central=False):
             for s2 in syms:
                 if index[s1] <= index[s2]:
                     continue
-                m1 = s1.indices
-                m2 = s2.indices
-                raw = _matrix_unit_bracket(m1, m2)
                 out = {}
-                for unit, coeff in raw.items():
-                    a, b = unit
+                for (a, b), coeff in _matrix_unit_bracket(s1.indices, s2.indices).items():
                     if a == b:
                         # diagonal matrix produced: happens only for opposite
                         # cells, which cannot occur within one triangle
@@ -285,13 +285,7 @@ def build_h(n, central=False):
                 if val:
                     put(h_sym(k), s, {index[s]: Fraction(val)})
 
-    lie.basis = basis
-    lie.name = f"h'({n})" if central else f"h({n})"
-    lie.index = index
-    lie.dim = len(basis)
-    lie.brackets = brackets
-    lie._check_jacobi()
-    return lie
+    return LieStructure(basis, brackets, f"h'({n})" if central else f"h({n})")
 
 
 def build_h_prime(n):
@@ -322,6 +316,8 @@ class ClassicalTensor(LinComb):
     def _coerce(self, c):
         return Fraction(c)
 
+    _check = _check_lie
+
     def _unit_key(self):
         return None
 
@@ -338,26 +334,22 @@ class ClassicalTensor(LinComb):
         )
 
     def act(self, sym):
-        """Adjoint action of a basis symbol on the tensor square."""
+        """Adjoint action of a basis symbol x on the tensor square: each
+        factor w goes to [x, w] = NF(x w) - NF(w x)."""
         lie = self.lie
-        idx = lie.index[sym]
+        x = (lie.index[sym],)
         out = {}
         for (w1, w2), c in self.terms.items():
-            for side in (0, 1):
-                w = (w1, w2)[side]
-                # ad on a PBW word: derivation
-                for t in range(len(w)):
-                    for k, v in lie.bracket(idx, w[t]).items():
-                        nw = w[:t] + (k,) + w[t + 1 :]
-                        red = lie.ue_normal_form({nw: c * v})
-                        accumulate(
-                            out,
-                            (((rw, w2) if side == 0 else (w1, rw), rc) for rw, rc in red.items()),
-                        )
+            for side, w in enumerate((w1, w2)):
+                # x w and w x are one word when w is a power of x: sum them
+                red = lie.ue_normal_form({x + w: c})
+                accumulate(red, lie.ue_normal_form({w + x: -c}).items())
+                accumulate(out, (((rw, w2) if side == 0 else (w1, rw), rc)
+                                 for rw, rc in red.items()))
         return ClassicalTensor(lie, out)
 
     def __str__(self):
-        word_str = self.lie.word_str
+        word_str = self.lie.spec.word_str
         return format_terms(
             self.terms, None, lambda k: f"{word_str(k[0])} (x) {word_str(k[1])}",
             coeff=str, style="full",

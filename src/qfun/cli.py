@@ -256,14 +256,11 @@ def _refuse_huge_power(k, base, budget):
     of its q-exponents, which its powers multiply the same way; an element of
     degree 0 counts as degree 1, as the loop still multiplies k times.  A
     scalar +-q^e is exempt from the first check, as it stays one term with
-    coefficient +-1 under every power, and tensors from the second (a tensor
-    power refuses at its first multiplication)."""
+    coefficient +-1 under every power."""
     scalar = isinstance(base, RatFunc)
     unit = scalar and base.is_laurent() and list(base.num.terms.values()) in ([1], [-1])
     if abs(k) > budget and not unit:
         raise TermBudgetExceeded(f"exponent {k} exceeds the term budget {budget}")
-    if isinstance(base, TENSORS):
-        return
     if scalar:
         degree = max(p.max_exp() - p.min_exp() for p in (base.num, base.den))
     elif isinstance(base, UqElement):
@@ -406,6 +403,8 @@ class Context:
                 base, k = self.alg.det_inverse(), -k
             else:
                 base = self.eval(node[1])
+            if isinstance(base, TENSORS):
+                raise ExprIndexError("a coproduct or cobracket value has no powers")
             _refuse_huge_power(k, base, self.term_budget)
             if isinstance(base, RatFunc):
                 return base ** k

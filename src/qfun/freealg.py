@@ -1,7 +1,9 @@
 """Free associative algebra over Z[q,q^-1] or k(q) with quadratic rewriting.
 
-Words are tuples of alphabet positions; the generator order is the order of
-the alphabet list.  Rules rewrite descending adjacent pairs and must carry a
+Rule tables normalize the quantum matrix algebras (M, SL, GL, the Borels)
+and, at q = 1, the enveloping algebra U(h) (classical.LieStructure).  Words
+are tuples of alphabet positions; the generator order is the order of the
+alphabet list.  Rules rewrite descending adjacent pairs and must carry a
 degree-lexicographic termination witness.  Non-quadratic reductions (quantum
 determinant substitution, Borel diagonal products) plug in as post-reducers,
 held to the same witness: each replacement goes down in deg-lex.

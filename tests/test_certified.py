@@ -90,7 +90,8 @@ def test_corrupted_brackets_raise_on_every_build(monkeypatch):
         with pytest.raises(JacobiFailure):
             LieStructure(lie.basis, bad)
     LieStructure(lie.basis, lie.brackets)
-    assert len(freealg._certificates) == 1
+    # the U(h) rule table, held once Jacobi holds, and its confluence report
+    assert len(freealg._certificates) == 2
 
 
 def test_a_wrong_theta_image_raises_on_every_build(monkeypatch):
@@ -127,7 +128,7 @@ def test_cache_limit_zero_keeps_nothing_and_changes_nothing(runs, monkeypatch):
         build_h(2)
         # every build and every call checks again
         assert sorted(runs) == sorted(["SL(2)/diagonal74"] * 3 + ["SL(3)/diagonal74"] * 2
-                                      + ["B+(2)", "B-(2)"])
+                                      + ["B+(2)", "B-(2)", "h(2)"])
     assert freealg._certificates == {}
 
 

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qfun.classical import (
     C_SYM,
     ClassicalTensor,
+    LieStructure,
     PBWElement,
     build_h,
     build_h_prime,
@@ -14,6 +19,8 @@ from qfun.classical import (
     reference_cobracket,
     simple_generators,
 )
+from qfun.freealg import AlgebraMismatch, confluence_check
+from qfun.lincomb import accumulate
 
 
 def test_n1_structure():
@@ -183,3 +190,110 @@ def test_rescaling_invariance_of_cobracket():
         scaled = rescale(d)
         base = scale.get(sym, Fraction(1))
         assert (scaled - d.scale(base)).is_zero()
+
+
+# -- differential oracles: straightening by hand, the adjoint action as a
+# derivation -------------------------------------------------------------------
+
+
+def stack_straighten(lie, terms):
+    """PBW normal form of {word: Fraction} by swapping the first descending
+    pair and adding its bracket, until no word has one."""
+    normal = []
+    stack = list(terms.items())
+    while stack:
+        w, c = stack.pop()
+        if not c:
+            continue
+        for t in range(len(w) - 1):
+            if w[t] > w[t + 1]:
+                pre, a, b, suf = w[:t], w[t], w[t + 1], w[t + 2 :]
+                stack.append((pre + (b, a) + suf, c))
+                for k, v in lie.bracket(a, b).items():
+                    stack.append((pre + (k,) + suf, c * v))
+                break
+        else:
+            normal.append((w, c))
+    return accumulate({}, normal)
+
+
+def derivation_act(t, sym):
+    """ad(x) on a tensor of PBW words: on each factor, the sum over its
+    letters of the word with that letter replaced by its bracket with x."""
+    lie = t.lie
+    idx = lie.index[sym]
+    out = {}
+    for (w1, w2), c in t.terms.items():
+        for side, w in enumerate((w1, w2)):
+            for i in range(len(w)):
+                for k, v in lie.bracket(idx, w[i]).items():
+                    red = stack_straighten(lie, {w[:i] + (k,) + w[i + 1 :]: c * v})
+                    accumulate(out, (((rw, w2) if side == 0 else (w1, rw), rc)
+                                     for rw, rc in red.items()))
+    return out
+
+
+LIES = [build(n) for build in (build_h, build_h_prime) for n in (1, 2, 3)]
+fractions = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 7))
+
+
+@st.composite
+def lie_and_terms(draw):
+    lie = draw(st.sampled_from(LIES))
+    words = st.lists(st.integers(0, lie.dim - 1), max_size=5).map(tuple)
+    return lie, draw(st.dictionaries(words, fractions.filter(lambda c: c.denominator > 1),
+                                     min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lie_and_terms())
+def test_rule_table_normal_form_matches_stack_straightening(lie_terms):
+    lie, terms = lie_terms
+    assert lie.ue_normal_form(terms) == stack_straighten(lie, terms)
+
+
+@pytest.mark.parametrize("lie", LIES, ids=lambda lie: lie.name)
+def test_commutator_action_matches_derivation(lie):
+    n = sum(s.family == "h" for s in lie.basis)
+    rng = random.Random(lie.name)
+    for sym in lie.basis:
+        d = reference_cobracket(lie, sym, n)
+        # words that are powers of x: x w and w x are then one word
+        x = lie.index[sym]
+        y = rng.randrange(lie.dim)
+        powers = ClassicalTensor(lie, {((x,) * k, (y,) * (3 - k)): Fraction(k + 1, 3)
+                                       for k in range(4)})
+        for t in (d, powers, d + powers):
+            for g in lie.basis:
+                assert t.act(g).terms == derivation_act(t, g), (lie.name, sym, g)
+
+
+def test_each_structure_gets_its_own_confluent_rule_table():
+    a, b = build_h_prime(2), build_h_prime(2)
+    assert a.spec is not b.spec and a.spec.rules is not b.spec.rules
+    assert a.spec.rules == b.spec.rules
+    assert not a.spec.rules_total_on_descending_pairs()
+    assert confluence_check(a.spec)["ok"]
+
+
+def test_non_integer_structure_constants_are_refused():
+    lie = build_h(1)
+    # a quarter of every bracket still satisfies Jacobi; [h, e] = 2e becomes e/2
+    quarter = {ab: {k: v / 4 for k, v in val.items()} for ab, val in lie.brackets.items()}
+    with pytest.raises(ValueError, match="not integral"):
+        LieStructure(lie.basis, quarter)
+
+
+def test_operands_from_another_lie_structure_are_refused():
+    h, hp = build_h(1), build_h_prime(1)
+    f = PBWElement.gen(h, f_sym(2, 1))
+    c = PBWElement.gen(hp, C_SYM)
+    e, e_prime = PBWElement.gen(h, e_sym(1, 2)), PBWElement.gen(hp, e_sym(1, 2))
+    for op in (lambda: f * c, lambda: e + e_prime, lambda: e - e_prime, lambda: e == e_prime):
+        with pytest.raises(AlgebraMismatch):
+            op()
+    t = reference_cobracket(h, h_sym(1), 1)
+    t_prime = reference_cobracket(hp, h_sym(1), 1)
+    with pytest.raises(AlgebraMismatch):
+        t + t_prime
+    assert f * PBWElement.gen(h, e_sym(1, 2)) == PBWElement(h, {(0, 2): Fraction(1)})

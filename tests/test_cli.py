@@ -212,6 +212,10 @@ def test_detq_negative_powers_are_gl_letters():
         ("SL", "Delta(x[1,2]) x[1,1]"),
         ("GL", "Delta(x[1,2]) + 1"),
         ("B+", "Delta(x[1,2])^2"),
+        ("SL", "Delta(x[1,2])^0"),
+        ("M", "Delta(x[1,2])^0"),
+        ("Uq", "Delta(E[1])^0"),
+        ("Uh", "delta(h[1])^0"),
         ("Uq", "Delta(E[1]) E[1]"),
         ("SL", "delta(r[1,2]) + r[1,1]"),
         ("SL", "S(delta(r[1,2]))"),

@@ -18,7 +18,6 @@ extension.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -400,70 +399,47 @@ def specialize_phi(expr, lie, n, gl=False):
 # -- lattice expansion --------------------------------------------------------------
 
 
-def expand_lattice_word(ctx, word, scaling="r"):
-    """Expand an (already canonical) word over the lattice monomials.
+def _lattice_image(ctx, scaling):
+    """The letter image of the lattice substitution: x_ij (i != j) maps to
+    (q-q^-1) r_ij under scaling "r" or to r_ij under "rho", and x_ii to
+    1 + (q-1) chi_i.  A letter that is not a matrix entry (GL's det_q^-1)
+    raises OutOfForm."""
+    alphabet = ctx.spec.alphabet
+    off = RF_Q_MINUS_QINV if scaling == "r" else RF_ONE
 
-    Returns {(lower_cells, chi_exponents, upper_cells): RatFunc}.  Diagonal
-    letters are converted through rho_ii = 1 + (q-1) chi_i; off-diagonal
-    letters stay as matrix entries ("rho") or are rescaled to the r
-    normalization ("r").
-    """
-    n = ctx.n
-    lower, diag, upper = [], [0] * (n + 1), []
-    for p in word:
-        i, j = ctx.alg.cell_of(p)
-        if i > j:
-            lower.append((i, j))
-        elif i < j:
-            upper.append((i, j))
-        else:
-            diag[i - 1] += 1
-    base = RF_ONE
-    if scaling == "r":
-        d = len(lower) + len(upper)
-        if d:
-            base = RF_Q_MINUS_QINV ** d
-    leaves = []
-    stack = [(0, [], base)]
-    while stack:
-        pos, kexps, coeff = stack.pop()
-        if pos == n + 1:
-            leaves.append(((tuple(lower), tuple(kexps), tuple(upper)), coeff))
-            continue
-        N = diag[pos]
-        for K in range(N + 1):
-            c = coeff * math.comb(N, K)
-            if K:
-                c = c * (RF_Q_MINUS_1 ** K)
-            stack.append((pos + 1, kexps + [K], c))
-    return accumulate({}, leaves)
+    def image(p):
+        g = alphabet[p]
+        if g.family != "x":
+            raise OutOfForm(f"{g} has no image in the r/chi lattice")
+        i, j = g.indices
+        if i != j:
+            return IntExpr({(rgen(i, j),): off})
+        return IntExpr({(): RF_ONE, (chigen(i),): RF_Q_MINUS_1})
+
+    return image
 
 
 def expand_lattice(ctx, el, scaling="r"):
-    out = {}
-    for w, c in el.terms.items():
-        accumulate(out, expand_lattice_word(ctx, w, scaling).items(), c)
-    return out
+    """The lattice coordinates {generator word: RatFunc} of an ambient
+    element: the image of its (canonical) words under the substitution
+    x_ij -> (q-q^-1) r_ij ("r") or r_ij ("rho") for i != j and
+    x_ii -> 1 + (q-1) chi_i, extended as an algebra map."""
+    return apply_word_map(el.terms, _lattice_image(ctx, scaling), IntExpr.one()).terms
 
 
-def _lattice_word(key):
-    """The generator word r_lower chi^K r_upper of a lattice monomial."""
-    lower, kexps, upper = key
-    return (
-        tuple(rgen(i, j) for i, j in lower)
-        + tuple(chigen(i) for i, K in enumerate(kexps, start=1) for _ in range(K))
-        + tuple(rgen(i, j) for i, j in upper)
-    )
+def expand_lattice_word(ctx, word, scaling="r"):
+    """The lattice coordinates of one ambient word."""
+    return apply_word_map({word: RF_ONE}, _lattice_image(ctx, scaling), IntExpr.one()).terms
 
 
-def lattice_mono_element(ctx, key):
-    """Rebuild the ambient element of a lattice monomial, its off-diagonal
-    letters unscaled matrix entries."""
+def lattice_mono_element(ctx, word):
+    """The ambient element of a lattice word, its off-diagonal letters
+    unscaled matrix entries."""
 
     def image(g):
         return ctx.alg.gen(*g.indices) if g.kind == "r" else ctx.lift_gen(g)
 
-    return apply_word_map({_lattice_word(key): RF_ONE}, image, NCElement.one(ctx.spec))
+    return apply_word_map({word: RF_ONE}, image, NCElement.one(ctx.spec))
 
 
 class DivisibilityResult:
@@ -485,14 +461,15 @@ def q_minus_1_divisibility(ctx, el):
     """
     coords = expand_lattice(ctx, el, scaling="rho")
     quot = NCElement.zero(ctx.spec)
-    for key, c in sorted(coords.items(), key=lambda kv: str(kv[0])):
+    for word in sorted(coords):
+        c = coords[word]
         if not c.is_laurent():
-            return DivisibilityResult(False, witness=(key, c))
+            return DivisibilityResult(False, witness=(word, c))
         try:
             lp = c.to_laurent().divide_q_minus_1()
         except NotDivisible:
-            return DivisibilityResult(False, witness=(key, c))
-        quot = quot + lattice_mono_element(ctx, key).scale(RatFunc.from_laurent(lp))
+            return DivisibilityResult(False, witness=(word, c))
+        quot = quot + lattice_mono_element(ctx, word).scale(RatFunc.from_laurent(lp))
     return DivisibilityResult(True, quotient=quot)
 
 
@@ -518,9 +495,8 @@ def poisson_cobracket(ctx, expr):
     def specialize_letter(g):
         return specialize_gen(g, lie, ctx.n, ctx.gl)
 
-    def specialize(key):
-        word = {_lattice_word(key): 1}
-        return apply_word_map(word, specialize_letter, PBWElement.one(lie)).terms
+    def specialize(word):
+        return apply_word_map({word: 1}, specialize_letter, PBWElement.one(lie)).terms
 
     return ClassicalTensor(lie, apply_pair_map(values, specialize, specialize))
 
@@ -546,44 +522,39 @@ class RelationRecord:
         return out
 
 
-def _dettilde_expr(index_rows, index_cols, drop_identity=False, coeff_shift=0):
-    """d~et-style expansion over bijections rows -> cols, with entrywise
-    off-diagonal count e and coefficient (-q)^l (q - q^-1)^(e + coeff_shift)."""
-    expr = IntExpr.zero()
-    rows = list(index_rows)
-    cols = list(index_cols)
-    for perm in permutations(cols):
-        e = sum(1 for u, v in zip(rows, perm) if u != v)
+def _dettilde_expr(rows, cols, drop_identity=False, coeff_shift=0, positional=False):
+    """d~et-style sum over the bijections s: rows -> cols (both ascending) of
+    the words r_{u,s(u)} ... with coefficient (-q)^l (q-q^-1)^(e+coeff_shift),
+    l the length of s.  e counts the off-diagonal entries u != s(u), or with
+    positional=True the positions s moves (the literal printed reading)."""
+    terms = {}
+    for perm in permutations(range(len(cols))):
+        word = tuple(rgen(rows[t], cols[p]) for t, p in enumerate(perm))
+        e = sum(t != p if positional else rows[t] != cols[p] for t, p in enumerate(perm))
         if drop_identity and e == 0:
             continue
-        l = perm_inversions(perm)
-        word = tuple(rgen(u, v) for u, v in zip(rows, perm))
-        power = e + coeff_shift
-        coeff = RatFunc.from_laurent(neg_q_power(l))
-        if power >= 0:
-            coeff = coeff * (RF_Q_MINUS_QINV ** power)
-        else:
-            coeff = coeff * (RF_Q_MINUS_QINV.inverse() ** (-power))
-        expr = expr + IntExpr.word(word, coeff)
-    return expr
+        terms[word] = RatFunc.from_laurent(neg_q_power(perm_inversions(perm))) * (
+            RF_Q_MINUS_QINV ** (e + coeff_shift))
+    return IntExpr(terms)
 
 
-def _dettilde_positional(index_rows, index_cols, coeff_shift=0):
-    """The literal printed reading: e counts positional non-fixed points."""
-    expr = IntExpr.zero()
-    rows = list(index_rows)
-    cols = list(index_cols)
-    for perm_ix in permutations(range(len(cols))):
-        e = sum(1 for t, p in enumerate(perm_ix) if t != p)
-        l = perm_inversions(perm_ix)
-        word = tuple(rgen(rows[t], cols[p]) for t, p in enumerate(perm_ix))
-        power = e + coeff_shift
-        coeff = RatFunc.from_laurent(neg_q_power(l))
-        coeff = coeff * (
-            RF_Q_MINUS_QINV ** power if power >= 0 else RF_Q_MINUS_QINV.inverse() ** (-power)
-        )
-        expr = expr + IntExpr.word(word, coeff)
-    return expr
+def _minor_sum(n, skip=None):
+    """sum over the non-identity bijections of {1..n+1} minus {skip} of the
+    d~et-style words with coefficient (-q)^l (q-1)^(e-1) (1+q^-1)^e."""
+    idx = [s for s in range(1, n + 2) if s != skip]
+    return _dettilde_expr(idx, idx, drop_identity=True, coeff_shift=-1).scale(
+        RatFunc.from_laurent(ONE_PLUS_QINV)
+    )
+
+
+def _diag_run(a, b):
+    """The word r_aa r_{a+1,a+1} ... r_{b-1,b-1}."""
+    return tuple(rgen(u, u) for u in range(a, b))
+
+
+def _chi_sum(lo, hi):
+    """sum over s = lo..hi of r_{lo,lo} ... r_{s-1,s-1} chi_s."""
+    return IntExpr({_diag_run(lo, s) + (chigen(s),): 1 for s in range(lo, hi + 1)})
 
 
 def _qm1_pow(a, b):
@@ -764,7 +735,7 @@ def _psi_catalog_entries(n, gl=False):
     rng = range(1, n + 2)
     for i in rng:
         lhs = IntExpr.gen(psigen(i)).scale(RF_Q_MINUS_1)
-        rhs = IntExpr.word(tuple(rgen(s, s) for s in range(1, i + 1))) - IntExpr.one()
+        rhs = IntExpr.word(_diag_run(1, i + 1)) - IntExpr.one()
         out.append(("P.psi-def", f"i={i}", [("printed", lhs, rhs)]))
     for i in rng:
         for j in rng:
@@ -778,10 +749,8 @@ def _psi_catalog_entries(n, gl=False):
                 def sum_words(srange, tail_i=i, jj=j, kk=k):
                     e = IntExpr.zero()
                     for s in srange:
-                        word = tuple(rgen(u, u) for u in range(1, s)) + (
-                            rgen(s, kk),
-                            rgen(jj, s),
-                        ) + tuple(rgen(u, u) for u in range(s + 1, tail_i + 1))
+                        word = (_diag_run(1, s) + (rgen(s, kk), rgen(jj, s))
+                                + _diag_run(s + 1, tail_i + 1))
                         e = e + IntExpr.word(word)
                     return e
 
@@ -810,24 +779,13 @@ def _psi_catalog_entries(n, gl=False):
             rhs = IntExpr.zero()
             for k in range(i + 1, j + 1):
                 for s in range(1, i + 1):
-                    word = (
-                        tuple(rgen(u, u) for u in range(1, k))
-                        + tuple(rgen(u, u) for u in range(1, s))
-                        + (rgen(s, k), rgen(k, s))
-                        + tuple(rgen(u, u) for u in range(s + 1, i + 1))
-                        + tuple(rgen(u, u) for u in range(k + 1, j + 1))
-                    )
+                    word = (_diag_run(1, k) + _diag_run(1, s) + (rgen(s, k), rgen(k, s))
+                            + _diag_run(s + 1, i + 1) + _diag_run(k + 1, j + 1))
                     rhs = rhs + IntExpr.word(word)
             rhs = rhs.scale(_qm1_pow(1, 3))
             out.append(("P.psi-psi", f"i={i},j={j}", [("printed", com, rhs)]))
     if not gl:
-        lhs = IntExpr.gen(psigen(n + 1))
-        rng2 = list(range(1, n + 2))
-        rhs = _dettilde_expr(rng2, rng2, drop_identity=True, coeff_shift=-1).scale(
-            RatFunc.from_laurent(ONE_PLUS_QINV) * -1
-        )
-        # (q - q^-1)^(e-1) (1+q^-1) = (q-1)^(e-1) (1+q^-1)^e
-        out.append(("P.psi-last", "", [("printed", lhs, rhs)]))
+        out.append(("P.psi-last", "", [("printed", IntExpr.gen(psigen(n + 1)), -_minor_sum(n))]))
     return out
 
 
@@ -909,14 +867,8 @@ def _chi_catalog_entries(n, gl=False):
                 rhs = IntExpr.word((rgen(i, j), rgen(j, i)), _qm1_pow(1, 3))
                 out.append(("X.chi-chi", f"i={i},j={j}", [("printed", com, rhs)]))
     if not gl:
-        lhs = IntExpr.zero()
-        for i in rng:
-            word = tuple(rgen(u, u) for u in range(1, i)) + (chigen(i),)
-            lhs = lhs + IntExpr.word(word)
-        rng2 = list(range(1, n + 2))
-        sigma_sum = _dettilde_expr(rng2, rng2, drop_identity=True, coeff_shift=-1).scale(
-            RatFunc.from_laurent(ONE_PLUS_QINV)
-        )
+        lhs = _chi_sum(1, n + 1)
+        sigma_sum = _minor_sum(n)
         out.append(
             (
                 "X.sum",
@@ -1027,11 +979,9 @@ def _hopf_catalog_Q(n):
         out.append(("hopf.delta-phi", f"i={i}", "delta", phigen(i), [("printed", t)]))
     out += _antipode_r_entries(n)
     for i in range(1, n + 1):
-        pre = tuple(rgen(s, s) for s in range(1, i))
-        suf = tuple(rgen(s, s) for s in range(i + 2, n + 2))
-        main = IntExpr.word(pre + (phigen(i),) + suf, -1)
-        sum_i = _offdiag_minor_sum(n, skip=i)
-        sum_i1 = _offdiag_minor_sum(n, skip=i + 1)
+        main = IntExpr.word(_diag_run(1, i) + (phigen(i),) + _diag_run(i + 2, n + 2), -1)
+        sum_i = _minor_sum(n, skip=i)
+        sum_i1 = _minor_sum(n, skip=i + 1)
         printed = main + (sum_i1 - sum_i)
         corrected = main + (sum_i - sum_i1)
         out.append(
@@ -1049,15 +999,6 @@ def _hopf_catalog_Q(n):
     return out
 
 
-def _offdiag_minor_sum(n, skip):
-    """sum over non-identity bijections of {1..n+1} minus {skip} of the
-    d~et-style words with coefficient (-q)^l (q-1)^(e-1) (1+q^-1)^e."""
-    idx = [s for s in range(1, n + 2) if s != skip]
-    return _dettilde_expr(idx, idx, drop_identity=True, coeff_shift=-1).scale(
-        RatFunc.from_laurent(ONE_PLUS_QINV)
-    )
-
-
 def _antipode_r_entries(n):
     out = []
     rng = range(1, n + 2)
@@ -1072,7 +1013,7 @@ def _antipode_r_entries(n):
             corrected = _dettilde_expr(rows, cols, coeff_shift=shift).scale(
                 RatFunc.from_laurent(neg_q_power(sign * (j - i)))
             )
-            printed = _dettilde_positional(rows, cols).scale(
+            printed = _dettilde_expr(rows, cols, positional=True).scale(
                 RatFunc.from_laurent(neg_q_power(j - i))
             )
             out.append(
@@ -1120,14 +1061,11 @@ def _hopf_catalog_P(n):
             Ns = sum(1 for k in range(1, i + 1) if s[k - 1] != k)
             if Ns == 0:
                 continue
-            coeff = RatFunc.from_laurent(ONE_PLUS_QINV) * (
-                RF_Q_MINUS_QINV ** (2 * Ns - 1) if 2 * Ns - 1 >= 0
-                else RF_Q_MINUS_QINV.inverse()
-            )
+            coeff = RatFunc.from_laurent(ONE_PLUS_QINV) * RF_Q_MINUS_QINV ** (2 * Ns - 1)
             wl = tuple(rgen(k, s[k - 1]) for k in range(1, i + 1))
             wr = tuple(rgen(s[k - 1], k) for k in range(1, i + 1))
             t.add(wl, wr, coeff)
-        t.add((psigen(i),), tuple(rgen(k, k) for k in range(1, i + 1)), 1)
+        t.add((psigen(i),), _diag_run(1, i + 1), 1)
         t.add((), (psigen(i),), 1)
         out.append(("hopf.delta-psi", f"i={i}", "delta", psigen(i), [("printed", t)]))
     out += _antipode_r_entries(n)
@@ -1164,16 +1102,10 @@ def _hopf_catalog_plain(n):
         )
     out += _antipode_r_entries(n)
     for i in rng:
-        pre = tuple(rgen(s, s) for s in range(1, i))
-        suf_printed = tuple(rgen(s, s) for s in range(i + 2, n + 2))
-        suf_full = tuple(rgen(s, s) for s in range(i + 1, n + 2))
-        minor_sum = _offdiag_minor_sum(n, skip=i)
-        full_idx = list(range(1, n + 2))
-        full_sum = _dettilde_expr(full_idx, full_idx, drop_identity=True, coeff_shift=-1).scale(
-            RatFunc.from_laurent(ONE_PLUS_QINV)
-        )
-        printed = IntExpr.word(pre + (chigen(i),) + suf_printed, -1) + minor_sum - full_sum
-        corrected = IntExpr.word(pre + (chigen(i),) + suf_full, -1) + minor_sum - full_sum
+        pre = _diag_run(1, i) + (chigen(i),)
+        sums = _minor_sum(n, skip=i) - _minor_sum(n)
+        printed = IntExpr.word(pre + _diag_run(i + 2, n + 2), -1) + sums
+        corrected = IntExpr.word(pre + _diag_run(i + 1, n + 2), -1) + sums
         out.append(
             (
                 "hopf.S-chi",
@@ -1274,9 +1206,9 @@ def s_psi_witness(n, i):
         idx = [s for s in rng if s != j]
         dt = _dettilde_expr(idx, idx, drop_identity=True, coeff_shift=0)
         dtilde[j] = IntExpr({w: c * qm1_inv2 for w, c in dt.terms.items()})
-    m_word = {j: tuple(rgen(s, s) for s in rng if s != j) for j in rng}
-    g_word = tuple(rgen(s, s) for s in rng)
-    h_word = tuple(rgen(s, s) for s in rng if s > i)
+    m_word = {j: _diag_run(1, j) + _diag_run(j + 1, n + 2) for j in rng}
+    g_word = _diag_run(1, n + 2)
+    h_word = _diag_run(i + 1, n + 2)
     # A_i = prod_{j=i..1} (M_j + (q-1)^2 D~_j), expanded
     a = IntExpr.one()
     for j in range(i, 0, -1):
@@ -1297,11 +1229,7 @@ def s_psi_witness(n, i):
     x3 = (texpr - IntExpr.word(h_word)).divide_coeffs_q_minus_1(2)
     x = x1 + x3 + y.divide_coeffs_q_minus_1(2)
     # psi-bar_i: (H_i - 1)/(q-1) as an explicit chi-expression
-    psibar = IntExpr.zero()
-    for s in range(i + 1, n + 2):
-        word = tuple(rgen(u, u) for u in range(i + 1, s)) + (chigen(s),)
-        psibar = psibar + IntExpr.word(word)
-    w = x - eprime - IntExpr.gen(psigen(i)) * psibar
+    w = x - eprime - IntExpr.gen(psigen(i)) * _chi_sum(i + 1, n + 1)
     return w
 
 
@@ -1322,38 +1250,21 @@ def check_span_identities(n, ctx=None):
     ctx = ctx or IntContext(n, gl=False)
     report = []
     for i in range(1, n + 2):
-        lhs = IntExpr.gen(psigen(i))
-        rhs = IntExpr.zero()
-        for s in range(1, i + 1):
-            word = tuple(rgen(u, u) for u in range(1, s)) + (chigen(s),)
-            rhs = rhs + IntExpr.word(word)
-        ok = (ctx.lift(lhs) - ctx.lift(rhs)).is_zero()
+        ok = (ctx.lift(IntExpr.gen(psigen(i))) - ctx.lift(_chi_sum(1, i))).is_zero()
         report.append(RelationRecord("span.psi-in-chi", f"i={i}", "verified" if ok else "failed"))
     for i in range(1, n + 1):
         lhs = IntExpr.gen(phigen(i))
         rhs = IntExpr.gen(chigen(i)) - IntExpr.gen(chigen(i + 1))
         ok = (ctx.lift(lhs) - ctx.lift(rhs)).is_zero()
         report.append(RelationRecord("span.phi-chi", f"i={i}", "verified" if ok else "failed"))
-    # sum chi_i = (q-1)(B - A)
-    rng = list(range(1, n + 2))
-    b = _dettilde_expr(rng, rng, drop_identity=True, coeff_shift=-2).scale(
-        RatFunc.from_laurent(ONE_PLUS_QINV ** 2) * -1
-    )
-    # (q - q^-1)^e / (q-1)^2 -> using shift -2 gives (q-1)^{e-2}(1+q^-1)^{e-2};
-    # two more (1+q^-1) factors restore (1+q^-1)^e
+    # sum chi_i = (q-1)(B - A), B the full minor sum over -(q-1): its
+    # coefficients (q-1)^(e-2) (1+q^-1)^e are Laurent, as e >= 2
+    b = _minor_sum(n).scale(RatFunc(-1, Q_MINUS_1))
     a = IntExpr.zero()
-    for i in rng:
-        for s in range(1, i):
-            word = (
-                tuple(rgen(u, u) for u in range(1, s))
-                + (chigen(s),)
-                + (chigen(i),)
-            )
-            a = a + IntExpr.word(word)
+    for i in range(2, n + 2):
+        a = a + _chi_sum(1, i - 1) * IntExpr.gen(chigen(i))
     w = b - a
-    lhs = IntExpr.zero()
-    for i in rng:
-        lhs = lhs + IntExpr.gen(chigen(i))
+    lhs = IntExpr({(chigen(i),): 1 for i in range(1, n + 2)})
     ok = (ctx.lift(lhs) - ctx.lift(w).scale(RF_Q_MINUS_1)).is_zero() and w.all_coeffs_laurent()
     report.append(
         RelationRecord("span.sum-chi", "", "verified" if ok else "failed")

@@ -266,6 +266,29 @@ def _commutative_hilbert(n, dmax):
     return out
 
 
+def _sl_reduce_trials(alg, rng, trials, max_terms, replay_seeds):
+    """Whether sl_reduce is path-independent and idempotent on `trials`
+    random elements of alg, each a sum of 1..max_terms words of length < 5
+    with coefficients in -3..3 drawn from rng.  Each element is replayed at
+    random substitution sites once per seed in replay_seeds(trial)."""
+    k = len(alg.spec.alphabet)
+    ok = True
+    for trial in range(trials):
+        terms = {}
+        for _ in range(rng.randrange(1, max_terms + 1)):
+            w = tuple(rng.randrange(k) for _ in range(rng.randrange(5)))
+            terms[w] = RATFUNC.coerce(rng.randrange(-3, 4))
+        raw = NCElement(alg.spec, {}, reduce=False)
+        raw.terms = {w: c for w, c in terms.items() if c}
+        base = sl_reduce(alg, raw)
+        for s in replay_seeds(trial):
+            if not (sl_reduce(alg, raw, rng=random.Random(s)) - base).is_zero():
+                ok = False
+        if not (sl_reduce(alg, base) - base).is_zero():
+            ok = False
+    return ok
+
+
 @_timed
 def sl_pbw_suite(seed=0):
     results = []
@@ -290,39 +313,11 @@ def sl_pbw_suite(seed=0):
         _result(results, f"n={n} the two canonical monomial sets equinumerous, r<=4", eq)
     # sl_reduce: termination and path independence on random elements
     rng = random.Random(seed)
-    alg = SLAlgebra(1, strategy="diagonal74")
-    k = len(alg.spec.alphabet)
-    ok = True
-    for trial in range(500):
-        terms = {}
-        for _ in range(rng.randrange(1, 4)):
-            w = tuple(rng.randrange(k) for _ in range(rng.randrange(5)))
-            terms[w] = RATFUNC.coerce(rng.randrange(-3, 4))
-        raw = NCElement(alg.spec, {}, reduce=False)
-        raw.terms = {w: c for w, c in terms.items() if c}
-        base = sl_reduce(alg, raw)
-        for rep in range(2):
-            alt = sl_reduce(alg, raw, rng=random.Random(seed * 1000 + trial * 10 + rep))
-            if not (alt - base).is_zero():
-                ok = False
-        idem = sl_reduce(alg, base)
-        if not (idem - base).is_zero():
-            ok = False
+    ok = _sl_reduce_trials(SLAlgebra(1, strategy="diagonal74"), rng, 500, 3,
+                           lambda trial: (seed * 1000 + trial * 10, seed * 1000 + trial * 10 + 1))
     _result(results, "sl_reduce path-independent + idempotent on 500 random elements", ok)
-    alg2 = SLAlgebra(2, strategy="diagonal74")
-    k2 = len(alg2.spec.alphabet)
-    ok2 = True
-    for trial in range(50):
-        terms = {}
-        for _ in range(rng.randrange(1, 3)):
-            w = tuple(rng.randrange(k2) for _ in range(rng.randrange(5)))
-            terms[w] = RATFUNC.coerce(rng.randrange(-3, 4))
-        raw = NCElement(alg2.spec, {}, reduce=False)
-        raw.terms = {w: c for w, c in terms.items() if c}
-        base = sl_reduce(alg2, raw)
-        alt = sl_reduce(alg2, raw, rng=random.Random(seed * 77 + trial))
-        if not (alt - base).is_zero() or not (sl_reduce(alg2, base) - base).is_zero():
-            ok2 = False
+    ok2 = _sl_reduce_trials(SLAlgebra(2, strategy="diagonal74"), rng, 50, 2,
+                            lambda trial: (seed * 77 + trial,))
     _result(results, "sl_reduce path-independent on random n=2 elements", ok2)
     errata = [
         {

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +25,9 @@ from qfun.intform import (
     verify_relation_catalog,
 )
 from qfun.freealg import NCElement
-from qfun.laurent import Q_MINUS_1, Q_MINUS_QINV, RF_ONE, LaurentPoly, RatFunc
-from qfun.lincomb import apply_pair_map, apply_word_map
+from qfun.laurent import (Q_MINUS_1, Q_MINUS_QINV, RF_ONE, RF_Q_MINUS_1, RF_Q_MINUS_QINV,
+                          LaurentPoly, RatFunc)
+from qfun.lincomb import accumulate, apply_pair_map, apply_word_map
 
 
 @pytest.fixture(scope="module")
@@ -416,3 +420,133 @@ def test_lift_tensor_with_laurent_and_field_coefficients():
         expected = apply_pair_map(texpr.terms, lift_word, lift_word)
         assert got.terms == expected, kind
         assert got.alg is ctx.alg
+
+
+# -- the catalogs pinned by a digest of their text -----------------------------------
+
+
+def _payload_text(p):
+    """A catalog payload as text: the sorted terms of a formal expression or
+    tensor, or the payload itself (a counit value, or None)."""
+    if isinstance(p, intform.TensorIntExpr):
+        terms = (("|".join(" ".join(map(str, w)) for w in k), c) for k, c in p.terms.items())
+    elif isinstance(p, IntExpr):
+        terms = ((" ".join(map(str, w)), c) for w, c in p.terms.items())
+    else:
+        return repr(p)
+    return "; ".join(sorted(f"[{k}] {c}" for k, c in terms))
+
+
+def _catalog_text(entries):
+    """One line per entry: its id, instance (and, for Hopf entries, mode and
+    generator), then each variant's name and payloads, in catalog order."""
+    lines = []
+    for *head, variants in entries:
+        lines.append(" / ".join(map(str, head)))
+        for vname, *payloads in variants:
+            lines.append("  " + vname + "".join("\n    " + _payload_text(p) for p in payloads))
+    return "\n".join(lines)
+
+
+# SHA-256 of _catalog_text over every catalog below, in this order
+CATALOG_SHA256 = "fe635840a43aeaab16f657c8542929ec96a0d31dd427b1b7f7ba2efaa3ef9188"
+
+
+def test_catalog_digest():
+    parts = []
+    for n in (1, 2, 3):
+        for form in ("Q", "P", "plain"):
+            parts.append(f"relation {form} n={n}\n" + _catalog_text(relation_catalog(form, n)))
+    for n in (1, 2):
+        for form in ("P", "plain"):
+            parts.append(f"relation GL {form} n={n}\n"
+                         + _catalog_text(relation_catalog(form, n, gl=True)))
+    for n in (1, 2, 3):
+        for form in ("Q", "P", "plain"):
+            parts.append(f"hopf {form} n={n}\n" + _catalog_text(intform.hopf_catalog(form, n)))
+    text = "\n".join(parts)
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_SHA256, len(text)
+
+
+# -- the lattice substitution map against the stack expansion ------------------------
+
+
+def _stack_lattice_word(ctx, word, scaling):
+    """The oracle for the substitution map: the stack expansion of one
+    canonical word into {(lower cells, chi exponents, upper cells): RatFunc},
+    over the binomial expansion of each power of a diagonal letter."""
+    n = ctx.n
+    lower, diag, upper = [], [0] * (n + 1), []
+    for p in word:
+        i, j = ctx.alg.cell_of(p)
+        if i > j:
+            lower.append((i, j))
+        elif i < j:
+            upper.append((i, j))
+        else:
+            diag[i - 1] += 1
+    base = RF_ONE
+    if scaling == "r":
+        d = len(lower) + len(upper)
+        if d:
+            base = RF_Q_MINUS_QINV ** d
+    leaves = []
+    stack = [(0, [], base)]
+    while stack:
+        pos, kexps, coeff = stack.pop()
+        if pos == n + 1:
+            leaves.append(((tuple(lower), tuple(kexps), tuple(upper)), coeff))
+            continue
+        N = diag[pos]
+        for K in range(N + 1):
+            c = coeff * math.comb(N, K)
+            if K:
+                c = c * (RF_Q_MINUS_1 ** K)
+            stack.append((pos + 1, kexps + [K], c))
+    return accumulate({}, leaves)
+
+
+def _stack_key_word(key):
+    """The generator word r_lower chi^K r_upper of an oracle key."""
+    lower, kexps, upper = key
+    return (
+        tuple(rgen(i, j) for i, j in lower)
+        + tuple(chigen(i) for i, K in enumerate(kexps, start=1) for _ in range(K))
+        + tuple(rgen(i, j) for i, j in upper)
+    )
+
+
+def _delta_words(ctx, exprs):
+    """Every canonical word on either side of Delta of the lifted exprs: the
+    words of Delta of each of their words, a superset of theirs (the same
+    set here), without the k(q) sums."""
+    words = set()
+    for ambient in {w for expr in exprs for w in ctx.lift(expr).terms}:
+        for wl, wr in ctx.alg.coproduct_word(ambient):
+            words.update((wl, wr))
+    return words
+
+
+def test_lattice_map_matches_the_stack_expansion(ctx1, ctx2):
+    cases = [(ctx1, True), (ctx2, True), (_context(1, "GL"), True), (IntContext(3), False)]
+    compared = 0
+    for ctx, pairs in cases:
+        gens = _letters(ctx.n)
+        exprs = [IntExpr.gen(g) for g in gens]
+        if pairs:
+            exprs += [IntExpr.word((g, h)) for g in gens for h in gens]
+        for w in sorted(_delta_words(ctx, exprs)):
+            for scaling in ("r", "rho"):
+                expected = {_stack_key_word(k): c
+                            for k, c in _stack_lattice_word(ctx, w, scaling).items()}
+                assert intform.expand_lattice_word(ctx, w, scaling) == expected, (ctx.n, w)
+                compared += 1
+    assert compared > 1000
+
+
+def test_det_inverse_is_out_of_the_lattice():
+    ctx = IntContext(1, gl=True)
+    with pytest.raises(intform.OutOfForm, match=r"detq\^-1"):
+        q_minus_1_divisibility(ctx, ctx.alg.det_inverse())
+    with pytest.raises(intform.OutOfForm, match=r"detq\^-1"):
+        expand_lattice(ctx, ctx.alg.antipode(ctx.alg.gen(1, 2)))

@@ -8,6 +8,8 @@ The grid:
   - M/SL/GL/B+/B-/Uq/Uh x n in {1, 2} x nf/antipode/coproduct/counit x
     text/json, over EXPRS (generators of every family, k(q) scalars and
     nested calls; many exit 2 in some algebra, which is recorded too);
+  - B+/B- x n in {1, 2} x nf/antipode/coproduct over BOREL_EXPRS, words
+    that hold the whole diagonal (some twice), which det_q = 1 rewrites;
   - rootvec (both methods), mu, cobracket and specialize up to n = 3;
   - the classical paths: U(h) cobracket values of composite root vectors
     (the adjoint action) at n = 2, 3, a U(h) product that reorders with a
@@ -40,6 +42,15 @@ EXPRS = (
     "S(x[1,2]) x[2,1]", "S(S(x[1,2]))", "Delta(x[1,2])", "eps(S(x[1,1]))",
     "delta(r[1,2])", "detq", "x[1,2]^3",
 )
+# per Borel, words in its generators that hold the whole diagonal (some twice)
+BOREL_EXPRS = {
+    "B+": ("x[1,1] x[2,2] x[1,2]", "x[2,2] x[1,1]", "(x[2,2] x[1,1])^2 x[1,2]",
+           "x[3,3] x[1,1] x[2,2] x[2,3]", "x[2,2] x[1,1] x[3,3] x[2,2] x[1,3]",
+           "x[1,3] (x[1,1] x[2,2] x[3,3])^2 x[1,2]"),
+    "B-": ("x[1,1] x[2,2] x[2,1]", "x[2,2] x[1,1]", "(x[2,2] x[1,1])^2 x[2,1]",
+           "x[3,3] x[1,1] x[2,2] x[3,2]", "x[2,2] x[1,1] x[3,3] x[2,2] x[3,1]",
+           "x[3,1] (x[1,1] x[2,2] x[3,3])^2 x[2,1]"),
+}
 
 
 def grid():
@@ -51,6 +62,11 @@ def grid():
                     for expr in EXPRS:
                         yield [command, "--n", str(n), "--algebra", algebra,
                                "--format", fmt, expr]
+    for algebra, exprs in BOREL_EXPRS.items():
+        for n in (1, 2):
+            for command in ("nf", "antipode", "coproduct"):
+                for expr in exprs:
+                    yield [command, "--n", str(n), "--algebra", algebra, expr]
     for n in (1, 2, 3):
         N = ["--n", str(n)]
         for i in range(1, n + 1):

@@ -4,12 +4,12 @@ Rule tables normalize the quantum matrix algebras (M, SL, GL, the Borels)
 and, at q = 1, the enveloping algebra U(h) (classical.LieStructure).  Words
 are tuples of alphabet positions; the generator order is the order of the
 alphabet list.  Rules rewrite descending adjacent pairs and must carry a
-degree-lexicographic termination witness.  Non-quadratic reductions (quantum
-determinant substitution, Borel diagonal products) plug in as post-reducers,
+degree-lexicographic termination witness.  The one non-quadratic relation,
+det_q = 1 in SL and the Borels (det_q t = 1 in GL), plugs in as a reducer,
 held to the same witness: each replacement goes down in deg-lex.
 
 Rewriting runs over Z[q,q^-1] whatever the coefficients of the elements:
-every rule, normal form and post-reducer holds LaurentPoly coefficients, and
+every rule, normal form and reducer holds LaurentPoly coefficients, and
 an element's coefficients (RatFunc over k(q)) meet them only where a normal
 form is multiplied by them, with the element's coefficient on the left.
 
@@ -100,25 +100,17 @@ class GenSym:
         return f"{self.family}[{','.join(str(i) for i in self.indices)}]"
 
 
-class PostReducer:
-    """A pattern reduction applied after quadratic normalization.
-
-    reduce_word returns None (irreducible) or a dict {word: coeff} replacing
-    the word.  Every word of the replacement's normal form must be deg-lex
-    smaller than the word replaced, the witness the rules carry too;
-    AlgebraSpec raises NonTerminating on a replacement that is not.
-    """
-
-    name = "post"
-
-    def reduce_word(self, spec, word):
-        raise NotImplementedError
-
-
 class AlgebraSpec:
-    """Alphabet, generator order, rewrite rules, coefficient domain.
+    """Alphabet, generator order, rewrite rules, coefficient domain, and an
+    optional reducer applied after the rules.
 
-    The rules, the normal-form memo and the post-reducers' replacements are
+    reducer is None or an object with a name and reduce_word(spec, word),
+    which returns None (no redex) or a dict {word: coeff} replacing a
+    normal word.  Every word of the replacement's normal form must be
+    deg-lex smaller than the word replaced, the witness the rules carry
+    too; reduce_terms raises NonTerminating on a replacement that is not.
+
+    The rules, the normal-form memo and the reducer's replacements are
     over Z[q,q^-1] whatever the domain; the domain types the coefficients of
     the elements, and reduce_terms returns coefficients of the type it is
     given.  So one spec serves a k(q) algebra and Laurent numerators alike.
@@ -134,7 +126,7 @@ class AlgebraSpec:
         if len(self.index) != len(self.alphabet):
             raise ValueError("duplicate generators in alphabet")
         self.rules = {}
-        self.post_reducers = []
+        self.reducer = None
         self.term_budget = _term_budget()
         self._nf_cache = {}
 
@@ -219,7 +211,7 @@ class AlgebraSpec:
         return out
 
     def reduce_terms(self, terms):
-        """Full normal form of a {word: coeff} dict, post-reducers included.
+        """Full normal form of a {word: coeff} dict, the reducer included.
 
         The coefficients come out of the type they go in: RatFunc for a k(q)
         element, LaurentPoly for a numerator over Z[q,q^-1].
@@ -228,12 +220,12 @@ class AlgebraSpec:
         for w, c in terms.items():
             if c:
                 accumulate(out, self.normal_form_word(w).items(), None if c is LP_ONE else c, LP_ONE)
-        if self.post_reducers:
-            out = self._apply_post_reducers(out)
+        if self.reducer is not None:
+            out = self._apply_reducer(out)
         return out
 
-    def _apply_post_reducers(self, terms):
-        """Rewrite terms in place until no word has a post-reducer redex.
+    def _apply_reducer(self, terms):
+        """Rewrite terms in place until no word has a redex of the reducer.
 
         Each replacement must go down in deg-lex (NonTerminating if not),
         a well-order on words of bounded length, so the rewriting stops
@@ -243,22 +235,21 @@ class AlgebraSpec:
         smaller than every target taken so far, so no word is replaced
         twice, and only they are searched for a new redex.
         """
+        reduce_word = self.reducer.reduce_word
         redexes = {}
         heap = []
 
         def find(words):
             for w in words:
-                for red in self.post_reducers:
-                    repl = red.reduce_word(self, w)
-                    if repl is not None:
-                        redexes[w] = red, repl
-                        heappush(heap, (-len(w), tuple(-p for p in w), w))
-                        break
+                repl = reduce_word(self, w)
+                if repl is not None:
+                    redexes[w] = repl
+                    heappush(heap, (-len(w), tuple(-p for p in w), w))
 
         find(terms)
         while heap:
             target = heappop(heap)[2]
-            red, repl = redexes.pop(target)
+            repl = redexes.pop(target)
             c = terms.pop(target, None)
             if c is None:
                 continue
@@ -268,7 +259,7 @@ class AlgebraSpec:
             for nw in expanded:
                 if not self._deglex_less(nw, target):
                     raise NonTerminating(
-                        f"{red.name}: {self.word_str(nw)} is not deg-lex "
+                        f"{self.reducer.name}: {self.word_str(nw)} is not deg-lex "
                         f"below {self.word_str(target)}"
                     )
             new = [nw for nw in expanded if nw not in terms and nw not in redexes]
@@ -384,7 +375,7 @@ def rule_table_key(spec):
     """The data confluence_check reads: the alphabet and the rules.
 
     Rules are over Z[q,q^-1] whatever the spec's domain, so a table has one
-    key over either domain.  The post-reducers are not part of it.
+    key over either domain.  The reducer is not part of it.
     """
     return tuple(spec.alphabet), tuple(sorted(spec.rules.items()))
 

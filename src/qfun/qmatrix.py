@@ -121,7 +121,7 @@ def matrix_presentation(n, order="lex", cells=None, name=None, inverse=None):
 
     inverse: a letter adjoined after the cells as det_q^-1, central (a
     commuting rule with each cell), group-like and of counit 1; the
-    relation det_q det_q^-1 = 1 is left to the algebra's post-reducers.
+    relation det_q det_q^-1 = 1 is left to the algebra's reducer.
     With inverse, name names the result only: the letter is adjoined to
     the unnamed presentation of the cells, which the matrix algebra shares,
     so no rule table is built twice.
@@ -214,7 +214,7 @@ def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None, inv
     coefficients of the spec's elements, so the presentation is built once
     per arguments other than the domain (matrix_presentation).  Each call
     returns a new spec with its own copy of the rules, its own normal-form
-    memo and post-reducers, and the term budget read now, so a change to one
+    memo, no reducer, and the term budget read now, so a change to one
     spec's rules reaches no other.
     """
     pres = matrix_presentation(n, order, cells, name, inverse)
@@ -228,8 +228,8 @@ class MatrixAlgebra:
 
     With the full square of cells this is M_q(n+1).  A subset of the cells
     gives the quotient that kills the missing generators (the Borels), and
-    subclasses add post-reducers on top (SL's det_q = 1).  With inverse,
-    a central letter follows the cells (GL's det_q^-1; see
+    subclasses add a reducer on top (det_q = 1 in SL and the Borels).
+    With inverse, a central letter follows the cells (GL's det_q^-1; see
     matrix_presentation).  In every case Delta(x_ij) = sum_k x_ik (x) x_kj
     and the quantum minors sum over the cells that are present.
     """
@@ -242,7 +242,7 @@ class MatrixAlgebra:
         pres = matrix_presentation(n, order, cells, name, inverse)
         self.spec = build_matrix_spec(n, order=order, domain=domain, cells=cells, name=name,
                                       inverse=inverse)
-        self.spec.post_reducers.extend(self._post_reducers(self.spec))
+        self.spec.reducer = self._reducer(self.spec)
         self.domain = domain
         self.cells = pres.cells
         self._detq = None
@@ -254,9 +254,10 @@ class MatrixAlgebra:
         # word -> its reduced coproduct as a pair-keyed term dict
         self._delta_memo = {}
 
-    def _post_reducers(self, spec):
-        """The reductions this algebra applies after its rules, built for spec."""
-        return []
+    def _reducer(self, spec):
+        """The reducer this algebra applies after its rules, built for spec,
+        or None."""
+        return None
 
     def clear_caches(self):
         """Forget the normal-form memo and the coproduct memo."""
@@ -404,27 +405,23 @@ class MatrixAlgebra:
 
     def pbw_basis(self, degree):
         """The canonical words of total degree <= degree (1 included): the
-        sorted words that no post-reducer rewrites."""
-        spec = self.spec
+        sorted words that the reducer does not rewrite."""
+        spec, red = self.spec, self.spec.reducer
         return [w for d in range(degree + 1)
                 for w in combinations_with_replacement(range(len(spec.alphabet)), d)
-                if all(red.reduce_word(spec, w) is None for red in spec.post_reducers)]
-
-
-def _word_normal_form(spec):
-    """The full normal form of one word as {word: LaurentPoly}: the memoized
-    quadratic normal form itself unless post-reducers act on top of it."""
-    if not spec.post_reducers:
-        return spec.normal_form_word
-    return lambda w: spec.reduce_terms({w: LP_ONE})
+                if red is None or red.reduce_word(spec, w) is None]
 
 
 def _tensor_product(spec, x, y):
     """The product of two pair-keyed term dicts in the tensor square of spec:
-    words concatenate side by side and reduce to full normal form.  The
+    words concatenate side by side and reduce to full normal form, the
+    memoized quadratic one unless a reducer acts on top of it.  The
     coefficients come out of the type of x's and y's."""
-    nf = _word_normal_form(spec)
-    return pair_product(x, y, lambda u, v: nf(u + v), LP_ONE)
+    if spec.reducer is None:
+        nf = spec.normal_form_word
+        return pair_product(x, y, lambda u, v: nf(u + v), LP_ONE)
+    reduce_terms = spec.reduce_terms
+    return pair_product(x, y, lambda u, v: reduce_terms({u + v: LP_ONE}), LP_ONE)
 
 
 class TensorElement(LinComb):

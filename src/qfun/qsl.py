@@ -6,9 +6,11 @@ until the minimal diagonal exponent (strategy "diagonal74") or the minimal
 antidiagonal exponent (strategy "antidiag73") is zero.  The GL algebra is the
 quantum matrix algebra with one more letter t = det_q^-1, central and last in
 the order, and the same reduction on words that hold the diagonal and t, which
-sets det_q t = 1.  SLAlgebra, GLAlgebra and BorelAlgebra are MatrixAlgebra
-subclasses: they inherit Delta, epsilon, the quantum minors and the
-antipode's generator images, and add reducers and the antipode.
+sets det_q t = 1.  The Borels are the triangular quotients with the same
+reduction, which there drops the diagonal product.  SLAlgebra, GLAlgebra
+and BorelAlgebra are MatrixAlgebra subclasses: they inherit Delta, epsilon,
+the quantum minors and the antipode's generator images, and add the det_q
+reducer and the antipode.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 import functools
 from itertools import permutations
 
-from .freealg import GenSym, NCElement, PostReducer
-from .laurent import LAURENT, LP_ONE, RATFUNC, neg_q_power
+from .freealg import GenSym, NCElement
+from .laurent import LAURENT, RATFUNC, neg_q_power
 from .lincomb import accumulate, apply_word_map
 from .qmatrix import MatrixAlgebra, perm_inversions, x_gen
 
@@ -56,7 +58,7 @@ def _det_substitution(n, strategy):
     return tuple(terms)
 
 
-class DetReducer(PostReducer):
+class DetReducer:
     """Rewrites monomials that hold every letter of the strategy's block.
 
     The block is the diagonal for diagonal74 and the antidiagonal for
@@ -70,6 +72,11 @@ class DetReducer(PostReducer):
     which comes last in the order, and det_q t = 1: a word holding the
     block is (-q)^-l(b) det_q t u plus words below it, and the non-constant
     substitution words end in t.
+
+    Only the permutations whose cells are all present enter the
+    substitution, as in MatrixAlgebra.quantum_minor.  Inside a triangle
+    only the identity is left, so in the Borels a word holding the diagonal
+    is replaced by the word with one copy of each diagonal letter dropped.
     """
 
     def __init__(self, n, strategy, spec, inverse=None):
@@ -83,17 +90,23 @@ class DetReducer(PostReducer):
         self.split = max(cells)
         self.subst = [
             (LAURENT.coerce(c), tuple(pos[ij] for ij in sub) + (tail if sub else ()))
-            for c, sub in _det_substitution(n, strategy)
+            for c, sub in _det_substitution(n, strategy) if all(ij in pos for ij in sub)
         ]
 
     def reduce_word(self, spec, word):
-        kept = _drop_block(word, self.block_pos)
-        if kept is None:
+        if not self.block_pos.issubset(word):
             return None
         # word is sorted: remove one copy of each block letter and insert the
         # extracted product where the block's cells end; only block cells
         # and t cross it, so the quadratic renormalization adds (deg-lex
         # lower) commutator corrections and leaves word's coefficient 1.
+        missing = set(self.block_pos)
+        kept = []
+        for p in word:
+            if p in missing:
+                missing.discard(p)
+            else:
+                kept.append(p)
         split = self.split
         prefix = tuple(p for p in kept if p < split)
         suffix = tuple(p for p in kept if p >= split)
@@ -105,21 +118,6 @@ class DetReducer(PostReducer):
         return accumulate(out, ((prefix + sub + suffix, c) for c, sub in self.subst))
 
 
-def _drop_block(word, block):
-    """The letters of word left after dropping the first copy of each
-    letter of block, or None when a block letter is missing."""
-    if not block.issubset(word):
-        return None
-    missing = set(block)
-    kept = []
-    for p in word:
-        if p in missing:
-            missing.discard(p)
-        else:
-            kept.append(p)
-    return kept
-
-
 class SLAlgebra(MatrixAlgebra):
     """Quantum SL(n+1) function algebra with a canonical-form strategy."""
 
@@ -127,10 +125,9 @@ class SLAlgebra(MatrixAlgebra):
         order = "triangular" if strategy == "diagonal74" else "antidiag"
         self.strategy = strategy
         super().__init__(n, order=order, domain=domain, name=f"SL({n + 1})/{strategy}")
-        (self.reducer,) = self.spec.post_reducers
 
-    def _post_reducers(self, spec):
-        return [DetReducer(self.n, self.strategy, spec)]
+    def _reducer(self, spec):
+        return DetReducer(self.n, self.strategy, spec)
 
     def antipode(self, a, sign=None):
         """Algebra anti-map extended from the minor formula on generators."""
@@ -156,10 +153,9 @@ class GLAlgebra(MatrixAlgebra):
     def __init__(self, n, domain=RATFUNC):
         super().__init__(n, order="triangular", domain=domain, name=f"GL({n + 1})",
                          inverse=DET_INVERSE)
-        (self.reducer,) = self.spec.post_reducers
 
-    def _post_reducers(self, spec):
-        return [DetReducer(self.n, "diagonal74", spec, inverse=DET_INVERSE)]
+    def _reducer(self, spec):
+        return DetReducer(self.n, "diagonal74", spec, inverse=DET_INVERSE)
 
     def det_inverse(self):
         return NCElement.gen(self.spec, DET_INVERSE)
@@ -226,7 +222,7 @@ def sl_reduce(alg, a, rng=None):
     path-independence property tests exercise.
     """
     spec = alg.spec
-    red = alg.reducer
+    red = spec.reducer
     terms = spec.reduce_terms(dict(a.terms))  # includes installed reducer
     if rng is None:
         return NCElement(spec, terms, reduce=False)
@@ -265,24 +261,10 @@ def pi_project(source, target, a):
 # -- Borel quotients -------------------------------------------------------------
 
 
-class DiagProductReducer(PostReducer):
-    """In the Borel algebras the diagonal generators commute exactly and
-    their full product is 1."""
-
-    name = "borel-diag"
-
-    def __init__(self, n, spec):
-        self.diag_pos = frozenset(spec.index[x_gen(i, i)] for i in range(1, n + 2))
-
-    def reduce_word(self, spec, word):
-        kept = _drop_block(word, self.diag_pos)
-        if kept is None:
-            return None
-        return {tuple(kept): LP_ONE}
-
-
 class BorelAlgebra(MatrixAlgebra):
-    """Quantum Borel: the upper (+) or lower (-) triangular quotient."""
+    """Quantum Borel: the upper (+) or lower (-) triangular quotient of SL,
+    the matrix relations on the triangle's cells plus det_q = 1, where det_q
+    is the diagonal product (Parshall-Wang, Mem. AMS 439, 1991)."""
 
     def __init__(self, n, sign, domain=RATFUNC):
         if sign == "+":
@@ -298,8 +280,8 @@ class BorelAlgebra(MatrixAlgebra):
         super().__init__(n, order=offdiag + diag, domain=domain, cells=cells,
                          name=f"B{sign}({n + 1})")
 
-    def _post_reducers(self, spec):
-        return [DiagProductReducer(self.n, spec)]
+    def _reducer(self, spec):
+        return DetReducer(self.n, "diagonal74", spec)
 
     def antipode(self, a, sign=None):
         """The minor formula with the complementary triangle set to zero,

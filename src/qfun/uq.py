@@ -234,6 +234,10 @@ class UqElement(LinComb):
     def _coerce(self, c):
         return RATFUNC.coerce(c)
 
+    def _check(self, other):
+        if self.alg is not other.alg:
+            raise AlgebraMismatch("U_q elements of two different UqAlgebra objects")
+
     def _unit_key(self):
         return ((), (0,) * (self.alg.n + 1), ())
 
@@ -242,6 +246,7 @@ class UqElement(LinComb):
             return self.scale(other)
         if not isinstance(other, UqElement):
             return NotImplemented
+        self._check(other)
         raw = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():

@@ -178,8 +178,8 @@ def test_each_build_gets_its_own_rule_table(builds, runs):
     assert not confluence_check(first)["ok"] and confluence_check(second)["ok"]
     a, b = SLAlgebra(1), SLAlgebra(1)
     assert a.spec.rules is not b.spec.rules
-    assert a.spec.post_reducers[0] is not b.spec.post_reducers[0]
-    assert a.reducer.subst == b.reducer.subst
+    assert a.spec.reducer is not b.spec.reducer
+    assert a.spec.reducer.subst == b.spec.reducer.subst
     assert len(builds) == 2
 
 

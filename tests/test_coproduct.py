@@ -28,7 +28,7 @@ ALGEBRAS = {
     "B+(3)": BorelAlgebra(2, "+"),
 }
 # the SL and Borel entries above are over k(q), their default domain; these
-# add M(2) over k(q), SL(2) with its post-reducer over Z[q,q^-1], and M(3)
+# add M(2) over k(q), SL(2) with its reducer over Z[q,q^-1], and M(3)
 TENSOR_ALGEBRAS = {
     **ALGEBRAS,
     "M(2)/lex/k(q)": MatrixAlgebra(1, domain=RATFUNC),
@@ -38,7 +38,7 @@ TENSOR_ALGEBRAS = {
 
 
 def _reduced(alg, word):
-    """The full normal form of one word, post-reducers included."""
+    """The full normal form of one word, the reducer included."""
     return alg.spec.reduce_terms({word: alg.spec.domain.one})
 
 

@@ -122,7 +122,7 @@ def test_detq_times_a_power_of_t_lowers_the_power(n):
         for k in (1, 2, 3):
             got = gl.detq() * t ** k * el
             assert got == t ** (k - 1) * el
-            if not gl.reducer.block_pos - {tpos} <= set(u):
+            if not gl.spec.reducer.block_pos - {tpos} <= set(u):
                 assert got.terms == {u + (tpos,) * (k - 1): RF_ONE}
 
 

@@ -2,10 +2,12 @@ import random
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfun.freealg import AlgebraSpec, GenSym, NCElement, NonTerminating, PostReducer
+from qfun.freealg import AlgebraSpec, GenSym, NCElement, NonTerminating
 from qfun.lincomb import accumulate
-from qfun.laurent import LP_ONE, Q, QINV, RATFUNC, RF_ONE, LaurentPoly, RatFunc, neg_q_power
+from qfun.laurent import LAURENT, LP_ONE, Q, QINV, RATFUNC, RF_ONE, LaurentPoly, RatFunc, neg_q_power
 from qfun.qmatrix import MatrixAlgebra, perm_inversions
 from qfun.qsl import (
     DET_INVERSE,
@@ -205,6 +207,73 @@ def test_borel_relation_pairs_are_the_whole_presentation(n, sign):
         assert NCElement(b.spec, dict(lhs.terms)) == NCElement(b.spec, dict(rhs.terms)), name
 
 
+class DiagProductReducer:
+    """The Borel reducer that det_q = 1 replaced, kept as an oracle: the
+    diagonal generators commute exactly and their full product is 1, so a
+    word holding the diagonal loses one copy of each diagonal letter."""
+
+    name = "borel-diag"
+
+    def __init__(self, n, spec):
+        self.diag_pos = frozenset(spec.index[GenSym("x", (i, i))] for i in range(1, n + 2))
+
+    def reduce_word(self, spec, word):
+        if not self.diag_pos.issubset(word):
+            return None
+        missing = set(self.diag_pos)
+        kept = []
+        for p in word:
+            if p in missing:
+                missing.discard(p)
+            else:
+                kept.append(p)
+        return {tuple(kept): LP_ONE}
+
+
+_BORELS = {}
+
+
+def _borel_and_oracle(n, sign):
+    """BorelAlgebra(n, sign) over Z[q,q^-1], and a copy of its spec with the
+    oracle reducer in place of det_q = 1; built once per (n, sign)."""
+    if (n, sign) not in _BORELS:
+        b = BorelAlgebra(n, sign, domain=LAURENT)
+        old = AlgebraSpec(b.spec.alphabet, domain=LAURENT, name=b.spec.name)
+        old.rules.update(b.spec.rules)
+        old.reducer = DiagProductReducer(n, old)
+        _BORELS[n, sign] = b, old
+    return _BORELS[n, sign]
+
+
+@st.composite
+def _borel_sums(draw):
+    """(n, sign, terms): up to three words with small integer coefficients,
+    most holding the whole diagonal once or twice among other letters."""
+    n = draw(st.integers(1, 3))
+    sign = draw(st.sampled_from("+-"))
+    b, _ = _borel_and_oracle(n, sign)
+    k = len(b.spec.alphabet)
+    diag = [b.spec.index[GenSym("x", (i, i))] for i in range(1, n + 2)]
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        letters = diag * draw(st.sampled_from((0, 1, 1, 1, 2)))
+        letters += draw(st.lists(st.integers(0, k - 1), max_size=4))
+        word = tuple(draw(st.permutations(letters)))
+        terms[word] = LAURENT.coerce(draw(st.sampled_from((-2, -1, 1, 3))))
+    return n, sign, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_borel_sums())
+def test_borel_det_reduction_matches_the_diagonal_product_oracle(case):
+    """On B+ and B- the det_q = 1 reducer keeps only the identity
+    permutation, whose substitution drops the diagonal product: the same
+    rewriting as the old diagonal-product reducer."""
+    n, sign, terms = case
+    b, old = _borel_and_oracle(n, sign)
+    assert b.spec.reduce_terms(dict(terms)) == old.reduce_terms(dict(terms))
+
+
 def test_borel_antipode_axiom():
     bp = BorelAlgebra(1, "+")
     for (i, j) in sorted(bp.cells):
@@ -368,10 +437,10 @@ def test_det_substitution_is_the_block_solved_from_detq_equal_1():
 
 
 def test_a_replacement_that_does_not_go_down_in_deglex_is_refused():
-    """A post-reducer is held to the rules' witness: x y -> y x with x < y
+    """A reducer is held to the rules' witness: x y -> y x with x < y
     goes up in deg-lex, so it raises NonTerminating instead of looping."""
 
-    class Swap(PostReducer):
+    class Swap:
         name = "swap"
 
         def __init__(self, up):
@@ -384,7 +453,7 @@ def test_a_replacement_that_does_not_go_down_in_deglex_is_refused():
 
     for up in (False, True):
         spec = AlgebraSpec([GenSym("x", (1,)), GenSym("x", (2,))])
-        spec.post_reducers.append(Swap(up))
+        spec.reducer = Swap(up)
         if up:
             with pytest.raises(NonTerminating):
                 spec.reduce_terms({(0, 1): LP_ONE})

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfun import uq
+from qfun.freealg import AlgebraMismatch
 from qfun.laurent import RF_ONE, RF_Q_MINUS_QINV
 from qfun.lincomb import apply_word_map
 from qfun.qsl import SLAlgebra
@@ -427,3 +429,15 @@ def test_uq_product_is_associative(case):
     whole = product(factors)
     for k in range(1, len(factors)):
         assert product(factors[:k]) * product(factors[k:]) == whole
+
+
+def test_elements_of_two_uq_algebras_do_not_combine():
+    """Sums, products and comparisons refuse an operand from another
+    UqAlgebra, as UqTensor does: E[1] of U_q(gl(2)) and of U_q(gl(3)) are
+    different elements, and so are G[1] with and without the SL quotient."""
+    a, b, c = UqAlgebra(1), UqAlgebra(2), UqAlgebra(1, sl_quotient=True)
+    for x, y in ((a.E(1), b.E(1)), (a.G(1), c.G(1)), (a.E(1), b.F(1))):
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(AlgebraMismatch):
+                op(x, y)
+    assert a.E(1) + a.E(1) == a.E(1).scale(2)

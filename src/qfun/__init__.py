@@ -38,7 +38,6 @@ from .qsl import (
     sl_reduce,
 )
 from .classical import (
-    BasisSym,
     C_SYM,
     ClassicalTensor,
     JacobiFailure,
@@ -51,7 +50,6 @@ from .classical import (
 from .intform import (
     IntContext,
     IntExpr,
-    IntFormGen,
     OutOfForm,
     RelationRecord,
     check_span_identities,

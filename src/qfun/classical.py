@@ -14,10 +14,9 @@ Jacobi holds, so confluence_check certifies the PBW basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import AlgebraMismatch, AlgebraSpec, certified, confluence_check
+from .freealg import AlgebraMismatch, AlgebraSpec, GenSym, certified, confluence_check
 from .laurent import LP_ONE
 from .lincomb import LinComb, accumulate, add_outer, concat_product, format_terms
 
@@ -26,34 +25,21 @@ class JacobiFailure(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class BasisSym:
-    """Basis symbol: family 'f', 'h', 'e', or 'c' with its indices."""
-
-    family: str
-    indices: tuple
-
-    def __str__(self):
-        if self.family == "c":
-            return "c"
-        return f"{self.family}[{','.join(str(i) for i in self.indices)}]"
-
-
 def f_sym(j, i):
     # f_{j,i} with j > i: lower-triangular root vector
-    return BasisSym("f", (j, i))
+    return GenSym("f", (j, i))
 
 
 def e_sym(i, j):
     # e_{i,j} with i < j: upper-triangular root vector
-    return BasisSym("e", (i, j))
+    return GenSym("e", (i, j))
 
 
 def h_sym(i):
-    return BasisSym("h", (i,))
+    return GenSym("h", (i,))
 
 
-C_SYM = BasisSym("c", ())
+C_SYM = GenSym("c", ())
 
 
 class LieStructure:
@@ -270,7 +256,7 @@ def build_h(n, central=False):
                         # diagonal matrix produced: happens only for opposite
                         # cells, which cannot occur within one triangle
                         raise JacobiFailure("unexpected diagonal in one copy")
-                    tgt = BasisSym(fam, (a, b))
+                    tgt = GenSym(fam, (a, b))
                     val = Fraction(coeff * sign_of(s1) * sign_of(s2), sign_of(tgt))
                     accumulate(out, [(index[tgt], val)])
                 put(s1, s2, out)

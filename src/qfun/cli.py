@@ -414,7 +414,7 @@ class Context:
                         and not any(next(iter(base.terms))[::2])):
                     raise ExprIndexError("negative powers only on scalars and toral monomials")
                 (_, g, _), c = next(iter(base.terms.items()))
-                base = UqElement(base.alg, {((), tuple(-x for x in g), ()): c.inverse()})
+                base = base.alg.toral([-x for x in g]).scale(c.inverse())
                 k = -k
             out = self.one()
             for _ in range(k):

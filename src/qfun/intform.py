@@ -31,7 +31,7 @@ from .classical import (
     h_sym,
     lie_algebra,
 )
-from .freealg import CACHE_LIMIT, NCElement
+from .freealg import CACHE_LIMIT, GenSym, NCElement
 from .laurent import (
     LP_ONE,
     LaurentPoly,
@@ -57,29 +57,20 @@ class OutOfForm(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class IntFormGen:
-    kind: str  # "phi" | "psi" | "chi" | "r"
-    indices: tuple
-
-    def __str__(self):
-        return f"{self.kind}[{','.join(str(i) for i in self.indices)}]"
-
-
 def rgen(i, j):
-    return IntFormGen("r", (i, j))
+    return GenSym("r", (i, j))
 
 
 def phigen(i):
-    return IntFormGen("phi", (i,))
+    return GenSym("phi", (i,))
 
 
 def psigen(i):
-    return IntFormGen("psi", (i,))
+    return GenSym("psi", (i,))
 
 
 def chigen(i):
-    return IntFormGen("chi", (i,))
+    return GenSym("chi", (i,))
 
 
 class IntExpr(LinComb):
@@ -239,23 +230,23 @@ class IntContext:
         def x(i, j):
             return (index[x_gen(i, j)],)
 
-        if g.kind == "r":
+        if g.family == "r":
             i, j = g.indices
             entry = ({x(i, j): LP_ONE}, int(i != j), 0)
-        elif g.kind == "phi":
+        elif g.family == "phi":
             (i,) = g.indices
             entry = ({x(i, i): LP_ONE, x(i + 1, i + 1): -LP_ONE}, 0, 1)
-        elif g.kind == "psi":
+        elif g.family == "psi":
             (i,) = g.indices
             prod = {(): LP_ONE}
             for s in range(1, i + 1):
                 prod = self.spec.reduce_terms(concat_product(prod, {x(s, s): LP_ONE}))
             entry = (accumulate(prod, (((), -LP_ONE),)), 0, 1)
-        elif g.kind == "chi":
+        elif g.family == "chi":
             (i,) = g.indices
             entry = ({x(i, i): LP_ONE, (): -LP_ONE}, 0, 1)
         else:
-            raise OutOfForm(f"unknown generator kind {g.kind!r}")
+            raise OutOfForm(f"unknown generator family {g.family!r}")
         if len(memo) < CACHE_LIMIT:
             memo[(g,)] = entry
         return entry
@@ -360,7 +351,7 @@ def toral_image(lie, n, gl, i):
 
 def specialize_gen(g, lie, n, gl=False):
     """Classical image of one generator under the q=1 dictionary."""
-    if g.kind == "r":
+    if g.family == "r":
         i, j = g.indices
         if i == j:
             return PBWElement.one(lie)
@@ -369,13 +360,13 @@ def specialize_gen(g, lie, n, gl=False):
             return PBWElement.gen(lie, f_sym(j, i)).scale(sign)
         sign = (-1) ** (i - j - 1)
         return PBWElement.gen(lie, e_sym(j, i)).scale(sign)
-    if g.kind == "phi":
+    if g.family == "phi":
         (i,) = g.indices
         return PBWElement.gen(lie, h_sym(i))
-    if g.kind == "chi":
+    if g.family == "chi":
         (i,) = g.indices
         return toral_image(lie, n, gl, i)
-    if g.kind == "psi":
+    if g.family == "psi":
         (i,) = g.indices
         out = PBWElement.zero(lie)
         for s in range(1, i + 1):
@@ -432,16 +423,6 @@ def expand_lattice_word(ctx, word, scaling="r"):
     return apply_word_map({word: RF_ONE}, _lattice_image(ctx, scaling), IntExpr.one()).terms
 
 
-def lattice_mono_element(ctx, word):
-    """The ambient element of a lattice word, its off-diagonal letters
-    unscaled matrix entries."""
-
-    def image(g):
-        return ctx.alg.gen(*g.indices) if g.kind == "r" else ctx.lift_gen(g)
-
-    return apply_word_map({word: RF_ONE}, image, NCElement.one(ctx.spec))
-
-
 class DivisibilityResult:
     def __init__(self, ok, quotient=None, witness=None):
         self.ok = ok
@@ -457,20 +438,24 @@ def q_minus_1_divisibility(ctx, el):
 
     The basis keeps off-diagonal matrix entries unscaled and expands the
     diagonal part in the divided elements chi_i; success returns the exact
-    quotient as an ambient element.
+    quotient as an ambient element, the divided coordinates mapped back by
+    r_ij -> x_ij and chi_i -> lift(chi_i).
     """
     coords = expand_lattice(ctx, el, scaling="rho")
-    quot = NCElement.zero(ctx.spec)
+    divided = {}
     for word in sorted(coords):
         c = coords[word]
         if not c.is_laurent():
             return DivisibilityResult(False, witness=(word, c))
         try:
-            lp = c.to_laurent().divide_q_minus_1()
+            divided[word] = RatFunc.from_laurent(c.to_laurent().divide_q_minus_1())
         except NotDivisible:
             return DivisibilityResult(False, witness=(word, c))
-        quot = quot + lattice_mono_element(ctx, word).scale(RatFunc.from_laurent(lp))
-    return DivisibilityResult(True, quotient=quot)
+
+    def image(g):
+        return ctx.alg.gen(*g.indices) if g.family == "r" else ctx.lift_gen(g)
+
+    return DivisibilityResult(True, quotient=apply_word_map(divided, image, NCElement.one(ctx.spec)))
 
 
 def poisson_cobracket(ctx, expr):
@@ -1173,8 +1158,8 @@ def _sort_diag_expr(expr):
         for t in range(len(w) - 1):
             g1, g2 = w[t], w[t + 1]
             if (
-                g1.kind == "r"
-                and g2.kind == "r"
+                g1.family == "r"
+                and g2.family == "r"
                 and g1.indices[0] == g1.indices[1]
                 and g2.indices[0] == g2.indices[1]
                 and g1.indices[0] > g2.indices[0]
@@ -1274,6 +1259,6 @@ def check_span_identities(n, ctx=None):
 
 def lift(gen_or_expr, ctx):
     """Lift a generator or formal expression into the ambient algebra."""
-    if isinstance(gen_or_expr, IntFormGen):
+    if isinstance(gen_or_expr, GenSym):
         return ctx.lift_gen(gen_or_expr)
     return ctx.lift(gen_or_expr)

@@ -27,7 +27,7 @@ from .laurent import (
 from .lincomb import (LinComb, accumulate, add_outer, apply_pair_map, apply_word_map, extend_prefix,
                       format_terms, pair_product)
 from .qmatrix import perm_inversions
-from .qsl import BorelAlgebra, pi_project
+from .qsl import BorelAlgebra
 
 
 class NotInSlForm(Exception):
@@ -40,6 +40,13 @@ RF_Q_PLUS_QINV = RatFunc.from_laurent(LaurentPoly({1: 1, -1: 1}))
 
 def qpow(k):
     return RatFunc.from_laurent(LaurentPoly({k: 1}))
+
+
+def _index(i, top):
+    """i, when it is in 1..top; ValueError otherwise."""
+    if not 1 <= i <= top:
+        raise ValueError(f"index {i} is not in 1..{top}")
+    return i
 
 
 def _serre_relations(n):
@@ -111,31 +118,36 @@ class UqAlgebra:
 
     # -- elements ----------------------------------------------------------------
 
+    # Only these constructors build a triangular key; every other monomial
+    # is a product of them.
+
     def zero(self):
         return UqElement(self, {})
 
     def one(self):
-        return UqElement(self, {((), (0,) * (self.n + 1), ()): RF_ONE})
+        return self.toral((0,) * (self.n + 1))
 
     def F(self, i):
-        return UqElement(self, {((i,), (0,) * (self.n + 1), ()): RF_ONE})
+        return UqElement(self, {((_index(i, self.n),), (0,) * (self.n + 1), ()): RF_ONE})
 
     def E(self, i):
-        return UqElement(self, {((), (0,) * (self.n + 1), (i,)): RF_ONE})
+        return UqElement(self, {((), (0,) * (self.n + 1), (_index(i, self.n),)): RF_ONE})
 
     def G(self, i, power=1):
         g = [0] * (self.n + 1)
-        g[i - 1] = power
-        return UqElement(self, {((), self._norm_g(g), ()): RF_ONE})
+        g[_index(i, self.n + 1) - 1] = power
+        return self.toral(g)
 
     def K(self, i, power=1):
         g = [0] * (self.n + 1)
-        g[i - 1] = power
+        g[_index(i, self.n) - 1] = power
         g[i] = -power
-        return UqElement(self, {((), self._norm_g(g), ()): RF_ONE})
+        return self.toral(g)
 
     def toral(self, g):
-        return UqElement(self, {((), self._norm_g(list(g)), ()): RF_ONE})
+        if len(g) != self.n + 1:
+            raise ValueError(f"a toral exponent vector has {self.n + 1} entries")
+        return UqElement(self, {((), self._norm_g(g), ()): RF_ONE})
 
     # -- straightening --------------------------------------------------------------
 
@@ -402,6 +414,7 @@ def braid_T(alg, i, el):
     letters.  alg memoizes T_i of every prefix of a word it maps alone
     (extend_prefix), and T_i of a letter as its one-letter prefix.
     """
+    _index(i, alg.n)
     if not el.in_sl_form():
         raise NotInSlForm("element has G-exponents outside the root lattice")
     memo = alg._braid_memo
@@ -426,43 +439,22 @@ def braid_T(alg, i, el):
 def _braid_image(alg, i, letter):
     """T_i of one letter ("F", j), ("G", g) or ("E", j) of a letter word."""
     kind, j = letter
-    n = alg.n
     if kind == "F":
         if j == i:
-            # -K_i^{-1} E_i
-            return UqElement(alg, alg.normalize({((), _gvec(n, {i: -1, i + 1: 1}), (i,)): -RF_ONE}))
+            return (alg.K(i, -1) * alg.E(i)).scale(-1)
         if abs(i - j) == 1:
             return (alg.F(j) * alg.F(i)).scale(-1) + (alg.F(i) * alg.F(j)).scale(RF_Q)
         return alg.F(j)
     if kind == "E":
         if j == i:
-            # -F_i K_i
-            return UqElement(alg, alg.normalize({((i,), _gvec(n, {i: 1, i + 1: -1}), ()): -RF_ONE}))
+            return (alg.F(i) * alg.K(i)).scale(-1)
         if abs(i - j) == 1:
             return (alg.E(i) * alg.E(j)).scale(-1) + (alg.E(j) * alg.E(i)).scale(RF_QINV)
         return alg.E(j)
-    g = j
-    if alg.sl_quotient:
-        shift = sum(g) // (n + 1)
-        g = tuple(x - shift for x in g)
-    # T_i: K_i -> K_i^{-1}; K_j -> K_i K_j for |i-j| = 1; else fixed
-    kimg = [0] * n
-    for t in range(1, n + 1):
-        v = sum(g[:t])
-        if not v:
-            continue
-        if t == i:
-            kimg[i - 1] -= v
-        elif abs(i - t) == 1:
-            kimg[i - 1] += v
-            kimg[t - 1] += v
-        else:
-            kimg[t - 1] += v
-    gimg = [0] * (n + 1)
-    for t, v in enumerate(kimg, start=1):
-        gimg[t - 1] += v
-        gimg[t] -= v
-    return UqElement(alg, alg.normalize({((), tuple(gimg), ()): RF_ONE}))
+    # T_i(G^g) = G^{s_i g}: the simple reflection swaps g_i and g_{i+1}
+    g = list(j)
+    g[i - 1], g[i] = g[i], g[i - 1]
+    return alg.toral(g)
 
 
 def _letter_words(el):
@@ -520,17 +512,12 @@ class ThetaMap:
         img = self._images.get(key)
         if img is not None:
             return img
-        uq, n = self.uq, self.n
+        uq = self.uq
         if self.sign == "+":
             if i == j:
                 img = uq.G(i, -1)
             elif j == i + 1:
-                img = UqElement(
-                    uq,
-                    uq.normalize(
-                        {((i,), _gvec(n, {i + 1: -1}), ()): -RF_Q_MINUS_QINV}
-                    ),
-                )
+                img = (uq.F(i) * uq.G(i + 1, -1)).scale(-RF_Q_MINUS_QINV)
             elif j > i + 1:
                 a = self.image(i, j - 1)
                 b = self.image(j - 1, j)
@@ -541,12 +528,7 @@ class ThetaMap:
             if i == j:
                 img = uq.G(i)
             elif i == j + 1:
-                img = UqElement(
-                    uq,
-                    uq.normalize(
-                        {((), _gvec(n, {i: 1}), (j,)): RF_Q_MINUS_QINV}
-                    ),
-                )
+                img = (uq.G(i) * uq.E(j)).scale(RF_Q_MINUS_QINV)
             elif i > j + 1:
                 a = self.image(i - 1, j)
                 b = self.image(i, i - 1)
@@ -581,13 +563,6 @@ class ThetaMap:
             if not (lhs - UqTensor(self.uq, rhs)).is_zero():
                 failures.append(f"x[{i},{j}]")
         return {"ok": not failures, "failures": failures}
-
-
-def _gvec(n, entries):
-    g = [0] * (n + 1)
-    for i, v in entries.items():
-        g[i - 1] = v
-    return tuple(g)
 
 
 class UqTensor(LinComb):
@@ -646,33 +621,35 @@ def uq_coproduct(el):
     Delta(E_i) = E_i (x) 1 + G_i G_{i+1}^{-1} (x) E_i
     """
     alg = el.alg
-    n = alg.n
-
-    def delta(*pairs):
-        out = {}
-        for a, b in pairs:
-            add_outer(out, a.terms, b.terms, RF_ONE)
-        return UqTensor(alg, out)
+    one = alg.one()
 
     def image(letter):
         kind, j = letter
         if kind == "F":
-            return delta(
-                (alg.F(j), alg.toral(_gvec(n, {j: -1, j + 1: 1}))), (alg.one(), alg.F(j))
-            )
+            return _tensor(alg, (alg.F(j), alg.K(j, -1)), (one, alg.F(j)))
         if kind == "E":
-            return delta(
-                (alg.E(j), alg.one()), (alg.toral(_gvec(n, {j: 1, j + 1: -1})), alg.E(j))
-            )
+            return _tensor(alg, (alg.E(j), one), (alg.K(j), alg.E(j)))
         gg = alg.toral(j)
-        return delta((gg, gg))
+        return _tensor(alg, (gg, gg))
 
-    unit = ((), (0,) * (n + 1), ())
-    return apply_word_map(_letter_words(el), image, UqTensor(alg, {(unit, unit): RF_ONE}))
+    return apply_word_map(_letter_words(el), image, _tensor(alg, (one, one)))
+
+
+def _tensor(alg, *pairs):
+    """sum a (x) b over the pairs (a, b) of U_q elements."""
+    out = {}
+    for a, b in pairs:
+        add_outer(out, a.terms, b.terms, RF_ONE)
+    return UqTensor(alg, out)
 
 
 class MuMap:
-    """mu_P = (theta_+ (x) theta_-) o (rho_+ (x) rho_-) o Delta."""
+    """mu_P = (theta_+ (x) theta_-) o (rho_+ (x) rho_-) o Delta.
+
+    A composite of algebra maps, so one algebra map on the SL words: the
+    image of x_ij is sum_k theta_+(x_ik) (x) theta_-(x_kj) over the terms
+    of Delta(x_ij) that rho_+ (x) rho_- keep, k >= max(i, j).
+    """
 
     def __init__(self, sl, uq=None):
         self.sl = sl
@@ -684,18 +661,14 @@ class MuMap:
         self.theta_minus = ThetaMap("-", self.bminus, self.uq)
 
     def apply(self, el):
-        def side(borel, theta):
-            def word_image(w):
-                word = NCElement(self.sl.spec, {w: RF_ONE}, reduce=False)
-                return theta.apply(pi_project(self.sl, borel, word)).terms
+        plus, minus = self.theta_plus.image, self.theta_minus.image
 
-            return word_image
+        def image(p):
+            i, j = self.sl.cell_of(p)
+            return _tensor(self.uq, *((plus(i, k), minus(k, j)) for k in range(max(i, j), self.n + 2)))
 
-        delta = self.sl.coproduct(el)
-        out = apply_pair_map(
-            delta.terms, side(self.bplus, self.theta_plus), side(self.bminus, self.theta_minus)
-        )
-        return UqTensor(self.uq, out)
+        one = self.uq.one()
+        return apply_word_map(el.terms, image, _tensor(self.uq, (one, one)))
 
 
 class PoleAtOneError(Exception):

@@ -254,14 +254,14 @@ def _scaled_gen(ctx, g):
     """The lift of one generator, built as the generator scaled by the
     inverse of its denominator."""
     alg = ctx.alg
-    if g.kind == "r":
+    if g.family == "r":
         i, j = g.indices
         el = alg.gen(i, j)
         return el.scale(RatFunc(1, Q_MINUS_QINV)) if i != j else el
     (i,) = g.indices
-    if g.kind == "phi":
+    if g.family == "phi":
         num = alg.gen(i, i) - alg.gen(i + 1, i + 1)
-    elif g.kind == "chi":
+    elif g.family == "chi":
         num = alg.gen(i, i) - alg.one()
     else:
         prod = alg.one()

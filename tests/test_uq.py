@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 
@@ -6,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfun import uq
-from qfun.freealg import AlgebraMismatch
-from qfun.laurent import RF_ONE, RF_Q_MINUS_QINV
-from qfun.lincomb import apply_word_map
-from qfun.qsl import SLAlgebra
+from qfun.freealg import AlgebraMismatch, NCElement
+from qfun.laurent import RF_ONE, RF_Q_MINUS_QINV, RF_ZERO
+from qfun.lincomb import apply_pair_map, apply_word_map
+from qfun.qsl import SLAlgebra, pi_project
 from qfun.uq import (
     MuMap,
     NotInSlForm,
     RF_Q_PLUS_QINV,
     UqAlgebra,
+    UqTensor,
     _braid_image,
     _letter_words,
     braid_T,
@@ -35,33 +37,50 @@ def u2():
     return UqAlgebra(2)
 
 
-def _defining_relations(alg):
-    n = alg.n
+def _formal_relations(alg):
+    """The defining relations of the sl-subalgebra, each written formally as
+    a list of terms (scalar, [generator factors]) that sums to 0 once the
+    factors are multiplied.  A map is checked on a relation by mapping the
+    factors first (_evaluate): the relation multiplied out in U_q is already
+    the zero element, whatever the map."""
+    K, E, F = alg.K, alg.E, alg.F
+    inv = RF_Q_MINUS_QINV.inverse()
     rels = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
+    for a in range(1, alg.n + 1):
+        rels.append([(RF_ONE, [K(a), K(a, -1)]), (-RF_ONE, [])])
+        for b in range(1, alg.n + 1):
             ca = 2 if a == b else (-1 if abs(a - b) == 1 else 0)
-            rels.append(alg.K(a) * alg.E(b) - (alg.E(b) * alg.K(a)).scale(qpow(ca)))
-            rels.append(alg.K(a) * alg.F(b) - (alg.F(b) * alg.K(a)).scale(qpow(-ca)))
-            d = alg.E(a) * alg.F(b) - alg.F(b) * alg.E(a)
+            rels.append([(RF_ONE, [K(a), K(b)]), (-RF_ONE, [K(b), K(a)])])
+            rels.append([(RF_ONE, [K(a), E(b)]), (-qpow(ca), [E(b), K(a)])])
+            rels.append([(RF_ONE, [K(a), F(b)]), (-qpow(-ca), [F(b), K(a)])])
+            cross = [(RF_ONE, [E(a), F(b)]), (-RF_ONE, [F(b), E(a)])]
             if a == b:
-                d = d - (alg.K(a) - alg.K(a, -1)).scale(RF_Q_MINUS_QINV.inverse())
-            rels.append(d)
-            if abs(a - b) > 1:
-                rels.append(alg.E(a) * alg.E(b) - alg.E(b) * alg.E(a))
-                rels.append(alg.F(a) * alg.F(b) - alg.F(b) * alg.F(a))
-            if abs(a - b) == 1:
-                rels.append(
-                    alg.E(a) * alg.E(a) * alg.E(b)
-                    - (alg.E(a) * alg.E(b) * alg.E(a)).scale(RF_Q_PLUS_QINV)
-                    + alg.E(b) * alg.E(a) * alg.E(a)
-                )
-                rels.append(
-                    alg.F(a) * alg.F(a) * alg.F(b)
-                    - (alg.F(a) * alg.F(b) * alg.F(a)).scale(RF_Q_PLUS_QINV)
-                    + alg.F(b) * alg.F(a) * alg.F(a)
-                )
+                cross += [(-inv, [K(a)]), (inv, [K(a, -1)])]
+            rels.append(cross)
+            for X in (E, F):
+                if abs(a - b) > 1:
+                    rels.append([(RF_ONE, [X(a), X(b)]), (-RF_ONE, [X(b), X(a)])])
+                if abs(a - b) == 1:
+                    rels.append([(RF_ONE, [X(a), X(a), X(b)]),
+                                 (-RF_Q_PLUS_QINV, [X(a), X(b), X(a)]),
+                                 (RF_ONE, [X(b), X(a), X(a)])])
     return rels
+
+
+def _evaluate(relation, phi, one):
+    """sum c phi(f_1) ... phi(f_k) over the terms (c, [f_1, ..., f_k])."""
+    total = None
+    for c, factors in relation:
+        product = one
+        for f in factors:
+            product = product * phi(f)
+        total = product.scale(c) if total is None else total + product.scale(c)
+    return total
+
+
+def _defining_relations(alg):
+    """The formal relations multiplied out in U_q."""
+    return [_evaluate(r, lambda f: f, alg.one()) for r in _formal_relations(alg)]
 
 
 def test_presentation_relations_normalize_to_zero(u2):
@@ -159,10 +178,15 @@ def test_braid_requires_sl_form(u2):
         braid_T(u2, 1, u2.G(1))
 
 
-def test_braid_is_automorphism(u2):
-    for i in (1, 2):
-        for r in _defining_relations(u2):
-            assert braid_T(u2, i, r).is_zero()
+def _braid_failures(alg):
+    return [(i, k) for i in range(1, alg.n + 1) for k, r in enumerate(_formal_relations(alg))
+            if not _evaluate(r, lambda f: braid_T(alg, i, f), alg.one()).is_zero()]
+
+
+def test_braid_is_automorphism():
+    for n in (1, 2):
+        for sl_quotient in (False, True):
+            assert _braid_failures(UqAlgebra(n, sl_quotient=sl_quotient)) == []
 
 
 # (n, sl_quotient, i, terms): each term (coefficient, F-word, K-exponents,
@@ -255,8 +279,9 @@ def test_braid_equals_iterated_root_vectors(u2):
 
 def test_uq_coproduct_is_algebra_map(u2):
     for alg in (UqAlgebra(1), u2):
-        for r in _defining_relations(alg):
-            assert uq_coproduct(r).is_zero()
+        one = uq_coproduct(alg.one())
+        for r in _formal_relations(alg):
+            assert _evaluate(r, uq_coproduct, one).is_zero()
 
 
 def test_theta_maps_and_mu():
@@ -292,6 +317,98 @@ def test_mu_is_algebra_map_on_relation():
     lhs = mu.apply(sl.gen(1, 1) * sl.gen(1, 2))
     rhs = mu.apply(sl.gen(1, 2) * sl.gen(1, 1)).scale(qpow(1))
     assert (lhs - rhs).is_zero()
+    # mu(a b) = mu(a) mu(b) on every pair of generators
+    for n in (1, 2):
+        sl = SLAlgebra(n, strategy="diagonal74")
+        mu = MuMap(sl)
+        gens = [sl.gen(i, j) for i in range(1, n + 2) for j in range(1, n + 2)]
+        for a in gens:
+            for b in gens:
+                assert mu.apply(a * b) == mu.apply(a) * mu.apply(b), (str(a), str(b))
+
+
+def _mu_reference(mu, el):
+    """mu by its definition: the SL coproduct, each word projected into the
+    Borels and reduced there (pi_project), then theta_+ (x) theta_-."""
+    def side(borel, theta):
+        def word_image(w):
+            word = NCElement(mu.sl.spec, {w: RF_ONE}, reduce=False)
+            return theta.apply(pi_project(mu.sl, borel, word)).terms
+
+        return word_image
+
+    delta = mu.sl.coproduct(el)
+    out = apply_pair_map(delta.terms, side(mu.bplus, mu.theta_plus),
+                         side(mu.bminus, mu.theta_minus))
+    return UqTensor(mu.uq, out)
+
+
+def test_mu_equals_the_coproduct_projection_pipeline():
+    for n in (1, 2, 3):
+        sl = SLAlgebra(n, strategy="diagonal74")
+        mu = MuMap(sl)
+        gens = [sl.gen(i, j) for i in range(1, n + 2) for j in range(1, n + 2)]
+        inv = RF_Q_MINUS_QINV.inverse()
+        # at n = 3 the reference takes some 40 s on the antipode of x_12 x_21
+        anti = sl.antipode(gens[1] * gens[n + 1] if n < 3 else gens[1])
+        els = gens + [gens[1] * gens[-2], (gens[-1] * gens[1] + gens[n + 1]).scale(inv),
+                      anti.scale(RF_Q_PLUS_QINV.inverse())]
+        for el in els:
+            assert mu.apply(el) == _mu_reference(mu, el), (n, str(el))
+
+
+def _torus_reference(alg, i, g):
+    """T_i(G^g) through K-exponents: with g summing to 0 (shifted by the
+    central G_1...G_{n+1} in the quotient), G^g = prod_t K_t^(g_1+...+g_t),
+    and T_i sends K_i to K_i^-1 and K_t to K_i K_t for |i - t| = 1, and
+    fixes the other K_t."""
+    n = alg.n
+    if alg.sl_quotient:
+        shift = sum(g) // (n + 1)
+        g = tuple(x - shift for x in g)
+    kimg = [0] * n
+    for t in range(1, n + 1):
+        v = sum(g[:t])
+        if t == i:
+            kimg[i - 1] -= v
+        elif abs(i - t) == 1:
+            kimg[i - 1] += v
+            kimg[t - 1] += v
+        else:
+            kimg[t - 1] += v
+    gimg = [0] * (n + 1)
+    for t, v in enumerate(kimg, start=1):
+        gimg[t - 1] += v
+        gimg[t] -= v
+    return alg.toral(gimg)
+
+
+def test_torus_images_match_the_k_exponent_reference():
+    cases = 0
+    for n in range(1, 5):
+        for sl_quotient in (False, True):
+            alg = UqAlgebra(n, sl_quotient=sl_quotient)
+            for g in itertools.product(range(-2, 3), repeat=n + 1):
+                if not alg.toral(g).in_sl_form():
+                    continue
+                for i in range(1, n + 1):
+                    assert _braid_image(alg, i, ("G", g)) == _torus_reference(alg, i, g), (n, g, i)
+                    cases += 1
+    assert cases == 4888
+
+
+def test_uq_indices_out_of_range_are_refused():
+    a = UqAlgebra(2)
+    bad = [lambda: a.F(0), lambda: a.F(3), lambda: a.E(0), lambda: a.E(3), lambda: a.K(0),
+           lambda: a.K(3), lambda: a.G(0), lambda: a.G(4), lambda: a.G(-1, 2),
+           lambda: braid_T(a, 0, a.E(1)), lambda: braid_T(a, 0, a.K(1)),
+           lambda: braid_T(a, 3, a.F(2)), lambda: braid_T(a, 3, a.G(1)),
+           lambda: a.toral((1,)), lambda: a.toral((1, 0, 0, -1))]
+    for make in bad:
+        with pytest.raises(ValueError):
+            make()
+    assert not a._braid_memo
+    assert str(a.G(3) * a.K(2)) == "G[2]"
 
 
 def test_graded_dimensions_match_kostant():
@@ -304,8 +421,6 @@ def test_graded_dimensions_match_kostant():
 def _standard_rep_matrix(alg, el):
     """Action of an element on the standard module, as a dense matrix of
     RatFuncs: F_i v_i = v_{i+1}, E_i v_{i+1} = v_i, G_i v_j = q^{d_ij} v_j."""
-    from qfun.laurent import RF_ZERO
-
     n = alg.n
     dim = n + 1
     out = [[RF_ZERO for _ in range(dim)] for _ in range(dim)]
@@ -357,11 +472,33 @@ def test_root_vectors_act_as_signed_matrix_units():
                         assert m[a][b] == expect, ("F", i, j, a, b)
 
 
+class _Matrix:
+    """A dense square matrix of RatFuncs with the operations _evaluate uses."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __mul__(self, other):
+        cols = list(zip(*other.rows))
+        return _Matrix([[sum((a * b for a, b in zip(row, col)), RF_ZERO) for col in cols]
+                        for row in self.rows])
+
+    def __add__(self, other):
+        return _Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
+    def scale(self, c):
+        return _Matrix([[a * c for a in row] for row in self.rows])
+
+    def is_zero(self):
+        return all(not a for row in self.rows for a in row)
+
+
 def test_standard_rep_respects_relations():
-    alg = UqAlgebra(2)
-    for r in _defining_relations(alg):
-        m = _standard_rep_matrix(alg, r)
-        assert all(not c for row in m for c in row)
+    for n in (2, 3):
+        alg = UqAlgebra(n)
+        one = _Matrix(_standard_rep_matrix(alg, alg.one()))
+        for r in _formal_relations(alg):
+            assert _evaluate(r, lambda f: _Matrix(_standard_rep_matrix(alg, f)), one).is_zero()
 
 
 def _cache_probe(alg):

@@ -239,6 +239,22 @@ def parse(src):
     return Parser(src).parse()
 
 
+# the binary nodes, which the parser builds left-deep for a + b - c and a b / c
+CHAINS = ("add", "sub", "mul", "div")
+
+
+def _chain(node):
+    """A left-deep chain of CHAINS nodes as its first operand and its
+    (kind, right operand) steps in order, so that a sum or product of many
+    terms is folded in a loop, not by one recursion per operand."""
+    steps = []
+    while node[0] in CHAINS:
+        steps.append((node[0], node[2]))
+        node = node[1]
+    steps.reverse()
+    return node, steps
+
+
 def _check_range(fam, idx, n):
     ok = all(1 <= t <= n + 1 for t in idx)
     if fam in ("phi", "h", "E", "F") and idx and idx[0] > n:
@@ -381,21 +397,12 @@ class Context:
             return self.alg.one()
         if kind == "neg":
             return -self.eval(node[1])
-        if kind in ("add", "sub"):
-            a = self.eval(node[1])
-            b = self.eval(node[2])
-            a, b = self._align(a, b)
-            return a + b if kind == "add" else a - b
-        if kind == "mul":
-            return self._mul(self.eval(node[1]), self.eval(node[2]))
-        if kind == "div":
-            num = self.eval(node[1])
-            den = self.eval(node[2])
-            if not isinstance(den, RatFunc):
-                raise ExprIndexError("division only by scalars")
-            if isinstance(num, RatFunc):
-                return num / den
-            return self._mul(num, den.inverse())
+        if kind in CHAINS:
+            first, steps = _chain(node)
+            out = self.eval(first)
+            for op, rhs in steps:
+                out = self._binary(op, out, self.eval(rhs))
+            return out
         if kind == "pow":
             k = node[2]
             if k < 0 and self.name == "GL" and node[1] == ("detq",):
@@ -423,6 +430,19 @@ class Context:
         if kind == "call":
             return self._call(node[1], node[2])
         raise ValueError(f"bad node {node!r}")
+
+    def _binary(self, kind, a, b):
+        """a + b, a - b, a b or a / b, by the kind of a CHAINS node."""
+        if kind in ("add", "sub"):
+            a, b = self._align(a, b)
+            return a + b if kind == "add" else a - b
+        if kind == "mul":
+            return self._mul(a, b)
+        if not isinstance(b, RatFunc):
+            raise ExprIndexError("division only by scalars")
+        if isinstance(a, RatFunc):
+            return a / b
+        return self._mul(a, b.inverse())
 
     @staticmethod
     def _refuse_mixed(a, b, scalars_mix):
@@ -512,19 +532,24 @@ def _as_intexpr(node, n, budget):
             raise ExprIndexError("delta expects integer-form generators")
         _check_range(fam, idx, n)
         return IntExpr.gen(g(*idx))
-    if kind == "add":
-        return _as_intexpr(node[1], n, budget) + _as_intexpr(node[2], n, budget)
-    if kind == "sub":
-        return _as_intexpr(node[1], n, budget) - _as_intexpr(node[2], n, budget)
     if kind == "neg":
         return -_as_intexpr(node[1], n, budget)
-    if kind == "mul":
-        return _as_intexpr(node[1], n, budget) * _as_intexpr(node[2], n, budget)
-    if kind == "div":
-        den = _as_intexpr(node[2], n, budget)
-        if list(den.terms) != [()]:
-            raise ExprIndexError("division only by scalars")
-        return _as_intexpr(node[1], n, budget).scale(den.terms[()].inverse())
+    if kind in CHAINS:
+        first, steps = _chain(node)
+        out = _as_intexpr(first, n, budget)
+        for op, rhs in steps:
+            b = _as_intexpr(rhs, n, budget)
+            if op == "add":
+                out = out + b
+            elif op == "sub":
+                out = out - b
+            elif op == "mul":
+                out = out * b
+            elif list(b.terms) != [()]:
+                raise ExprIndexError("division only by scalars")
+            else:
+                out = out.scale(b.terms[()].inverse())
+        return out
     if kind == "num":
         return IntExpr.one().scale(node[1])
     if kind == "rat":
@@ -745,6 +770,9 @@ def run_command(argv):
         return 2, f"error: {exc} (raise QFUN_MAX_TERMS to allow more)"
     except (DivisionByZero, NotDivisible, NotInBorel, OutOfForm, OutputTooLarge) as exc:
         return 2, f"error: {exc}"
+    except RecursionError:
+        # parentheses and calls nest by recursion in the parser and evaluator
+        return 2, "error: expression nested too deeply to evaluate"
 
 
 def _dispatch(args):
@@ -839,7 +867,14 @@ def _dispatch(args):
             return 2, "error: --max-degree must be >= 0"
         if args.algebra not in ("M", "SL", "GL"):
             return 2, "error: basis needs a matrix-type algebra"
-        alg = Context(args.algebra, args.n, order=args.order, sl_strategy=args.sl_strategy).alg
+        ctx = Context(args.algebra, args.n, order=args.order, sl_strategy=args.sl_strategy)
+        alg = ctx.alg
+        # pbw_basis enumerates every sorted word of degree <= D over the L
+        # letters, C(L + D, D) of them, before it drops the reducible ones
+        words = math.comb(len(alg.spec.alphabet) + args.max_degree, args.max_degree)
+        if words > ctx.term_budget:
+            raise TermBudgetExceeded(f"{words} sorted words of degree <= {args.max_degree} "
+                                     f"exceed the term budget {ctx.term_budget}")
         lines = [alg.spec.word_str(w) for w in alg.pbw_basis(args.max_degree)]
         if fmt == "json":
             return 0, json.dumps({"schema": "qfun/1", "basis": lines}, indent=2)

@@ -54,7 +54,11 @@ class LaurentPoly:
     Arithmetic takes a LaurentPoly or an int and returns NotImplemented for
     anything else, so a RatFunc operand answers through its reflected
     method.  A product by 1 returns the other operand object, and a product
-    with 0 is LP_ZERO: callers skip unit factors by `is`.
+    with 0 is LP_ZERO: callers skip unit factors by `is`.  The product of
+    two single-term factors other than 1 is one shared object per monomial
+    c q^e (up to a fixed number of monomials), so a product equal to 1 is
+    LP_ONE itself.  Sharing is safe because no operation changes the terms
+    of a LaurentPoly once it is built.
     """
 
     __slots__ = ("terms", "_hash")
@@ -162,9 +166,11 @@ class LaurentPoly:
     def __mul__(self, other):
         """The product; LP_ONE times p is p itself, either way round.
 
-        A single-term factor c q^s shifts and scales the other's terms in
-        one loop: the exponents stay distinct and no product of nonzero
-        integers is zero, so nothing is summed or dropped."""
+        Two single-term factors multiply to the shared monomial of
+        _MONOMIALS.  A single-term factor c q^s shifts and scales the
+        other's terms in one loop: the exponents stay distinct and no
+        product of nonzero integers is zero, so nothing is summed or
+        dropped."""
         if other.__class__ is not LaurentPoly:
             if isinstance(other, int):
                 if other == 0:
@@ -184,8 +190,19 @@ class LaurentPoly:
             (e1, c1), = a.items()
             if e1 == 0 and c1 == 1:
                 return other
-            if b == _ONE_TERMS:
-                return self
+            if len(b) == 1:
+                (e2, c2), = b.items()
+                if e2 == 0 and c2 == 1:
+                    return self
+                key = (e1 + e2, c1 * c2)
+                out = _MONOMIALS.get(key)
+                if out is None:
+                    out = LaurentPoly.__new__(LaurentPoly)
+                    out.terms = {key[0]: key[1]}
+                    out._hash = None
+                    if len(_MONOMIALS) < _MONOMIAL_LIMIT:
+                        _MONOMIALS[key] = out
+                return out
             t = {}
             for e, c in b.items():
                 t[e + e1] = c * c1
@@ -284,6 +301,10 @@ class LaurentPoly:
 LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly({0: 1})
 _ONE_TERMS = LP_ONE.terms
+# (exponent, coefficient) -> the one shared product c q^e of two
+# single-term factors, up to _MONOMIAL_LIMIT entries; 1 is LP_ONE
+_MONOMIAL_LIMIT = 1024
+_MONOMIALS = {(0, 1): LP_ONE}
 Q = LaurentPoly({1: 1})
 QINV = LaurentPoly({-1: 1})
 Q_MINUS_1 = LaurentPoly({1: 1, 0: -1})

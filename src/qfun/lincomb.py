@@ -150,21 +150,41 @@ def add_outer(dst, a, b, coeff):
     return add_pair_products(dst, ((coeff, a, b),)) if coeff else dst
 
 
-def pair_product(x, y, product, one=None):
+def pair_product(x, y, product, one=None, concat=False):
     """The pair-keyed term dict of x * y in a tensor square, where two keys
     (a1, b1), (a2, b2) multiply to product(a1, a2) (x) product(b1, b2), and
     product maps two keys of the algebra to the term dict of their product.
+    With concat, the keys are words and product maps their concatenation
+    a1 + a2, so a memoized normal form of words is passed as it is.
 
     The sum of c1 c2 cl cr over the terms of x, y and both products runs in
     one loop, with the skips and zero-dropping of add_pair_products; product
-    is called twice per pair of terms, first factors first."""
+    is called twice per pair of terms, first factors first.  Each pair of
+    coefficient objects c1, c2 is multiplied once: the terms of a scaled
+    coproduct share one coefficient object.  Every operand stays alive for
+    the call, so their ids key the products."""
     dst = {}
     get = dst.get
+    rows = {}
     for (a1, b1), c1 in x.items():
+        row = rows.get(id(c1))
+        if row is None:
+            row = rows[id(c1)] = {}
         for (a2, b2), c2 in y.items():
-            c = c1 if c2 is one else (c2 if c1 is one else c1 * c2)
-            lt = product(a1, a2)
-            rt = product(b1, b2)
+            if c2 is one:
+                c = c1
+            elif c1 is one:
+                c = c2
+            else:
+                c = row.get(id(c2))
+                if c is None:
+                    c = row[id(c2)] = c1 * c2
+            if concat:
+                lt = product(a1 + a2)
+                rt = product(b1 + b2)
+            else:
+                lt = product(a1, a2)
+                rt = product(b1, b2)
             for kl, cl in lt.items():
                 if cl is one:
                     cl = c

@@ -418,8 +418,7 @@ def _tensor_product(spec, x, y):
     memoized quadratic one unless a reducer acts on top of it.  The
     coefficients come out of the type of x's and y's."""
     if spec.reducer is None:
-        nf = spec.normal_form_word
-        return pair_product(x, y, lambda u, v: nf(u + v), LP_ONE)
+        return pair_product(x, y, spec.normal_form_word, LP_ONE, concat=True)
     reduce_terms = spec.reduce_terms
     return pair_product(x, y, lambda u, v: reduce_terms({u + v: LP_ONE}), LP_ONE)
 

@@ -280,6 +280,41 @@ def test_huge_powers_refused_before_any_work():
     assert run_command(["nf", "--algebra", "M", "(-q)^-99999999999"]) == (0, "-q^-99999999999")
 
 
+def test_long_chains_fold_and_deep_nesting_is_refused():
+    """Sums and products of many operands fold in a loop and answer; nesting
+    past Python's recursion limit is refused with an error line, not a
+    RecursionError."""
+    m1 = ["--n", "1", "--algebra", "M"]
+    atoms = " ".join(["x[1,1]"] * 5000)
+    assert run_command(["nf", *m1, atoms]) == (0, atoms)
+    assert run_command(["nf", *m1, " + ".join(["x[1,2]"] * 5000)]) == (0, "5000 x[1,2]")
+    assert run_command(["specialize", " - ".join(["r[1,2]"] * 2001)]) == (0, "1999 f[2,1]")
+    for expr in ("(" * 1000 + "x[1,1]" + ")" * 1000, "S(" * 1000 + "x[1,1]" + ")" * 1000):
+        code, out = run_command(["nf", *m1, expr])
+        assert code == 2 and out == "error: expression nested too deeply to evaluate", out
+    assert run_command(["nf", *m1, "(" * 200 + "x[1,1]" + ")" * 200]) == (0, "x[1,1]")
+
+
+def test_basis_refuses_before_it_enumerates(monkeypatch):
+    """basis counts the C(L + D, D) sorted words of degree <= D over L
+    letters before it builds them, and refuses a count past the term budget."""
+    import time
+
+    start = time.perf_counter()
+    code, out = run_command(["basis", "--n", "1", "--algebra", "M", "--max-degree", "100000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out.startswith("error: ") and out.endswith(
+        "(raise QFUN_MAX_TERMS to allow more)"), out
+    argv = ["basis", "--n", "1", "--algebra", "M", "--max-degree", "2"]
+    code, out = run_command(argv)
+    assert code == 0 and len(out.splitlines()) == 15  # C(4 + 2, 2)
+    monkeypatch.setenv("QFUN_MAX_TERMS", "15")
+    assert run_command(argv) == (0, out)
+    monkeypatch.setenv("QFUN_MAX_TERMS", "14")
+    code, refusal = run_command(argv)
+    assert code == 2 and "15 sorted words of degree <= 2 exceed the term budget 14" in refusal
+
+
 def test_negative_powers_under_delta_and_specialize():
     # r[1,2]^-1 used to read as r[1,2]^0 = 1, and a scalar's inverse power as 1
     code, out = run_command(["specialize", "r[1,2]^-1"])

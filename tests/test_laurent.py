@@ -339,6 +339,63 @@ def test_lp_one_times_p_is_p_itself(p):
     assert LP_ZERO * p is LP_ZERO and p * LP_ZERO is LP_ZERO and p * 0 is LP_ZERO
 
 
+# -- the shared-monomial table against a plain double loop -----------------------
+
+monomials = st.tuples(coeffs.filter(bool), exps).map(lambda t: LaurentPoly({t[1]: t[0]}))
+mul_operands = st.one_of(monomials, signed_monomials, polys)
+
+
+def _double_loop(a, b):
+    """The terms of a * b, summed pair by pair without LaurentPoly arithmetic."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(mul_operands, mul_operands)
+@settings(max_examples=400, deadline=None)
+@example(LaurentPoly({1: 2}), LaurentPoly({-1: 3}))
+@example(LaurentPoly({1: -1}), LaurentPoly({-1: -1}))
+@example(LaurentPoly({2: 1}), LaurentPoly({-2: -1}))
+def test_lp_mul_1x1_1xk_kxk_against_the_double_loop(a, b):
+    """1x1 products come from the table of shared monomials: the value is
+    the double loop's, a product equal to 1 of two factors other than 1 is
+    LP_ONE itself, and no operand or earlier product changes."""
+    from qfun import laurent
+
+    before = _snapshot(a, b)
+    expected = _double_loop(a, b)
+    for prod in (a * b, b * a):
+        assert prod.terms == expected
+        if expected == {0: 1} and a != 1 and b != 1:
+            assert prod is LP_ONE
+    if len(a.terms) == len(b.terms) == 1 and a != 1 and b != 1:
+        assert a * b is b * a
+    assert _snapshot(a, b) == before
+    assert all(m.terms == {e: c} for (e, c), m in laurent._MONOMIALS.items())
+
+
+def test_shared_monomials_keep_their_values_through_coproducts():
+    """A slice of the coproduct check Delta(ab) = Delta(a)Delta(b) in M_q(3)
+    with Laurent-monomial coefficients, then every shared monomial against
+    its key: the table holds at most _MONOMIAL_LIMIT, and 1 is LP_ONE."""
+    from qfun import laurent
+    from qfun.qmatrix import MatrixAlgebra
+
+    alg = MatrixAlgebra(2)
+    gens = [alg.gen(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    for k in range(12):
+        a = gens[k % 9].scale(LaurentPoly({k % 5 - 2: (-1) ** k * (k % 3 + 1)}))
+        b = (gens[(5 * k) % 9] * gens[(2 * k + 1) % 9]).scale(LaurentPoly({2 - k % 4: 1}))
+        assert alg.coproduct(a * b) == alg.coproduct(a) * alg.coproduct(b)
+    table = laurent._MONOMIALS
+    assert 1 < len(table) <= laurent._MONOMIAL_LIMIT
+    assert table[(0, 1)] is LP_ONE
+    assert all(m.terms == {e: c} for (e, c), m in table.items())
+
+
 @given(polys, rf_operands)
 @settings(max_examples=100, deadline=None)
 def test_laurent_and_ratfunc_operands_mix_in_both_orders(p, r):

@@ -376,6 +376,69 @@ def test_pair_product_equals_the_double_loop(x, y, table):
     assert [_snapshot(x), _snapshot(y), _snapshot(table)] == before
 
 
+# tensors whose terms share coefficient objects, as a coproduct scaled by
+# one coefficient has: each key takes one of a few objects of a pool
+coeff_pools = st.lists(st.one_of(units, polys.filter(bool)), min_size=1, max_size=3)
+pool_indices = st.dictionaries(st.tuples(small_keys, small_keys),
+                               st.integers(min_value=0, max_value=2), max_size=6)
+
+
+def _from_pool(pool, indices):
+    return {k: pool[i % len(pool)] for k, i in indices.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_pools, pool_indices, pool_indices, products, st.booleans())
+@example([LaurentPoly({1: 1}), LaurentPoly({0: 2})], {(0, 0): 0, (1, 0): 0, (1, 1): 1},
+         {(0, 0): 0, (1, 1): 1},
+         {(0, 0): {0: LP_ONE}, (1, 0): {1: LP_ONE}, (0, 1): {2: LP_ONE}, (1, 1): {0: LP_ONE}},
+         True)
+def test_pair_product_with_shared_coefficient_objects(pool, xi, yi, table, same_pool):
+    """x = c X and the like: every product c1 c2 of two shared objects,
+    computed once per call, equals the double loop's fresh product, and the
+    terms come in the double loop's order.  With same_pool both factors
+    draw from one pool, so a pair (c1, c2) also meets (c2, c1)."""
+    x = _from_pool(pool, xi)
+    y = _from_pool(pool if same_pool else [c * LaurentPoly({1: 1}) for c in pool], yi)
+    before = [_snapshot(x), _snapshot(y)]
+    ref = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            add_pair_products(ref, [(c1 * c2, table.get((a1, a2), {}), table.get((b1, b2), {}))])
+    for one in (LP_ONE, None):
+        got = pair_product(x, y, lambda u, v: table.get((u, v), {}), one)
+        assert list(got.items()) == list(ref.items())
+    assert [_snapshot(x), _snapshot(y)] == before
+
+
+def test_pair_product_shares_no_product_across_distinct_right_coefficients():
+    """One left coefficient object against two right ones: two products."""
+    c = LaurentPoly({1: 1})
+    x = {(0, 0): c, (1, 1): c}
+    y = {(0, 0): LaurentPoly({0: 2}), (1, 1): LaurentPoly({-1: 3})}
+    got = pair_product(x, y, lambda u, v: {u + v: LP_ONE}, LP_ONE)
+    assert got == {(0, 0): LaurentPoly({1: 2}), (1, 1): LaurentPoly({0: 3}) + LaurentPoly({1: 2}),
+                   (2, 2): LaurentPoly({0: 3})}
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensors, tensors, products)
+def test_pair_product_concat_passes_the_concatenated_word(x, y, table):
+    """With concat, product takes the word a1 + a2 in place of (a1, a2), in
+    the same order, and the result is the same."""
+    words = lambda t: {((a,), (b,)): c for (a, b), c in t.items()}
+    calls = []
+
+    def word_nf(w):
+        calls.append(w)
+        return table.get(w, {})
+
+    got = pair_product(words(x), words(y), word_nf, LP_ONE, concat=True)
+    ref = pair_product(words(x), words(y), lambda u, v: table.get(u + v, {}), LP_ONE)
+    assert list(got.items()) == list(ref.items())
+    assert calls == [w for (a1, b1) in x for (a2, b2) in y for w in ((a1, a2), (b1, b2))]
+
+
 def test_powers_multiply_out_and_refuse_negative_exponents():
     from qfun.qmatrix import MatrixAlgebra
     from qfun.uq import UqAlgebra

@@ -255,6 +255,20 @@ def _chain(node):
     return node, steps
 
 
+def _joins(a, b):
+    """True when a and b are single words of one algebra with no rewriting
+    rule on the pair where they meet.  Their product is then the
+    concatenated word, normal for the rules, so a run of such factors is
+    joined and reduced once (by the reducer, when the algebra has one):
+    reducing every prefix would fill the normal-form memo with all of
+    them."""
+    if not (isinstance(a, NCElement) and isinstance(b, NCElement) and a.spec is b.spec
+            and len(a.terms) == 1 and len(b.terms) == 1):
+        return False
+    (u,), (v,) = a.terms, b.terms
+    return not u or not v or (u[-1], v[0]) not in a.spec.rules
+
+
 def _check_range(fam, idx, n):
     ok = all(1 <= t <= n + 1 for t in idx)
     if fam in ("phi", "h", "E", "F") and idx and idx[0] > n:
@@ -400,9 +414,20 @@ class Context:
         if kind in CHAINS:
             first, steps = _chain(node)
             out = self.eval(first)
+            # out is a concatenated word not yet reduced while joined
+            joined = False
             for op, rhs in steps:
-                out = self._binary(op, out, self.eval(rhs))
-            return out
+                b = self.eval(rhs)
+                if op == "mul" and _joins(out, b):
+                    (u, c), = out.terms.items()
+                    (v, d), = b.terms.items()
+                    out = NCElement(out.spec, {u + v: c * d}, reduce=False)
+                    joined = True
+                    continue
+                if joined:
+                    out, joined = NCElement(out.spec, out.terms), False
+                out = self._binary(op, out, b)
+            return NCElement(out.spec, out.terms) if joined else out
         if kind == "pow":
             k = node[2]
             if k < 0 and self.name == "GL" and node[1] == ("detq",):

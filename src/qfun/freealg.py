@@ -478,7 +478,8 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
     word to representative, to a reduced row led by r again, since its
     words are >= r and r is the only one of them in r's class.  A
     representative is therefore a basis word exactly when no reduced row
-    leads with it.
+    leads with it.  The words of a class share one expansion dict, which a
+    caller must not change.
     """
     # the multinomial count of the words, checked before enumerating them
     count = factorial(sum(multidegree))
@@ -532,7 +533,7 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
             tail = tails.get(r)
             expansions[r] = ({words[r]: RATFUNC.one} if tail is None
                              else {words[j]: -c for j, c in tail.items()})
-    proj = {w: dict(expansions[r]) for w, r in zip(words, rep)}
+    proj = {w: expansions[r] for w, r in zip(words, rep)}
     return words, basis, proj
 
 

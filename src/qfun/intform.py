@@ -17,7 +17,6 @@ extension.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -38,14 +37,13 @@ from .laurent import (
     NotDivisible,
     ONE_PLUS_QINV,
     Q_MINUS_1,
-    Q_MINUS_QINV,
     RATFUNC,
     RF_ONE,
     RF_Q_MINUS_1,
     RF_Q_MINUS_QINV,
     RatFunc,
     neg_q_power,
-    over_den_power,
+    over_common_denominator,
 )
 from .lincomb import (LinComb, accumulate, add_pair_products, apply_pair_map, apply_word_map,
                       concat_product, extend_prefix, format_terms)
@@ -148,38 +146,6 @@ class IntExpr(LinComb):
     __repr__ = __str__
 
 
-@functools.lru_cache(maxsize=256)
-def _den_power(a, b):
-    """(q-q^-1)^a (q-1)^b as a Laurent polynomial."""
-    return Q_MINUS_QINV ** a * Q_MINUS_1 ** b
-
-
-def _over_common_denominator(by_den):
-    """sum N / (d (q-q^-1)^a (q-1)^b) over the {d: {(a, b): N}} of by_den,
-    N term dicts over Z[q,q^-1], as one k(q) term dict.
-
-    For each d, every group is brought to the common denominator
-    (q-q^-1)^A (q-1)^B by a Laurent factor, and each summed coefficient is
-    divided by it once, with no gcd (over_den_power), so a RatFunc is built
-    once per term.  A d other than 1, the den of a k(q) coefficient entered
-    by hand, is multiplied in after that division.
-    """
-    out = {}
-    for den, groups in by_den.items():
-        top_a = max(a for a, _ in groups)
-        top_b = max(b for _, b in groups)
-        if len(groups) == 1:
-            (summed,) = groups.values()
-        else:
-            summed = {}
-            for (a, b), part in groups.items():
-                factor = None if (a, b) == (top_a, top_b) else _den_power(top_a - a, top_b - b)
-                accumulate(summed, part.items(), factor)
-        part = ((k, over_den_power(c, top_a, top_b)) for k, c in summed.items())
-        accumulate(out, part, None if den is LP_ONE else RatFunc.from_laurent(den).inverse())
-    return out
-
-
 class IntContext:
     """Ambient algebra for one of the integer forms.
 
@@ -275,7 +241,7 @@ class IntContext:
             num, a, b = self._numerator(w)
             group = by_den.setdefault(c.den, {}).setdefault((a, b), {})
             accumulate(group, num.items(), None if c.num.is_one() else c.num)
-        return _over_common_denominator(by_den)
+        return over_common_denominator(by_den)
 
     def lift_gen(self, g):
         return NCElement(self.spec, self._lift_terms({(g,): RF_ONE}), reduce=False)
@@ -290,7 +256,7 @@ class IntContext:
             nr, ar, br = self._numerator(wr)
             group = by_den.setdefault(c.den, {}).setdefault((al + ar, bl + br), {})
             add_pair_products(group, ((c.num, nl, nr),), LP_ONE)
-        return TensorElement(self.alg, _over_common_denominator(by_den))
+        return TensorElement(self.alg, over_common_denominator(by_den))
 
     # -- classical target ----------------------------------------------------
 

@@ -6,9 +6,11 @@ hashable, and safe to share between threads.
 
 All of it runs over Python ints.  A fraction is reduced by a primitive
 pseudo-remainder gcd in Z[q] (laurent_gcd) and exact synthetic division;
-a quotient by (q-q^-1)^a (q-1)^b, the denominator of an integer-form lift,
-needs no gcd (over_den_power).  The only rational number built here is the
-value at q = 1 (RatFunc.regular_at_one).
+a quotient by (q-q^-1)^a (q-1)^b, the denominator of an integer-form lift
+or of a U_q product coefficient, needs no gcd (over_den_power), and
+over_common_denominator divides each coefficient of a term dict once.  The
+only rational number built here is the value at q = 1
+(RatFunc.regular_at_one).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd as _int_gcd
+
+from .lincomb import accumulate
 
 
 class NotDivisible(Exception):
@@ -80,7 +84,12 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(coeff, exp):
-        return LaurentPoly({exp: coeff})
+        if not coeff:
+            return LP_ZERO
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.terms = {exp: coeff}
+        out._hash = None
+        return out
 
     # -- basic structure ---------------------------------------------------
 
@@ -728,10 +737,12 @@ def over_den_power(p, a, b):
     division, as divide_q_minus_1 does for (q-1) alone, while p is zero at
     1 or -1.  What is left of the denominator is monic with constant term
     +-1: min exponent 0, positive leading coefficient and content 1, so the
-    fraction is canonical as it stands.
+    fraction is canonical as it stands.  A quotient equal to 1 is RF_ONE.
     """
     if not p.terms:
         return RF_ZERO
+    if not a and not b:
+        return RF_ONE if p.terms == _ONE_TERMS else RatFunc.from_laurent(p)
     coeffs, m = _to_dense(p)
     i = a + b
     while i and not sum(coeffs):
@@ -742,7 +753,58 @@ def over_den_power(p, a, b):
         coeffs = _divide_linear(coeffs, -1)[0]
         j -= 1
     num = LaurentPoly({m + a + t: c for t, c in enumerate(coeffs) if c})
+    if not i and not j and num.terms == _ONE_TERMS:
+        return RF_ONE
     return RatFunc(num, _q_minus_1_q_plus_1(i, j), _reduced=True)
+
+
+@functools.lru_cache(maxsize=256)
+def _den_power(a, b):
+    """(q-q^-1)^a (q-1)^b as a Laurent polynomial."""
+    return Q_MINUS_QINV ** a * Q_MINUS_1 ** b
+
+
+def over_common_denominator(by_den):
+    """sum N / (d (q-q^-1)^a (q-1)^b) over the {d: {(a, b): N}} of by_den,
+    N term dicts over Z[q,q^-1] and d a LaurentPoly, as one k(q) term dict.
+
+    For each d, the numerators of a key are brought to the key's own top
+    powers (q-q^-1)^A (q-1)^B, the largest a and b of the groups that hold
+    it, by a Laurent factor, and their sum is divided once, with no gcd
+    (over_den_power).  So a RatFunc is built once per key, and a key whose
+    groups all have a = b = 0 is divided by nothing.  A d other than 1, the
+    den of a k(q) coefficient that went in, is multiplied in after that
+    division.
+    """
+    out = {}
+    for den, groups in by_den.items():
+        if len(groups) == 1:
+            ((a, b), summed), = groups.items()
+            quotients = {k: over_den_power(c, a, b) for k, c in summed.items()}
+        else:
+            tops = {}
+            for (a, b), group in groups.items():
+                for k in group:
+                    top = tops.get(k)
+                    if top is None:
+                        tops[k] = (a, b)
+                    elif a > top[0] or b > top[1]:
+                        tops[k] = (max(a, top[0]), max(b, top[1]))
+            summed = {}
+            for (a, b), group in groups.items():
+                for k, c in group.items():
+                    top_a, top_b = tops[k]
+                    if top_a != a or top_b != b:
+                        c = c * _den_power(top_a - a, top_b - b)
+                    s = summed.get(k)
+                    summed[k] = c if s is None else s + c
+            quotients = {k: over_den_power(c, *tops[k]) for k, c in summed.items() if c}
+        if den is LP_ONE and not out:
+            # the keys of one den are distinct and their quotients nonzero
+            out = quotients
+        else:
+            accumulate(out, quotients.items(), None if den is LP_ONE else RatFunc.from_laurent(den).inverse())
+    return out
 
 
 # -- coefficient domains ----------------------------------------------------

@@ -145,9 +145,10 @@ def add_pair_products(dst, triples, one=None):
     return dst
 
 
-def add_outer(dst, a, b, coeff):
-    """dst += coeff * (a tensor b) over pair keys, in place; a, b are term dicts."""
-    return add_pair_products(dst, ((coeff, a, b),)) if coeff else dst
+def add_outer(dst, a, b, coeff, one=None):
+    """dst += coeff * (a tensor b) over pair keys, in place; a, b are term
+    dicts.  A factor that `is` one is not multiplied."""
+    return add_pair_products(dst, ((coeff, a, b),), one) if coeff else dst
 
 
 def pair_product(x, y, product, one=None, concat=False):

@@ -375,9 +375,10 @@ class MatrixAlgebra:
                 if not ok:
                     report["ok"] = False
         dd = self.coproduct(d)
-        target = TensorElement(self, add_outer({}, d.terms, d.terms, self.spec.domain.one))
+        one = self.spec.domain.one
+        target = TensorElement(self, add_outer({}, d.terms, d.terms, one, one))
         report["grouplike"] = dd == target
-        report["counit"] = self.counit(d) == self.spec.domain.one
+        report["counit"] = self.counit(d) == one
         report["ok"] = report["ok"] and report["grouplike"] and report["counit"]
         return report
 

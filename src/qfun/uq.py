@@ -4,7 +4,10 @@ Elements are sums of terms (F-word, G-exponent vector, E-word) with k(q)
 coefficients.  Straightening moves E past F through the cross relation and
 normalizes each F/E block against the Serre ideal by graded linear algebra:
 the far commutations merge the words of a multidegree into classes, and only
-the cubic Serre rows are row-reduced over k(q), on those classes.
+the cubic Serre rows are row-reduced over k(q), on those classes.  The Serre
+expansions have Laurent coefficients, and only the cross relation brings in
+1/(q-q^-1), so straightening runs over Z[q,q^-1] and counts that factor as a
+power: a product divides each of its coefficients once, with no gcd.
 Braid operators, the two quantum root vector constructions, the convex
 order on positive roots, the Borel isomorphisms, and the q->1 collapse of
 the composite embedding all live here.
@@ -17,14 +20,16 @@ from fractions import Fraction
 
 from .freealg import CACHE_LIMIT, AlgebraMismatch, NCElement, certified, graded_component_basis, rule_table_key
 from .laurent import (
+    LP_ONE,
     LaurentPoly,
     RATFUNC,
     RF_ONE,
     RF_Q,
     RF_Q_MINUS_QINV,
     RatFunc,
+    over_common_denominator,
 )
-from .lincomb import (LinComb, accumulate, add_outer, apply_pair_map, apply_word_map, extend_prefix,
+from .lincomb import (LinComb, add_outer, apply_pair_map, apply_word_map, extend_prefix,
                       format_terms, pair_product)
 from .qmatrix import perm_inversions
 from .qsl import BorelAlgebra
@@ -36,10 +41,17 @@ class NotInSlForm(Exception):
 
 RF_QINV = RatFunc.from_laurent(LaurentPoly({-1: 1}))
 RF_Q_PLUS_QINV = RatFunc.from_laurent(LaurentPoly({1: 1, -1: 1}))
+# the expansion of the empty F/E word, in the form _serre_nf_word returns
+_UNIT_EXPANSION = (LP_ONE, {(): LP_ONE})
 
 
 def qpow(k):
     return RatFunc.from_laurent(LaurentPoly({k: 1}))
+
+
+def _q_power(k, sign=1):
+    """sign q^k as a LaurentPoly."""
+    return LaurentPoly.monomial(sign, k)
 
 
 def _index(i, top):
@@ -90,13 +102,15 @@ class UqAlgebra:
     # -- block normalization -------------------------------------------------
 
     def _serre_nf_word(self, word):
-        """Expansion of an F/E word in the graded Serre-complement basis; a
-        miss builds the word's whole multidegree component (its cubic Serre
-        rows row-reduced over the commutation classes of its words) and
-        caches the expansion of every word of it, as it comes back, up to
+        """Expansion of an F/E word in the graded Serre-complement basis, as
+        (D, {basis word: N}) over Z[q,q^-1] with coefficients N / D
+        (_over_one_den); D is LP_ONE for a Laurent expansion.  A miss builds
+        the word's whole multidegree component (its cubic Serre rows
+        row-reduced over the commutation classes of its words) and caches
+        the expansion of every word of it, as it comes back, up to
         CACHE_LIMIT entries."""
         if not word:
-            return {(): RF_ONE}
+            return _UNIT_EXPANSION
         memo = self._serre_nf
         hit = memo.get(word)
         if hit is not None:
@@ -105,10 +119,17 @@ class UqAlgebra:
         for letter in word:
             deg[letter] += 1
         _, _, proj = graded_component_basis(self.n + 1, self.serre_relations, tuple(deg))
+        # the words of a commutation class share one expansion, converted once
+        converted = {}
         for w, expansion in proj.items():
+            entry = converted.get(id(expansion))
+            if entry is None:
+                entry = converted[id(expansion)] = _over_one_den(expansion)
+            if w == word:
+                hit = entry
             if len(memo) < CACHE_LIMIT:
-                memo[w] = expansion
-        return proj[word]
+                memo[w] = entry
+        return hit
 
     def _norm_g(self, g):
         if not self.sl_quotient:
@@ -150,12 +171,20 @@ class UqAlgebra:
         return UqElement(self, {((), self._norm_g(g), ()): RF_ONE})
 
     # -- straightening --------------------------------------------------------------
+    #
+    # Straightening runs over Z[q,q^-1].  A raw dict is {den: {(d, 0): {key:
+    # N}}}, the sum of N / (den (q-q^-1)^d) over Laurent numerators N: den is
+    # the product of the dens of the coefficients that went in, and d counts
+    # the cross relations applied, each of which brings in 1/(q-q^-1).
+    # normalize divides each output coefficient once
+    # (over_common_denominator), so only elements hold k(q) coefficients.
 
     def _cross(self, eword, fword):
-        """E-word times F-word as {(F, g, E): coeff}."""
+        """E-word times F-word (tuples) as {d: {(F, g, E): N}}: the sum of
+        N / (q-q^-1)^d over the groups, N over Z[q,q^-1]."""
         if not eword or not fword:
-            return {(tuple(fword), (0,) * (self.n + 1), tuple(eword)): RF_ONE}
-        key = (tuple(eword), tuple(fword))
+            return {0: {(fword, (0,) * (self.n + 1), eword): LP_ONE}}
+        key = (eword, fword)
         hit = self._cross_cache.get(key)
         if hit is not None:
             return hit
@@ -167,15 +196,15 @@ class UqAlgebra:
         def terms():
             # E_a F_b = F_b E_a + delta_ab (K_a - K_a^{-1})/(q - q^{-1})
             # prefix * F_b * E_a * rest
-            for t1, c1 in self._cross(prefix, (b,)).items():
-                f1, g1, e1 = t1
-                for t2, c2 in self._cross(e1 + (a,), rest).items():
-                    f2, g2, e2 = t2
-                    # move g1 right past f2
-                    s = sum(g1[j] - g1[j - 1] for j in f2)
-                    g = tuple(x + y for x, y in zip(g1, g2))
-                    c = c1 if c2 is RF_ONE else (c2 if c1 is RF_ONE else c1 * c2)
-                    yield (f1 + f2, g, e2), (qpow(s) * c if s else c)
+            for d1, part1 in self._cross(prefix, (b,)).items():
+                for (f1, g1, e1), c1 in part1.items():
+                    for d2, part2 in self._cross(e1 + (a,), rest).items():
+                        for (f2, g2, e2), c2 in part2.items():
+                            # move g1 right past f2
+                            s = sum(g1[j] - g1[j - 1] for j in f2)
+                            g = tuple(x + y for x, y in zip(g1, g2))
+                            c = c1 if c2 is LP_ONE else (c2 if c1 is LP_ONE else c1 * c2)
+                            yield d1 + d2, (f1 + f2, g, e2), (_q_power(s) * c if s else c)
             if a == b:
                 for sign, pw in ((1, 1), (-1, -1)):
                     gk = [0] * (self.n + 1)
@@ -185,52 +214,113 @@ class UqAlgebra:
                     # the left of the prefix, then right past the F-part of the
                     # straightened prefix*rest
                     s_e = sum(gk[j] - gk[j - 1] for j in prefix)
-                    coeff = RF_Q_MINUS_QINV.inverse() * sign * qpow(s_e)
-                    for t2, c2 in self._cross(prefix, rest).items():
-                        f2, g2, e2 = t2
-                        s = sum(gk[j] - gk[j - 1] for j in f2)
-                        g = tuple(x + y for x, y in zip(gk, g2))
-                        c = coeff if c2 is RF_ONE else coeff * c2
-                        yield (f2, g, e2), (qpow(s) * c if s else c)
+                    for d2, part2 in self._cross(prefix, rest).items():
+                        for (f2, g2, e2), c2 in part2.items():
+                            s = sum(gk[j] - gk[j - 1] for j in f2)
+                            g = tuple(x + y for x, y in zip(gk, g2))
+                            yield d2 + 1, (f2, g, e2), _q_power(s_e + s, sign) * c2
 
-        out = accumulate({}, terms())
+        out = {}
+        for d, k, c in terms():
+            _add_to(out.setdefault(d, {}), k, c)
+        out = {d: part for d, part in out.items() if part}
         if len(self._cross_cache) < CACHE_LIMIT:
             self._cross_cache[key] = out
         return out
 
     def mul_terms(self, t1, c1, t2, c2, out=None):
-        """Product of two triangular terms, added into the raw term dict out
-        (a new one when out is None), which is returned."""
+        """Product of two triangular terms with k(q) coefficients c1, c2,
+        added into the raw dict out (a new one when out is None), which is
+        returned."""
         f1, g1, e1 = t1
-        f2, g2, e2 = t2
-
-        def terms():
-            for (fm, gm, em), cc in self._cross(e1, f2).items():
-                # assemble F1 G^{g1} (Fm G^{gm} Em) G^{g2} E2
-                s1 = sum(g1[j] - g1[j - 1] for j in fm)
-                s2 = sum(g2[j] - g2[j - 1] for j in em)
-                g = tuple(a + b + c for a, b, c in zip(g1, gm, g2))
-                yield (f1 + fm, g, em + e2), (cc * qpow(s1 + s2) if s1 + s2 else cc)
-
-        c = c1 if c2 is RF_ONE else (c2 if c1 is RF_ONE else c1 * c2)
-        return accumulate({} if out is None else out, terms(), None if c is RF_ONE else c, RF_ONE)
+        _, g2, e2 = t2
+        n1, n2 = c1.num, c2.num
+        c = n1 if n2 is LP_ONE else (n2 if n1 is LP_ONE else n1 * n2)
+        den1, den2 = c1.den, c2.den
+        den = den1 if den2 is LP_ONE else (den2 if den1 is LP_ONE else den1 * den2)
+        if out is None:
+            out = {}
+        groups = out.get(den)
+        if groups is None:
+            groups = out[den] = {}
+        for d, part in self._cross(e1, t2[0]).items():
+            group = groups.get((d, 0))
+            if group is None:
+                group = groups[(d, 0)] = {}
+            for (fm, gm, em), v in part.items():
+                # assemble F1 G^{g1} (Fm G^{gm} Em) G^{g2} E2: G^{g1} moves
+                # right past Fm, G^{g2} left past Em
+                s = sum(g1[j] - g1[j - 1] for j in fm) if fm else 0
+                if em:
+                    s += sum(g2[j] - g2[j - 1] for j in em)
+                if s:
+                    v = v * _q_power(s)
+                if c is not LP_ONE:
+                    v = c * v
+                _add_to(group, (f1 + fm, tuple(x + y + z for x, y, z in zip(g1, gm, g2)), em + e2), v)
+        return out
 
     def normalize(self, raw):
-        """Serre-normalize blocks and reduce G-exponents; returns term dict."""
+        """The k(q) term dict of a raw dict (mul_terms): F/E blocks
+        Serre-normalized, G-exponents reduced, and each coefficient divided
+        once.  A coefficient equal to 1 is RF_ONE."""
+        serre = self._serre_nf_word
+        sl = self.sl_quotient
+        by_den = {}
+        for den, groups in raw.items():
+            for power, group in groups.items():
+                unit_dst = None
+                for (fw, g, ew), c in group.items():
+                    if sl and g[-1]:
+                        g = tuple(x - g[-1] for x in g)
+                    fden, fexp = serre(fw)
+                    eden, eexp = serre(ew)
+                    if fden is LP_ONE and eden is LP_ONE:
+                        if unit_dst is None:
+                            unit_dst = by_den.setdefault(den, {}).setdefault(power, {})
+                        dst = unit_dst
+                    else:
+                        # an expansion off Z[q,q^-1]: its den joins the term's
+                        dst = by_den.setdefault(den * fden * eden, {}).setdefault(power, {})
+                    for fb, fc in fexp.items():
+                        k = c if fc is LP_ONE else c * fc
+                        for eb, ec in eexp.items():
+                            _add_to(dst, (fb, g, eb), k if ec is LP_ONE else ec * k)
+        return over_common_denominator(by_den)
 
-        def terms():
-            for (fw, g, ew), c in raw.items():
-                if not c:
-                    continue
-                g = self._norm_g(g)
-                fexp = self._serre_nf_word(fw)
-                eexp = self._serre_nf_word(ew)
-                for fb, fc in fexp.items():
-                    k = c if fc is RF_ONE else c * fc
-                    for eb, ec in eexp.items():
-                        yield (fb, g, eb), (k if ec is RF_ONE else ec * k)
 
-        return accumulate({}, terms())
+def _add_to(dst, key, v):
+    """dst[key] += v for a nonzero LaurentPoly v, dropping a zero sum."""
+    s = dst.get(key)
+    if s is None:
+        dst[key] = v
+    else:
+        s = s + v
+        if s.terms:
+            dst[key] = s
+        else:
+            del dst[key]
+
+
+def _over_one_den(expansion):
+    """A k(q) expansion {word: c} as (D, {word: N}) with every c = N / D over
+    Z[q,q^-1]: D is the product of the distinct dens of the c, so LP_ONE
+    when each c is Laurent, and a numerator equal to 1 is LP_ONE."""
+    dens = []
+    for c in expansion.values():
+        if c.den is not LP_ONE and c.den not in dens:
+            dens.append(c.den)
+    den = LP_ONE
+    for d in dens:
+        den = den * d
+    nums = {}
+    for w, c in expansion.items():
+        num = c.num
+        for d in dens:
+            if d != c.den:
+                num = num * d
+        nums[w] = LP_ONE if num.terms == LP_ONE.terms else num
+    return den, nums
 
 
 class UqElement(LinComb):
@@ -259,11 +349,13 @@ class UqElement(LinComb):
         if not isinstance(other, UqElement):
             return NotImplemented
         self._check(other)
+        alg = self.alg
+        mul_terms = alg.mul_terms
         raw = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
-                self.alg.mul_terms(t1, c1, t2, c2, raw)
-        return UqElement(self.alg, self.alg.normalize(raw))
+                mul_terms(t1, c1, t2, c2, raw)
+        return UqElement(alg, alg.normalize(raw))
 
     __rmul__ = __mul__
 
@@ -639,7 +731,7 @@ def _tensor(alg, *pairs):
     """sum a (x) b over the pairs (a, b) of U_q elements."""
     out = {}
     for a, b in pairs:
-        add_outer(out, a.terms, b.terms, RF_ONE)
+        add_outer(out, a.terms, b.terms, RF_ONE, RF_ONE)
     return UqTensor(alg, out)
 
 

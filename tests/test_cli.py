@@ -295,6 +295,30 @@ def test_long_chains_fold_and_deep_nesting_is_refused():
     assert run_command(["nf", *m1, "(" * 200 + "x[1,1]" + ")" * 200]) == (0, "x[1,1]")
 
 
+def test_a_run_of_single_words_is_reduced_once():
+    """A juxtaposition of single words with no rule where they meet is one
+    word, reduced once: the normal-form memo gains O(1) entries, not one per
+    prefix, and the text is the product's.  A run stops at a rule, a sum or
+    a factor of two words, and the value is the stepwise product's."""
+    ctx = Context("M", 1)
+    memo = ctx.alg.spec._nf_cache
+    before = len(memo)
+    atoms = " ".join(["x[1,1]"] * 5000)
+    value = ctx.eval(parse(atoms))
+    assert str(value) == atoms
+    assert len(memo) - before <= 2
+    cases = (["x[1,1]", "x[2,2]", "x[1,1]", "x[1,2]"],
+             ["x[2,2]", "x[1,1]", "(x[1,2] + x[2,1])", "x[1,1]", "x[2,2]"],
+             ["x[1,2]", "(q+1)", "x[2,1]", "x[2,2]", "x[1,1]", "x[1,1] x[2,2]"])
+    for factors in cases:
+        for alg in ("M", "SL", "GL"):
+            ctx = Context(alg, 1)
+            stepwise = ctx.one()
+            for f in factors:
+                stepwise = ctx._mul(stepwise, ctx.eval(parse(f)))
+            assert ctx.eval(parse(" ".join(factors))) == stepwise, (alg, factors)
+
+
 def test_basis_refuses_before_it_enumerates(monkeypatch):
     """basis counts the C(L + D, D) sorted words of degree <= D over L
     letters before it builds them, and refuses a count past the term budget."""

@@ -160,11 +160,7 @@ def test_position_formulas():
 
 def test_braid_images(u2):
     t = braid_T(u2, 1, u2.E(1))
-    g = [0] * 3
-    g[0], g[1] = 1, -1
-    from qfun.uq import UqElement
-
-    expect = UqElement(u2, u2.normalize({((1,), tuple(g), ()): -RF_ONE}))
+    expect = (u2.F(1) * u2.K(1)).scale(-1)
     assert (t - expect).is_zero()
     t = braid_T(u2, 1, u2.E(2))
     expect = (u2.E(1) * u2.E(2)).scale(-1) + (u2.E(2) * u2.E(1)).scale(qpow(-1))

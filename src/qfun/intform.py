@@ -437,8 +437,6 @@ def poisson_cobracket(ctx, expr):
 
     values = {}
     for key, coeff in apply_pair_map(d.terms, lattice, lattice).items():
-        if not coeff.is_laurent():
-            raise NotDivisible(coeff)
         v = Fraction(coeff.to_laurent().divide_q_minus_1().evaluate_at_one())
         if v:
             values[key] = v
@@ -901,17 +899,14 @@ def _delta_r_entries(n):
                     t.add((rgen(i, k),), (rgen(k, j),), RF_Q_MINUS_QINV)
             out.append(("hopf.delta-r-offdiag", f"i={i},j={j}", "delta", rgen(i, j), [("printed", t)]))
     for i in rng:
-        printed = TensorIntExpr()
-        printed.add((rgen(i, i),), (rgen(i, i),), 1)
-        corrected = TensorIntExpr()
-        corrected.add((rgen(i, i),), (rgen(i, i),), 1)
+        t = TensorIntExpr()
+        t.add((rgen(i, i),), (rgen(i, i),), 1)
         for k in rng:
             if k != i:
-                printed.add((rgen(i, k),), (rgen(k, i),), _qm1_pow(2, 2))
-                corrected.add((rgen(i, k),), (rgen(k, i),), _qm1_pow(2, 2))
+                t.add((rgen(i, k),), (rgen(k, i),), _qm1_pow(2, 2))
         # printed formula writes r_ik (x) r_kj in the diagonal line; reading
-        # j = i makes the two identical, so "printed" == "corrected" here
-        out.append(("hopf.delta-r-diag", f"i={i}", "delta", rgen(i, i), [("printed", corrected)]))
+        # j = i gives this sum, the printed and the corrected one alike
+        out.append(("hopf.delta-r-diag", f"i={i}", "delta", rgen(i, i), [("printed", t)]))
     return out
 
 

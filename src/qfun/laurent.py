@@ -23,11 +23,16 @@ from .lincomb import accumulate
 
 
 class NotDivisible(Exception):
-    """Raised when an exact division by (q-1) fails; carries the remainder."""
+    """Raised when an exact division fails; carries the remainder.  The
+    message names the divisor, or, with divisor None, says that remainder is
+    the den that keeps a fraction off Z[q,q^-1]."""
 
-    def __init__(self, remainder):
+    def __init__(self, remainder, divisor=None):
         self.remainder = remainder
-        super().__init__(f"not divisible by (q-1); remainder {remainder}")
+        if divisor is None:
+            super().__init__(f"not in Z[q,q^-1]: denominator {remainder}")
+        else:
+            super().__init__(f"not divisible by ({divisor}); remainder {remainder}")
 
 
 class DivisionByZero(Exception):
@@ -260,7 +265,7 @@ class LaurentPoly:
         coeffs, m = _to_dense(self)
         quo, rem = _divide_linear(coeffs, 1)
         if rem:
-            raise NotDivisible(rem)
+            raise NotDivisible(rem, Q_MINUS_1)
         return LaurentPoly({m + i: c for i, c in enumerate(quo) if c})
 
     def divide_exact(self, other):
@@ -274,7 +279,7 @@ class LaurentPoly:
         b, mb = _to_dense(other)
         quo, rem = _divmod_dense(a, b)
         if rem:
-            raise NotDivisible(LaurentPoly({ma + i: c for i, c in enumerate(rem) if c}))
+            raise NotDivisible(LaurentPoly({ma + i: c for i, c in enumerate(rem) if c}), other)
         return LaurentPoly({ma - mb + i: c for i, c in enumerate(quo) if c})
 
     # -- display -----------------------------------------------------------

@@ -567,8 +567,8 @@ def mu_suite(ns=(1, 2)):
     for n in ns:
         sl = SLAlgebra(n, strategy="diagonal74")
         mu = MuMap(sl)
-        _result(results, f"n={n} theta+ satisfies all Borel relations", True)
-        _result(results, f"n={n} theta- satisfies all Borel relations", True)
+        _result(results, f"n={n} theta+ satisfies all Borel relations", mu.theta_plus.relations_hold)
+        _result(results, f"n={n} theta- satisfies all Borel relations", mu.theta_minus.relations_hold)
         _result(
             results,
             f"n={n} Delta-op compatibility of theta+",

@@ -5,9 +5,10 @@ coefficients.  Straightening moves E past F through the cross relation and
 normalizes each F/E block against the Serre ideal by graded linear algebra:
 the far commutations merge the words of a multidegree into classes, and only
 the cubic Serre rows are row-reduced over k(q), on those classes.  The Serre
-expansions have Laurent coefficients, and only the cross relation brings in
-1/(q-q^-1), so straightening runs over Z[q,q^-1] and counts that factor as a
-power: a product divides each of its coefficients once, with no gcd.
+expansions are taken into Z[q,q^-1] as they are cached, and only the cross
+relation brings in 1/(q-q^-1), once per E letter it removes, so
+straightening runs over Z[q,q^-1] and reads that power off the E-words: a
+product divides each of its coefficients once, with no gcd.
 Braid operators, the two quantum root vector constructions, the convex
 order on positive roots, the Borel isomorphisms, and the q->1 collapse of
 the composite embedding all live here.
@@ -41,8 +42,8 @@ class NotInSlForm(Exception):
 
 RF_QINV = RatFunc.from_laurent(LaurentPoly({-1: 1}))
 RF_Q_PLUS_QINV = RatFunc.from_laurent(LaurentPoly({1: 1, -1: 1}))
-# the expansion of the empty F/E word, in the form _serre_nf_word returns
-_UNIT_EXPANSION = (LP_ONE, {(): LP_ONE})
+# the expansion of the empty F/E word
+_UNIT_EXPANSION = {(): LP_ONE}
 
 
 def qpow(k):
@@ -102,13 +103,12 @@ class UqAlgebra:
     # -- block normalization -------------------------------------------------
 
     def _serre_nf_word(self, word):
-        """Expansion of an F/E word in the graded Serre-complement basis, as
-        (D, {basis word: N}) over Z[q,q^-1] with coefficients N / D
-        (_over_one_den); D is LP_ONE for a Laurent expansion.  A miss builds
-        the word's whole multidegree component (its cubic Serre rows
+        """Expansion {basis word: N} of an F/E word in the graded
+        Serre-complement basis, N over Z[q,q^-1] (LP_ONE for 1).  A miss
+        builds the word's whole multidegree component (its cubic Serre rows
         row-reduced over the commutation classes of its words) and caches
-        the expansion of every word of it, as it comes back, up to
-        CACHE_LIMIT entries."""
+        the expansion of every word of it, up to CACHE_LIMIT entries.  An
+        expansion off Z[q,q^-1] raises NotDivisible naming its den."""
         if not word:
             return _UNIT_EXPANSION
         memo = self._serre_nf
@@ -124,18 +124,12 @@ class UqAlgebra:
         for w, expansion in proj.items():
             entry = converted.get(id(expansion))
             if entry is None:
-                entry = converted[id(expansion)] = _over_one_den(expansion)
+                entry = converted[id(expansion)] = {b: _laurent(c) for b, c in expansion.items()}
             if w == word:
                 hit = entry
             if len(memo) < CACHE_LIMIT:
                 memo[w] = entry
         return hit
-
-    def _norm_g(self, g):
-        if not self.sl_quotient:
-            return tuple(g)
-        shift = g[-1]
-        return tuple(x - shift for x in g)
 
     # -- elements ----------------------------------------------------------------
 
@@ -168,22 +162,26 @@ class UqAlgebra:
     def toral(self, g):
         if len(g) != self.n + 1:
             raise ValueError(f"a toral exponent vector has {self.n + 1} entries")
-        return UqElement(self, {((), self._norm_g(g), ()): RF_ONE})
+        if self.sl_quotient:
+            g = [x - g[-1] for x in g]
+        return UqElement(self, {((), tuple(g), ()): RF_ONE})
 
     # -- straightening --------------------------------------------------------------
     #
     # Straightening runs over Z[q,q^-1].  A raw dict is {den: {(d, 0): {key:
     # N}}}, the sum of N / (den (q-q^-1)^d) over Laurent numerators N: den is
-    # the product of the dens of the coefficients that went in, and d counts
-    # the cross relations applied, each of which brings in 1/(q-q^-1).
-    # normalize divides each output coefficient once
-    # (over_common_denominator), so only elements hold k(q) coefficients.
+    # the product of the dens of the coefficients that went in, and d the
+    # number of cross relations applied, each of which removes one E letter
+    # and brings in 1/(q-q^-1).  normalize divides each output coefficient
+    # once (over_common_denominator), so only elements hold k(q)
+    # coefficients.
 
     def _cross(self, eword, fword):
-        """E-word times F-word (tuples) as {d: {(F, g, E): N}}: the sum of
-        N / (q-q^-1)^d over the groups, N over Z[q,q^-1]."""
+        """E-word times F-word (tuples) as {(F, g, E): N}, N over
+        Z[q,q^-1]: the coefficient of a key is N / (q-q^-1)^d, d =
+        len(eword) - len(E)."""
         if not eword or not fword:
-            return {0: {(fword, (0,) * (self.n + 1), eword): LP_ONE}}
+            return {(fword, (0,) * (self.n + 1), eword): LP_ONE}
         key = (eword, fword)
         hit = self._cross_cache.get(key)
         if hit is not None:
@@ -192,72 +190,59 @@ class UqAlgebra:
         prefix = eword[:-1]
         b = fword[0]
         rest = fword[1:]
-
-        def terms():
-            # E_a F_b = F_b E_a + delta_ab (K_a - K_a^{-1})/(q - q^{-1})
-            # prefix * F_b * E_a * rest
-            for d1, part1 in self._cross(prefix, (b,)).items():
-                for (f1, g1, e1), c1 in part1.items():
-                    for d2, part2 in self._cross(e1 + (a,), rest).items():
-                        for (f2, g2, e2), c2 in part2.items():
-                            # move g1 right past f2
-                            s = sum(g1[j] - g1[j - 1] for j in f2)
-                            g = tuple(x + y for x, y in zip(g1, g2))
-                            c = c1 if c2 is LP_ONE else (c2 if c1 is LP_ONE else c1 * c2)
-                            yield d1 + d2, (f1 + f2, g, e2), (_q_power(s) * c if s else c)
-            if a == b:
-                for sign, pw in ((1, 1), (-1, -1)):
-                    gk = [0] * (self.n + 1)
-                    gk[a - 1] = pw
-                    gk[a] = -pw
-                    # prefix * K_a^{pw} * rest: commute the toral factor out to
-                    # the left of the prefix, then right past the F-part of the
-                    # straightened prefix*rest
-                    s_e = sum(gk[j] - gk[j - 1] for j in prefix)
-                    for d2, part2 in self._cross(prefix, rest).items():
-                        for (f2, g2, e2), c2 in part2.items():
-                            s = sum(gk[j] - gk[j - 1] for j in f2)
-                            g = tuple(x + y for x, y in zip(gk, g2))
-                            yield d2 + 1, (f2, g, e2), _q_power(s_e + s, sign) * c2
-
         out = {}
-        for d, k, c in terms():
-            _add_to(out.setdefault(d, {}), k, c)
-        out = {d: part for d, part in out.items() if part}
+        # E_a F_b = F_b E_a + delta_ab (K_a - K_a^{-1})/(q - q^{-1})
+        # prefix * F_b * E_a * rest
+        for (f1, g1, e1), c1 in self._cross(prefix, (b,)).items():
+            for (f2, g2, e2), c2 in self._cross(e1 + (a,), rest).items():
+                # move g1 right past f2
+                s = sum(g1[j] - g1[j - 1] for j in f2)
+                g = tuple(x + y for x, y in zip(g1, g2))
+                c = c1 if c2 is LP_ONE else (c2 if c1 is LP_ONE else c1 * c2)
+                _add_to(out, (f1 + f2, g, e2), _q_power(s) * c if s else c)
+        if a == b:
+            for sign, pw in ((1, 1), (-1, -1)):
+                gk = [0] * (self.n + 1)
+                gk[a - 1] = pw
+                gk[a] = -pw
+                # prefix * K_a^{pw} * rest: commute the toral factor out to
+                # the left of the prefix, then right past the F-part of the
+                # straightened prefix*rest
+                s_e = sum(gk[j] - gk[j - 1] for j in prefix)
+                for (f2, g2, e2), c2 in self._cross(prefix, rest).items():
+                    s = sum(gk[j] - gk[j - 1] for j in f2)
+                    g = tuple(x + y for x, y in zip(gk, g2))
+                    _add_to(out, (f2, g, e2), _q_power(s_e + s, sign) * c2)
         if len(self._cross_cache) < CACHE_LIMIT:
             self._cross_cache[key] = out
         return out
 
-    def mul_terms(self, t1, c1, t2, c2, out=None):
+    def mul_terms(self, t1, c1, t2, c2, out):
         """Product of two triangular terms with k(q) coefficients c1, c2,
-        added into the raw dict out (a new one when out is None), which is
-        returned."""
+        added into the raw dict out, which is returned."""
         f1, g1, e1 = t1
         _, g2, e2 = t2
         n1, n2 = c1.num, c2.num
         c = n1 if n2 is LP_ONE else (n2 if n1 is LP_ONE else n1 * n2)
         den1, den2 = c1.den, c2.den
         den = den1 if den2 is LP_ONE else (den2 if den1 is LP_ONE else den1 * den2)
-        if out is None:
-            out = {}
-        groups = out.get(den)
-        if groups is None:
-            groups = out[den] = {}
-        for d, part in self._cross(e1, t2[0]).items():
-            group = groups.get((d, 0))
+        groups = out.setdefault(den, {})
+        top = len(e1)
+        for (fm, gm, em), v in self._cross(e1, t2[0]).items():
+            power = (top - len(em), 0)
+            group = groups.get(power)
             if group is None:
-                group = groups[(d, 0)] = {}
-            for (fm, gm, em), v in part.items():
-                # assemble F1 G^{g1} (Fm G^{gm} Em) G^{g2} E2: G^{g1} moves
-                # right past Fm, G^{g2} left past Em
-                s = sum(g1[j] - g1[j - 1] for j in fm) if fm else 0
-                if em:
-                    s += sum(g2[j] - g2[j - 1] for j in em)
-                if s:
-                    v = v * _q_power(s)
-                if c is not LP_ONE:
-                    v = c * v
-                _add_to(group, (f1 + fm, tuple(x + y + z for x, y, z in zip(g1, gm, g2)), em + e2), v)
+                group = groups[power] = {}
+            # assemble F1 G^{g1} (Fm G^{gm} Em) G^{g2} E2: G^{g1} moves
+            # right past Fm, G^{g2} left past Em
+            s = sum(g1[j] - g1[j - 1] for j in fm) if fm else 0
+            if em:
+                s += sum(g2[j] - g2[j - 1] for j in em)
+            if s:
+                v = v * _q_power(s)
+            if c is not LP_ONE:
+                v = c * v
+            _add_to(group, (f1 + fm, tuple(x + y + z for x, y, z in zip(g1, gm, g2)), em + e2), v)
         return out
 
     def normalize(self, raw):
@@ -268,21 +253,14 @@ class UqAlgebra:
         sl = self.sl_quotient
         by_den = {}
         for den, groups in raw.items():
+            dst_groups = by_den[den] = {}
             for power, group in groups.items():
-                unit_dst = None
+                dst = dst_groups[power] = {}
                 for (fw, g, ew), c in group.items():
                     if sl and g[-1]:
                         g = tuple(x - g[-1] for x in g)
-                    fden, fexp = serre(fw)
-                    eden, eexp = serre(ew)
-                    if fden is LP_ONE and eden is LP_ONE:
-                        if unit_dst is None:
-                            unit_dst = by_den.setdefault(den, {}).setdefault(power, {})
-                        dst = unit_dst
-                    else:
-                        # an expansion off Z[q,q^-1]: its den joins the term's
-                        dst = by_den.setdefault(den * fden * eden, {}).setdefault(power, {})
-                    for fb, fc in fexp.items():
+                    eexp = serre(ew)
+                    for fb, fc in serre(fw).items():
                         k = c if fc is LP_ONE else c * fc
                         for eb, ec in eexp.items():
                             _add_to(dst, (fb, g, eb), k if ec is LP_ONE else ec * k)
@@ -302,25 +280,11 @@ def _add_to(dst, key, v):
             del dst[key]
 
 
-def _over_one_den(expansion):
-    """A k(q) expansion {word: c} as (D, {word: N}) with every c = N / D over
-    Z[q,q^-1]: D is the product of the distinct dens of the c, so LP_ONE
-    when each c is Laurent, and a numerator equal to 1 is LP_ONE."""
-    dens = []
-    for c in expansion.values():
-        if c.den is not LP_ONE and c.den not in dens:
-            dens.append(c.den)
-    den = LP_ONE
-    for d in dens:
-        den = den * d
-    nums = {}
-    for w, c in expansion.items():
-        num = c.num
-        for d in dens:
-            if d != c.den:
-                num = num * d
-        nums[w] = LP_ONE if num.terms == LP_ONE.terms else num
-    return den, nums
+def _laurent(c):
+    """A RatFunc c as a LaurentPoly, LP_ONE for 1; NotDivisible names the
+    den of a c off Z[q,q^-1]."""
+    num = c.to_laurent()
+    return LP_ONE if num.terms == LP_ONE.terms else num
 
 
 class UqElement(LinComb):
@@ -591,9 +555,11 @@ class ThetaMap:
         self.n = borel.n
         self._images = {}
         images = tuple((ij, frozenset(self.image(*ij).terms.items())) for ij in sorted(borel.cells))
-        certified(("theta", sign, rule_table_key(borel.spec), images), self._relations_hold)
+        # True: the certificate that the Borel presentation maps to zero
+        self.relations_hold = certified(("theta", sign, rule_table_key(borel.spec), images),
+                                        self._check_relations)
 
-    def _relations_hold(self):
+    def _check_relations(self):
         rep = self.verify_relations()
         if not rep["ok"]:
             raise RuntimeError(f"theta{self.sign} fails Borel relations: {rep}")
@@ -686,7 +652,7 @@ class UqTensor(LinComb):
         alg = self.alg
 
         def product(u, v):
-            return alg.normalize(alg.mul_terms(u, RF_ONE, v, RF_ONE))
+            return alg.normalize(alg.mul_terms(u, RF_ONE, v, RF_ONE, {}))
 
         return UqTensor(alg, pair_product(self.terms, other.terms, product, RF_ONE))
 

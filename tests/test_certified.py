@@ -3,7 +3,7 @@ checks run once per distinct presentation, keyed by the data they check."""
 
 import pytest
 
-from qfun import freealg
+from qfun import freealg, suites
 from qfun.classical import JacobiFailure, LieStructure, build_h, e_sym, h_sym
 from qfun.freealg import confluence_check
 from qfun.intform import IntExpr, phigen, psigen, rgen
@@ -110,6 +110,23 @@ def test_a_wrong_theta_image_raises_on_every_build(monkeypatch):
             ThetaMap("+", borel, uq)
     monkeypatch.setattr(ThetaMap, "image", real)
     ThetaMap("+", borel, uq)
+
+
+def test_mu_suite_reports_the_theta_certificates_without_checking_again(monkeypatch):
+    monkeypatch.setattr(freealg, "_certificates", {})
+    calls = []
+
+    def refuted(self):
+        calls.append(self.sign)
+        return False
+
+    monkeypatch.setattr(ThetaMap, "_check_relations", refuted)
+    rep = suites.mu_suite(ns=(1,))
+    names = ["n=1 theta+ satisfies all Borel relations", "n=1 theta- satisfies all Borel relations"]
+    assert [r["ok"] for r in rep["results"] if r["check"] in names] == [False, False]
+    assert sorted(calls) == ["+", "-"]
+    suites.mu_suite(ns=(1,))
+    assert len(calls) == 2
 
 
 def test_cache_limit_zero_keeps_nothing_and_changes_nothing(runs, monkeypatch):

@@ -18,11 +18,13 @@ from qfun.laurent import (
     Q_MINUS_QINV,
     Q_PLUS_1,
     RATFUNC,
+    LAURENT,
     DivisionByZero,
     RatFunc,
     laurent_gcd,
     over_den_power,
 )
+from qfun.qmatrix import MatrixAlgebra
 
 coeffs = st.integers(min_value=-30, max_value=30)
 exps = st.integers(min_value=-5, max_value=5)
@@ -132,6 +134,20 @@ def test_serialization_roundtrip():
     assert LaurentPoly.from_json(p.to_json()) == p
     r = RatFunc(Q - 1, Q + 1)
     assert r.to_json() == {"num": (Q - 1).to_json(), "den": (Q + 1).to_json()}
+
+
+def test_not_divisible_names_the_divisor_or_the_denominator():
+    with pytest.raises(NotDivisible, match=r"by \(q - 1\); remainder 2$") as exc:
+        (Q + 1).divide_q_minus_1()
+    assert exc.value.remainder == 2
+    with pytest.raises(NotDivisible, match=r"by \(2\*q \+ 1\); remainder q$"):
+        Q.divide_exact(LaurentPoly({1: 2, 0: 1}))
+    for refuse in (RatFunc(1, Q_PLUS_1).to_laurent,
+                   lambda: LAURENT.coerce(RatFunc(1, Q_PLUS_1)),
+                   lambda: MatrixAlgebra(1).gen(1, 1).scale(RatFunc(1, Q_PLUS_1))):
+        with pytest.raises(NotDivisible, match=r"^not in Z\[q,q\^-1\]: denominator q \+ 1$") as exc:
+            refuse()
+        assert exc.value.remainder == Q_PLUS_1
 
 
 def test_divide_exact_raises_with_a_laurent_remainder():

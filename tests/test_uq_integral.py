@@ -9,12 +9,15 @@ term.
 """
 
 import itertools
+from math import factorial
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfun.freealg import graded_component_basis
-from qfun.laurent import LP_ONE, LaurentPoly, RF_ONE, RF_Q_MINUS_QINV, RatFunc, over_common_denominator
+from qfun.laurent import LP_ONE, LaurentPoly, NotDivisible, RF_ONE, RF_Q_MINUS_QINV, RatFunc, over_common_denominator
 from qfun.lincomb import accumulate, pair_product
 from qfun.uq import UqAlgebra, UqTensor, _tensor
 
@@ -213,23 +216,39 @@ def test_products_by_one_come_back_as_rf_one():
     assert any(c is RF_ONE for c in x.terms.values())
 
 
-def test_a_serre_expansion_off_the_laurent_ring_takes_the_den_route():
+def test_a_serre_expansion_off_the_laurent_ring_raises_naming_its_den():
     """With a cubic relation whose middle coefficient is 1/(q+1), the Serre
-    expansions are not Laurent; the product divides by their dens and agrees
-    with the k(q) straightening."""
+    expansions are not Laurent, and straightening refuses them by name."""
     alg = UqAlgebra(2)
     third = RatFunc(1, LaurentPoly({1: 1, 0: 1}))
     alg.serre_relations = [
         {(1, 1, 2): RF_ONE, (1, 2, 1): -third, (2, 1, 1): RF_ONE},
         {(2, 2, 1): RF_ONE, (2, 1, 2): -RF_ONE, (1, 2, 2): RF_ONE},
     ]
-    den, _ = alg._serre_nf_word((1, 1, 2))
-    assert den is not LP_ONE
-    oracle = KqStraightening(alg)
-    x = alg.F(1) * alg.F(1) + alg.E(1) * alg.E(1)
-    y = alg.F(2) + alg.E(2).scale(third) + alg.E(1) * alg.F(1)
-    for a, b in ((x, y), (y, x), (x * y, y)):
-        assert (a * b).terms == oracle.product(a.terms, b.terms)
+    with pytest.raises(NotDivisible, match=r"denominator q \+ 1") as exc:
+        alg.F(1) * alg.F(1) * alg.F(2)
+    assert exc.value.remainder == LaurentPoly({1: 1, 0: 1})
+
+
+def test_every_small_serre_component_expands_over_the_laurent_ring():
+    """Every Serre component at n <= 4 of total degree 2..7 and at most 300
+    words: the expansion of each of its words is Laurent."""
+    components = 0
+    for n in range(1, 5):
+        alg = UqAlgebra(n)
+        for deg in itertools.product(range(8), repeat=n):
+            count = factorial(sum(deg))
+            for m in deg:
+                count //= factorial(m)
+            if not 2 <= sum(deg) <= 7 or count > 300:
+                continue
+            word = tuple(letter for letter, m in enumerate(deg, 1) for _ in range(m))
+            alg.clear_caches()
+            alg._serre_nf_word(word)
+            assert len(alg._serre_nf) == count
+            assert all(type(c) is LaurentPoly for e in alg._serre_nf.values() for c in e.values())
+            components += 1
+    assert components == 464
 
 
 def test_over_common_denominator_divides_each_key_by_its_own_top_power():

@@ -15,8 +15,10 @@ Jacobi holds, so confluence_check certifies the PBW basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
-from .freealg import AlgebraMismatch, AlgebraSpec, GenSym, certified, confluence_check
+from .freealg import (AlgebraMismatch, AlgebraSpec, GenSym, certified, confluence_check, intern_key,
+                      remember, rule_table)
 from .laurent import LP_ONE
 from .lincomb import LinComb, accumulate, add_outer, concat_product, format_terms
 
@@ -44,21 +46,30 @@ C_SYM = GenSym("c", ())
 
 class LieStructure:
     """Finite-dimensional Lie algebra by structure constants on an ordered
-    basis.  self.spec is U(h): its rules are built and checked once per
-    (basis, brackets) in a process (certified), and copied into each
-    structure's own spec, whose normal-form memo starts cold."""
+    basis.
+
+    self.spec is U(h).  Its rule table is built and checked once per
+    (basis, brackets) in a process: the certificate, keyed by an interned
+    key of the basis and the brackets, holds the table (certified), and
+    each structure gets its own spec copied from it, whose normal-form memo
+    starts cold.  Brackets a caller passes in are keyed from their data on
+    every build.  build_h owns the basis, brackets and key of h and h', and
+    builds each structure from them without keying again.
+    """
 
     def __init__(self, basis, brackets, name=""):
-        self.spec = AlgebraSpec(basis, name=name)
-        self.basis = self.spec.alphabet
-        self.name = name
-        self.index = self.spec.index
-        self.dim = len(self.basis)
+        basis = tuple(basis)
+        self._setup(basis, brackets, name, _uh_key(basis, brackets))
+
+    def _setup(self, basis, brackets, name, key):
         # brackets given on index pairs (a, b) with a > b (descending);
         # values are {index: Fraction}
         self.brackets = brackets
-        key = tuple(sorted((ab, tuple(sorted(v.items()))) for ab, v in brackets.items()))
-        self.spec.rules.update(certified(("U(h)", tuple(self.basis), key), self._rule_table))
+        self.name = name
+        self.dim = len(basis)
+        self.spec = certified(key, lambda: self._rule_table(basis)).new_spec(name=name)
+        self.basis = self.spec.alphabet
+        self.index = self.spec.index
 
     def bracket(self, a, b):
         """[x_a, x_b] as {index: Fraction} for any index pair."""
@@ -69,22 +80,23 @@ class LieStructure:
         neg = self.brackets.get((b, a), {})
         return {k: -v for k, v in neg.items()}
 
-    def _rule_table(self):
-        """The rules x_a x_b -> x_b x_a + [x_a, x_b] (a > b) of U(h); raise
-        JacobiFailure unless Jacobi holds and the rules are confluent."""
-        self._jacobi_holds()
-        spec = AlgebraSpec(self.basis, name=self.name)
+    def _rule_table(self, basis):
+        """The RuleTable of x_a x_b -> x_b x_a + [x_a, x_b] (a > b), U(h);
+        raise JacobiFailure unless Jacobi holds and the rules are
+        confluent."""
+        self._jacobi_holds(basis)
+        spec = AlgebraSpec(basis, name=self.name)
         for a in range(self.dim):
             for b in range(a):
                 rhs = [(Fraction(c), (k,)) for k, c in self.bracket(a, b).items()]
                 if any(c.denominator != 1 for c, _ in rhs):
-                    raise ValueError(f"[{self.basis[a]}, {self.basis[b]}] is not integral")
+                    raise ValueError(f"[{basis[a]}, {basis[b]}] is not integral")
                 spec.add_rule(a, b, [(1, (b, a))] + [(c.numerator, w) for c, w in rhs])
         if not confluence_check(spec)["ok"]:
             raise JacobiFailure(f"the U(h) rules of {self.name!r} are not confluent")
-        return spec.rules
+        return rule_table(spec)
 
-    def _jacobi_holds(self):
+    def _jacobi_holds(self, basis):
         for a in range(self.dim):
             for b in range(a):
                 for c in range(b):
@@ -94,8 +106,7 @@ class LieStructure:
                             accumulate(acc, ((k2, v * v2) for k2, v2 in self.bracket(x, k).items()))
                     if acc:
                         raise JacobiFailure(
-                            f"Jacobi fails on ({self.basis[a]}, {self.basis[b]}, "
-                            f"{self.basis[c]})"
+                            f"Jacobi fails on ({basis[a]}, {basis[b]}, {basis[c]})"
                         )
 
     def ue_normal_form(self, terms):
@@ -112,6 +123,12 @@ class LieStructure:
             for k, v in self.bracket(idx, b).items():
                 m[k][b] += v
         return m
+
+
+def _uh_key(basis, brackets):
+    """The interned key of U(h)'s certificate: the data its check reads."""
+    brackets = tuple(sorted((ab, tuple(sorted(v.items()))) for ab, v in brackets.items()))
+    return intern_key(("U(h)", basis, brackets))
 
 
 def _check_lie(a, b):
@@ -213,13 +230,30 @@ def _root_value(i, j, k):
     )
 
 
+# (n, central) -> (basis, brackets, name, U(h) key) of h or h'
+_h_presentations = {}
+
+
 def build_h(n, central=False):
     """The dual Lie bialgebra of sl(n+1) by structure constants.
 
     Basis order: all f_{ji} (lex), then h_1..h_n (then c when central),
     then all e_{ij} (lex).  The e- and f-copies commute; h_i acts on both
     through the positive root with the same sign.
+
+    The basis, the brackets and the U(h) key are built once per
+    (n, central) in a process, up to CACHE_LIMIT entries, and shared by
+    every structure built here; the brackets are read-only views.  Each
+    structure still looks its U(h) certificate up, so a certificate that
+    was not kept is checked again, and gets its own spec.
     """
+    lie = LieStructure.__new__(LieStructure)
+    lie._setup(*remember(_h_presentations, (n, central), lambda: _h_presentation(n, central)))
+    return lie
+
+
+def _h_presentation(n, central):
+    """(basis, brackets, name, U(h) key) of h(n), or of h'(n) when central."""
     fs = [f_sym(j, i) for j in range(2, n + 2) for i in range(1, j)]
     fs.sort(key=lambda s: s.indices)
     es = [e_sym(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 2)]
@@ -271,7 +305,9 @@ def build_h(n, central=False):
                 if val:
                     put(h_sym(k), s, {index[s]: Fraction(val)})
 
-    return LieStructure(basis, brackets, f"h'({n})" if central else f"h({n})")
+    basis = tuple(basis)
+    brackets = MappingProxyType({ab: MappingProxyType(v) for ab, v in brackets.items()})
+    return basis, brackets, f"h'({n})" if central else f"h({n})", _uh_key(basis, brackets)
 
 
 def build_h_prime(n):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 from heapq import heappop, heappush
 from itertools import combinations
 from math import factorial
@@ -40,21 +41,61 @@ CACHE_LIMIT = 300_000
 _certificates = {}
 
 
+def remember(memo, key, build):
+    """memo[key], or build() kept there while memo holds fewer than
+    CACHE_LIMIT entries (read now); a build that raises keeps nothing."""
+    try:
+        return memo[key]
+    except KeyError:
+        pass
+    value = build()
+    if len(memo) < CACHE_LIMIT:
+        memo[key] = value
+    return value
+
+
 def certified(key, check):
     """The result of check(), run once per key in this process.
 
     key must be the exact data the check reads, so that an equal key gives
     an equal result.  Results are kept up to CACHE_LIMIT keys; a check that
-    raises keeps nothing, so it raises again on the next call.
+    raises keeps nothing, so it raises again on the next call.  A
+    presentation computes the key of its data once and interns it
+    (intern_key), so a build of it finds its certificate by identity.
     """
-    try:
-        return _certificates[key]
-    except KeyError:
-        pass
-    result = check()
-    if len(_certificates) < CACHE_LIMIT:
-        _certificates[key] = result
-    return result
+    return remember(_certificates, key, check)
+
+
+class TableKey:
+    """Key data with its hash computed once.  Equal data are interned to one
+    object (intern_key), so a memo that holds it finds it by identity."""
+
+    __slots__ = ("data", "_hash")
+
+    def __init__(self, data):
+        self.data = data
+        self._hash = hash(data)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, TableKey):
+            return NotImplemented
+        return self._hash == other._hash and self.data == other.data
+
+
+# TableKey -> itself: one object per distinct key data
+_interned = {}
+
+
+def intern_key(data):
+    """The one TableKey of data in this process, kept up to CACHE_LIMIT
+    keys."""
+    key = TableKey(data)
+    return remember(_interned, key, lambda: key)
 
 
 class AlgebraMismatch(Exception):
@@ -116,6 +157,10 @@ class AlgebraSpec:
     given.  So one spec serves a k(q) algebra and Laurent numerators alike.
     The term budget of normal_form_word is QFUN_MAX_TERMS as it reads when
     the spec is built.
+
+    table is the RuleTable the spec was copied from (RuleTable.new_spec),
+    or None; rule_table_key trusts its key while the spec's letters and
+    rules still equal the table's.
     """
 
     def __init__(self, alphabet, domain=LAURENT, name=""):
@@ -129,6 +174,7 @@ class AlgebraSpec:
         self.reducer = None
         self.term_budget = _term_budget()
         self._nf_cache = {}
+        self.table = None
 
     def clear_caches(self):
         """Forget the normal-form memo, as after a change to the rules."""
@@ -371,13 +417,58 @@ class NCElement(LinComb):
 # -- confluence ---------------------------------------------------------------
 
 
+class RuleTable(NamedTuple):
+    """A presentation's letters and rules, frozen once (rule_table) and
+    shared by every spec copied from it; never mutated.
+
+    alphabet: the letters in order; index: letter -> position; rules: the
+    rule table over Z[q,q^-1]; key: its rule_table_key, computed and
+    interned when the table is frozen.
+    """
+
+    alphabet: tuple
+    index: dict
+    rules: dict
+    key: TableKey
+
+    def new_spec(self, domain=LAURENT, name=""):
+        """A spec with its own copy of the index and the rules, a cold
+        normal-form memo, no reducer, and the term budget read now; no
+        letter is hashed again."""
+        spec = AlgebraSpec((), domain=domain, name=name)
+        spec.alphabet = list(self.alphabet)
+        spec.index = self.index.copy()
+        spec.rules.update(self.rules)
+        spec.table = self
+        return spec
+
+
+def rule_table(spec):
+    """spec's letters and rules as a RuleTable, with their key."""
+    alphabet = tuple(spec.alphabet)
+    rules = dict(spec.rules)
+    return RuleTable(alphabet, dict(spec.index), rules, _table_key(alphabet, rules))
+
+
+def _table_key(alphabet, rules):
+    return intern_key((alphabet, tuple(sorted(rules.items()))))
+
+
 def rule_table_key(spec):
-    """The data confluence_check reads: the alphabet and the rules.
+    """The data confluence_check reads, the alphabet and the rules, as an
+    interned TableKey.
 
     Rules are over Z[q,q^-1] whatever the spec's domain, so a table has one
-    key over either domain.  The reducer is not part of it.
+    key over either domain.  The reducer is not part of it.  The key of a
+    spec copied from a RuleTable is the table's, computed once for the
+    presentation, while the spec's rules and letters equal the table's: a
+    dict compare, by identity for every rule it copied.  A spec with
+    changed rules, or with no table, is keyed from its own data.
     """
-    return tuple(spec.alphabet), tuple(sorted(spec.rules.items()))
+    table = spec.table
+    if table is not None and spec.rules == table.rules and tuple(spec.alphabet) == table.alphabet:
+        return table.key
+    return _table_key(tuple(spec.alphabet), spec.rules)
 
 
 def confluence_check(spec):
@@ -386,7 +477,9 @@ def confluence_check(spec):
     Both reduction strategies (left pair first / right pair first) must give
     the same full normal form.  Returns a fresh report dict; failures are
     listed, not raised.  The report depends only on rule_table_key(spec), so
-    the overlaps are rewritten once per rule table in a process (certified).
+    the overlaps are rewritten once per rule table in a process (certified),
+    and each build of a presentation looks its report up by the key its
+    table holds.
     """
     report = certified(("confluence", rule_table_key(spec)), lambda: _overlap_report(spec))
     return {**report, "failures": [dict(f) for f in report["failures"]]}
@@ -525,7 +618,7 @@ def graded_component_basis(n_letters, relations, multidegree, cap=20000):
             rows.setdefault(frozenset(row.items()), row)
     # proj[w] is w's representative modulo the reduced rows: a basis
     # representative is itself, and one that leads a row is minus its tail
-    tails = back_substitute(echelon(rows.values()))
+    tails = back_substitute(echelon(rows.values(), RATFUNC.one), RATFUNC.one)
     basis = [w for i, w in enumerate(words) if rep[i] == i and i not in tails]
     expansions = {}
     for r in rep:

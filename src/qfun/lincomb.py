@@ -42,7 +42,7 @@ def accumulate(dst, items, coeff=None, one=None):
     return dst
 
 
-def echelon(rows):
+def echelon(rows, one=None):
     """Row echelon form of sparse rows over a field, as pivots
     {leading key: row scaled to leading coefficient 1}.
 
@@ -50,7 +50,8 @@ def echelon(rows):
     its leading key until that key is not yet a pivot; a row that vanishes
     adds nothing, so len(pivots) is the rank.  A row whose leading
     coefficient == 1 is kept as it is, and a multiplier == 1 is not
-    multiplied, for any coefficient type.
+    multiplied, for any coefficient type; nor is a coefficient that `is`
+    one.
     """
     pivots = {}
     for row in rows:
@@ -62,12 +63,12 @@ def echelon(rows):
                 c = row[lead]
                 if c != 1:
                     inv = 1 / c
-                    row = {k: v * inv for k, v in row.items()}
+                    row = {k: inv if v is one else v * inv for k, v in row.items()}
                 pivots[lead] = row
                 break
             c = row.pop(lead)
             accumulate(row, ((k, v) for k, v in piv.items() if k != lead),
-                       None if c == -1 else -c)
+                       None if c == -1 else -c, one)
     return pivots
 
 
@@ -91,9 +92,11 @@ def reduce_row(row, pivots):
     return out
 
 
-def back_substitute(pivots):
+def back_substitute(pivots, one=None):
     """The reduced echelon form of echelon pivots, as {lead: tail}: each
-    pivot row is lead + tail, and no tail holds a pivot key.
+    pivot row is lead + tail, and no tail holds a pivot key.  A multiplier
+    == -1 multiplies nothing, and a coefficient that `is` one is not
+    multiplied.
 
     The pivots are cleared from the largest lead down.  A pivot row holds
     only keys larger than its lead, whose tails are then already reduced, so
@@ -110,7 +113,7 @@ def back_substitute(pivots):
             if sub is None:
                 accumulate(tail, ((k, c),))
             else:
-                accumulate(tail, sub.items(), None if c == -1 else -c)
+                accumulate(tail, sub.items(), None if c == -1 else -c, one)
         tails[lead] = tail
     return tails
 
@@ -291,13 +294,14 @@ def extend_prefix(memo, word, unit, extend, limit, start=0):
     return value
 
 
-def apply_pair_map(terms, left, right):
+def apply_pair_map(terms, left, right, one=None):
     """sum c left(a) (x) right(b) over a {(a, b): c} dict, as a new pair-keyed
     term dict.
 
     left and right map a key to a term dict.  Each is called once per
     distinct key, and right is not called for a pair whose left image is
-    empty.
+    empty.  A coefficient that `is` one is not multiplied
+    (add_pair_products).
     """
     lefts, rights = {}, {}
 
@@ -312,7 +316,7 @@ def apply_pair_map(terms, left, right):
                     rb = rights[b] = right(b)
                 yield c, la, rb
 
-    return add_pair_products({}, images())
+    return add_pair_products({}, images(), one)
 
 
 def coeff_text(c):
@@ -426,10 +430,16 @@ class LinComb:
         return self + (-other)
 
     def scale(self, coeff):
+        """coeff times self.  A coefficient that `is` the unit coefficient,
+        self._coerce(1), becomes coeff without a multiply, and a coeff that
+        is it multiplies nothing."""
         coeff = self._coerce(coeff)
         if not coeff:
             return self._same({})
-        return self._same({k: c * coeff for k, c in self.terms.items()})
+        one = self._coerce(1)
+        if coeff is one:
+            return self._same(dict(self.terms))
+        return self._same({k: coeff if c is one else c * coeff for k, c in self.terms.items()})
 
     def __pow__(self, k):
         """self ** k for an integer k >= 0, multiplied out from 1; a negative

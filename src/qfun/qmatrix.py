@@ -12,7 +12,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
-from .freealg import CACHE_LIMIT, AlgebraMismatch, AlgebraSpec, GenSym, NCElement, confluence_check
+from .freealg import (CACHE_LIMIT, AlgebraMismatch, AlgebraSpec, GenSym, NCElement, RuleTable,
+                      confluence_check, rule_table)
 from .lincomb import LinComb, add_outer, apply_word_map, extend_prefix, format_terms, pair_product
 from .laurent import (
     LAURENT,
@@ -95,17 +96,17 @@ def pair_relation(u, v):
 class Presentation(NamedTuple):
     """The immutable part of a quantum matrix presentation.
 
-    alphabet: the ordered letters; rules: the checked rule table over
-    Z[q,q^-1], never mutated (build_matrix_spec copies it); letter_deltas: per
-    letter, its coproduct sum_k x_ik (x) x_kj as a pair-keyed term dict over
-    Z[q,q^-1]; counit_letters: the letters with counit 1 (the diagonal
-    cells), every other letter having counit 0.
+    table: the ordered letters and the rule table over Z[q,q^-1], with the
+    key of its confluence certificate, never mutated (build_matrix_spec
+    copies it); letter_deltas: per letter, its coproduct
+    sum_k x_ik (x) x_kj as a pair-keyed term dict over Z[q,q^-1];
+    counit_letters: the letters with counit 1 (the diagonal cells), every
+    other letter having counit 0.
     """
 
     name: str
-    alphabet: tuple
+    table: RuleTable
     cells: frozenset
-    rules: dict
     letter_deltas: tuple
     counit_letters: frozenset
 
@@ -185,19 +186,18 @@ def _build_presentation(n, order, cells, name):
         for i, j in ordered
     )
     units = frozenset(pos[ij] for ij in cells if ij[0] == ij[1])
-    return Presentation(spec.name, tuple(spec.alphabet), frozenset(cellset), spec.rules,
-                        letter_deltas, units)
+    return Presentation(spec.name, rule_table(spec), frozenset(cellset), letter_deltas, units)
 
 
 def _adjoin_inverse(pres, inverse, name=None):
     """pres with the letter inverse adjoined last: a commuting rule with
     each letter, Delta(t) = t (x) t and counit 1; named name, or as pres."""
-    spec = AlgebraSpec(pres.alphabet + (inverse,), name=name or pres.name)
-    spec.rules.update(pres.rules)
-    t = len(pres.alphabet)
+    spec = AlgebraSpec(pres.table.alphabet + (inverse,), name=name or pres.name)
+    spec.rules.update(pres.table.rules)
+    t = len(pres.table.alphabet)
     for p in range(t):
         spec.add_rule(t, p, [(LP_ONE, (p, t))])
-    return pres._replace(name=spec.name, alphabet=tuple(spec.alphabet), rules=spec.rules,
+    return pres._replace(name=spec.name, table=rule_table(spec),
                          letter_deltas=pres.letter_deltas + ({((t,), (t,)): LP_ONE},),
                          counit_letters=pres.counit_letters | {t})
 
@@ -212,15 +212,15 @@ def build_matrix_spec(n, order="lex", domain=LAURENT, cells=None, name=None, inv
 
     The rules are over Z[q,q^-1] whatever the domain, which types only the
     coefficients of the spec's elements, so the presentation is built once
-    per arguments other than the domain (matrix_presentation).  Each call
-    returns a new spec with its own copy of the rules, its own normal-form
-    memo, no reducer, and the term budget read now, so a change to one
-    spec's rules reaches no other.
+    per arguments other than the domain (matrix_presentation), and it owns
+    its rule table with the table's certificate key.  Each call returns a
+    new spec copied from that table (RuleTable.new_spec): its own copy of
+    the rules, its own normal-form memo, no reducer, and the term budget
+    read now, so a change to one spec's rules reaches no other, and
+    rule_table_key keys a changed spec from its own rules.
     """
     pres = matrix_presentation(n, order, cells, name, inverse)
-    spec = AlgebraSpec(pres.alphabet, domain=domain, name=pres.name)
-    spec.rules.update(pres.rules)
-    return spec
+    return pres.table.new_spec(domain=domain, name=pres.name)
 
 
 class MatrixAlgebra:

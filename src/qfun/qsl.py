@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from itertools import permutations
 
-from .freealg import GenSym, NCElement
+from .freealg import GenSym, NCElement, remember, rule_table_key
 from .laurent import LAURENT, RATFUNC, neg_q_power
 from .lincomb import accumulate, apply_word_map
 from .qmatrix import MatrixAlgebra, perm_inversions, x_gen
@@ -38,10 +38,8 @@ def _block_perm(n, strategy):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-@functools.lru_cache(maxsize=64)
 def _det_substitution(n, strategy):
-    """Substitution terms for the extracted block product, as a tuple built
-    once per (n, strategy).
+    """Substitution terms for the extracted block product, as a tuple.
 
     With det_q = sum_s (-q)^l(s) x_{1,s1}...x_{n+1,s(n+1)} set to 1, the
     block permutation b gives
@@ -77,21 +75,18 @@ class DetReducer:
     substitution, as in MatrixAlgebra.quantum_minor.  Inside a triangle
     only the identity is left, so in the Borels a word holding the diagonal
     is replaced by the word with one copy of each diagonal letter dropped.
+
+    The block word, split and substitution depend only on the letters, so
+    they are built once per (rule table, n, strategy, inverse) in a process
+    and shared, immutable, by the reducer of every algebra of that
+    presentation; each algebra still gets its own reducer object.
     """
 
     def __init__(self, n, strategy, spec, inverse=None):
         self.name = f"det-{strategy}"
-        pos = {g.indices: p for p, g in enumerate(spec.alphabet)}
-        cells = tuple(pos[ij] for ij in enumerate(_block_perm(n, strategy), 1))
-        tail = () if inverse is None else (spec.index[inverse],)
-        self.det_word = cells + tail
-        self.block_pos = frozenset(self.det_word)
-        # kept letters below the block's last cell stay before it
-        self.split = max(cells)
-        self.subst = [
-            (LAURENT.coerce(c), tuple(pos[ij] for ij in sub) + (tail if sub else ()))
-            for c, sub in _det_substitution(n, strategy) if all(ij in pos for ij in sub)
-        ]
+        self.det_word, self.block_pos, self.split, self.subst = remember(
+            _det_data, (rule_table_key(spec), n, strategy, inverse),
+            lambda: _det_reducer_data(n, strategy, spec, inverse))
 
     def reduce_word(self, spec, word):
         if not self.block_pos.issubset(word):
@@ -116,6 +111,25 @@ class DetReducer:
         # NF(rearranged) is `word` itself with coefficient 1.
         out = accumulate({}, ((w, -c) for w, c in base.items() if w != word))
         return accumulate(out, ((prefix + sub + suffix, c) for c, sub in self.subst))
+
+
+# (rule table key, n, strategy, inverse) -> DetReducer's data
+_det_data = {}
+
+
+def _det_reducer_data(n, strategy, spec, inverse):
+    """(det_word, block_pos, split, subst) of a DetReducer on spec's letters."""
+    pos = {g.indices: p for p, g in enumerate(spec.alphabet)}
+    cells = tuple(pos[ij] for ij in enumerate(_block_perm(n, strategy), 1))
+    tail = () if inverse is None else (spec.index[inverse],)
+    det_word = cells + tail
+    # kept letters below the block's last cell stay before it
+    split = max(cells)
+    subst = tuple(
+        (LAURENT.coerce(c), tuple(pos[ij] for ij in sub) + (tail if sub else ()))
+        for c, sub in _det_substitution(n, strategy) if all(ij in pos for ij in sub)
+    )
+    return det_word, frozenset(det_word), split, subst
 
 
 class SLAlgebra(MatrixAlgebra):

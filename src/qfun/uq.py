@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freealg import CACHE_LIMIT, AlgebraMismatch, NCElement, certified, graded_component_basis, rule_table_key
+from .freealg import (CACHE_LIMIT, AlgebraMismatch, NCElement, certified, graded_component_basis,
+                      intern_key, remember, rule_table_key)
 from .laurent import (
     LP_ONE,
     LaurentPoly,
@@ -537,13 +538,79 @@ def root_vector_lusztig(alg, co, k, side):
 # -- Borel isomorphisms and the composite embedding -----------------------------------
 
 
+class ThetaRelationsFailed(RuntimeError):
+    """A theta map sends a Borel relation to a nonzero element."""
+
+
+# (sign, n, i, j) -> the term dict of theta_sign(x_ij) in U_q(sl(n+1))
+_theta_images = {}
+# (sign, n) -> ((cell, image terms) of every cell, their interned key)
+_theta_keys = {}
+
+
+def _theta_terms(sign, uq, i, j):
+    """The term dict of theta_sign(x_ij) in uq, built once per (sign, n,
+    cell) in a process, up to CACHE_LIMIT entries, and shared by the maps
+    of every UqAlgebra with that n.
+
+    Images of the non-adjacent generators are produced by the two-step
+    recursion through the Borel relations, on these term dicts.
+    """
+    return remember(_theta_images, (sign, uq.n, i, j), lambda: _theta_build(sign, uq, i, j))
+
+
+def _theta_build(sign, uq, i, j):
+    def image(a, b):
+        return UqElement(uq, _theta_terms(sign, uq, a, b))
+
+    if sign == "+":
+        if i == j:
+            img = uq.G(i, -1)
+        elif j == i + 1:
+            img = (uq.F(i) * uq.G(i + 1, -1)).scale(-RF_Q_MINUS_QINV)
+        elif j > i + 1:
+            a, b = image(i, j - 1), image(j - 1, j)
+            img = (a * b - b * a).scale(RF_Q_MINUS_QINV.inverse()) * uq.G(j - 1)
+        else:
+            raise ValueError("not an upper-triangular cell")
+    else:
+        if i == j:
+            img = uq.G(i)
+        elif i == j + 1:
+            img = (uq.G(i) * uq.E(j)).scale(RF_Q_MINUS_QINV)
+        elif i > j + 1:
+            a, b = image(i - 1, j), image(i, i - 1)
+            img = uq.G(i - 1, -1) * (a * b - b * a).scale(RF_Q_MINUS_QINV.inverse())
+        else:
+            raise ValueError("not a lower-triangular cell")
+    return img.terms
+
+
+def _images_key(sign, n, images):
+    """The interned key of a map's (cell, image terms) pairs: the one held
+    for (sign, n) when they equal the pairs it was made from (a tuple
+    compare, by identity for the shared image dicts), and one made from
+    their own data otherwise.  A key is held only for the shared images."""
+    held = _theta_keys.get((sign, n))
+    if held is not None and held[0] == images:
+        return held[1]
+    key = intern_key(tuple((ij, frozenset(terms.items())) for ij, terms in images))
+    if all(terms is _theta_images.get((sign, n) + ij) for ij, terms in images):
+        remember(_theta_keys, (sign, n), lambda: (images, key))
+    return key
+
+
 class ThetaMap:
     """theta_+ : B_+ -> U_q(b_-)_op or theta_- : B_- -> U_q(b_+)_op.
 
-    Images of the non-adjacent generators are produced by the two-step
-    recursion through the Borel relations; the Borel presentation is
-    verified to map to zero at construction, once per process for each
-    sign, Borel rule table and set of generator images (certified).
+    The image term dicts belong to the U_q presentation: they are built
+    once per (sign, n, cell) in a process (_theta_terms) and wrapped as
+    elements of this map's own uq.  The Borel presentation is verified to
+    map to zero at construction, once per process for each sign, Borel rule
+    table and set of generator images (certified): the images this map
+    returns are keyed on every build, by the key held for the shared ones
+    and from their own data otherwise, so a wrong image is checked, and
+    refused with ThetaRelationsFailed, on every build.
     """
 
     def __init__(self, sign, borel, uq):
@@ -554,48 +621,22 @@ class ThetaMap:
         self.uq = uq
         self.n = borel.n
         self._images = {}
-        images = tuple((ij, frozenset(self.image(*ij).terms.items())) for ij in sorted(borel.cells))
+        images = tuple((ij, self.image(*ij).terms) for ij in sorted(borel.cells))
         # True: the certificate that the Borel presentation maps to zero
-        self.relations_hold = certified(("theta", sign, rule_table_key(borel.spec), images),
-                                        self._check_relations)
+        self.relations_hold = certified(
+            ("theta", sign, rule_table_key(borel.spec), _images_key(sign, uq.n, images)),
+            self._check_relations)
 
     def _check_relations(self):
         rep = self.verify_relations()
         if not rep["ok"]:
-            raise RuntimeError(f"theta{self.sign} fails Borel relations: {rep}")
+            raise ThetaRelationsFailed(f"theta{self.sign} fails Borel relations: {rep}")
         return True
 
     def image(self, i, j):
-        key = (i, j)
-        img = self._images.get(key)
-        if img is not None:
-            return img
-        uq = self.uq
-        if self.sign == "+":
-            if i == j:
-                img = uq.G(i, -1)
-            elif j == i + 1:
-                img = (uq.F(i) * uq.G(i + 1, -1)).scale(-RF_Q_MINUS_QINV)
-            elif j > i + 1:
-                a = self.image(i, j - 1)
-                b = self.image(j - 1, j)
-                img = (a * b - b * a).scale(RF_Q_MINUS_QINV.inverse()) * uq.G(j - 1)
-            else:
-                raise ValueError("not an upper-triangular cell")
-        else:
-            if i == j:
-                img = uq.G(i)
-            elif i == j + 1:
-                img = (uq.G(i) * uq.E(j)).scale(RF_Q_MINUS_QINV)
-            elif i > j + 1:
-                a = self.image(i - 1, j)
-                b = self.image(i, i - 1)
-                img = uq.G(i - 1, -1) * (a * b - b * a).scale(
-                    RF_Q_MINUS_QINV.inverse()
-                )
-            else:
-                raise ValueError("not a lower-triangular cell")
-        self._images[key] = img
+        img = self._images.get((i, j))
+        if img is None:
+            img = self._images[(i, j)] = UqElement(self.uq, _theta_terms(self.sign, self.uq, i, j))
         return img
 
     def apply(self, el):
@@ -617,7 +658,7 @@ class ThetaMap:
         for (i, j) in sorted(self.borel.cells):
             lhs = uq_coproduct(self.image(i, j)).swap()
             delta = self.borel.coproduct(self.borel.gen(i, j))
-            rhs = apply_pair_map(delta.terms, word_image, word_image)
+            rhs = apply_pair_map(delta.terms, word_image, word_image, RF_ONE)
             if not (lhs - UqTensor(self.uq, rhs)).is_zero():
                 failures.append(f"x[{i},{j}]")
         return {"ok": not failures, "failures": failures}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfun.laurent import LP_ONE, LaurentPoly, RatFunc
+from qfun.laurent import LP_ONE, RATFUNC, RF_ONE, LaurentPoly, RatFunc
 from qfun.lincomb import (
     LinComb,
     accumulate,
@@ -106,6 +106,39 @@ def test_accumulate_takes_coeff_for_an_item_that_is_one():
     assert d == {"a": Fraction(5), "b": Fraction(10)}
     # an equal coefficient that is another object is multiplied
     assert accumulate({}, [("a", Fraction(1))], Fraction(5), Fraction(1)) == {"a": Fraction(5)}
+
+
+def test_scale_row_reduction_and_pair_maps_skip_products_by_the_unit(monkeypatch):
+    """A coefficient that is RF_ONE, the unit object of k(q), is never a
+    factor of a product; the results equal the multiplied-out ones."""
+    q = RatFunc(LaurentPoly({1: 1}))
+    rows = [{0: RF_ONE, 1: q, 2: RF_ONE}, {1: RF_ONE, 2: q + 1}, {0: q, 2: RF_ONE}]
+    pairs = {(0, 1): RF_ONE, (1, 1): q}
+    images = {0: {0: RF_ONE, 1: q}, 1: {1: RF_ONE}}
+
+    class KqVec(Vec):
+        __slots__ = ()
+
+        def _coerce(self, c):
+            return RATFUNC.coerce(c)
+
+    def run(one):
+        pivots = echelon(rows, one)
+        return pivots, back_substitute(pivots, one), apply_pair_map(pairs, images.get, images.get, one)
+
+    expected = run(None)
+    scaled = {0: q, 1: q * q}
+    real = RatFunc.__mul__
+
+    def spy(a, b):
+        assert a is not RF_ONE and b is not RF_ONE, "multiplied by one"
+        return real(a, b)
+
+    monkeypatch.setattr(RatFunc, "__mul__", spy)
+    monkeypatch.setattr(RatFunc, "__rmul__", spy)
+    assert run(RF_ONE) == expected
+    assert KqVec({0: RF_ONE, 1: q}).scale(q).terms == scaled
+    assert KqVec({0: q}).scale(1).terms == {0: q}
 
 
 sparse_rows = st.dictionaries(st.integers(min_value=0, max_value=5), fractions.filter(bool), max_size=4)

@@ -24,7 +24,6 @@ representative word per class.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import NamedTuple
 from heapq import heappop, heappush
 from itertools import combinations
@@ -127,10 +126,15 @@ def deglex_key(word):
     return len(word), word
 
 
-@dataclass(frozen=True, order=True)
-class GenSym:
+class GenSym(NamedTuple):
     """A named generator: family tag plus 1-based indices; one with no
-    indices prints as its family alone."""
+    indices prints as its family alone.
+
+    A tuple, so hashing, equality and order run in C, with the hash and
+    order of (family, indices).  A GenSym therefore equals the plain tuple
+    (family, indices); no qfun dict or alphabet holds both, since letters
+    are always GenSyms and words are tuples of them or of positions.
+    """
 
     family: str
     indices: tuple

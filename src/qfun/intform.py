@@ -42,6 +42,7 @@ from .laurent import (
     RF_Q_MINUS_1,
     RF_Q_MINUS_QINV,
     RatFunc,
+    common_numerator_is_zero,
     neg_q_power,
     over_common_denominator,
 )
@@ -146,6 +147,87 @@ class IntExpr(LinComb):
     __repr__ = __str__
 
 
+class Lift(NCElement):
+    """A lift into an IntContext's ambient algebra that keeps its Laurent
+    numerators: groups {den: {(a, b): {word: N}}} stand for the k(q) element
+    sum N / (den (q-q^-1)^a (q-1)^b).  No group and no den holds an empty
+    dict, and no numerator dict is changed once it is built, so lifts share
+    them.
+
+    The division into reduced k(q) coefficients (over_common_denominator)
+    happens when .terms is first read, and is kept.  A sum, difference or
+    negation of lifts of one spec merges their groups, and is_zero, bool
+    and == between lifts decide over Z[q,q^-1] with no division and no gcd
+    (common_numerator_is_zero).  Everything else reads .terms and works as
+    on a plain NCElement, whose type its results have: printing, S, Delta,
+    products, scale, hash, and +, - and == with a plain NCElement, which
+    answer through NCElement's reflected methods.
+    """
+
+    __slots__ = ("groups", "_terms")
+
+    def __init__(self, spec, groups):
+        self.spec = spec
+        self.groups = groups
+        self._terms = None
+
+    @property
+    def terms(self):
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = over_common_denominator(self.groups)
+        return terms
+
+    def _merged(self, other):
+        """The Lift self + other; numerator dicts are copied only where the
+        two meet."""
+        groups = {den: dict(by_ab) for den, by_ab in self.groups.items()}
+        for den, by_ab in other.groups.items():
+            mine = groups.setdefault(den, {})
+            for ab, nums in by_ab.items():
+                group = mine.get(ab)
+                if group is not None:
+                    nums = accumulate(dict(group), nums.items())
+                if nums:
+                    mine[ab] = nums
+                else:
+                    del mine[ab]
+            if not mine:
+                del groups[den]
+        return Lift(self.spec, groups)
+
+    def is_zero(self):
+        if self._terms is not None:
+            return not self._terms
+        return common_numerator_is_zero(self.groups)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, Lift):
+            return (self - other).is_zero()
+        return NCElement.__eq__(self, other)
+
+    __hash__ = NCElement.__hash__
+
+    def __neg__(self):
+        return Lift(self.spec, {den: {ab: {w: -c for w, c in nums.items()} for ab, nums in by_ab.items()}
+                                for den, by_ab in self.groups.items()})
+
+    def __add__(self, other):
+        if isinstance(other, Lift):
+            self._check(other)
+            return self._merged(other)
+        return NCElement.__add__(self, other)
+
+    def __sub__(self, other):
+        if isinstance(other, Lift):
+            self._check(other)
+            return self._merged(-other)
+        return NCElement.__sub__(self, other)
+
+
 class IntContext:
     """Ambient algebra for one of the integer forms.
 
@@ -154,16 +236,18 @@ class IntContext:
     GL-localized forms; its lifts are matrix words, which GL keeps as they
     are, and its antipode brings in det_q^-1.
 
-    Lifts run over Z[q,q^-1] and divide once, at the boundary.  A generator
-    word w lifts to N(w) / ((q-q^-1)^a (q-1)^b), where the numerator N(w)
-    is the reduced product of the letters' numerators (x_ij,
+    Lifts run over Z[q,q^-1] and divide only when a coefficient is read.
+    A generator word w lifts to N(w) / ((q-q^-1)^a (q-1)^b), where the
+    numerator N(w) is the reduced product of the letters' numerators (x_ij,
     x_ii - x_{i+1,i+1}, ...).  Numerators are Laurent term dicts reduced in
     alg's own spec, which rewrites over Z[q,q^-1] for its k(q) elements too,
     so they share its rule table and normal-form memo; they are memoized per
     word.  A lift sums numerators times the Laurent numerators of its
-    coefficients and turns each output coefficient into a reduced RatFunc
-    once, by trial division by (q-1) and (q+1).  Lifts are elements of the
-    k(q) algebra alg.
+    coefficients, grouped by the coefficients' dens and the powers (a, b),
+    and returns them as a Lift, an element of the k(q) algebra alg.  Sums,
+    differences and zero tests of lifts stay over Z[q,q^-1]; reading its
+    coefficients turns each into a reduced RatFunc once, by trial division
+    by (q-1) and (q+1).  lift_tensor divides at once.
     """
 
     def __init__(self, n, gl=False, strategy="diagonal74"):
@@ -234,20 +318,27 @@ class IntContext:
         gnum, ga, gb = self._letter_numerator(g)
         return self.spec.reduce_terms(concat_product(num, gnum)), a + ga, b + gb
 
-    def _lift_terms(self, terms):
-        """The reduced term dict of sum c lift(w) over a {word: c} dict."""
+    def _lift_groups(self, terms):
+        """The Lift groups {den: {(a, b): {word: N}}} of sum c lift(w) over a
+        {word: c} dict, with the groups that cancelled dropped."""
         by_den = {}
         for w, c in terms.items():
             num, a, b = self._numerator(w)
             group = by_den.setdefault(c.den, {}).setdefault((a, b), {})
             accumulate(group, num.items(), None if c.num.is_one() else c.num)
-        return over_common_denominator(by_den)
+        for den in list(by_den):
+            by_ab = {ab: nums for ab, nums in by_den[den].items() if nums}
+            if by_ab:
+                by_den[den] = by_ab
+            else:
+                del by_den[den]
+        return by_den
 
     def lift_gen(self, g):
-        return NCElement(self.spec, self._lift_terms({(g,): RF_ONE}), reduce=False)
+        return Lift(self.spec, self._lift_groups({(g,): RF_ONE}))
 
     def lift(self, expr):
-        return NCElement(self.spec, self._lift_terms(expr.terms), reduce=False)
+        return Lift(self.spec, self._lift_groups(expr.terms))
 
     def lift_tensor(self, texpr):
         by_den = {}

@@ -461,8 +461,10 @@ class RatFunc:
 
     Canonical form: den has min exponent 0, positive leading coefficient,
     gcd(num, den) = 1 up to units, and the integer contents of num and den
-    are coprime.  A unit den is always the LP_ONE object.  Equality is
-    structural and agrees with cross-multiplication.
+    are coprime.  A unit den is always the LP_ONE object, and a value 1
+    that from_laurent, a negation or a sum or product builds is the RF_ONE
+    object, so callers skip unit factors by `is`.  Equality is structural
+    and agrees with cross-multiplication.
 
     Reduction stays in Z[q]: the q-power of den moves to num, laurent_gcd
     (a primitive pseudo-remainder sequence) finds the common factor, and
@@ -494,6 +496,9 @@ class RatFunc:
 
     @staticmethod
     def from_laurent(p):
+        """p as a RatFunc; a p equal to 1 gives the RF_ONE object."""
+        if p.terms == _ONE_TERMS:
+            return RF_ONE
         out = RatFunc.__new__(RatFunc)
         out.num = p
         out.den = LP_ONE
@@ -562,6 +567,8 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.den is LP_ONE:
+            return RatFunc.from_laurent(-self.num)
         out = RatFunc.__new__(RatFunc)
         out.num = -self.num
         out.den = self.den
@@ -613,7 +620,10 @@ class RatFunc:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce_rf(other) / self
+        other = _coerce_rf(other)
+        if other is RF_ONE:
+            return self.inverse()
+        return other / self
 
     def inverse(self):
         """den/num without a gcd: the parts of a canonical fraction are
@@ -695,6 +705,8 @@ def _content_reduced(num, den):
     if num.is_zero():
         return RF_ZERO
     num, den = _without_common_content(num, den)
+    if num.terms == _ONE_TERMS and den.terms == _ONE_TERMS:
+        return RF_ONE
     return RatFunc(num, den, _reduced=True)
 
 
@@ -722,7 +734,7 @@ def _reduce_fraction(num, den):
 
 
 RF_ZERO = RatFunc.from_laurent(LP_ZERO)
-RF_ONE = RatFunc.from_laurent(LP_ONE)
+RF_ONE = RatFunc(LP_ONE, _reduced=True)
 RF_Q = RatFunc.from_laurent(Q)
 RF_Q_MINUS_1 = RatFunc.from_laurent(Q_MINUS_1)
 RF_Q_MINUS_QINV = RatFunc.from_laurent(Q_MINUS_QINV)
@@ -812,6 +824,32 @@ def over_common_denominator(by_den):
     return out
 
 
+def common_numerator_is_zero(by_den):
+    """True when the k(q) term dict over_common_denominator(by_den) is
+    empty, decided over Z[q,q^-1] with no division and no gcd.
+
+    by_den must hold no empty group.  Every numerator is brought to the top
+    powers (q-q^-1)^A (q-1)^B, the largest a and b over all groups, and
+    multiplied by the dens of the other groups: the sum is then the
+    numerator of the whole over the one denominator
+    (q-q^-1)^A (q-1)^B prod d, which is zero exactly when that Laurent sum
+    is empty.  A lone group is nonzero as it stands.
+    """
+    groups = [(den, a, b, nums) for den, by_ab in by_den.items() for (a, b), nums in by_ab.items()]
+    if len(groups) < 2:
+        return not groups
+    top_a = max(g[1] for g in groups)
+    top_b = max(g[2] for g in groups)
+    total = {}
+    for den, a, b, nums in groups:
+        factor = _den_power(top_a - a, top_b - b)
+        for other in by_den:
+            if other is not den:
+                factor = factor * other
+        accumulate(total, nums.items(), None if factor is LP_ONE else factor, LP_ONE)
+    return not total
+
+
 # -- coefficient domains ----------------------------------------------------
 
 
@@ -837,7 +875,7 @@ class Domain:
         if isinstance(x, int):
             x = LaurentPoly.from_int(x)
         if isinstance(x, LaurentPoly):
-            return RF_ONE if x is LP_ONE else RatFunc.from_laurent(x)
+            return RatFunc.from_laurent(x)
         raise TypeError(f"cannot coerce {x!r} into k(q)")
 
     def __repr__(self):

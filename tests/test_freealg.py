@@ -390,3 +390,41 @@ def test_normal_form_word_equals_leftmost_rewriting(n, order, domain, letters):
     word = tuple(x % len(spec.alphabet) for x in letters)
     spec.clear_caches()
     assert list(spec.normal_form_word(word).items()) == _leftmost_normal_form(spec, word)
+
+
+# -- GenSym: a tuple with the hash, order and text of (family, indices) ------------
+
+# sha256 of repr(rule_table_key(spec).data), which holds the letters
+_KEY_DIGESTS = {
+    "SL(3)": "d43530a0062c969037395eaa1415cb4cacea07e83a14d967218dec4e388b13f2",
+    "GL(2)": "6cf1a72316d395f9128bcac406c2bc787ec88d87ab90e7ecb23331cc891653dd",
+    "B+(3)": "723fbc83b2c05c9660db3d4b73491b58f7a832c053099f9f008830c2e3809d30",
+    "M(2)": "8c6d8e8437c112fd1f6ba3e84dada6604b4835904894123761e491f069857bab",
+    "h(3)": "a296ab2e1309b613e8e9a487e6c22188b015cb1cccffbb8f96db9f378092d564",
+}
+
+
+def test_gensym_hash_order_text_and_interned_keys():
+    import hashlib
+
+    from qfun.classical import build_h
+    from qfun.freealg import GenSym, rule_table_key
+    from qfun.qsl import BorelAlgebra, GLAlgebra, SLAlgebra
+
+    letters = [GenSym("x", (2, 1)), GenSym("h", (3,)), GenSym("x", (1, 2)), GenSym("c", ()),
+               GenSym("detq^-1", ())]
+    for g in letters:
+        assert hash(g) == hash((g.family, g.indices))
+        assert g == GenSym(g.family, tuple(g.indices)) and g.family == g[0]
+    assert sorted(letters) == sorted(letters, key=lambda g: (g.family, g.indices))
+    assert [str(g) for g in letters] == ["x[2,1]", "h[3]", "x[1,2]", "c", "detq^-1"]
+    assert repr(letters[0]) == "GenSym(family='x', indices=(2, 1))"
+    specs = {"SL(3)": SLAlgebra(2).spec, "GL(2)": GLAlgebra(1).spec,
+             "B+(3)": BorelAlgebra(2, "+").spec, "M(2)": MatrixAlgebra(1).spec,
+             "h(3)": build_h(2).spec}
+    for name, spec in specs.items():
+        key = rule_table_key(spec)
+        assert hashlib.sha256(repr(key.data).encode()).hexdigest() == _KEY_DIGESTS[name], name
+        assert hash(key) == hash(key.data)
+        # no alphabet or index mixes a GenSym with a plain tuple
+        assert all(type(g) is GenSym for g in spec.alphabet) and all(type(g) is GenSym for g in spec.index)

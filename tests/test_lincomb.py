@@ -485,3 +485,48 @@ def test_powers_multiply_out_and_refuse_negative_exponents():
             el ** -1
     with pytest.raises(TypeError):
         m.coproduct(x) ** 2
+
+
+def test_ratfunc_results_equal_to_one_are_the_unit_object(monkeypatch):
+    q, qinv = RatFunc(LaurentPoly({1: 1})), RatFunc(LaurentPoly({-1: 1}))
+    a = RatFunc(LaurentPoly({1: 1, 0: 2}), LaurentPoly({1: 1, 0: 1}))
+    b = RatFunc(LaurentPoly({1: 1, 0: 1}), LaurentPoly({1: 1, 0: 2}))
+    assert RatFunc.from_laurent(LaurentPoly({0: 1})) is RF_ONE
+    assert RATFUNC.coerce(1) is RF_ONE and RATFUNC.coerce(LaurentPoly({0: 1})) is RF_ONE
+    assert q * qinv is RF_ONE and a * b is RF_ONE and -RatFunc(-1) is RF_ONE
+    assert RatFunc(2) + RatFunc(-1) is RF_ONE and a + (RF_ONE - a) is RF_ONE
+    real = RatFunc.__mul__
+
+    def spy(x, y):
+        raise AssertionError("1 / c multiplied")
+
+    monkeypatch.setattr(RatFunc, "__mul__", spy)
+    monkeypatch.setattr(RatFunc, "__rmul__", spy)
+    assert 1 / a == b and 1 / q == qinv
+    monkeypatch.undo()
+    assert real(RF_ONE, a) == a
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_root_vectors_multiply_no_ratfunc_by_one(n, monkeypatch):
+    """Braid and iterated root vectors, with the Serre row reduction under
+    them, never multiply a k(q) coefficient equal to 1."""
+    from qfun import UqAlgebra, convex_order, root_vector_iterated, root_vector_lusztig
+
+    real = RatFunc.__mul__
+    products = []
+
+    def spy(x, y):
+        assert x != 1 and y != 1, "multiplied by one"
+        products.append(1)
+        return real(x, y)
+
+    alg, co = UqAlgebra(n), convex_order(n)
+    monkeypatch.setattr(RatFunc, "__mul__", spy)
+    monkeypatch.setattr(RatFunc, "__rmul__", spy)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 2):
+            for side in "EF":
+                lu = root_vector_lusztig(alg, co, co.position(i, j), side)
+                assert (lu - root_vector_iterated(alg, i, j, side)).is_zero()
+    assert products
